@@ -10,7 +10,7 @@ import math
 import sys
 from pathlib import Path
 
-from oemsim import SweepSpec, preset, run_sweep, write_csv
+from oemsim import preset, run_sweep, write_csv
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden"
 
@@ -18,7 +18,7 @@ GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden"
 def main() -> int:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for name in ("fig2", "fig3", "fig4", "fig5", "fig6a", "fig6b", "fig6c"):
-        result = run_sweep(preset(name), jobs=4)
+        result = run_sweep(preset(name))
         write_csv(result, GOLDEN_DIR / f"{name}.csv")
         print(f"{name}: {result.stable_count()}/{len(result.records)} stable, "
               f"{result.error_count()} errors")
@@ -27,9 +27,7 @@ def main() -> int:
     couplings = [2.0 * math.pi * f * 1e5 for f in (0.5, 1.0, 1.5)]
     peaks = []
     for g in couplings:
-        kw = {f.name: getattr(spec, f.name) for f in dataclasses.fields(SweepSpec)}
-        kw["base"] = spec.base.replace(g=g)
-        result = run_sweep(SweepSpec(**kw), jobs=4)
+        result = run_sweep(dataclasses.replace(spec, base=spec.base.replace(g=g)))
         peaks.append(max(r.e_n["oc_sba"] for r in result.records if r.stable))
     payload = {"couplings_rad_s": couplings, "peak_en_oc_sba": peaks}
     (GOLDEN_DIR / "fig5_peaks.json").write_text(

@@ -7,7 +7,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -112,7 +112,7 @@ def _build_parser() -> _Parser:
     p_point.add_argument("--pairs", default=None,
                          help="comma list of mode pairs (default: all five)")
     p_point.add_argument("--baseline", action="store_true",
-                         help="also report the atom-free 6-mode values")
+                         help="also report the atom-free (g = r_a = 0) values")
     p_point.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
     p_sweep = sub.add_parser("sweep", help="run a 1-D grid sweep and write CSV")
@@ -123,7 +123,9 @@ def _build_parser() -> _Parser:
                               "or the three bosonic pairs with --params)")
     p_sweep.add_argument("--baseline", action="store_true",
                          help="force the atom-free comparison on")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel evaluations")
+    p_sweep.add_argument("--jobs", type=int, default=1,
+                         help="accepted for compatibility (>= 1); results and "
+                              "speed do not depend on it")
     p_sweep.add_argument("--grid", nargs=3, type=float, default=None,
                          metavar=("START", "STOP", "COUNT"),
                          help="override the grid (axis units)")
@@ -205,9 +207,7 @@ def _sweep_spec(args) -> sweep.SweepSpec:
             scale = (spec.base.kappa_c if args.axis == sweep.AXIS_KAPPA_C
                      else spec.base.omega_m)
             changes.update(axis=args.axis, axis_scale=scale)
-        if changes:
-            spec = _replace_spec(spec, **changes)
-        return spec
+        return replace(spec, **changes)
     params = parse_config(args.params)
     axis = args.axis or sweep.AXIS_OMEGA_M
     scale = params.kappa_c if axis == sweep.AXIS_KAPPA_C else params.omega_m
@@ -220,12 +220,6 @@ def _sweep_spec(args) -> sweep.SweepSpec:
         pairs=_parse_pairs(args.pairs, gaussian.BOSONIC_PAIRS),
         baseline=args.baseline,
     )
-
-
-def _replace_spec(spec: sweep.SweepSpec, **changes) -> sweep.SweepSpec:
-    kw = {f.name: getattr(spec, f.name) for f in fields(sweep.SweepSpec)}
-    kw.update(changes)
-    return sweep.SweepSpec(**kw)
 
 
 def _cmd_sweep(args) -> int:

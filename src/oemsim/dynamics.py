@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import SimulationError, StabilityError
 from .model import SteadyState, SystemParameters, effective_atom_number, thermal_occupation
@@ -128,19 +127,24 @@ def is_stable(a: np.ndarray, scale: float = 1.0) -> StabilityReport:
                            max_real_part=abscissa)
 
 
-def _condition_estimate(a: np.ndarray) -> float:
-    """Condition estimate of the vectorized Lyapunov operator.
+def _pair_sum_condition(eigvals: np.ndarray) -> np.ndarray:
+    """Condition estimates of the vectorized Lyapunov operators of a stack.
 
     Its eigenvalues are all pairwise sums of drift eigenvalues, so the ratio
     of extreme pair-sum magnitudes estimates the condition number without
-    forming the n^2 x n^2 operator.
+    forming the n^2 x n^2 operator. Takes eigenvalues of shape (m, n).
     """
-    eigvals = np.linalg.eigvals(a)
-    sums = np.abs(eigvals[:, None] + eigvals[None, :])
-    smallest = float(np.min(sums))
-    if smallest == 0.0:
-        return np.inf
-    return float(np.max(sums)) / smallest
+    sums = np.abs(eigvals[:, :, None] + eigvals[:, None, :])
+    largest = sums.max(axis=(1, 2))
+    smallest = sums.min(axis=(1, 2))
+    with np.errstate(divide="ignore"):
+        return np.where(smallest == 0.0, np.inf, largest / smallest)
+
+
+def _ill_conditioned_warning(cond: float) -> None:
+    warnings.warn(
+        f"Lyapunov system is ill-conditioned (estimate {cond:.2e}); "
+        "covariance entries may lose precision", RuntimeWarning, stacklevel=3)
 
 
 def solve_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -149,16 +153,16 @@ def solve_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     Solved by the Bartels-Stewart algorithm; the result is symmetrized and the
     residual is checked against RESIDUAL_TOL relative to the problem scale.
     """
+    import scipy.linalg  # deferred: only this per-point route needs scipy
+
     report = is_stable(a)
     if not report.stable:
         raise StabilityError(
             f"drift matrix is not Hurwitz stable (spectral abscissa "
             f"{report.max_real_part:.3e}); no steady-state covariance exists")
-    cond = _condition_estimate(a)
+    cond = float(_pair_sum_condition(np.linalg.eigvals(a)[None])[0])
     if cond > CONDITION_WARN:
-        warnings.warn(
-            f"Lyapunov system is ill-conditioned (estimate {cond:.2e}); "
-            "covariance entries may lose precision", RuntimeWarning, stacklevel=2)
+        _ill_conditioned_warning(cond)
     v = scipy.linalg.solve_continuous_lyapunov(a, -d)
     v = 0.5 * (v + v.T)
     residual = np.max(np.abs(a @ v + v @ a.T + d))
@@ -168,3 +172,78 @@ def solve_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray:
         raise SimulationError(
             f"Lyapunov residual {residual:.3e} exceeds bound {bound:.3e}")
     return v
+
+
+@dataclass(frozen=True)
+class CovarianceBatch:
+    """Stability and steady-state covariance of each problem in a stack."""
+
+    max_real_part: np.ndarray   # (m,) spectral abscissa; NaN where failed
+    stable: np.ndarray          # (m,) Hurwitz gate, as in is_stable
+    v: np.ndarray               # (m, n, n) covariance; NaN unless stable
+    errors: dict[int, SimulationError]  # problems that failed, by index
+
+
+def solve_lyapunov_batch(a: np.ndarray, d: np.ndarray) -> CovarianceBatch:
+    """Hurwitz gate and steady-state covariance for a stack of (a, d) pairs.
+
+    One batched eigendecomposition a = S diag(lam) S^-1 serves the whole
+    stack: its eigenvalues give the stability gate and the condition
+    estimate, and in its eigenbasis the Lyapunov equation is diagonal,
+        C = S^-1 d S^-T,  W_ij = -C_ij / (lam_i + lam_j),  V = S W S^T.
+    That solve is inaccurate where S is ill-conditioned (near-defective
+    drifts), so every point's residual is checked against RESIDUAL_TOL, and a
+    point that fails it is solved again by solve_lyapunov (Bartels-Stewart),
+    which enforces the same bound. Per-point failures come back in `errors`
+    instead of being raised.
+    """
+    m, n, _ = a.shape
+    abscissa = np.full(m, np.nan)
+    v = np.full((m, n, n), np.nan)
+    errors: dict[int, SimulationError] = {}
+    finite = np.isfinite(a).all(axis=(1, 2))
+    for k in np.flatnonzero(~finite):
+        errors[int(k)] = SimulationError("drift matrix contains non-finite entries")
+    ok = np.flatnonzero(finite)
+    try:
+        lam, s = np.linalg.eig(a[ok])
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        for k in ok:
+            errors[int(k)] = SimulationError(
+                f"eigensolver failed on drift matrix: {exc}")
+        return CovarianceBatch(abscissa, np.zeros(m, dtype=bool), v, errors)
+    abscissa[ok] = lam.real.max(axis=1)
+    stable = np.zeros(m, dtype=bool)
+    stable[ok] = abscissa[ok] < -STABILITY_TOL
+    keep = stable[ok]
+    idx = ok[keep]
+    # complex arithmetic throughout, whether or not eig returned real arrays,
+    # so a point's result does not depend on the rest of its stack
+    lam = lam[keep].astype(complex, copy=False)
+    s = s[keep].astype(complex, copy=False)
+    a_st, d_st = a[idx], d[idx]
+    try:
+        s_inv = np.linalg.inv(s)
+    except np.linalg.LinAlgError:  # an exactly singular eigenbasis in the stack:
+        s_inv = np.full_like(s, np.nan)  # NaN fails the residual check below
+    c = s_inv @ d_st @ np.swapaxes(s_inv, 1, 2)
+    w = -c / (lam[:, :, None] + lam[:, None, :])
+    x = (s @ w @ np.swapaxes(s, 1, 2)).real
+    x = 0.5 * (x + np.swapaxes(x, 1, 2))
+    residual = np.abs(a_st @ x + x @ np.swapaxes(a_st, 1, 2) + d_st).max(axis=(1, 2))
+    bound = RESIDUAL_TOL * np.maximum(
+        np.abs(a_st).max(axis=(1, 2)) * np.abs(x).max(axis=(1, 2)),
+        np.abs(d_st).max(axis=(1, 2)))
+    cond = _pair_sum_condition(lam)
+    for j, k in enumerate(idx):
+        if residual[j] <= bound[j]:  # False for NaN: those fall back too
+            v[k] = x[j]
+            if cond[j] > CONDITION_WARN:
+                _ill_conditioned_warning(float(cond[j]))
+            continue
+        try:
+            v[k] = solve_lyapunov(a[k], d[k])
+        except SimulationError as exc:
+            errors[int(k)] = exc
+    return CovarianceBatch(abscissa, stable, v, errors)
+

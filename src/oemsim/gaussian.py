@@ -7,7 +7,6 @@ natural-log entanglement units.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,11 @@ class BipartitePair:
     tag: str
     first: int   # row/col offset of the first mode's 2x2 block (0-based)
     second: int  # row/col offset of the second mode's 2x2 block
+
+    @property
+    def indices(self) -> list[int]:
+        """Rows/columns of the pair's 4x4 block in the full covariance."""
+        return [self.first, self.first + 1, self.second, self.second + 1]
 
 
 #: the five mode pairs the engine reports on: mechanics-optics,
@@ -53,7 +57,7 @@ def normalize_pair_tag(tag: str) -> str:
 
 def extract_bipartite(v: np.ndarray, pair: BipartitePair) -> np.ndarray:
     """4x4 covariance of one mode pair: drop the rows/columns of all others."""
-    idx = [pair.first, pair.first + 1, pair.second, pair.second + 1]
+    idx = pair.indices
     return v[np.ix_(idx, idx)].copy()
 
 
@@ -66,39 +70,58 @@ class LogNegativity:
 def log_negativity(cm: np.ndarray) -> LogNegativity:
     """Logarithmic negativity of a two-mode Gaussian state.
 
-    Uses the partial-transpose invariant sigma = det v1 + det v2 - 2 det vc,
-    eta_minus = sqrt((sigma - sqrt(sigma^2 - 4 det cm)) / 2), and
-    e_n = max(0, -ln(2 eta_minus)). A discriminant within -DISCRIMINANT_TOL of
-    zero is clamped to zero (roundoff at degenerate symplectic spectra); beyond
-    that the input is rejected as unphysical.
+    A stack of one through log_negativities; raises its error, if any.
     """
     cm = np.asarray(cm, dtype=float)
     if cm.shape != (4, 4):
         raise UnphysicalCovarianceError(f"expected a 4x4 matrix, got {cm.shape}")
-    v1 = cm[:2, :2]
-    v2 = cm[2:, 2:]
-    vc = cm[:2, 2:]
-    sigma = np.linalg.det(v1) + np.linalg.det(v2) - 2.0 * np.linalg.det(vc)
+    e_n, eta_minus, errors = log_negativities(cm[None])
+    if errors:
+        raise errors[0]
+    return LogNegativity(e_n=float(e_n[0]), eta_minus=float(eta_minus[0]))
+
+
+def _det2(m: np.ndarray) -> np.ndarray:
+    return m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+
+
+def log_negativities(cm: np.ndarray) -> tuple[
+        np.ndarray, np.ndarray, dict[int, UnphysicalCovarianceError]]:
+    """Logarithmic negativity of each two-mode state in a (m, 4, 4) stack.
+
+    Uses the partial-transpose invariant sigma = det v1 + det v2 - 2 det vc,
+    eta_minus = sqrt((sigma - sqrt(sigma^2 - 4 det cm)) / 2), and
+    e_n = max(0, -ln(2 eta_minus)). A discriminant within -DISCRIMINANT_TOL of
+    zero is clamped to zero (roundoff at degenerate symplectic spectra); beyond
+    that the state is rejected as unphysical. Returns (e_n, eta_minus, errors),
+    where errors maps the index of each rejected state to its error and the
+    two arrays hold NaN there.
+    """
+    sigma = (_det2(cm[:, :2, :2]) + _det2(cm[:, 2:, 2:])
+             - 2.0 * _det2(cm[:, :2, 2:]))
     det_cm = np.linalg.det(cm)
-    if det_cm < -DISCRIMINANT_TOL:
-        raise UnphysicalCovarianceError(
-            f"covariance determinant {det_cm:.3e} is negative; "
-            "upstream state is unstable or corrupted")
     disc = sigma * sigma - 4.0 * det_cm
-    if disc < 0.0:
-        if disc < -DISCRIMINANT_TOL:
-            raise UnphysicalCovarianceError(
-                f"symplectic discriminant {disc:.3e} is strongly negative; "
-                "upstream state is unstable or corrupted")
-        disc = 0.0
-    eta_sq = 0.5 * (sigma - math.sqrt(disc))
-    if eta_sq <= 0.0:
-        raise UnphysicalCovarianceError(
-            f"partial transpose has non-positive symplectic eigenvalue "
-            f"(eta^2 = {eta_sq:.3e})")
-    eta_minus = math.sqrt(eta_sq)
-    return LogNegativity(e_n=max(0.0, -math.log(2.0 * eta_minus)),
-                         eta_minus=eta_minus)
+    clamped = np.where((disc < 0.0) & (disc >= -DISCRIMINANT_TOL), 0.0, disc)
+    with np.errstate(invalid="ignore"):
+        eta_sq = 0.5 * (sigma - np.sqrt(clamped))
+        bad = ((det_cm < -DISCRIMINANT_TOL) | (disc < -DISCRIMINANT_TOL)
+               | (eta_sq <= 0.0))
+        eta_minus = np.where(bad, np.nan, np.sqrt(eta_sq))
+        neg_log = -np.log(2.0 * eta_minus)
+    e_n = np.where(bad, np.nan, np.where(neg_log > 0.0, neg_log, 0.0))
+    errors: dict[int, UnphysicalCovarianceError] = {}
+    for k in np.flatnonzero(bad):
+        if det_cm[k] < -DISCRIMINANT_TOL:
+            msg = (f"covariance determinant {det_cm[k]:.3e} is negative; "
+                   "upstream state is unstable or corrupted")
+        elif disc[k] < -DISCRIMINANT_TOL:
+            msg = (f"symplectic discriminant {disc[k]:.3e} is strongly negative; "
+                   "upstream state is unstable or corrupted")
+        else:
+            msg = (f"partial transpose has non-positive symplectic eigenvalue "
+                   f"(eta^2 = {eta_sq[k]:.3e})")
+        errors[int(k)] = UnphysicalCovarianceError(msg)
+    return e_n, eta_minus, errors
 
 
 def bosonic_block_determinants(v: np.ndarray) -> np.ndarray:

@@ -12,7 +12,8 @@ rate. Two atomic transition coherences act as additional quasi-modes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+import dataclasses
+from dataclasses import dataclass
 
 from .constants import C_LIGHT, HBAR, K_B
 from .errors import ConvergenceError, ParameterError, SingularityError
@@ -87,9 +88,7 @@ class SystemParameters:
                 "rho_ca0 violates the coherence bound |rho_ca0| <= sqrt(rho_aa0*rho_cc0)")
 
     def replace(self, **changes) -> "SystemParameters":
-        kw = {f.name: getattr(self, f.name) for f in fields(self)}
-        kw.update(changes)
-        return SystemParameters(**kw)
+        return dataclasses.replace(self, **changes)
 
 
 @dataclass(frozen=True)

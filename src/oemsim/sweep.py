@@ -1,22 +1,24 @@
 """Parameter sweeps, bundled scenario presets, and atom-free baselines.
 
-A sweep varies one parameter of the 10-mode system over a 1-D grid and runs
-the full pipeline per point: working point, drift/diffusion, stability gate,
-covariance, entanglement per requested mode pair. The optional baseline runs
-a self-contained 6-mode (atom-free) version of the same physics for
-comparison; it shares no code with the 10-mode path on purpose, so the two
-routes check each other.
+A sweep varies one parameter of the 10-mode system over a 1-D grid. Each
+point gets its working point, drift and diffusion; then blocks of
+BLOCK_POINTS points share one batched eigendecomposition, which gives the
+stability gate and the steady-state covariance (dynamics.solve_lyapunov_batch,
+with a per-point Bartels-Stewart fallback), and the entanglement of every
+requested mode pair comes from one batched log-negativity per pair. The
+optional atom-free baseline is the same pipeline at g = 0, r_a = 0, where the
+atomic rows decouple exactly; the independent 6-mode route that checks it
+lives in verify.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .constants import C_LIGHT, HBAR, K_B
+from .constants import C_LIGHT
 from .errors import ParameterError, SimulationError
 from . import dynamics, gaussian, model
 
@@ -37,7 +39,7 @@ class SweepSpec:
     axis: str                    # axis label recorded in outputs
     axis_scale: float            # multiply axis units by this to get rad/s
     pairs: tuple[str, ...]       # mode pairs to report
-    baseline: bool = False       # also run the atom-free 6-mode comparison
+    baseline: bool = False       # also report the atom-free (g = r_a = 0) values
     notes: tuple[str, ...] = ()  # provenance/interpretation notes for metadata
 
     def __post_init__(self) -> None:
@@ -88,6 +90,11 @@ class SweepResult:
         return sum(1 for r in self.records if r.error is not None)
 
 
+#: grid points per batched eigendecomposition; bounds the engine's working
+#: memory (one batch over a whole 8001-point grid more than doubles peak RSS)
+BLOCK_POINTS = 64
+
+
 def evaluate_point(params: model.SystemParameters, pairs: tuple[str, ...],
                    baseline: bool = False) -> PointRecord:
     """Run the full pipeline at one parameter point.
@@ -97,116 +104,93 @@ def evaluate_point(params: model.SystemParameters, pairs: tuple[str, ...],
     going.
     """
     pairs = tuple(gaussian.normalize_pair_tag(t) for t in pairs)
-    try:
-        ss = model.solve_steady_state(params)
-        a = dynamics.build_drift(params, ss)
-        d = dynamics.build_diffusion(params)
-        report = dynamics.is_stable(a)
-        e_n: dict[str, float] = {}
-        if report.stable:
-            v = dynamics.solve_lyapunov(a, d)
-            for tag in pairs:
-                block = gaussian.extract_bipartite(v, gaussian.BIPARTITE_PAIRS[tag])
-                e_n[tag] = gaussian.log_negativity(block).e_n
-        baseline_e_n: dict[str, float] = {}
-        if baseline:
-            wanted = tuple(t for t in pairs if t in gaussian.BOSONIC_PAIRS)
-            baseline_e_n = _atom_free_point(params, wanted)
-        return PointRecord(
-            x=math.nan,
-            stable=report.stable,
-            max_real_part=report.max_real_part * params.omega_m,
-            e_n=e_n,
-            baseline_e_n=baseline_e_n,
-        )
-    except SimulationError as exc:
-        return PointRecord(x=math.nan, stable=None, max_real_part=None,
-                           error=str(exc))
+    return _evaluate_block([params], [math.nan], pairs, baseline)[0]
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
-    """Evaluate the pipeline over the grid, optionally in parallel.
+    """Evaluate the pipeline over the grid, BLOCK_POINTS points at a time.
 
-    Points are independent pure evaluations, so any parallelism degree yields
-    records identical to the serial run, in grid order.
+    Every record equals what evaluate_point gives at that grid point. `jobs`
+    is accepted and validated for compatibility; the engine is serial, and
+    neither records nor speed depend on it.
     """
     if jobs < 1:
         raise ParameterError("jobs must be >= 1")
-    xs = spec.grid()
-    def job(x: float) -> PointRecord:
-        params = spec.base.replace(**{spec.varied: float(x) * spec.axis_scale})
-        rec = evaluate_point(params, spec.pairs, baseline=spec.baseline)
-        return replace(rec, x=float(x))
-    if jobs == 1:
-        records = tuple(job(x) for x in xs)
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = tuple(pool.map(job, xs))
-    return SweepResult(spec=spec, records=records)
+    xs = [float(x) for x in spec.grid()]
+    records: list[PointRecord] = []
+    for lo in range(0, len(xs), BLOCK_POINTS):
+        chunk = xs[lo:lo + BLOCK_POINTS]
+        points = [spec.base.replace(**{spec.varied: x * spec.axis_scale})
+                  for x in chunk]
+        records += _evaluate_block(points, chunk, spec.pairs, spec.baseline)
+    return SweepResult(spec=spec, records=tuple(records))
 
 
-# ---------------------------------------------------------------------------
-# independent atom-free 6-mode baseline
-#
-# Deliberately self-contained: own Bose factor, own drive amplitudes, own
-# bare-cavity working point, literal 6x6 matrices, own vectorized Lyapunov
-# solve. It must stay decoupled from model/dynamics so that comparing the two
-# routes is a real check, and so no atomic parameter can leak in.
-# ---------------------------------------------------------------------------
+def _evaluate_block(points: list[model.SystemParameters], xs: list[float],
+                    pairs: tuple[str, ...], baseline: bool) -> list[PointRecord]:
+    """The pipeline on a block of points, with one batched Lyapunov solve.
 
-_BASELINE_BLOCKS = {"mr_oc": (0, 2), "mr_mc": (0, 4), "oc_mc": (2, 4)}
-
-
-def _atom_free_point(params: model.SystemParameters,
-                     pairs: tuple[str, ...]) -> dict[str, float]:
-    """Entanglement of the 6-mode system (no atoms) at the same drive point."""
-    om = params.omega_m
-
-    def bose(omega: float) -> float:
-        if params.temperature == 0.0:
-            return 0.0
-        x = HBAR * omega / (K_B * params.temperature)
-        if x > 40.0:
-            return math.exp(-x)
-        return 1.0 / math.expm1(x)
-
-    zpf = math.sqrt(HBAR / (params.mass * om))
-    omega_oc = 2.0 * math.pi * C_LIGHT / params.lambda_oc
-    g_oc = (omega_oc / params.cavity_length) * zpf
-    g_ow = (params.mu * params.omega_w / (2.0 * params.plate_gap)) * zpf
-    e_c = math.sqrt(2.0 * params.power_c * params.kappa_c / (HBAR * omega_oc))
-    e_w = math.sqrt(2.0 * params.power_w * params.kappa_w / (HBAR * params.omega_w))
-    alpha = e_c / (1j * params.delta_c + params.kappa_c)
-    beta = e_w / (1j * params.delta_w + params.kappa_w)
-    g_c = math.sqrt(2.0) * g_oc * abs(alpha)
-    g_w = math.sqrt(2.0) * g_ow * abs(beta)
-
-    gm, kc, kw = params.gamma_m / om, params.kappa_c / om, params.kappa_w / om
-    dc, dw = params.delta_c / om, params.delta_w / om
-    gc, gw = g_c / om, g_w / om
-    a = np.array([
-        [0.0,  1.0,  0.0,  0.0,  0.0,  0.0],
-        [-1.0, -gm,  gc,   0.0,  gw,   0.0],
-        [0.0,  0.0, -kc,   dc,   0.0,  0.0],
-        [gc,   0.0, -dc,  -kc,   0.0,  0.0],
-        [0.0,  0.0,  0.0,  0.0, -kw,   dw],
-        [gw,   0.0,  0.0,  0.0, -dw,  -kw],
-    ])
-    n_m = bose(om)
-    n_w = bose(params.omega_w)
-    d = np.diag([0.0, gm * (2 * n_m + 1), kc, kc,
-                 kw * (2 * n_w + 1), kw * (2 * n_w + 1)])
-    if np.max(np.linalg.eigvals(a).real) >= -1e-12:
-        return {}
-    op = np.kron(np.eye(6), a) + np.kron(a, np.eye(6))
-    v = np.linalg.solve(op, -d.reshape(-1)).reshape(6, 6)
-    v = 0.5 * (v + v.T)
-    out: dict[str, float] = {}
+    Each point poses one drift/diffusion problem and, with baseline, a second
+    one at g = 0, r_a = 0: there the atomic rows of the drift decouple
+    exactly, so its bosonic blocks are those of the atom-free system.
+    """
+    base_pairs = tuple(t for t in pairs if t in gaussian.BOSONIC_PAIRS)
+    drifts, diffusions, is_base = [], [], []
+    slots: list[tuple[int, ...] | SimulationError] = []  # problem indices per point
+    for params in points:
+        variants = (params, params.replace(g=0.0, r_a=0.0)) if baseline else (params,)
+        try:
+            built = [(dynamics.build_drift(p, model.solve_steady_state(p)),
+                      dynamics.build_diffusion(p)) for p in variants]
+        except SimulationError as exc:
+            slots.append(exc)
+            continue
+        slots.append(tuple(range(len(drifts), len(drifts) + len(built))))
+        for k, (a, d) in enumerate(built):
+            drifts.append(a)
+            diffusions.append(d)
+            is_base.append(k == 1)
+    if not drifts:
+        return [_error_record(x, exc) for x, exc in zip(xs, slots)]
+    sol = dynamics.solve_lyapunov_batch(np.array(drifts), np.array(diffusions))
+    solved = [bool(sol.stable[i]) and i not in sol.errors for i in range(len(drifts))]
+    # entanglement per (problem, pair): a float, or the error it raised
+    e_n: dict[tuple[int, str], float | SimulationError] = {}
     for tag in pairs:
-        i, j = _BASELINE_BLOCKS[tag]
-        idx = [i, i + 1, j, j + 1]
-        out[tag] = gaussian.log_negativity(v[np.ix_(idx, idx)]).e_n
-    return out
+        rows = [i for i, ok in enumerate(solved)
+                if ok and (tag in base_pairs or not is_base[i])]
+        idx = gaussian.BIPARTITE_PAIRS[tag].indices
+        values, _, errors = gaussian.log_negativities(sol.v[np.ix_(rows, idx, idx)])
+        for j, i in enumerate(rows):
+            e_n[i, tag] = errors.get(j, float(values[j]))
+    records = []
+    for params, x, slot in zip(points, xs, slots):
+        if isinstance(slot, SimulationError):
+            records.append(_error_record(x, slot))
+            continue
+        main, last = slot[0], slot[-1]
+        found = {tag: e_n[main, tag] for tag in pairs if (main, tag) in e_n}
+        found_base = ({tag: e_n[last, tag] for tag in base_pairs if (last, tag) in e_n}
+                      if baseline else {})
+        # the first failure in pipeline order: main solve, main pairs, baseline
+        outcomes = (sol.errors.get(main), *found.values(),
+                    sol.errors.get(last), *found_base.values())
+        failure = next((o for o in outcomes if isinstance(o, SimulationError)), None)
+        if failure is not None:
+            records.append(_error_record(x, failure))
+            continue
+        records.append(PointRecord(
+            x=x,
+            stable=bool(sol.stable[main]),
+            max_real_part=float(sol.max_real_part[main]) * params.omega_m,
+            e_n=found,
+            baseline_e_n=found_base,
+        ))
+    return records
+
+
+def _error_record(x: float, exc: SimulationError) -> PointRecord:
+    return PointRecord(x=x, stable=None, max_real_part=None, error=str(exc))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Independent oracles used by the test suite.
 
-Three routes to cross-check the production pipeline: a fixed-step time-domain
+Four routes to cross-check the production pipeline: a fixed-step time-domain
 integration of the covariance flow, a brute-force vectorized Lyapunov solve,
-and analytic two-mode Gaussian states with known entanglement.
+analytic two-mode Gaussian states with known entanglement, and a separate
+6-mode model of the atom-free system.
 """
 
 from __future__ import annotations
@@ -12,8 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import C_LIGHT, HBAR, K_B
 from .errors import ConvergenceError, StabilityError
 from .dynamics import is_stable
+from .gaussian import log_negativity
+from .model import SystemParameters
 
 
 @dataclass(frozen=True)
@@ -120,3 +124,64 @@ def lyapunov_bruteforce(a: np.ndarray, d: np.ndarray) -> np.ndarray:
         ) from exc
     v = vec.reshape(n, n)
     return 0.5 * (v + v.T)
+
+
+# Atom-free 6-mode reference. Deliberately self-contained: own Bose factor,
+# own drive amplitudes, own bare-cavity working point, literal 6x6 matrices,
+# own vectorized Lyapunov solve. It must stay decoupled from model/dynamics so
+# that comparing it with the production baseline (the 10-mode pipeline at
+# g = 0, r_a = 0) is a real check, and so no atomic parameter can leak in.
+
+_BASELINE_BLOCKS = {"mr_oc": (0, 2), "mr_mc": (0, 4), "oc_mc": (2, 4)}
+
+
+def atom_free_point(params: SystemParameters,
+                    pairs: tuple[str, ...]) -> dict[str, float]:
+    """Entanglement of the 6-mode system (no atoms) at the same drive point."""
+    om = params.omega_m
+
+    def bose(omega: float) -> float:
+        if params.temperature == 0.0:
+            return 0.0
+        x = HBAR * omega / (K_B * params.temperature)
+        if x > 40.0:
+            return math.exp(-x)
+        return 1.0 / math.expm1(x)
+
+    zpf = math.sqrt(HBAR / (params.mass * om))
+    omega_oc = 2.0 * math.pi * C_LIGHT / params.lambda_oc
+    g_oc = (omega_oc / params.cavity_length) * zpf
+    g_ow = (params.mu * params.omega_w / (2.0 * params.plate_gap)) * zpf
+    e_c = math.sqrt(2.0 * params.power_c * params.kappa_c / (HBAR * omega_oc))
+    e_w = math.sqrt(2.0 * params.power_w * params.kappa_w / (HBAR * params.omega_w))
+    alpha = e_c / (1j * params.delta_c + params.kappa_c)
+    beta = e_w / (1j * params.delta_w + params.kappa_w)
+    g_c = math.sqrt(2.0) * g_oc * abs(alpha)
+    g_w = math.sqrt(2.0) * g_ow * abs(beta)
+
+    gm, kc, kw = params.gamma_m / om, params.kappa_c / om, params.kappa_w / om
+    dc, dw = params.delta_c / om, params.delta_w / om
+    gc, gw = g_c / om, g_w / om
+    a = np.array([
+        [0.0,  1.0,  0.0,  0.0,  0.0,  0.0],
+        [-1.0, -gm,  gc,   0.0,  gw,   0.0],
+        [0.0,  0.0, -kc,   dc,   0.0,  0.0],
+        [gc,   0.0, -dc,  -kc,   0.0,  0.0],
+        [0.0,  0.0,  0.0,  0.0, -kw,   dw],
+        [gw,   0.0,  0.0,  0.0, -dw,  -kw],
+    ])
+    n_m = bose(om)
+    n_w = bose(params.omega_w)
+    d = np.diag([0.0, gm * (2 * n_m + 1), kc, kc,
+                 kw * (2 * n_w + 1), kw * (2 * n_w + 1)])
+    if np.max(np.linalg.eigvals(a).real) >= -1e-12:
+        return {}
+    op = np.kron(np.eye(6), a) + np.kron(a, np.eye(6))
+    v = np.linalg.solve(op, -d.reshape(-1)).reshape(6, 6)
+    v = 0.5 * (v + v.T)
+    out: dict[str, float] = {}
+    for tag in pairs:
+        i, j = _BASELINE_BLOCKS[tag]
+        idx = [i, i + 1, j, j + 1]
+        out[tag] = log_negativity(v[np.ix_(idx, idx)]).e_n
+    return out

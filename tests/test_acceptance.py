@@ -21,7 +21,6 @@ from _support import base_params
 from oemsim import (
     IntegrationConfig,
     StabilityError,
-    SweepSpec,
     bosonic_block_determinants,
     build_diffusion,
     build_drift,
@@ -38,16 +37,10 @@ from oemsim import (
     symmetry_defect,
 )
 from oemsim.cli import main
-from oemsim.sweep import _atom_free_point
+from oemsim.verify import atom_free_point
 
 PRESETS = ("fig2", "fig3", "fig4", "fig5", "fig6a", "fig6b", "fig6c")
 GOLDEN_DIR = Path(__file__).parent / "golden"
-
-
-def respec(spec, **changes):
-    kw = {f.name: getattr(spec, f.name) for f in dataclasses.fields(SweepSpec)}
-    kw.update(changes)
-    return SweepSpec(**kw)
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +130,7 @@ def test_criterion_05_entanglement_grows_with_atomic_coupling():
     couplings = [2.0 * math.pi * f * 1e5 for f in (0.5, 1.0, 1.5)]
     peaks = []
     for g in couplings:
-        result = run_sweep(respec(spec, base=spec.base.replace(g=g)))
+        result = run_sweep(dataclasses.replace(spec, base=spec.base.replace(g=g)))
         peaks.append(max(r.e_n["oc_sba"] for r in result.records if r.stable))
     assert peaks[0] <= peaks[1] <= peaks[2], f"peaks not monotone: {peaks}"
     golden = json.loads((GOLDEN_DIR / "fig5_peaks.json").read_text())
@@ -206,7 +199,7 @@ def test_criterion_09_atom_free_limit_matches_reduced_pipeline():
     for x in np.linspace(-2.0, 2.0, 21):
         params = base.replace(delta_c=float(x) * base.omega_m)
         rec = evaluate_point(params, pairs, baseline=True)
-        reduced = _atom_free_point(params, pairs)
+        reduced = atom_free_point(params, pairs)
         assert (rec.e_n != {}) == (reduced != {}), f"stability split at x={x}"
         for tag in pairs:
             if rec.e_n:

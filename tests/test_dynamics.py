@@ -9,15 +9,18 @@ from hypothesis import strategies as st
 
 from _support import OMEGA_M, TWO_PI, base_params
 from oemsim import (
+    PRESET_NAMES,
     SimulationError,
     StabilityError,
     build_diffusion,
     build_drift,
     is_stable,
+    preset,
     solve_lyapunov,
     solve_steady_state,
     thermal_occupation,
 )
+from oemsim import dynamics
 
 
 def drift_at(params, dimensionless=True):
@@ -182,3 +185,84 @@ class TestLyapunovSolver:
         # decoupled undriven quasi-modes sit at the vacuum
         assert np.allclose(v_full[6:, 6:], 0.5 * np.eye(4), atol=1e-12)
         assert np.max(np.abs(v_full[:6, 6:])) <= 1e-12
+
+
+def residual_ratio(a, d, v):
+    """Lyapunov residual over the bound that solve_lyapunov enforces."""
+    residual = np.max(np.abs(a @ v + v @ a.T + d))
+    return residual / (dynamics.RESIDUAL_TOL * max(
+        np.max(np.abs(a)) * np.max(np.abs(v)), np.max(np.abs(d))))
+
+
+def preset_point(name, x):
+    spec = preset(name)
+    p = spec.base.replace(**{spec.varied: x * spec.axis_scale})
+    return drift_at(p), build_diffusion(p)
+
+
+@pytest.fixture
+def fallback_calls(monkeypatch):
+    """Records each Bartels-Stewart fallback the batched solver takes."""
+    calls = []
+    real = dynamics.solve_lyapunov
+
+    def counted(a, d):
+        calls.append(a)
+        return real(a, d)
+
+    monkeypatch.setattr(dynamics, "solve_lyapunov", counted)
+    return calls
+
+
+class TestBatchedLyapunovSolver:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_agrees_with_bartels_stewart_on_every_stable_preset_point(self, name):
+        spec = preset(name)
+        problems = [preset_point(name, float(x)) for x in spec.grid()]
+        problems = [(a, d) for a, d in problems if is_stable(a).stable]
+        a_stack = np.array([a for a, _ in problems])
+        d_stack = np.array([d for _, d in problems])
+        batch = dynamics.solve_lyapunov_batch(a_stack, d_stack)
+        assert batch.errors == {}
+        assert batch.stable.all()
+        eps = float(np.finfo(float).eps)
+        for a, d, v in zip(a_stack, d_stack, batch.v):
+            ref = solve_lyapunov(a, d)
+            ev = np.linalg.eigvals(a)
+            sums = np.abs(ev[:, None] + ev[None, :])
+            kappa = sums.max() / sums.min()  # pair-sum condition estimate
+            assert np.max(np.abs(v - ref)) <= 100.0 * eps * kappa * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("name", ["fig3", "fig5"])
+    def test_defective_point_takes_the_fallback(self, name, fallback_calls):
+        a, d = preset_point(name, 0.0)
+        batch = dynamics.solve_lyapunov_batch(a[None], d[None])
+        assert len(fallback_calls) == 1
+        assert batch.errors == {}
+        assert residual_ratio(a, d, batch.v[0]) <= 1.0
+        assert np.array_equal(batch.v[0], solve_lyapunov(a, d))
+
+    def test_well_conditioned_point_stays_on_the_eigenbasis(self, fallback_calls):
+        a, d = preset_point("fig3", 1.0)
+        batch = dynamics.solve_lyapunov_batch(a[None], d[None])
+        assert fallback_calls == []
+        assert residual_ratio(a, d, batch.v[0]) <= 1.0
+
+    def test_failed_fallback_is_reported_not_raised(self, monkeypatch, fallback_calls):
+        monkeypatch.setattr(dynamics, "RESIDUAL_TOL", 0.0)
+        a, d = preset_point("fig3", 0.0)
+        batch = dynamics.solve_lyapunov_batch(a[None], d[None])
+        assert len(fallback_calls) == 1
+        assert set(batch.errors) == {0}
+        assert "Lyapunov residual" in str(batch.errors[0])
+        assert np.isnan(batch.v[0]).all()
+
+    def test_non_finite_drift_is_reported_not_raised(self):
+        a, d = preset_point("fig3", 1.0)
+        bad = a.copy()
+        bad[0, 0] = np.nan
+        batch = dynamics.solve_lyapunov_batch(np.array([bad, a]), np.array([d, d]))
+        assert set(batch.errors) == {0}
+        assert "non-finite" in str(batch.errors[0])
+        assert batch.stable[1] and not np.isnan(batch.v[1]).any()
+

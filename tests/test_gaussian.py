@@ -18,6 +18,7 @@ from oemsim import (
     normalize_pair_tag,
     symmetry_defect,
 )
+from oemsim.gaussian import log_negativities
 
 
 def rotation_pair(theta1, theta2):
@@ -148,6 +149,28 @@ class TestLogNegativityRejections:
         cm = np.diag([1e-3, 1e-3, 1e-3, -1e-3])  # det ~ -1e-12, inside clamp
         with pytest.raises(UnphysicalCovarianceError, match="non-positive"):
             log_negativity(cm)
+
+
+class TestBatchedLogNegativity:
+    def test_rejections_stay_with_their_member(self):
+        stack = np.array([make_tmsv(1.0), np.diag([2.0, 2.0, 2.0, -2.0]),
+                          0.5 * np.eye(4)])
+        e_n, eta_minus, errors = log_negativities(stack)
+        assert set(errors) == {1}
+        assert "determinant" in str(errors[1])
+        assert math.isnan(e_n[1]) and math.isnan(eta_minus[1])
+        assert abs(e_n[0] - 2.0) <= 1e-9
+        assert e_n[2] == 0.0
+
+    def test_members_match_single_evaluations(self):
+        rng = np.random.default_rng(3)
+        stack = np.array([make_tmsv(r, n_th=n) for r, n in
+                          zip(rng.uniform(0.0, 2.0, 9), rng.uniform(0.0, 1.0, 9))])
+        e_n, eta_minus, errors = log_negativities(stack)
+        assert errors == {}
+        for cm, value, eta in zip(stack, e_n, eta_minus):
+            single = log_negativity(cm)
+            assert (single.e_n, single.eta_minus) == (value, eta)
 
 
 class TestWholeMatrixHelpers:

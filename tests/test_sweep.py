@@ -1,6 +1,7 @@
 """Sweep machinery: grids, presets, point pipeline, baselines, CSV schema."""
 
 import csv
+import dataclasses
 import io
 import math
 
@@ -17,9 +18,11 @@ from oemsim import (
     run_sweep,
     write_csv,
 )
+from oemsim import dynamics
 from oemsim.constants import C_LIGHT
 from oemsim.model import _coherence_coefficients
-from oemsim.sweep import AXIS_KAPPA_C, AXIS_OMEGA_M, csv_header, csv_rows
+from oemsim.sweep import (AXIS_KAPPA_C, AXIS_OMEGA_M, BLOCK_POINTS, csv_header,
+                          csv_rows)
 
 
 def narrowed(spec, start, stop, count, **extra):
@@ -210,6 +213,55 @@ class TestRunSweep:
         assert len(res.records) == 41
         assert 0 < res.stable_count() < 41
         assert res.error_count() == 0
+
+
+class TestBlockEngine:
+    @staticmethod
+    def mixed_spec():
+        """fig3 physics retuned so that the grid point x = 1 is a pole.
+
+        With the atoms all in the top level the optical response has a pole at
+        kappa_c = -Re(p), delta_c = -Im(p); choosing that delta_c as the axis
+        unit puts it on the grid, next to unstable points, stable points and
+        the defective x = 0 point whose atom-free problem needs the fallback.
+        """
+        seed = preset("fig3").base.replace(
+            rho_aa0=1.0, rho_cc0=0.0, rho_ca0=0.0, g=TWO_PI * 1.5e6, r_a=3.5e6,
+            delta_a1=-12.5 * TWO_PI * 1e5, kappa_c=1.0, delta_c=0.0)
+        pole = 1j * seed.g * sum(_coherence_coefficients(seed))
+        return narrowed(preset("fig3"), -3.0, 3.0, 91,
+                        base=seed.replace(kappa_c=-pole.real),
+                        axis_scale=-pole.imag, pairs=("mr_oc", "mr_mc", "oc_sba"))
+
+    def test_sweep_records_equal_single_point_records(self, monkeypatch):
+        calls = []
+        real = dynamics.solve_lyapunov
+        monkeypatch.setattr(dynamics, "solve_lyapunov",
+                            lambda a, d: calls.append(1) or real(a, d))
+        spec = self.mixed_spec()
+        result = run_sweep(spec)
+        assert len(result.records) % BLOCK_POINTS != 0
+        fell_back = []
+        for rec in result.records:
+            calls.clear()
+            single = evaluate_point(
+                spec.base.replace(delta_c=rec.x * spec.axis_scale),
+                spec.pairs, baseline=spec.baseline)
+            if calls:
+                fell_back.append(rec.x)
+            assert dataclasses.replace(single, x=rec.x) == rec
+        by_x = {rec.x: rec for rec in result.records}
+        assert "pole" in by_x[1.0].error
+        assert 0.0 in fell_back and by_x[0.0].baseline_e_n
+        assert {rec.stable for rec in result.records} == {True, False, None}
+
+    def test_failed_fallback_becomes_error_record(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "RESIDUAL_TOL", 0.0)
+        result = run_sweep(narrowed(preset("fig3"), -0.5, 0.5, 3))
+        unstable, failed, _ = result.records
+        assert unstable.stable is False and unstable.error is None
+        assert failed.stable is None and failed.max_real_part is None
+        assert "Lyapunov residual" in failed.error
 
 
 class TestCsvEmission:
