@@ -98,8 +98,6 @@ class DerivedQuantities:
     g_ow_bare: float   # bare electromechanical coupling per unit dimensionless position
     e_c: float         # optical drive amplitude
     e_w: float         # microwave drive amplitude
-    n_mech: float      # mean thermal phonon number of the resonator
-    n_w: float         # mean thermal microwave photon number
 
 
 @dataclass(frozen=True)
@@ -141,30 +139,29 @@ def effective_atom_number(params: SystemParameters) -> float:
 
 
 def drive_amplitudes(params: SystemParameters) -> tuple[float, float]:
-    """Input-output drive amplitudes E_j = sqrt(2 P_j kappa_j / (hbar omega_drive_j)).
-
-    The optical drive frequency is 2 pi c / lambda_oc; the microwave drive sits
-    close enough to omega_w that omega_w is used inside the square root (the
-    detuning correction is far below the other tolerances).
-    """
-    omega_oc = 2.0 * math.pi * C_LIGHT / params.lambda_oc
-    e_c = math.sqrt(2.0 * params.power_c * params.kappa_c / (HBAR * omega_oc))
-    e_w = math.sqrt(2.0 * params.power_w * params.kappa_w / (HBAR * params.omega_w))
-    return e_c, e_w
+    """Optical and microwave drive amplitudes (e_c, e_w); see derive."""
+    der = derive(params)
+    return der.e_c, der.e_w
 
 
 def derive(params: SystemParameters) -> DerivedQuantities:
+    """Drive frequency, bare couplings and drive amplitudes.
+
+    The drive amplitudes follow input-output theory,
+    E_j = sqrt(2 P_j kappa_j / (hbar omega_drive_j)). The optical drive
+    frequency is 2 pi c / lambda_oc; the microwave drive sits close enough to
+    omega_w that omega_w is used inside the square root (the detuning
+    correction is far below the other tolerances).
+    """
     omega_oc = 2.0 * math.pi * C_LIGHT / params.lambda_oc
     zpf = math.sqrt(HBAR / (params.mass * params.omega_m))
-    e_c, e_w = drive_amplitudes(params)
     return DerivedQuantities(
         omega_oc=omega_oc,
         g_oc_bare=(omega_oc / params.cavity_length) * zpf,
         g_ow_bare=(params.mu * params.omega_w / (2.0 * params.plate_gap)) * zpf,
-        e_c=e_c,
-        e_w=e_w,
-        n_mech=thermal_occupation(params.omega_m, params.temperature),
-        n_w=thermal_occupation(params.omega_w, params.temperature),
+        e_c=math.sqrt(2.0 * params.power_c * params.kappa_c / (HBAR * omega_oc)),
+        e_w=math.sqrt(2.0 * params.power_w * params.kappa_w
+                      / (HBAR * params.omega_w)),
     )
 
 

@@ -1,4 +1,4 @@
-"""Shared parameter factory for the test suite.
+"""Shared parameter factory and oracle controls for the test suite.
 
 Deliberately restates the main operating point as literals instead of calling
 sweep.preset, so preset regressions are caught against an independent copy.
@@ -6,7 +6,9 @@ sweep.preset, so preset regressions are caught against an independent copy.
 
 import math
 
-from oemsim import SystemParameters
+import numpy as np
+
+from oemsim import IntegrationConfig, SystemParameters
 
 TWO_PI = 2.0 * math.pi
 OMEGA_M = TWO_PI * 1e7
@@ -40,3 +42,19 @@ def base_params(**overrides) -> SystemParameters:
     )
     kw.update(overrides)
     return SystemParameters(**kw)
+
+
+def oracle_config(a, d, v_scale) -> IntegrationConfig:
+    """Criterion 02's integration controls for integrate_covariance.
+
+    Step from the spectrum; tolerance and horizon from the slowest decay and
+    a 1e-6 target error relative to v_scale = max|V|.
+    """
+    ev = np.linalg.eigvals(a)
+    absc = abs(float(np.max(ev.real)))
+    rho = float(np.max(np.abs(ev[:, None] + ev[None, :])))
+    dt = 2.5 / rho
+    tol = 1e-2 * (2.0 * absc) * 1e-6 * v_scale
+    v0dot = float(np.max(np.abs(0.5 * (a + a.T) + d + 0.5 * (a + a.T))))
+    t_need = math.log(max(v0dot, 10.0 * tol) / tol) / (2.0 * absc)
+    return IntegrationConfig(dt=dt, t_max=2.5 * t_need, tol=tol)

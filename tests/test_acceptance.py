@@ -1,8 +1,8 @@
 """End-to-end acceptance checks, one test per shipped numerical guarantee.
 
 The conftest hook prints one PASS/FAIL line per criterion after the run.
-Criterion 2 integrates the covariance flow at the stiffest presets and
-dominates the suite's runtime (a few minutes).
+Criterion 2 integrates the covariance flow at the stiffest presets; the
+squared time-domain iteration keeps it, and the whole module, to seconds.
 """
 
 import dataclasses
@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from _support import base_params
+from _support import base_params, oracle_config
 from oemsim import (
     IntegrationConfig,
     StabilityError,
@@ -103,6 +103,19 @@ def test_criterion_02_oracle_triangulation(scans):
             t_need = math.log(max(v0dot, 10.0 * tol) / tol) / decay
             cfg = IntegrationConfig(dt=2.5 / rho, t_max=2.5 * t_need, tol=tol)
             v_int = integrate_covariance(pt.a, pt.d, cfg)
+            assert np.max(np.abs(v_int - pt.v)) <= 1e-6 * v_scale, \
+                f"{name} x={pt.x}: integration disagreement"
+
+
+def test_time_domain_oracle_on_every_stable_point(scans):
+    # criterion 02's integration route, beyond its ten sampled points
+    for name in PRESETS:
+        for pt in scans[name]:
+            if not pt.stable:
+                continue
+            v_scale = float(np.max(np.abs(pt.v)))
+            v_int = integrate_covariance(
+                pt.a, pt.d, oracle_config(pt.a, pt.d, v_scale))
             assert np.max(np.abs(v_int - pt.v)) <= 1e-6 * v_scale, \
                 f"{name} x={pt.x}: integration disagreement"
 

@@ -98,6 +98,13 @@ class TestDiffusion:
         assert np.array_equal(d, expect)
         assert np.array_equal(build_diffusion(p), expect / OMEGA_M)
 
+    def test_thermal_entries_use_occupations_at_base_point(self):
+        # resonator and microwave cavity both at omega_m and 15 mK
+        p = base_params()
+        d = build_diffusion(p, dimensionless=False)
+        assert d[1, 1] == p.gamma_m * (2.0 * thermal_occupation(OMEGA_M, 15e-3) + 1.0)
+        assert d[4, 4] == p.kappa_w * (2.0 * thermal_occupation(OMEGA_M, 15e-3) + 1.0)
+
     def test_zero_temperature_drops_thermal_factors(self):
         p = base_params(temperature=0.0)
         d = build_diffusion(p, dimensionless=False)

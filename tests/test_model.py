@@ -68,8 +68,6 @@ class TestDerivedQuantities:
         assert der.omega_oc == pytest.approx(OMEGA_OC, rel=1e-13)
         assert der.g_oc_bare == pytest.approx(G_OC_BARE, rel=1e-13)
         assert der.g_ow_bare == pytest.approx(G_OW_BARE, rel=1e-13)
-        assert der.n_mech == thermal_occupation(OMEGA_M, 15e-3)
-        assert der.n_w == thermal_occupation(OMEGA_M, 15e-3)
 
     def test_drive_amplitudes(self):
         e_c, e_w = drive_amplitudes(base_params())

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from _support import OMEGA_M, base_params
+from _support import OMEGA_M, base_params, oracle_config
 from oemsim import (
     ConvergenceError,
     IntegrationConfig,
@@ -33,18 +33,6 @@ def point_matrices(params):
     return build_drift(params, ss), build_diffusion(params)
 
 
-def tuned_config(a, d, v_scale):
-    """Step from the spectrum, tolerance from the target covariance error."""
-    ev = np.linalg.eigvals(a)
-    absc = abs(float(np.max(ev.real)))
-    rho = float(np.max(np.abs(ev[:, None] + ev[None, :])))
-    dt = 2.5 / rho
-    tol = 1e-2 * (2.0 * absc) * 1e-6 * v_scale
-    v0dot = float(np.max(np.abs(0.5 * (a + a.T) + d + 0.5 * (a + a.T))))
-    t_need = math.log(max(v0dot, 10.0 * tol) / tol) / (2.0 * absc)
-    return IntegrationConfig(dt=dt, t_max=2.5 * t_need, tol=tol)
-
-
 class TestIntegrationConfig:
     @pytest.mark.parametrize("kw", [
         {"dt": 0.0}, {"dt": -1e-3}, {"tol": 0.0}, {"t_max": -1.0},
@@ -69,6 +57,30 @@ class TestIntegrateCovariance:
             integrate_covariance(a, np.eye(4),
                                  IntegrationConfig(dt=0.1, t_max=50.0))
 
+    def test_horizon_is_the_last_step_index(self):
+        # a = -c I decouples every entry: one RK4 step contracts the distance
+        # to the fixed point d/(2c) by R(-2c dt), so the residual after k steps
+        # is 2c |R|^k max|V_0 - d/(2c)| in closed form
+        c, dt, tol = 0.5, 0.5, 1e-8
+        a, d = -c * np.eye(4), 3.0 * np.eye(4)
+        z = -2.0 * c * dt
+        contraction = abs(1.0 + z + z ** 2 / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0)
+
+        def residual(k):
+            return 2.0 * c * contraction ** k * abs(0.5 - 3.0 / (2.0 * c))
+
+        k_star = next(k for k in range(1000) if residual(k) < tol)
+        # k* lies between the doubled steps 31 and 63, so both horizons below
+        # end on the remainder jumps; tol is clear of roundoff on both sides
+        assert k_star == 39
+        assert residual(k_star) < 0.9 * tol < 1.1 * tol < residual(k_star - 1)
+        v = integrate_covariance(
+            a, d, IntegrationConfig(dt=dt, t_max=(k_star + 1) * dt, tol=tol))
+        assert np.max(np.abs(v - 3.0 * np.eye(4))) < tol / (2.0 * c)
+        with pytest.raises(ConvergenceError):
+            integrate_covariance(
+                a, d, IntegrationConfig(dt=dt, t_max=k_star * dt, tol=tol))
+
     def test_matches_solver_on_random_system(self):
         rng = np.random.default_rng(3)
         a = random_stable(rng, 4, margin=1.0)
@@ -82,7 +94,20 @@ class TestIntegrateCovariance:
         # stiff case: atomic detuning three decades above the mechanics
         a, d = point_matrices(base_params())
         v_ref = solve_lyapunov(a, d)
-        cfg = tuned_config(a, d, float(np.max(np.abs(v_ref))))
+        cfg = oracle_config(a, d, float(np.max(np.abs(v_ref))))
+        v_int = integrate_covariance(a, d, cfg)
+        rel = np.max(np.abs(v_int - v_ref)) / np.max(np.abs(v_ref))
+        assert rel <= 1e-6
+
+    def test_matches_solver_on_strongly_non_normal_point(self):
+        # resonant optics with strong atoms: eigenvector condition ~1e17 and
+        # large transient growth; a doubled forcing stalls at 2e-6 here
+        a, d = point_matrices(base_params(
+            kappa_c=0.02 * OMEGA_M, g=2.0 * math.pi * 1e6, r_a=1.6e7,
+            delta_a1=2.0 * math.pi * 1e6, delta_a2=2.0 * math.pi * 1e6,
+            delta_c=0.0))
+        v_ref = solve_lyapunov(a, d)
+        cfg = oracle_config(a, d, float(np.max(np.abs(v_ref))))
         v_int = integrate_covariance(a, d, cfg)
         rel = np.max(np.abs(v_int - v_ref)) / np.max(np.abs(v_ref))
         assert rel <= 1e-6
