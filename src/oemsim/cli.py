@@ -192,6 +192,13 @@ def _cmd_point(args) -> int:
     return 2 if rec.error is not None else 0
 
 
+def _grid_count(count: float) -> int:
+    """--grid COUNT as an int; argparse reads it as a float with START and STOP."""
+    if not (math.isfinite(count) and count == int(count)):
+        raise _UsageError(f"--grid COUNT must be a whole number, got {count!r}")
+    return int(count)
+
+
 def _sweep_spec(args) -> sweep.SweepSpec:
     if args.preset:
         spec = sweep.preset(args.preset)
@@ -202,7 +209,7 @@ def _sweep_spec(args) -> sweep.SweepSpec:
             changes["baseline"] = True
         if args.grid is not None:
             start, stop, count = args.grid
-            changes.update(start=start, stop=stop, count=int(count))
+            changes.update(start=start, stop=stop, count=_grid_count(count))
         if args.axis is not None and args.axis != spec.axis:
             scale = (spec.base.kappa_c if args.axis == sweep.AXIS_KAPPA_C
                      else spec.base.omega_m)
@@ -215,7 +222,7 @@ def _sweep_spec(args) -> sweep.SweepSpec:
     return sweep.SweepSpec(
         name="custom",
         base=params,
-        varied="delta_c", start=start, stop=stop, count=int(count),
+        varied="delta_c", start=start, stop=stop, count=_grid_count(count),
         axis=axis, axis_scale=scale,
         pairs=_parse_pairs(args.pairs, gaussian.BOSONIC_PAIRS),
         baseline=args.baseline,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SimulationError, StabilityError
-from .model import SteadyState, SystemParameters, effective_atom_number, thermal_occupation
+from .model import SteadyState, SystemParameters, _occupation, effective_atom_number
 
 #: strict-negativity guard on the spectral abscissa, relative to the rate scale
 STABILITY_TOL = 1e-12
@@ -31,6 +31,41 @@ class StabilityReport:
     max_real_part: float  # spectral abscissa, in the units of the input matrix
 
 
+def _slots(*positions: tuple[int, int]) -> np.ndarray:
+    return np.array([10 * i + j for i, j in positions])
+
+
+# (row, column) of each drift entry, one line per row, in build_drift's order
+_DRIFT_SLOTS = _slots(
+    (0, 1),
+    (1, 0), (1, 1), (1, 2), (1, 4),
+    (2, 2), (2, 3), (2, 7), (2, 9),
+    (3, 0), (3, 2), (3, 3), (3, 6), (3, 8),
+    (4, 4), (4, 5),
+    (5, 0), (5, 4), (5, 5),
+    (6, 3), (6, 6), (6, 7),
+    (7, 2), (7, 6), (7, 7),
+    (8, 3), (8, 8), (8, 9),
+    (9, 2), (9, 8), (9, 9),
+)
+# the diagonal but (0, 0), where the resonator position has no noise
+_DIFFUSION_SLOTS = _slots(*((k, k) for k in range(1, 10)))
+
+
+def _assemble(slots: np.ndarray, entries: list, omega_m, dimensionless: bool) -> np.ndarray:
+    """Scatter entries into a zeroed 10x10 matrix at the flat slots.
+
+    Float entries give one matrix; the equal-length columns of a
+    ParameterBlock give an (m, 10, 10) stack, one matrix per point.
+    """
+    points = getattr(omega_m, "shape", ())  # () for a float, (m,) for a column
+    out = np.zeros((100,) + points)
+    out[slots] = entries
+    if dimensionless:
+        out /= omega_m
+    return out.T.reshape(points + (10, 10))
+
+
 def build_drift(params: SystemParameters, ss: SteadyState,
                 dimensionless: bool = True) -> np.ndarray:
     """Assemble the 10x10 drift matrix of the linearized dynamics.
@@ -39,48 +74,27 @@ def build_drift(params: SystemParameters, ss: SteadyState,
     intracavity atom number; with equal populations and coherence the two
     position-like couplings cancel exactly. With dimensionless=True (the
     default used by all solvers) every entry is divided by omega_m, which the
-    covariance solution is provably invariant under.
+    covariance solution is provably invariant under. A ParameterBlock and its
+    SteadyState give the (m, 10, 10) stack.
     """
-    om = params.omega_m
-    g = params.g
-    n_atoms = effective_atom_number(params)
-    a = np.zeros((10, 10))
-    a[0, 1] = om
-    a[1, 0] = -om
-    a[1, 1] = -params.gamma_m
-    a[1, 2] = ss.g_c
-    a[1, 4] = ss.g_w
-    a[2, 2] = -params.kappa_c
-    a[2, 3] = params.delta_c
-    a[2, 7] = g
-    a[2, 9] = g
-    a[3, 0] = ss.g_c
-    a[3, 2] = -params.delta_c
-    a[3, 3] = -params.kappa_c
-    a[3, 6] = -g
-    a[3, 8] = -g
-    a[4, 4] = -params.kappa_w
-    a[4, 5] = params.delta_w
-    a[5, 0] = ss.g_w
-    a[5, 4] = -params.delta_w
-    a[5, 5] = -params.kappa_w
-    # upper transition quasi-mode
-    a[6, 3] = g * n_atoms * (params.rho_ca0 - params.rho_aa0)
-    a[6, 6] = -params.kappa_a
-    a[6, 7] = params.delta_a1
-    a[7, 2] = g * n_atoms * (params.rho_ca0 + params.rho_aa0)
-    a[7, 6] = -params.delta_a1
-    a[7, 7] = -params.kappa_a
-    # lower transition quasi-mode (opposite rotation sense)
-    a[8, 3] = g * n_atoms * (params.rho_cc0 - params.rho_ca0)
-    a[8, 8] = -params.kappa_a
-    a[8, 9] = -params.delta_a2
-    a[9, 2] = -g * n_atoms * (params.rho_cc0 + params.rho_ca0)
-    a[9, 8] = params.delta_a2
-    a[9, 9] = -params.kappa_a
-    if dimensionless:
-        a /= om
-    return a
+    p = params
+    om = p.omega_m
+    g = p.g
+    gn = g * effective_atom_number(p)
+    return _assemble(_DRIFT_SLOTS, [
+        om,
+        -om, -p.gamma_m, ss.g_c, ss.g_w,
+        -p.kappa_c, p.delta_c, g, g,
+        ss.g_c, -p.delta_c, -p.kappa_c, -g, -g,
+        -p.kappa_w, p.delta_w,
+        ss.g_w, -p.delta_w, -p.kappa_w,
+        # upper transition quasi-mode
+        gn * (p.rho_ca0 - p.rho_aa0), -p.kappa_a, p.delta_a1,
+        gn * (p.rho_ca0 + p.rho_aa0), -p.delta_a1, -p.kappa_a,
+        # lower transition quasi-mode (opposite rotation sense)
+        gn * (p.rho_cc0 - p.rho_ca0), -p.kappa_a, -p.delta_a2,
+        -gn * (p.rho_cc0 + p.rho_ca0), p.delta_a2, -p.kappa_a,
+    ], om, dimensionless)
 
 
 def build_diffusion(params: SystemParameters, dimensionless: bool = True) -> np.ndarray:
@@ -89,25 +103,20 @@ def build_diffusion(params: SystemParameters, dimensionless: bool = True) -> np.
     The mechanical and microwave channels carry thermal factors 2n+1; the
     optical and atomic channels are taken at zero thermal occupation (optical
     and atomic frequencies put their thermal factors at ~1 for any cryogenic
-    temperature), so those entries are the bare decay rates.
+    temperature), so those entries are the bare decay rates. A ParameterBlock
+    gives the (m, 10, 10) stack.
     """
-    n_mech = thermal_occupation(params.omega_m, params.temperature)
-    n_w = thermal_occupation(params.omega_w, params.temperature)
-    diag = np.array([
-        0.0,
-        params.gamma_m * (2.0 * n_mech + 1.0),
-        params.kappa_c,
-        params.kappa_c,
-        params.kappa_w * (2.0 * n_w + 1.0),
-        params.kappa_w * (2.0 * n_w + 1.0),
-        params.kappa_a,
-        params.kappa_a,
-        params.kappa_a,
-        params.kappa_a,
-    ])
-    if dimensionless:
-        diag = diag / params.omega_m
-    return np.diag(diag)
+    p = params
+    om, temperature = p.omega_m, p.temperature
+    mechanical = p.gamma_m * (2.0 * _occupation(om, temperature) + 1.0)
+    microwave = p.kappa_w * (2.0 * _occupation(p.omega_w, temperature) + 1.0)
+    kappa_c, kappa_a = p.kappa_c, p.kappa_a
+    return _assemble(_DIFFUSION_SLOTS, [
+        mechanical,
+        kappa_c, kappa_c,
+        microwave, microwave,
+        kappa_a, kappa_a, kappa_a, kappa_a,
+    ], om, dimensionless)
 
 
 def is_stable(a: np.ndarray, scale: float = 1.0) -> StabilityReport:

@@ -15,6 +15,8 @@ import math
 import dataclasses
 from dataclasses import dataclass
 
+import numpy as np
+
 from .constants import C_LIGHT, HBAR, K_B
 from .errors import ConvergenceError, ParameterError, SingularityError
 
@@ -27,6 +29,8 @@ _POSITIVE = (
 )
 # may take any sign
 _ANY_SIGN = ("delta_a1", "delta_a2", "delta_c", "delta_w")
+
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -91,6 +95,27 @@ class SystemParameters:
         return dataclasses.replace(self, **changes)
 
 
+_FIELD_NAMES = tuple(f.name for f in dataclasses.fields(SystemParameters))
+
+#: SystemParameters' fields as equal-length float columns, one entry per point,
+#: unvalidated. derive, solve_steady_state, thermal_occupation, build_drift and
+#: build_diffusion take one in place of a SystemParameters and return columns
+#: and (m, 10, 10) stacks; dataclasses.replace swaps columns.
+ParameterBlock = dataclasses.make_dataclass(
+    "ParameterBlock", _FIELD_NAMES, frozen=True, eq=False,
+    namespace={"__module__": __name__})
+
+
+def parameter_block(base: SystemParameters, varied: str,
+                    column: np.ndarray | list[float]) -> ParameterBlock:
+    """The points of `column` along field `varied`; every other field holds
+    base's value. The column is not validated (run_sweep checks its extremes)."""
+    column = np.asarray(column, dtype=float)
+    return ParameterBlock(**{
+        name: column if name == varied else np.full(column.shape, getattr(base, name))
+        for name in _FIELD_NAMES})
+
+
 @dataclass(frozen=True)
 class DerivedQuantities:
     omega_oc: float    # optical drive angular frequency, rad/s
@@ -114,23 +139,37 @@ class SteadyState:
     g_w: float               # effective drive-enhanced mechanics-microwave coupling, >= 0
 
 
-def thermal_occupation(omega: float, temperature: float) -> float:
+def thermal_occupation(omega: float | np.ndarray,
+                       temperature: float | np.ndarray) -> float | np.ndarray:
     """Bose-Einstein occupation of a mode at angular frequency omega.
 
-    Returns the exact zero-temperature limit 0.0 at temperature == 0 instead of
-    dividing by infinity.
+    Takes floats, or equal-length columns and then returns the column of
+    occupations. Returns the exact zero-temperature limit 0.0 at
+    temperature == 0.
     """
-    if omega <= 0:
+    if np.count_nonzero(omega <= 0):
         raise ParameterError("omega must be strictly positive")
-    if temperature < 0:
+    if np.count_nonzero(temperature < 0):
         raise ParameterError("temperature must be nonnegative")
-    if temperature == 0.0:
-        return 0.0
-    x = HBAR * omega / (K_B * temperature)
-    if x > 40.0:
-        # 1/(e^x - 1) = e^-x to double precision; also dodges exp overflow
-        return math.exp(-x)
-    return 1.0 / math.expm1(x)
+    return _occupation(omega, temperature)
+
+
+def _occupation(omega: float | np.ndarray,
+                temperature: float | np.ndarray) -> float | np.ndarray:
+    """thermal_occupation without the domain checks, for validated parameters."""
+    # The smallest positive float added to kT leaves it unchanged for any
+    # T above 1e-284 K; at T = 0 it keeps x finite, and huge enough to give 0.
+    minus_x = -HBAR * omega / (K_B * temperature + 5e-324)
+    # 1/(e^x - 1) as e^-x / (1 - e^-x), which is e^-x to double precision
+    # beyond x ~ 38 and cannot overflow. numpy's exp and expm1 round a float
+    # and a column alike; math's differ from them in the last bit.
+    return np.exp(minus_x) / -np.expm1(minus_x)
+
+
+def _sqrt(x: float | np.ndarray) -> float | np.ndarray:
+    # math for a float, numpy for a column: both give the correctly rounded
+    # IEEE root, and a numpy call on a float costs more than the arithmetic
+    return math.sqrt(x) if x.__class__ is float else np.sqrt(x)
 
 
 def effective_atom_number(params: SystemParameters) -> float:
@@ -151,32 +190,38 @@ def derive(params: SystemParameters) -> DerivedQuantities:
     E_j = sqrt(2 P_j kappa_j / (hbar omega_drive_j)). The optical drive
     frequency is 2 pi c / lambda_oc; the microwave drive sits close enough to
     omega_w that omega_w is used inside the square root (the detuning
-    correction is far below the other tolerances).
+    correction is far below the other tolerances). A ParameterBlock gives
+    columns.
     """
-    omega_oc = 2.0 * math.pi * C_LIGHT / params.lambda_oc
-    zpf = math.sqrt(HBAR / (params.mass * params.omega_m))
-    return DerivedQuantities(
-        omega_oc=omega_oc,
-        g_oc_bare=(omega_oc / params.cavity_length) * zpf,
-        g_ow_bare=(params.mu * params.omega_w / (2.0 * params.plate_gap)) * zpf,
-        e_c=math.sqrt(2.0 * params.power_c * params.kappa_c / (HBAR * omega_oc)),
-        e_w=math.sqrt(2.0 * params.power_w * params.kappa_w
-                      / (HBAR * params.omega_w)),
-    )
+    p = params
+    omega_oc = 2.0 * math.pi * C_LIGHT / p.lambda_oc
+    zpf = _sqrt(HBAR / (p.mass * p.omega_m))
+    g_oc_bare = (omega_oc / p.cavity_length) * zpf
+    g_ow_bare = (p.mu * p.omega_w / (2.0 * p.plate_gap)) * zpf
+    e_c = _sqrt(2.0 * p.power_c * p.kappa_c / (HBAR * omega_oc))
+    e_w = _sqrt(2.0 * p.power_w * p.kappa_w / (HBAR * p.omega_w))
+    return DerivedQuantities(omega_oc, g_oc_bare, g_ow_bare, e_c, e_w)
 
 
 def _coherence_coefficients(params: SystemParameters) -> tuple[complex, complex]:
     """Linear-response coefficients of the two atomic coherences.
 
     sigma_ba_s = a_coef * alpha_s and sigma_cb_s = b_coef * alpha_s, with the
-    atomic source strength given by the intracavity atom number.
+    atomic source strength given by the intracavity atom number:
+        a_coef = i g N (rho_ca0 + rho_aa0) / (kappa_a + i delta_a1),
+        b_coef = -i g N (rho_ca0 + rho_cc0) / (kappa_a - i delta_a2).
     """
-    n_atoms = effective_atom_number(params)
-    a_coef = (1j * params.g * n_atoms * (params.rho_ca0 + params.rho_aa0)
-              / (params.kappa_a + 1j * params.delta_a1))
-    b_coef = (-1j * params.g * n_atoms * (params.rho_ca0 + params.rho_cc0)
-              / (params.kappa_a - 1j * params.delta_a2))
-    return a_coef, b_coef
+    p = params
+    gn = p.g * effective_atom_number(p)
+    kappa_sq = p.kappa_a * p.kappa_a
+    s_a = gn * (p.rho_ca0 + p.rho_aa0) / (kappa_sq + p.delta_a1 * p.delta_a1)
+    s_b = gn * (p.rho_ca0 + p.rho_cc0) / (kappa_sq + p.delta_a2 * p.delta_a2)
+    return (s_a * p.delta_a1 + 1j * (s_a * p.kappa_a),
+            s_b * p.delta_a2 - 1j * (s_b * p.kappa_a))
+
+
+#: error text of a working point at a pole of the optical response
+POLE_MESSAGE = "optical response has a pole at these parameters"
 
 
 def solve_steady_state(params: SystemParameters) -> SteadyState:
@@ -185,28 +230,48 @@ def solve_steady_state(params: SystemParameters) -> SteadyState:
     The optical amplitude solves the linear self-consistency with the atomic
     coherences eliminated:
         alpha_s = e_c / (i delta_c + kappa_c + i g (a_coef + b_coef)).
+    Raises SingularityError where |denominator| < 1e-30. A ParameterBlock gives
+    a SteadyState of columns instead, and a point at such a pole carries NaN
+    in q_s, alpha_s, sigma_ba_s, sigma_cb_s and g_c.
+
+    Complex quotients and products are written in real arithmetic (+ - * /
+    sqrt), which rounds a float and a column alike; CPython and numpy round
+    complex division and multiplication differently.
     """
-    der = derive(params)
-    a_coef, b_coef = _coherence_coefficients(params)
-    denom = 1j * params.delta_c + params.kappa_c + 1j * params.g * (a_coef + b_coef)
-    if abs(denom) < 1e-30:
-        raise SingularityError("optical response has a pole at these parameters")
-    alpha_s = der.e_c / denom
-    beta_s = der.e_w / (1j * params.delta_w + params.kappa_w)
-    sigma_ba_s = a_coef * alpha_s
-    sigma_cb_s = b_coef * alpha_s
-    q_s = (der.g_oc_bare * abs(alpha_s) ** 2
-           + der.g_ow_bare * abs(beta_s) ** 2) / params.omega_m
-    return SteadyState(
-        q_s=q_s,
-        p_s=0.0,
-        alpha_s=alpha_s,
-        beta_s=beta_s,
-        sigma_ba_s=sigma_ba_s,
-        sigma_cb_s=sigma_cb_s,
-        g_c=math.sqrt(2.0) * der.g_oc_bare * abs(alpha_s),
-        g_w=math.sqrt(2.0) * der.g_ow_bare * abs(beta_s),
-    )
+    p = params
+    der = derive(p)
+    a_coef, b_coef = _coherence_coefficients(p)
+    a_r, a_i, b_r, b_i = a_coef.real, a_coef.imag, b_coef.real, b_coef.imag
+    # the optical denominator d_r + i d_i
+    g = p.g
+    d_r = p.kappa_c - g * (a_i + b_i)
+    d_i = p.delta_c + g * (a_r + b_r)
+    d_sq = d_r * d_r + d_i * d_i
+    pole = d_sq < 1e-60
+    if isinstance(pole, np.ndarray):
+        d_sq[pole] = np.nan
+    elif pole:
+        raise SingularityError(POLE_MESSAGE)
+    # alpha_s = u - i v, and beta_s = e_w / (kappa_w + i delta_w)
+    e_c, e_w = der.e_c, der.e_w
+    scale = e_c / d_sq
+    u = scale * d_r
+    v = scale * d_i
+    kappa_w, delta_w = p.kappa_w, p.delta_w
+    w_sq = kappa_w * kappa_w + delta_w * delta_w
+    w_scale = e_w / w_sq
+    alpha_abs = e_c / _sqrt(d_sq)
+    beta_abs = e_w / _sqrt(w_sq)
+    q_s = (der.g_oc_bare * alpha_abs * alpha_abs
+           + der.g_ow_bare * beta_abs * beta_abs) / p.omega_m
+    p_s = 0.0 * p.omega_m  # zero, as a float or a column
+    alpha_s = u - 1j * v
+    beta_s = w_scale * kappa_w - 1j * (w_scale * delta_w)
+    sigma_ba_s = (a_r * u + a_i * v) + 1j * (a_i * u - a_r * v)
+    sigma_cb_s = (b_r * u + b_i * v) + 1j * (b_i * u - b_r * v)
+    g_c = _SQRT2 * der.g_oc_bare * alpha_abs
+    g_w = _SQRT2 * der.g_ow_bare * beta_abs
+    return SteadyState(q_s, p_s, alpha_s, beta_s, sigma_ba_s, sigma_cb_s, g_c, g_w)
 
 
 def solve_steady_state_bare(

@@ -1,25 +1,31 @@
 """Parameter sweeps, bundled scenario presets, and atom-free baselines.
 
-A sweep varies one parameter of the 10-mode system over a 1-D grid. Each
-point gets its working point, drift and diffusion; then blocks of
-BLOCK_POINTS points share one batched eigendecomposition, which gives the
-stability gate and the steady-state covariance (dynamics.solve_lyapunov_batch,
-with a per-point Bartels-Stewart fallback), and the entanglement of every
-requested mode pair comes from one batched log-negativity per pair. The
-optional atom-free baseline is the same pipeline at g = 0, r_a = 0, where the
-atomic rows decouple exactly; the independent 6-mode route that checks it
-lives in verify.
+A sweep varies one parameter of the 10-mode system over a 1-D grid, in blocks
+of BLOCK_POINTS points. A block is a model.ParameterBlock: the varied field's
+column beside constant columns of the base values. The sweep validates the
+column once, at its extremes, and builds no SystemParameters per point. The
+block's working points, drifts and diffusions come from one call each, since
+model.solve_steady_state, dynamics.build_drift and dynamics.build_diffusion
+take a block as well as a single point; a pole of the optical response comes
+back per point instead of being raised. One batched eigendecomposition per
+block then gives the stability gate and the steady-state covariance
+(dynamics.solve_lyapunov_batch, with a per-point Bartels-Stewart fallback),
+and the entanglement of every requested mode pair comes from one batched
+log-negativity per pair. The optional atom-free baseline is the same pipeline
+on the same block with its g and r_a columns at zero, where the atomic rows
+decouple exactly; the independent 6-mode route that checks it lives in
+verify.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .constants import C_LIGHT
-from .errors import ParameterError, SimulationError
+from .errors import ParameterError, SimulationError, SingularityError
 from . import dynamics, gaussian, model
 
 AXIS_OMEGA_M = "delta_c_over_omega_m"
@@ -51,8 +57,8 @@ class SweepSpec:
             raise ParameterError("sweep grid must be strictly monotone")
         if self.varied not in {f.name for f in fields(model.SystemParameters)}:
             raise ParameterError(f"unknown swept parameter {self.varied!r}")
-        if self.axis_scale <= 0:
-            raise ParameterError("axis_scale must be positive")
+        if not 0 < self.axis_scale < math.inf:
+            raise ParameterError("axis_scale must be positive and finite")
         canon = tuple(gaussian.normalize_pair_tag(t) for t in self.pairs)
         if len(set(canon)) != len(canon):
             raise ParameterError("duplicate mode pairs requested")
@@ -104,7 +110,8 @@ def evaluate_point(params: model.SystemParameters, pairs: tuple[str, ...],
     going.
     """
     pairs = tuple(gaussian.normalize_pair_tag(t) for t in pairs)
-    return _evaluate_block([params], [math.nan], pairs, baseline)[0]
+    block = model.parameter_block(params, "delta_c", [params.delta_c])  # one point
+    return _evaluate_block(block, [math.nan], pairs, baseline)[0]
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
@@ -116,59 +123,59 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     """
     if jobs < 1:
         raise ParameterError("jobs must be >= 1")
-    xs = [float(x) for x in spec.grid()]
+    xs = spec.grid()
+    column = xs * spec.axis_scale
+    # each constraint on one field is an interval in that field, so the
+    # column's extremes (or its first NaN) stand for every grid point
+    for k in sorted({int(column.argmin()), int(column.argmax())}):
+        spec.base.replace(**{spec.varied: float(column[k])})
     records: list[PointRecord] = []
     for lo in range(0, len(xs), BLOCK_POINTS):
-        chunk = xs[lo:lo + BLOCK_POINTS]
-        points = [spec.base.replace(**{spec.varied: x * spec.axis_scale})
-                  for x in chunk]
-        records += _evaluate_block(points, chunk, spec.pairs, spec.baseline)
+        block = model.parameter_block(spec.base, spec.varied,
+                                      column[lo:lo + BLOCK_POINTS])
+        records += _evaluate_block(block, xs[lo:lo + BLOCK_POINTS].tolist(),
+                                   spec.pairs, spec.baseline)
     return SweepResult(spec=spec, records=tuple(records))
 
 
-def _evaluate_block(points: list[model.SystemParameters], xs: list[float],
+def _evaluate_block(block: model.ParameterBlock, xs: list[float],
                     pairs: tuple[str, ...], baseline: bool) -> list[PointRecord]:
     """The pipeline on a block of points, with one batched Lyapunov solve.
 
     Each point poses one drift/diffusion problem and, with baseline, a second
     one at g = 0, r_a = 0: there the atomic rows of the drift decouple
     exactly, so its bosonic blocks are those of the atom-free system.
+    Problem k is point k's main problem, m + k its baseline.
     """
+    m = len(xs)
     base_pairs = tuple(t for t in pairs if t in gaussian.BOSONIC_PAIRS)
-    drifts, diffusions, is_base = [], [], []
-    slots: list[tuple[int, ...] | SimulationError] = []  # problem indices per point
-    for params in points:
-        variants = (params, params.replace(g=0.0, r_a=0.0)) if baseline else (params,)
-        try:
-            built = [(dynamics.build_drift(p, model.solve_steady_state(p)),
-                      dynamics.build_diffusion(p)) for p in variants]
-        except SimulationError as exc:
-            slots.append(exc)
-            continue
-        slots.append(tuple(range(len(drifts), len(drifts) + len(built))))
-        for k, (a, d) in enumerate(built):
-            drifts.append(a)
-            diffusions.append(d)
-            is_base.append(k == 1)
-    if not drifts:
-        return [_error_record(x, exc) for x, exc in zip(xs, slots)]
-    sol = dynamics.solve_lyapunov_batch(np.array(drifts), np.array(diffusions))
-    solved = [bool(sol.stable[i]) and i not in sol.errors for i in range(len(drifts))]
+    variants = [block]
+    if baseline:
+        zero = np.zeros(m)
+        variants.append(replace(block, g=zero, r_a=zero))
+    working = [model.solve_steady_state(p) for p in variants]
+    # the block form marks a pole of the optical response with NaN
+    pole = np.isnan(working[0].q_s)
+    sol = dynamics.solve_lyapunov_batch(
+        np.concatenate([dynamics.build_drift(p, ss) for p, ss in zip(variants, working)]),
+        np.concatenate([dynamics.build_diffusion(p) for p in variants]))
+    solved = sol.stable & ~np.tile(pole, len(variants))
+    solved[list(sol.errors)] = False
     # entanglement per (problem, pair): a float, or the error it raised
     e_n: dict[tuple[int, str], float | SimulationError] = {}
     for tag in pairs:
-        rows = [i for i, ok in enumerate(solved)
-                if ok and (tag in base_pairs or not is_base[i])]
+        rows = np.flatnonzero(solved if tag in base_pairs else solved[:m])
         idx = gaussian.BIPARTITE_PAIRS[tag].indices
         values, _, errors = gaussian.log_negativities(sol.v[np.ix_(rows, idx, idx)])
-        for j, i in enumerate(rows):
+        for j, i in enumerate(rows.tolist()):
             e_n[i, tag] = errors.get(j, float(values[j]))
+    max_real_part = (sol.max_real_part[:m] * block.omega_m).tolist()
     records = []
-    for params, x, slot in zip(points, xs, slots):
-        if isinstance(slot, SimulationError):
-            records.append(_error_record(x, slot))
+    for main, x in enumerate(xs):
+        if pole[main]:
+            records.append(_error_record(x, SingularityError(model.POLE_MESSAGE)))
             continue
-        main, last = slot[0], slot[-1]
+        last = main + m if baseline else main
         found = {tag: e_n[main, tag] for tag in pairs if (main, tag) in e_n}
         found_base = ({tag: e_n[last, tag] for tag in base_pairs if (last, tag) in e_n}
                       if baseline else {})
@@ -182,7 +189,7 @@ def _evaluate_block(points: list[model.SystemParameters], xs: list[float],
         records.append(PointRecord(
             x=x,
             stable=bool(sol.stable[main]),
-            max_real_part=float(sol.max_real_part[main]) * params.omega_m,
+            max_real_part=max_real_part[main],
             e_n=found,
             baseline_e_n=found_base,
         ))

@@ -195,6 +195,15 @@ class TestSweepCommand:
         assert meta["axis"]["scale_rad_per_s"] == preset("fig3").base.kappa_c
         assert meta["baseline"] is False
 
+    @pytest.mark.parametrize("count", ["4.7", "nan", "inf"])
+    def test_grid_count_must_be_a_whole_number(self, tmp_path, capsys, count):
+        out = tmp_path / "x.csv"
+        code = main(["sweep", "--preset", "fig3", "--out", str(out),
+                     "--grid", "-0.5", "1.5", count])
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_jobs_must_be_positive(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         code = main(["sweep", "--preset", "fig3", "--out", str(out),

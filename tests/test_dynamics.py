@@ -1,5 +1,6 @@
 """Drift/diffusion assembly, stability gate, and the Lyapunov solver."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import test_sweep as _sweep_tests
 from _support import OMEGA_M, TWO_PI, base_params
 from oemsim import (
     PRESET_NAMES,
     SimulationError,
+    SingularityError,
     StabilityError,
+    SteadyState,
     build_diffusion,
     build_drift,
     is_stable,
@@ -21,6 +25,7 @@ from oemsim import (
     thermal_occupation,
 )
 from oemsim import dynamics
+from oemsim.model import parameter_block
 
 
 def drift_at(params, dimensionless=True):
@@ -273,3 +278,50 @@ class TestBatchedLyapunovSolver:
         assert "non-finite" in str(batch.errors[0])
         assert batch.stable[1] and not np.isnan(batch.v[1]).any()
 
+
+class TestBlockForm:
+    """The working point, drift and diffusion of a ParameterBlock, built from
+    one column, equal the per-point scalar results bit for bit."""
+
+    @staticmethod
+    def assert_block_equals_scalar(base, varied, column, atom_free):
+        block = parameter_block(base, varied, column)
+        if atom_free:
+            zero = np.zeros(len(column))
+            block = dataclasses.replace(block, g=zero, r_a=zero)
+        ss = solve_steady_state(block)
+        drifts = build_drift(block, ss)
+        diffusions = build_diffusion(block)
+        assert drifts.shape == diffusions.shape == (len(column), 10, 10)
+        for k, value in enumerate(column):
+            p = base.replace(**{varied: float(value)})
+            if atom_free:
+                p = p.replace(g=0.0, r_a=0.0)
+            ref = solve_steady_state(p)
+            for f in dataclasses.fields(SteadyState):
+                assert np.array_equal(getattr(ss, f.name)[k], getattr(ref, f.name)), f.name
+            assert np.array_equal(drifts[k], build_drift(p, ref))
+            assert np.array_equal(diffusions[k], build_diffusion(p))
+
+    @pytest.mark.parametrize("atom_free", [False, True], ids=["main", "atom_free"])
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_block_equals_scalar_at_every_preset_grid_point(self, name, atom_free):
+        spec = preset(name)
+        self.assert_block_equals_scalar(
+            spec.base, spec.varied, spec.grid() * spec.axis_scale, atom_free)
+
+    def test_block_equals_scalar_along_temperature(self):
+        # 401 Bose factors from 0 K up: exp and expm1 of a float and of a
+        # column must round alike, which math's and numpy's need not
+        self.assert_block_equals_scalar(
+            preset("fig6a").base, "temperature", np.linspace(0.0, 0.4, 401), False)
+
+    def test_pole_is_masked_at_its_index_only(self):
+        spec = _sweep_tests.TestBlockEngine.mixed_spec()
+        xs = spec.grid()
+        block = parameter_block(spec.base, spec.varied, xs * spec.axis_scale)
+        ss = solve_steady_state(block)
+        (index,) = np.flatnonzero(np.isnan(ss.q_s))
+        assert xs[index] == 1.0
+        with pytest.raises(SingularityError):
+            solve_steady_state(spec.base.replace(delta_c=xs[index] * spec.axis_scale))

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,6 +55,15 @@ class TestThermalOccupation:
             thermal_occupation(-OMEGA_M, 1e-3)
         with pytest.raises(ParameterError):
             thermal_occupation(OMEGA_M, -1e-3)
+
+    def test_columns_give_the_float_values(self):
+        temps = np.array([0.0, 1e-6, 15e-3, 0.35])
+        column = thermal_occupation(np.full(4, OMEGA_M), temps)
+        assert column.tolist() == [thermal_occupation(OMEGA_M, t) for t in temps]
+        with pytest.raises(ParameterError):
+            thermal_occupation(np.full(4, OMEGA_M), -temps)
+        with pytest.raises(ParameterError):
+            thermal_occupation(np.array([OMEGA_M, 0.0]), 15e-3)
 
     @settings(max_examples=50, deadline=None)
     @given(t=st.floats(1e-6, 10.0), factor=st.floats(1.01, 100.0))

@@ -5,6 +5,7 @@ across +-2 omega_m and the couplings, rates and temperature over decades
 around their preset values.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,11 +14,13 @@ from hypothesis import strategies as st
 
 from _support import oracle_config
 from oemsim import (
+    SweepSpec,
     build_diffusion,
     build_drift,
     evaluate_point,
     integrate_covariance,
     preset,
+    run_sweep,
     solve_lyapunov,
     solve_steady_state,
 )
@@ -25,6 +28,8 @@ from oemsim.gaussian import BIPARTITE_PAIRS
 
 PRESETS = ("fig2", "fig3", "fig4", "fig5", "fig6a", "fig6b", "fig6c")
 PAIRS = tuple(BIPARTITE_PAIRS)
+# fields a 5-point sweep through each drawn point may run along
+SWEEP_FIELDS = ("delta_c", "g", "r_a", "temperature", "kappa_c", "gamma_m", "omega_m")
 
 
 def decades(lo, hi):
@@ -45,9 +50,20 @@ def parameter_points(draw):
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(parameter_points())
-def test_pipeline_contract_and_time_domain_oracle(params):
+@given(parameter_points(), st.sampled_from(SWEEP_FIELDS))
+def test_pipeline_contract_and_time_domain_oracle(params, varied):
     rec = evaluate_point(params, PAIRS)  # must never raise
+    # a 5-point sweep from the drawn point along `varied` (half an omega_m for
+    # the detuning, half the drawn value otherwise) gives the same records
+    start = getattr(params, varied)
+    step = 0.5 * params.omega_m if varied == "delta_c" else 0.5 * start
+    spec = SweepSpec(name="draw", base=params, varied=varied, start=start,
+                     stop=start + step, count=5, axis="si", axis_scale=1.0,
+                     pairs=PAIRS, baseline=True)
+    for swept in run_sweep(spec).records:
+        single = evaluate_point(params.replace(**{varied: swept.x}), PAIRS,
+                                baseline=True)
+        assert dataclasses.replace(single, x=swept.x) == swept
     if rec.stable is not True:
         return
     for tag, value in rec.e_n.items():

@@ -130,6 +130,8 @@ class TestSweepSpecValidation:
             narrowed(spec, 1.0, 1.0, 5)
         with pytest.raises(ParameterError):
             narrowed(spec, 0.0, math.inf, 5)
+        with pytest.raises(ParameterError, match="axis_scale"):
+            narrowed(spec, -1.0, 1.0, 3, axis_scale=math.inf)
 
     def test_rejects_unknown_swept_field(self):
         spec = preset("fig2")
@@ -213,6 +215,40 @@ class TestRunSweep:
         assert len(res.records) == 41
         assert 0 < res.stable_count() < 41
         assert res.error_count() == 0
+
+    @pytest.mark.parametrize("varied,start,stop,scale,message", [
+        ("kappa_c", 0.2, 0.0, OMEGA_M, "kappa_c must be strictly positive"),
+        ("temperature", -1e-3, 0.05, 1.0, "temperature must be nonnegative"),
+        ("rho_ca0", 0.0, 0.6, 1.0, "rho_ca0 violates the coherence bound"),
+    ])
+    def test_grid_through_an_invalid_value_is_rejected(self, varied, start, stop,
+                                                       scale, message):
+        spec = narrowed(preset("fig3"), start, stop, 7, varied=varied, axis_scale=scale)
+        with pytest.raises(ParameterError, match=message):
+            run_sweep(spec)
+
+    def test_temperature_grid_may_start_at_zero(self):
+        spec = narrowed(preset("fig3"), 0.0, 0.05, 5, varied="temperature",
+                        axis_scale=1.0)
+        assert run_sweep(spec).records[0].x == 0.0
+
+    @pytest.mark.parametrize("varied,start,stop,scale", [
+        ("r_a", 0.0, 4.0, 1e6),            # atom injection rate, 1/s
+        ("g", 0.0, 1.0, TWO_PI * 1e6),     # atom-cavity coupling
+        # from 0 K: x = hbar omega / kT exceeds 40 on the first points, then drops
+        # to about 2.4 at 0.2 mK
+        ("temperature", 0.0, 2e-4, 1.0),
+        ("omega_m", 0.6, 1.6, OMEGA_M),    # enters the scaling and max_real_part
+    ])
+    def test_sweep_along_field_equals_single_points(self, varied, start, stop, scale):
+        spec = narrowed(preset("fig6a"), start, stop, 71, varied=varied,
+                        axis_scale=scale)
+        result = run_sweep(spec)
+        assert result.stable_count() > 0
+        for rec in result.records:
+            single = evaluate_point(spec.base.replace(**{varied: rec.x * scale}),
+                                    spec.pairs, baseline=spec.baseline)
+            assert dataclasses.replace(single, x=rec.x) == rec
 
 
 class TestBlockEngine:
