@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, dynamics, gaussian, model, sweep
-from .errors import ParameterError, SimulationError
+from .errors import ParameterError, SimulationError, StabilityError
 
 #: rad/s keys that also accept a "<key>_over_omega_m" ratio form
 _RATIO_KEYS = (
@@ -284,13 +284,12 @@ def _cmd_dump(args) -> int:
     d = dynamics.build_diffusion(params)
     _write_matrix(out_dir / "drift.csv", a)
     _write_matrix(out_dir / "diffusion.csv", d)
-    report = dynamics.is_stable(a)
-    if not report.stable:
-        print(f"error: point is unstable (spectral abscissa "
-              f"{report.max_real_part:.3e} in units of omega_m); "
-              "no covariance written", file=sys.stderr)
+    try:
+        v = dynamics.solve_lyapunov(a, d)
+    except StabilityError as exc:
+        print(f"error: point is unstable: {exc}", file=sys.stderr)
         return 2
-    _write_matrix(out_dir / "covariance.csv", dynamics.solve_lyapunov(a, d))
+    _write_matrix(out_dir / "covariance.csv", v)
     return 0
 
 

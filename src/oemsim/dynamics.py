@@ -19,7 +19,7 @@ from .model import SteadyState, SystemParameters, _occupation, effective_atom_nu
 
 #: strict-negativity guard on the spectral abscissa, relative to the rate scale
 STABILITY_TOL = 1e-12
-#: condition-number estimate above which solve_lyapunov warns
+#: condition-number estimate above which a Lyapunov solve warns
 CONDITION_WARN = 1e12
 #: relative residual bound enforced on every Lyapunov solve
 RESIDUAL_TOL = 1e-10
@@ -52,8 +52,8 @@ _DRIFT_SLOTS = _slots(
 _DIFFUSION_SLOTS = _slots(*((k, k) for k in range(1, 10)))
 
 
-def _assemble(slots: np.ndarray, entries: list, omega_m, dimensionless: bool) -> np.ndarray:
-    """Scatter entries into a zeroed 10x10 matrix at the flat slots.
+def _assemble(slots: np.ndarray, entries: list, omega_m) -> np.ndarray:
+    """Scatter entries / omega_m into a zeroed 10x10 matrix at the flat slots.
 
     Float entries give one matrix; the equal-length columns of a
     ParameterBlock give an (m, 10, 10) stack, one matrix per point.
@@ -61,21 +61,18 @@ def _assemble(slots: np.ndarray, entries: list, omega_m, dimensionless: bool) ->
     points = getattr(omega_m, "shape", ())  # () for a float, (m,) for a column
     out = np.zeros((100,) + points)
     out[slots] = entries
-    if dimensionless:
-        out /= omega_m
+    out /= omega_m
     return out.T.reshape(points + (10, 10))
 
 
-def build_drift(params: SystemParameters, ss: SteadyState,
-                dimensionless: bool = True) -> np.ndarray:
+def build_drift(params: SystemParameters, ss: SteadyState) -> np.ndarray:
     """Assemble the 10x10 drift matrix of the linearized dynamics.
 
     The atomic rows couple to the optical quadratures through g times the
     intracavity atom number; with equal populations and coherence the two
-    position-like couplings cancel exactly. With dimensionless=True (the
-    default used by all solvers) every entry is divided by omega_m, which the
-    covariance solution is provably invariant under. A ParameterBlock and its
-    SteadyState give the (m, 10, 10) stack.
+    position-like couplings cancel exactly. Every entry is divided by
+    omega_m, which the covariance solution is provably invariant under. A
+    ParameterBlock and its SteadyState give the (m, 10, 10) stack.
     """
     p = params
     om = p.omega_m
@@ -94,17 +91,17 @@ def build_drift(params: SystemParameters, ss: SteadyState,
         # lower transition quasi-mode (opposite rotation sense)
         gn * (p.rho_cc0 - p.rho_ca0), -p.kappa_a, -p.delta_a2,
         -gn * (p.rho_cc0 + p.rho_ca0), p.delta_a2, -p.kappa_a,
-    ], om, dimensionless)
+    ], om)
 
 
-def build_diffusion(params: SystemParameters, dimensionless: bool = True) -> np.ndarray:
+def build_diffusion(params: SystemParameters) -> np.ndarray:
     """Diagonal noise-correlation matrix matching the drift's quadrature order.
 
     The mechanical and microwave channels carry thermal factors 2n+1; the
     optical and atomic channels are taken at zero thermal occupation (optical
     and atomic frequencies put their thermal factors at ~1 for any cryogenic
-    temperature), so those entries are the bare decay rates. A ParameterBlock
-    gives the (m, 10, 10) stack.
+    temperature), so those entries are the bare decay rates. Entries are in
+    units of omega_m, as the drift's; a ParameterBlock gives the stack.
     """
     p = params
     om, temperature = p.omega_m, p.temperature
@@ -116,14 +113,14 @@ def build_diffusion(params: SystemParameters, dimensionless: bool = True) -> np.
         kappa_c, kappa_c,
         microwave, microwave,
         kappa_a, kappa_a, kappa_a, kappa_a,
-    ], om, dimensionless)
+    ], om)
 
 
-def is_stable(a: np.ndarray, scale: float = 1.0) -> StabilityReport:
+def is_stable(a: np.ndarray) -> StabilityReport:
     """Hurwitz gate: stable iff the spectral abscissa clears a strict guard.
 
-    Marginal spectra (abscissa within -STABILITY_TOL*scale of zero) are
-    reported unstable: the steady-state covariance is meaningless there.
+    Marginal spectra (abscissa within STABILITY_TOL of zero) are reported
+    unstable: the steady-state covariance is meaningless there.
     """
     if not np.all(np.isfinite(a)):
         raise SimulationError("drift matrix contains non-finite entries")
@@ -132,8 +129,7 @@ def is_stable(a: np.ndarray, scale: float = 1.0) -> StabilityReport:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise SimulationError(f"eigensolver failed on drift matrix: {exc}") from exc
     abscissa = float(np.max(eigvals.real))
-    return StabilityReport(stable=abscissa < -STABILITY_TOL * scale,
-                           max_real_part=abscissa)
+    return StabilityReport(stable=abscissa < -STABILITY_TOL, max_real_part=abscissa)
 
 
 def _pair_sum_condition(eigvals: np.ndarray) -> np.ndarray:
@@ -150,37 +146,37 @@ def _pair_sum_condition(eigvals: np.ndarray) -> np.ndarray:
         return np.where(smallest == 0.0, np.inf, largest / smallest)
 
 
-def _ill_conditioned_warning(cond: float) -> None:
-    warnings.warn(
-        f"Lyapunov system is ill-conditioned (estimate {cond:.2e}); "
-        "covariance entries may lose precision", RuntimeWarning, stacklevel=3)
-
-
 def solve_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Steady-state covariance V solving a V + V a^T = -d for Hurwitz-stable a.
 
-    Solved by the Bartels-Stewart algorithm; the result is symmetrized and the
-    residual is checked against RESIDUAL_TOL relative to the problem scale.
+    A stack of one through solve_lyapunov_batch. Raises the problem's
+    SimulationError, or StabilityError if a is not Hurwitz stable.
     """
-    import scipy.linalg  # deferred: only this per-point route needs scipy
-
-    report = is_stable(a)
-    if not report.stable:
+    sol = solve_lyapunov_batch(a[None], d[None])
+    if sol.errors:
+        raise sol.errors[0]
+    if not sol.stable[0]:
         raise StabilityError(
             f"drift matrix is not Hurwitz stable (spectral abscissa "
-            f"{report.max_real_part:.3e}); no steady-state covariance exists")
-    cond = float(_pair_sum_condition(np.linalg.eigvals(a)[None])[0])
-    if cond > CONDITION_WARN:
-        _ill_conditioned_warning(cond)
+            f"{sol.max_real_part[0]:.3e}); no steady-state covariance exists")
+    return sol.v[0]
+
+
+def _bartels_stewart(a: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Symmetrized Bartels-Stewart solution (CACM 15(9), 1972) of one problem."""
+    import scipy.linalg  # deferred: only this fallback needs scipy
+
     v = scipy.linalg.solve_continuous_lyapunov(a, -d)
-    v = 0.5 * (v + v.T)
-    residual = np.max(np.abs(a @ v + v @ a.T + d))
-    bound = RESIDUAL_TOL * max(
-        np.max(np.abs(a)) * np.max(np.abs(v)), np.max(np.abs(d)))
-    if residual > bound:
-        raise SimulationError(
-            f"Lyapunov residual {residual:.3e} exceeds bound {bound:.3e}")
-    return v
+    return 0.5 * (v + v.T)
+
+
+def _residual_and_bound(a: np.ndarray, d: np.ndarray, v: np.ndarray):
+    """Residual max|a v + v a^T + d| and its bound, of one problem or a stack."""
+    residual = np.abs(a @ v + v @ np.swapaxes(a, -1, -2) + d).max(axis=(-2, -1))
+    bound = RESIDUAL_TOL * np.maximum(
+        np.abs(a).max(axis=(-2, -1)) * np.abs(v).max(axis=(-2, -1)),
+        np.abs(d).max(axis=(-2, -1)))
+    return residual, bound
 
 
 @dataclass(frozen=True)
@@ -202,17 +198,20 @@ def solve_lyapunov_batch(a: np.ndarray, d: np.ndarray) -> CovarianceBatch:
         C = S^-1 d S^-T,  W_ij = -C_ij / (lam_i + lam_j),  V = S W S^T.
     That solve is inaccurate where S is ill-conditioned (near-defective
     drifts), so every point's residual is checked against RESIDUAL_TOL, and a
-    point that fails it is solved again by solve_lyapunov (Bartels-Stewart),
-    which enforces the same bound. Per-point failures come back in `errors`
-    instead of being raised.
+    point that fails it is solved again by Bartels-Stewart and checked
+    against the same bound. A stable point whose condition estimate exceeds
+    CONDITION_WARN warns. Per-point failures come back in `errors` instead
+    of being raised.
     """
     m, n, _ = a.shape
     abscissa = np.full(m, np.nan)
     v = np.full((m, n, n), np.nan)
     errors: dict[int, SimulationError] = {}
-    finite = np.isfinite(a).all(axis=(1, 2))
+    finite_a = np.isfinite(a).all(axis=(1, 2))
+    finite = finite_a & np.isfinite(d).all(axis=(1, 2))
     for k in np.flatnonzero(~finite):
-        errors[int(k)] = SimulationError("drift matrix contains non-finite entries")
+        which = "diffusion" if finite_a[k] else "drift"
+        errors[int(k)] = SimulationError(f"{which} matrix contains non-finite entries")
     ok = np.flatnonzero(finite)
     try:
         lam, s = np.linalg.eig(a[ok])
@@ -239,20 +238,19 @@ def solve_lyapunov_batch(a: np.ndarray, d: np.ndarray) -> CovarianceBatch:
     w = -c / (lam[:, :, None] + lam[:, None, :])
     x = (s @ w @ np.swapaxes(s, 1, 2)).real
     x = 0.5 * (x + np.swapaxes(x, 1, 2))
-    residual = np.abs(a_st @ x + x @ np.swapaxes(a_st, 1, 2) + d_st).max(axis=(1, 2))
-    bound = RESIDUAL_TOL * np.maximum(
-        np.abs(a_st).max(axis=(1, 2)) * np.abs(x).max(axis=(1, 2)),
-        np.abs(d_st).max(axis=(1, 2)))
+    residual, bound = _residual_and_bound(a_st, d_st, x)
+    for j in np.flatnonzero(~(residual <= bound)):  # NaN falls back too
+        x[j] = _bartels_stewart(a_st[j], d_st[j])
+        residual[j], bound[j] = _residual_and_bound(a_st[j], d_st[j], x[j])
+    passed = residual <= bound
+    v[idx[passed]] = x[passed]
+    for j in np.flatnonzero(~passed):
+        errors[int(idx[j])] = SimulationError(
+            f"Lyapunov residual {residual[j]:.3e} exceeds bound {bound[j]:.3e}")
     cond = _pair_sum_condition(lam)
-    for j, k in enumerate(idx):
-        if residual[j] <= bound[j]:  # False for NaN: those fall back too
-            v[k] = x[j]
-            if cond[j] > CONDITION_WARN:
-                _ill_conditioned_warning(float(cond[j]))
-            continue
-        try:
-            v[k] = solve_lyapunov(a[k], d[k])
-        except SimulationError as exc:
-            errors[int(k)] = exc
+    for estimate in cond[passed & (cond > CONDITION_WARN)]:
+        # names solve_lyapunov's caller, or the sweep that ran the block
+        warnings.warn(
+            f"Lyapunov system is ill-conditioned (estimate {estimate:.2e}); "
+            "covariance entries may lose precision", RuntimeWarning, stacklevel=3)
     return CovarianceBatch(abscissa, stable, v, errors)
-

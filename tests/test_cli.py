@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from _support import OMEGA_M, base_params
-from oemsim import build_diffusion, build_drift, preset, solve_steady_state
+from oemsim import (
+    build_diffusion,
+    build_drift,
+    preset,
+    solve_lyapunov,
+    solve_steady_state,
+)
 from oemsim.cli import main, params_to_config, parse_config
 
 
@@ -252,6 +258,7 @@ class TestOtherCommands:
         assert np.array_equal(diffusion, build_diffusion(params))
         assert cov.shape == (10, 10)
         assert np.array_equal(cov, cov.T)
+        assert np.array_equal(cov, solve_lyapunov(drift, diffusion))
 
     def test_dump_matrices_unstable_point(self, tmp_path, capsys):
         out = tmp_path / "mats"

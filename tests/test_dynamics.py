@@ -2,9 +2,12 @@
 
 import dataclasses
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,8 +31,8 @@ from oemsim import dynamics
 from oemsim.model import parameter_block
 
 
-def drift_at(params, dimensionless=True):
-    return build_drift(params, solve_steady_state(params), dimensionless=dimensionless)
+def drift_at(params):
+    return build_drift(params, solve_steady_state(params))
 
 
 def random_stable(rng, n, margin=0.5):
@@ -44,7 +47,7 @@ class TestDrift:
         p = base_params(rho_aa0=0.3, rho_cc0=0.5, rho_ca0=0.2,
                         delta_c=0.7 * OMEGA_M, delta_w=1.3 * OMEGA_M)
         ss = solve_steady_state(p)
-        a = build_drift(p, ss, dimensionless=False)
+        a = build_drift(p, ss)
         n = p.r_a / p.kappa_a
         expected = {
             (0, 1): p.omega_m,
@@ -67,7 +70,7 @@ class TestDrift:
         nonzero = set(zip(*np.nonzero(a)))
         assert nonzero == set(expected)
         for (i, j), value in expected.items():
-            assert a[i, j] == value
+            assert a[i, j] == value / OMEGA_M
 
     def test_balanced_populations_cancel_position_couplings(self):
         a = drift_at(base_params())  # populations and coherence all 0.5
@@ -83,15 +86,11 @@ class TestDrift:
         assert a[6, 6] == -base_params().kappa_a / OMEGA_M
         assert a[6, 7] != 0.0
 
-    def test_dimensionless_is_exact_rescale(self):
-        p = base_params(rho_aa0=0.3, rho_cc0=0.5, rho_ca0=0.2)
-        assert np.array_equal(drift_at(p), drift_at(p, dimensionless=False) / OMEGA_M)
-
 
 class TestDiffusion:
     def test_entries(self):
         p = base_params()
-        d = build_diffusion(p, dimensionless=False)
+        d = build_diffusion(p)
         n_m = thermal_occupation(p.omega_m, p.temperature)
         n_w = thermal_occupation(p.omega_w, p.temperature)
         expect = np.diag([
@@ -100,21 +99,21 @@ class TestDiffusion:
             p.kappa_w * (2.0 * n_w + 1.0), p.kappa_w * (2.0 * n_w + 1.0),
             p.kappa_a, p.kappa_a, p.kappa_a, p.kappa_a,
         ])
-        assert np.array_equal(d, expect)
-        assert np.array_equal(build_diffusion(p), expect / OMEGA_M)
+        assert np.array_equal(d, expect / OMEGA_M)
 
     def test_thermal_entries_use_occupations_at_base_point(self):
         # resonator and microwave cavity both at omega_m and 15 mK
         p = base_params()
-        d = build_diffusion(p, dimensionless=False)
-        assert d[1, 1] == p.gamma_m * (2.0 * thermal_occupation(OMEGA_M, 15e-3) + 1.0)
-        assert d[4, 4] == p.kappa_w * (2.0 * thermal_occupation(OMEGA_M, 15e-3) + 1.0)
+        d = build_diffusion(p)
+        n = thermal_occupation(OMEGA_M, 15e-3)
+        assert d[1, 1] == p.gamma_m * (2.0 * n + 1.0) / OMEGA_M
+        assert d[4, 4] == p.kappa_w * (2.0 * n + 1.0) / OMEGA_M
 
     def test_zero_temperature_drops_thermal_factors(self):
         p = base_params(temperature=0.0)
-        d = build_diffusion(p, dimensionless=False)
-        assert d[1, 1] == p.gamma_m
-        assert d[4, 4] == p.kappa_w
+        d = build_diffusion(p)
+        assert d[1, 1] == p.gamma_m / OMEGA_M
+        assert d[4, 4] == p.kappa_w / OMEGA_M
 
 
 class TestStabilityGate:
@@ -127,11 +126,6 @@ class TestStabilityGate:
         assert not is_stable(np.diag([-1.0, -5e-13])).stable
         assert is_stable(np.diag([-1.0, -2e-12])).stable
         assert not is_stable(np.zeros((3, 3))).stable
-
-    def test_scale_widens_the_guard_band(self):
-        a = np.diag([-1e-6, -1.0])
-        assert is_stable(a, scale=1.0).stable
-        assert not is_stable(a, scale=1e7).stable
 
     def test_non_finite_rejected(self):
         bad = np.diag([-1.0, np.nan])
@@ -158,9 +152,9 @@ class TestLyapunovSolver:
                         gamma_m=OMEGA_M / 5e4,
                         delta_a1=TWO_PI * 1e7, delta_a2=TWO_PI * 1e7)
         ss = solve_steady_state(p)
-        v_dim = solve_lyapunov(build_drift(p, ss), build_diffusion(p))
-        v_phys = solve_lyapunov(build_drift(p, ss, dimensionless=False),
-                                build_diffusion(p, dimensionless=False))
+        a, d = build_drift(p, ss), build_diffusion(p)
+        v_dim = solve_lyapunov(a, d)
+        v_phys = solve_lyapunov(a * OMEGA_M, d * OMEGA_M)
         assert np.max(np.abs(v_dim - v_phys)) <= 1e-12 * np.max(np.abs(v_dim))
 
     def test_unstable_drift_rejected(self):
@@ -172,6 +166,18 @@ class TestLyapunovSolver:
         with pytest.warns(RuntimeWarning, match="ill-conditioned"):
             v = solve_lyapunov(a, np.eye(4))
         assert v[0, 0] == pytest.approx(1.0 / 3e-12, rel=1e-9)
+
+    def test_ill_conditioning_warning_names_the_caller(self):
+        a = np.diag([-1.5e-12, -10.0, -10.0, -10.0])
+        with pytest.warns(RuntimeWarning, match="ill-conditioned") as record:
+            solve_lyapunov(a, np.eye(4))
+        assert [w.filename for w in record] == [__file__]
+
+    def test_non_finite_diffusion_raises_simulation_error(self):
+        d = np.eye(3)
+        d[1, 1] = np.nan
+        with pytest.raises(SimulationError, match="diffusion matrix contains non-finite"):
+            solve_lyapunov(-np.eye(3), d)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -212,17 +218,23 @@ def preset_point(name, x):
     return drift_at(p), build_diffusion(p)
 
 
+def bartels_stewart(a, d):
+    """Symmetrized scipy solution, independent of oemsim's solvers."""
+    v = scipy.linalg.solve_continuous_lyapunov(a, -d)
+    return 0.5 * (v + v.T)
+
+
 @pytest.fixture
 def fallback_calls(monkeypatch):
     """Records each Bartels-Stewart fallback the batched solver takes."""
     calls = []
-    real = dynamics.solve_lyapunov
+    real = dynamics._bartels_stewart
 
     def counted(a, d):
         calls.append(a)
         return real(a, d)
 
-    monkeypatch.setattr(dynamics, "solve_lyapunov", counted)
+    monkeypatch.setattr(dynamics, "_bartels_stewart", counted)
     return calls
 
 
@@ -239,7 +251,7 @@ class TestBatchedLyapunovSolver:
         assert batch.stable.all()
         eps = float(np.finfo(float).eps)
         for a, d, v in zip(a_stack, d_stack, batch.v):
-            ref = solve_lyapunov(a, d)
+            ref = bartels_stewart(a, d)
             ev = np.linalg.eigvals(a)
             sums = np.abs(ev[:, None] + ev[None, :])
             kappa = sums.max() / sums.min()  # pair-sum condition estimate
@@ -252,7 +264,7 @@ class TestBatchedLyapunovSolver:
         assert len(fallback_calls) == 1
         assert batch.errors == {}
         assert residual_ratio(a, d, batch.v[0]) <= 1.0
-        assert np.array_equal(batch.v[0], solve_lyapunov(a, d))
+        assert np.array_equal(batch.v[0], bartels_stewart(a, d))
 
     def test_well_conditioned_point_stays_on_the_eigenbasis(self, fallback_calls):
         a, d = preset_point("fig3", 1.0)
@@ -277,6 +289,40 @@ class TestBatchedLyapunovSolver:
         assert set(batch.errors) == {0}
         assert "non-finite" in str(batch.errors[0])
         assert batch.stable[1] and not np.isnan(batch.v[1]).any()
+
+    def test_non_finite_diffusion_is_reported_not_raised(self):
+        a, d = preset_point("fig3", 1.0)
+        bad = d.copy()
+        bad[1, 1] = np.inf
+        batch = dynamics.solve_lyapunov_batch(np.array([a, a]), np.array([d, bad]))
+        assert set(batch.errors) == {1}
+        assert "diffusion matrix contains non-finite" in str(batch.errors[1])
+        assert np.isnan(batch.v[1]).all()
+        assert np.array_equal(batch.v[0], solve_lyapunov(a, d))
+
+    def test_single_solve_is_the_batch_member(self, fallback_calls):
+        spec = preset("fig3")
+        problems = [preset_point("fig3", float(x)) for x in spec.grid()]
+        batch = dynamics.solve_lyapunov_batch(np.array([a for a, _ in problems]),
+                                              np.array([d for _, d in problems]))
+        assert batch.errors == {} and fallback_calls
+        for (a, d), stable, v in zip(problems, batch.stable, batch.v):
+            if stable:
+                assert np.array_equal(solve_lyapunov(a, d), v)
+
+    @pytest.mark.parametrize("x, imports_scipy", [(1.0, False), (0.0, True)])
+    def test_scipy_is_imported_by_the_fallback_only(self, x, imports_scipy):
+        script = (
+            "import sys\n"
+            "from oemsim import build_diffusion, build_drift, preset, solve_lyapunov, "
+            "solve_steady_state\n"
+            "spec = preset('fig3')\n"
+            f"p = spec.base.replace(delta_c={x} * spec.axis_scale)\n"
+            "solve_lyapunov(build_drift(p, solve_steady_state(p)), build_diffusion(p))\n"
+            "print('scipy' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == str(imports_scipy)
 
 
 class TestBlockForm:
