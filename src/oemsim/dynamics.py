@@ -23,6 +23,13 @@ STABILITY_TOL = 1e-12
 CONDITION_WARN = 1e12
 #: relative residual bound enforced on every Lyapunov solve
 RESIDUAL_TOL = 1e-10
+#: iteration cap of the sign-function Lyapunov fallback
+SIGN_MAX_ITER = 64
+#: relative change of the sign iterate that ends it; the convergence is
+#: quadratic there, so the step leaves an error near SIGN_TOL**2
+SIGN_TOL = 1e-8
+#: defect corrections of a fallback result that fails the residual bound
+SIGN_CORRECTIONS = 4
 
 
 @dataclass(frozen=True)
@@ -162,17 +169,84 @@ def solve_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     return sol.v[0]
 
 
-def _bartels_stewart(a: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Symmetrized Bartels-Stewart solution (CACM 15(9), 1972) of one problem."""
-    import scipy.linalg  # deferred: only this fallback needs scipy
+def _inverses(z: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of matrices. An exactly singular member gets NaN
+    (which fails the residual check) without failing the rest of the stack."""
+    try:
+        return np.linalg.inv(z)
+    except np.linalg.LinAlgError:
+        out = np.full_like(z, np.nan)
+        for k, m in enumerate(z):
+            try:
+                out[k] = np.linalg.inv(m)
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
-    v = scipy.linalg.solve_continuous_lyapunov(a, -d)
-    return 0.5 * (v + v.T)
+
+def _sign_iteration(a: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Solutions of a v + v a^T = -d for a stack of Hurwitz-stable drifts.
+
+    The scaled Newton iteration for the matrix sign function (Roberts, Int.
+    J. Control 32, 677 (1980)), applied to the block matrix [[a, d], [0,
+    -a^T]]: from Z = a and Q = d,
+        Z <- (c Z + Z^-1 / c) / 2,   Q <- (c Q + Z^-1 Q Z^-T / c) / 2,
+    with the determinant scaling c = |det Z|^(-1/n) (Byers, Linear Algebra
+    Appl. 85, 267 (1987)). Z converges to sign(a) = -I and Q to 2v. Each
+    problem leaves the stack once its Z changes by at most SIGN_TOL relative
+    to its size, or turns NaN, so its result does not depend on the rest of
+    the stack; after SIGN_MAX_ITER steps the last iterate stands.
+    """
+    n = a.shape[-1]
+    z, q = a, d
+    out = np.empty_like(d)
+    left = np.arange(len(a))  # the problems still iterating
+    for _ in range(SIGN_MAX_ITER):
+        z_inv = _inverses(z)
+        c = np.exp(np.linalg.slogdet(z)[1] / -n)[:, None, None]
+        z_next = 0.5 * (c * z + z_inv / c)
+        q = 0.5 * (c * q + z_inv @ q @ np.swapaxes(z_inv, 1, 2) / c)
+        done = ~(np.abs(z_next - z).max(axis=(1, 2))
+                 > SIGN_TOL * np.abs(z_next).max(axis=(1, 2)))
+        z = z_next
+        if done.any():
+            out[left[done]] = q[done]
+            left, z, q = left[~done], z[~done], q[~done]
+            if not left.size:
+                break
+    out[left] = q
+    return 0.25 * (out + np.swapaxes(out, 1, 2))
+
+
+def _sign_function_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The fallback solutions of a v + v a^T = -d for a stack of problems.
+
+    _sign_iteration loses accuracy with the condition of a, so a solution
+    that fails the residual bound gets up to SIGN_CORRECTIONS defect
+    corrections: the same iteration solves a e + e a^T = -r for its residual
+    r, and v + e replaces v. The first solve starts from v = 0, where the
+    residual is d.
+    """
+    v = np.zeros_like(d)
+    left = np.arange(len(a))  # the problems still failing the bound
+    for _ in range(1 + SIGN_CORRECTIONS):
+        a_l, d_l = a[left], d[left]
+        v[left] += _sign_iteration(a_l, _residual(a_l, d_l, v[left]))
+        residual, bound = _residual_and_bound(a_l, d_l, v[left])
+        left = left[residual > bound]  # a NaN residual cannot be corrected
+        if not left.size:
+            break
+    return v
+
+
+def _residual(a: np.ndarray, d: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a v + v a^T + d, of one problem or a stack."""
+    return a @ v + v @ np.swapaxes(a, -1, -2) + d
 
 
 def _residual_and_bound(a: np.ndarray, d: np.ndarray, v: np.ndarray):
     """Residual max|a v + v a^T + d| and its bound, of one problem or a stack."""
-    residual = np.abs(a @ v + v @ np.swapaxes(a, -1, -2) + d).max(axis=(-2, -1))
+    residual = np.abs(_residual(a, d, v)).max(axis=(-2, -1))
     bound = RESIDUAL_TOL * np.maximum(
         np.abs(a).max(axis=(-2, -1)) * np.abs(v).max(axis=(-2, -1)),
         np.abs(d).max(axis=(-2, -1)))
@@ -197,11 +271,12 @@ def solve_lyapunov_batch(a: np.ndarray, d: np.ndarray) -> CovarianceBatch:
     estimate, and in its eigenbasis the Lyapunov equation is diagonal,
         C = S^-1 d S^-T,  W_ij = -C_ij / (lam_i + lam_j),  V = S W S^T.
     That solve is inaccurate where S is ill-conditioned (near-defective
-    drifts), so every point's residual is checked against RESIDUAL_TOL, and a
-    point that fails it is solved again by Bartels-Stewart and checked
-    against the same bound. A stable point whose condition estimate exceeds
-    CONDITION_WARN warns. Per-point failures come back in `errors` instead
-    of being raised.
+    drifts), so every point's residual is checked against RESIDUAL_TOL. The
+    points that fail it are solved again together by the scaled sign-function
+    iteration, with defect corrections (_sign_function_lyapunov; Roberts
+    1980, Byers 1987), and checked against the same bound. A stable point
+    whose condition estimate exceeds CONDITION_WARN warns. Per-point
+    failures come back in `errors` instead of being raised.
     """
     m, n, _ = a.shape
     abscissa = np.full(m, np.nan)
@@ -230,18 +305,17 @@ def solve_lyapunov_batch(a: np.ndarray, d: np.ndarray) -> CovarianceBatch:
     lam = lam[keep].astype(complex, copy=False)
     s = s[keep].astype(complex, copy=False)
     a_st, d_st = a[idx], d[idx]
-    try:
-        s_inv = np.linalg.inv(s)
-    except np.linalg.LinAlgError:  # an exactly singular eigenbasis in the stack:
-        s_inv = np.full_like(s, np.nan)  # NaN fails the residual check below
+    s_inv = _inverses(s)
     c = s_inv @ d_st @ np.swapaxes(s_inv, 1, 2)
     w = -c / (lam[:, :, None] + lam[:, None, :])
     x = (s @ w @ np.swapaxes(s, 1, 2)).real
     x = 0.5 * (x + np.swapaxes(x, 1, 2))
     residual, bound = _residual_and_bound(a_st, d_st, x)
-    for j in np.flatnonzero(~(residual <= bound)):  # NaN falls back too
-        x[j] = _bartels_stewart(a_st[j], d_st[j])
-        residual[j], bound[j] = _residual_and_bound(a_st[j], d_st[j], x[j])
+    redo = np.flatnonzero(~(residual <= bound))  # NaN falls back too
+    if redo.size:
+        a_re, d_re = a_st[redo], d_st[redo]
+        x[redo] = _sign_function_lyapunov(a_re, d_re)
+        residual[redo], bound[redo] = _residual_and_bound(a_re, d_re, x[redo])
     passed = residual <= bound
     v[idx[passed]] = x[passed]
     for j in np.flatnonzero(~passed):

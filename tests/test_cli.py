@@ -2,6 +2,8 @@
 
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -233,6 +235,21 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         for name in ("fig2", "fig3", "fig4", "fig5", "fig6a", "fig6b", "fig6c"):
             assert name in out
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_closed_stdout_exits_without_traceback(self, monkeypatch, unbuffered):
+        # the read end is closed before the child has imported oemsim, so
+        # the listing meets a broken pipe: in print when stdout is
+        # unbuffered, in the last flush when it is not
+        monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "from oemsim.cli import entry; entry()", "presets"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert stderr == ""
 
     def test_version(self, capsys):
         assert main(["--version"]) == 0
