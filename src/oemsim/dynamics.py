@@ -23,13 +23,6 @@ STABILITY_TOL = 1e-12
 CONDITION_WARN = 1e12
 #: relative residual bound enforced on every Lyapunov solve
 RESIDUAL_TOL = 1e-10
-#: iteration cap of the sign-function Lyapunov fallback
-SIGN_MAX_ITER = 64
-#: relative change of the sign iterate that ends it; the convergence is
-#: quadratic there, so the step leaves an error near SIGN_TOL**2
-SIGN_TOL = 1e-8
-#: defect corrections of a fallback result that fails the residual bound
-SIGN_CORRECTIONS = 4
 
 
 @dataclass(frozen=True)
@@ -169,84 +162,51 @@ def solve_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     return sol.v[0]
 
 
-def _inverses(z: np.ndarray) -> np.ndarray:
-    """Inverses of a stack of matrices. An exactly singular member gets NaN
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solutions x of a x = b for a stack of matrices a and right-hand sides b
+    of the same number of dimensions. An exactly singular member gets NaN
     (which fails the residual check) without failing the rest of the stack."""
     try:
-        return np.linalg.inv(z)
+        return np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
-        out = np.full_like(z, np.nan)
-        for k, m in enumerate(z):
+        out = np.full(b.shape, np.nan, dtype=np.result_type(a, b))
+        for k, (a_k, b_k) in enumerate(zip(a, b)):
             try:
-                out[k] = np.linalg.inv(m)
+                out[k] = np.linalg.solve(a_k, b_k)
             except np.linalg.LinAlgError:
                 pass
         return out
 
 
-def _sign_iteration(a: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Solutions of a v + v a^T = -d for a stack of Hurwitz-stable drifts.
-
-    The scaled Newton iteration for the matrix sign function (Roberts, Int.
-    J. Control 32, 677 (1980)), applied to the block matrix [[a, d], [0,
-    -a^T]]: from Z = a and Q = d,
-        Z <- (c Z + Z^-1 / c) / 2,   Q <- (c Q + Z^-1 Q Z^-T / c) / 2,
-    with the determinant scaling c = |det Z|^(-1/n) (Byers, Linear Algebra
-    Appl. 85, 267 (1987)). Z converges to sign(a) = -I and Q to 2v. Each
-    problem leaves the stack once its Z changes by at most SIGN_TOL relative
-    to its size, or turns NaN, so its result does not depend on the rest of
-    the stack; after SIGN_MAX_ITER steps the last iterate stands.
-    """
-    n = a.shape[-1]
-    z, q = a, d
-    out = np.empty_like(d)
-    left = np.arange(len(a))  # the problems still iterating
-    for _ in range(SIGN_MAX_ITER):
-        z_inv = _inverses(z)
-        c = np.exp(np.linalg.slogdet(z)[1] / -n)[:, None, None]
-        z_next = 0.5 * (c * z + z_inv / c)
-        q = 0.5 * (c * q + z_inv @ q @ np.swapaxes(z_inv, 1, 2) / c)
-        done = ~(np.abs(z_next - z).max(axis=(1, 2))
-                 > SIGN_TOL * np.abs(z_next).max(axis=(1, 2)))
-        z = z_next
-        if done.any():
-            out[left[done]] = q[done]
-            left, z, q = left[~done], z[~done], q[~done]
-            if not left.size:
-                break
-    out[left] = q
-    return 0.25 * (out + np.swapaxes(out, 1, 2))
-
-
-def _sign_function_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray:
+def _kronecker_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     """The fallback solutions of a v + v a^T = -d for a stack of problems.
 
-    _sign_iteration loses accuracy with the condition of a, so a solution
-    that fails the residual bound gets up to SIGN_CORRECTIONS defect
-    corrections: the same iteration solves a e + e a^T = -r for its residual
-    r, and v + e replaces v. The first solve starts from v = 0, where the
-    residual is d.
+    The Lyapunov operator acts on the n(n+1)/2 unknowns v_pq, p <= q, of the
+    symmetric solution, one row per equation (i, j), i <= j:
+        sum_k a_ik v_kj + v_ik a_jk = -d_ij,
+    where v_qp stands for v_pq. All the stack's systems go to one batched LU
+    solve with partial pivoting, which is backward stable. The symmetric form
+    keeps each system at 55 unknowns for n = 10: a 100 x 100 system is past
+    the size from which OpenBLAS threads its LU, and is many times slower.
     """
-    v = np.zeros_like(d)
-    left = np.arange(len(a))  # the problems still failing the bound
-    for _ in range(1 + SIGN_CORRECTIONS):
-        a_l, d_l = a[left], d[left]
-        v[left] += _sign_iteration(a_l, _residual(a_l, d_l, v[left]))
-        residual, bound = _residual_and_bound(a_l, d_l, v[left])
-        left = left[residual > bound]  # a NaN residual cannot be corrected
-        if not left.size:
-            break
+    n = a.shape[-1]
+    rows, cols = np.triu_indices(n)
+    i, j = rows[:, None], cols[:, None]  # the equation of each row
+    p, q = rows, cols  # the unknown of each column
+    eye = np.eye(n)
+    op = (a[:, i, p] * eye[j, q] + eye[i, p] * a[:, j, q]
+          + (p != q) * (a[:, i, q] * eye[j, p] + eye[i, q] * a[:, j, p]))
+    # a (k, 55, 1) right-hand side reads as a stack of columns in every numpy
+    x = _solve(op, -d[:, i, j])[..., 0]
+    v = np.empty_like(d)
+    v[:, rows, cols] = x
+    v[:, cols, rows] = x
     return v
-
-
-def _residual(a: np.ndarray, d: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """a v + v a^T + d, of one problem or a stack."""
-    return a @ v + v @ np.swapaxes(a, -1, -2) + d
 
 
 def _residual_and_bound(a: np.ndarray, d: np.ndarray, v: np.ndarray):
     """Residual max|a v + v a^T + d| and its bound, of one problem or a stack."""
-    residual = np.abs(_residual(a, d, v)).max(axis=(-2, -1))
+    residual = np.abs(a @ v + v @ np.swapaxes(a, -1, -2) + d).max(axis=(-2, -1))
     bound = RESIDUAL_TOL * np.maximum(
         np.abs(a).max(axis=(-2, -1)) * np.abs(v).max(axis=(-2, -1)),
         np.abs(d).max(axis=(-2, -1)))
@@ -272,10 +232,11 @@ def solve_lyapunov_batch(a: np.ndarray, d: np.ndarray) -> CovarianceBatch:
         C = S^-1 d S^-T,  W_ij = -C_ij / (lam_i + lam_j),  V = S W S^T.
     That solve is inaccurate where S is ill-conditioned (near-defective
     drifts), so every point's residual is checked against RESIDUAL_TOL. The
-    points that fail it are solved again together by the scaled sign-function
-    iteration, with defect corrections (_sign_function_lyapunov; Roberts
-    1980, Byers 1987), and checked against the same bound. A stable point
-    whose condition estimate exceeds CONDITION_WARN warns. Per-point
+    points that fail it are solved again together, directly: one batched LU
+    solve of their Lyapunov operators on the 55 unknowns of a symmetric
+    10 x 10 solution (_kronecker_lyapunov), checked against the same bound.
+    A point whose operator is singular to working precision fails. A stable
+    point whose condition estimate exceeds CONDITION_WARN warns. Per-point
     failures come back in `errors` instead of being raised.
     """
     m, n, _ = a.shape
@@ -305,7 +266,7 @@ def solve_lyapunov_batch(a: np.ndarray, d: np.ndarray) -> CovarianceBatch:
     lam = lam[keep].astype(complex, copy=False)
     s = s[keep].astype(complex, copy=False)
     a_st, d_st = a[idx], d[idx]
-    s_inv = _inverses(s)
+    s_inv = _solve(s, np.broadcast_to(np.eye(n), s.shape))
     c = s_inv @ d_st @ np.swapaxes(s_inv, 1, 2)
     w = -c / (lam[:, :, None] + lam[:, None, :])
     x = (s @ w @ np.swapaxes(s, 1, 2)).real
@@ -314,13 +275,15 @@ def solve_lyapunov_batch(a: np.ndarray, d: np.ndarray) -> CovarianceBatch:
     redo = np.flatnonzero(~(residual <= bound))  # NaN falls back too
     if redo.size:
         a_re, d_re = a_st[redo], d_st[redo]
-        x[redo] = _sign_function_lyapunov(a_re, d_re)
+        x[redo] = _kronecker_lyapunov(a_re, d_re)
         residual[redo], bound[redo] = _residual_and_bound(a_re, d_re, x[redo])
     passed = residual <= bound
     v[idx[passed]] = x[passed]
     for j in np.flatnonzero(~passed):
         errors[int(idx[j])] = SimulationError(
-            f"Lyapunov residual {residual[j]:.3e} exceeds bound {bound[j]:.3e}")
+            f"Lyapunov residual {residual[j]:.3e} exceeds bound {bound[j]:.3e}"
+            if np.isfinite(residual[j]) else
+            "Lyapunov operator is singular to working precision")
     cond = _pair_sum_condition(lam)
     for estimate in cond[passed & (cond > CONDITION_WARN)]:
         # names solve_lyapunov's caller, or the sweep that ran the block

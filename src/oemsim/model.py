@@ -31,6 +31,8 @@ _POSITIVE = (
 _ANY_SIGN = ("delta_a1", "delta_a2", "delta_c", "delta_w")
 
 _SQRT2 = math.sqrt(2.0)
+#: weight of the new iterate in solve_steady_state_bare's damped update
+_BARE_DAMPING = 0.5
 
 
 @dataclass(frozen=True)
@@ -279,7 +281,6 @@ def solve_steady_state_bare(
     delta_oc: float,
     delta_ow: float,
     max_iter: int = 10_000,
-    damping: float = 0.5,
 ) -> SteadyState:
     """Working point from BARE detunings via a damped fixed-point iteration.
 
@@ -302,7 +303,7 @@ def solve_steady_state_bare(
         # returned state is a fixed point of the effective-detuning solve
         if abs(ss.q_s - q) < 1e-12 * abs(ss.q_s) + 1e-14:
             return ss
-        q = (1.0 - damping) * q + damping * ss.q_s
+        q = (1.0 - _BARE_DAMPING) * q + _BARE_DAMPING * ss.q_s
     raise ConvergenceError(
         f"bare-detuning fixed point did not converge in {max_iter} iterations "
         "(possible classical bistability)")

@@ -10,10 +10,10 @@ take a block as well as a single point; a pole of the optical response comes
 back per point instead of being raised. One batched eigendecomposition per
 block then gives the stability gate and the steady-state covariance
 (dynamics.solve_lyapunov_batch); the block's points that fail its residual
-check are solved again together by the scaled matrix-sign-function iteration
-(Roberts, Int. J. Control 32, 677 (1980); Byers, Linear Algebra Appl. 85,
-267 (1987)). The entanglement of every requested mode pair comes from one
-batched log-negativity per pair. The optional atom-free baseline is the same
+check are solved again together, directly, by one batched LU solve of their
+Lyapunov operators on the 55 unknowns of a symmetric covariance. The
+entanglement of every requested mode pair comes from one batched
+log-negativity per pair. The optional atom-free baseline is the same
 pipeline on the same block with its g and r_a columns at zero, where the
 atomic rows decouple exactly; the independent 6-mode route that checks it
 lives in verify.

@@ -227,15 +227,15 @@ def bartels_stewart(a, d):
 
 @pytest.fixture
 def fallback_calls(monkeypatch):
-    """Records the stack of drifts of each sign-function fallback call."""
+    """Records the stack of drifts of each direct fallback call."""
     calls = []
-    real = dynamics._sign_function_lyapunov
+    real = dynamics._kronecker_lyapunov
 
     def counted(a, d):
         calls.append(a)
         return real(a, d)
 
-    monkeypatch.setattr(dynamics, "_sign_function_lyapunov", counted)
+    monkeypatch.setattr(dynamics, "_kronecker_lyapunov", counted)
     return calls
 
 
@@ -292,20 +292,52 @@ class TestBatchedLyapunovSolver:
         ref = bartels_stewart(a, d)
         assert np.max(np.abs(batch.v[0] - ref)) <= 1e-9 * np.max(np.abs(ref))
 
-    def test_defect_corrections_rescue_an_ill_conditioned_drift(self, fallback_calls):
+    def test_direct_fallback_solves_an_ill_conditioned_drift(self, fallback_calls):
         # fig5 at x = 0 with a light resonator and a far-detuned microwave
-        # cavity: the first sign-function solve misses the residual bound by
-        # about 2e4, and the third correction brings it under
+        # cavity: the eigenbasis solve misses the residual bound
         p = preset("fig5").base.replace(delta_c=0.0, power_w=0.34, mass=3.7e-13,
                                         delta_w=2.9e8, omega_w=3.7e8, kappa_a=890.0)
         a, d = drift_at(p), build_diffusion(p)
-        assert residual_ratio(a, d, dynamics._sign_iteration(a[None], d[None])[0]) > 1e3
         batch = dynamics.solve_lyapunov_batch(a[None], d[None])
         assert batch.errors == {}
         assert len(fallback_calls) == 1
         assert residual_ratio(a, d, batch.v[0]) <= 1.0
         ref = bartels_stewart(a, d)
         assert np.max(np.abs(batch.v[0] - ref)) <= 1e-6 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("base, changes", [
+        # stable wide draws (five fields scaled by 10^-3 to 10^3 around a preset)
+        # that the matrix-sign-function fallback left as error records
+        ("fig3", dict(power_w=0.063, g=5.7e7, r_a=2.9e5, kappa_a=6500.0,
+                      gamma_m=85.0, delta_c=0.0)),
+        ("fig5", dict(power_w=0.017, power_c=19.0, g=6.2e8, kappa_w=3.7e8,
+                      plate_gap=3.2e-9, delta_c=0.0)),
+        ("fig5", dict(gamma_m=26.0, kappa_a=1.5e4, g=2.1e7, mass=5.8e-12,
+                      delta_w=1.3e8, delta_c=0.0)),
+        ("fig5", dict(kappa_w=3.7e8, kappa_a=2300.0, omega_w=4.9e5, r_a=4.4e7,
+                      mass=3.3e-13, delta_c=0.0)),
+    ])
+    def test_wide_draw_fallback_passes_the_residual_bound(self, base, changes,
+                                                          fallback_calls):
+        p = preset(base).base.replace(**changes)
+        a, d = drift_at(p), build_diffusion(p)
+        batch = dynamics.solve_lyapunov_batch(a[None], d[None])
+        assert batch.errors == {}
+        assert len(fallback_calls) == 1
+        assert residual_ratio(a, d, batch.v[0]) <= 1.0
+
+    def test_singular_operator_is_named_in_the_error(self, fallback_calls):
+        # condition number about 5e19: LU meets an exactly zero pivot
+        p = preset("fig5").base.replace(g=1.8e8, omega_w=2e5, kappa_a=2.6e3,
+                                        delta_w=2e10, power_c=0.07, delta_c=0.0)
+        a, d = drift_at(p), build_diffusion(p)
+        batch = dynamics.solve_lyapunov_batch(a[None], d[None])
+        assert len(fallback_calls) == 1
+        assert type(batch.errors[0]) is SimulationError
+        message = str(batch.errors[0])
+        assert "singular" in message and "nan" not in message.lower()
+        with pytest.raises(SimulationError, match="Lyapunov operator is singular"):
+            solve_lyapunov(a, d)
 
     def test_block_sends_its_fallback_problems_in_one_call(self, fallback_calls):
         cases = [FALLBACK_CASES[c]() for c in sorted(FALLBACK_CASES)]
@@ -334,28 +366,30 @@ class TestBatchedLyapunovSolver:
         assert "Lyapunov residual" in str(batch.errors[0])
         assert np.isnan(batch.v[0]).all()
 
-    def test_singular_fallback_iterate_is_reported_not_raised(self, monkeypatch):
-        real = np.linalg.inv
+    def test_singular_fallback_solve_is_reported_not_raised(self, monkeypatch):
+        real = np.linalg.solve
         calls = []
 
-        def inv(m):  # the eigenbasis inverse passes, the fallback's fail
+        def solve(a, b):  # the eigenbasis inverse passes, the fallback's fail
             calls.append(1)
             if len(calls) > 1:
                 raise np.linalg.LinAlgError("Singular matrix")
-            return real(m)
+            return real(a, b)
 
-        monkeypatch.setattr(dynamics.np.linalg, "inv", inv)
+        monkeypatch.setattr(dynamics.np.linalg, "solve", solve)
         a, d = preset_point("fig3", 0.0)
         batch = dynamics.solve_lyapunov_batch(a[None], d[None])
         assert len(calls) > 1
         assert set(batch.errors) == {0}
-        assert "Lyapunov residual nan" in str(batch.errors[0])
+        assert str(batch.errors[0]) == "Lyapunov operator is singular to working precision"
+        assert np.isnan(batch.v[0]).all()
 
     def test_singular_member_leaves_the_rest_of_the_stack_alone(self):
         z = np.array([np.ones((3, 3)), np.diag([1.0, 2.0, 4.0])])
-        inverses = dynamics._inverses(z)
-        assert np.isnan(inverses[0]).all()
-        assert np.array_equal(inverses[1], np.linalg.inv(z[1]))
+        b = np.broadcast_to(np.eye(3), z.shape)
+        solutions = dynamics._solve(z, b)
+        assert np.isnan(solutions[0]).all()
+        assert np.array_equal(solutions[1], np.linalg.inv(z[1]))
 
     def test_non_finite_drift_is_reported_not_raised(self):
         a, d = preset_point("fig3", 1.0)
@@ -393,8 +427,8 @@ class TestBatchedLyapunovSolver:
             "from oemsim import build_diffusion, build_drift, dynamics, preset, "
             "solve_lyapunov, solve_steady_state\n"
             "calls = []\n"
-            "real = dynamics._sign_function_lyapunov\n"
-            "dynamics._sign_function_lyapunov = lambda a, d: calls.append(1) or real(a, d)\n"
+            "real = dynamics._kronecker_lyapunov\n"
+            "dynamics._kronecker_lyapunov = lambda a, d: calls.append(1) or real(a, d)\n"
             "spec = preset('fig3')\n"
             f"p = spec.base.replace(delta_c={x} * spec.axis_scale)\n"
             "solve_lyapunov(build_drift(p, solve_steady_state(p)), build_diffusion(p))\n"
@@ -408,8 +442,8 @@ class TestBatchedLyapunovSolver:
             "import sys\n"
             "from oemsim import cli, dynamics\n"
             "calls = []\n"
-            "real = dynamics._sign_function_lyapunov\n"
-            "dynamics._sign_function_lyapunov = lambda a, d: calls.append(len(a)) or real(a, d)\n"
+            "real = dynamics._kronecker_lyapunov\n"
+            "dynamics._kronecker_lyapunov = lambda a, d: calls.append(len(a)) or real(a, d)\n"
             f"code = cli.main(['sweep', '--preset', 'fig3', '--out', {str(tmp_path / 'fig3.csv')!r}])\n"
             "print(code, calls, 'scipy' in sys.modules)\n")
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)

@@ -271,8 +271,8 @@ class TestBlockEngine:
 
     def test_sweep_records_equal_single_point_records(self, monkeypatch):
         calls = []
-        real = dynamics._sign_function_lyapunov
-        monkeypatch.setattr(dynamics, "_sign_function_lyapunov",
+        real = dynamics._kronecker_lyapunov
+        monkeypatch.setattr(dynamics, "_kronecker_lyapunov",
                             lambda a, d: calls.append(1) or real(a, d))
         spec = self.mixed_spec()
         result = run_sweep(spec)
