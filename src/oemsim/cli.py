@@ -244,13 +244,13 @@ def _cmd_sweep(args) -> int:
         "baseline": spec.baseline,
         "notes": list(spec.notes),
         "params": params_to_config(spec.base),
-        "counts": {"points": len(result.records),
+        "counts": {"points": len(result.x),
                    "stable": result.stable_count(),
                    "errors": result.error_count()},
     }
     Path(f"{args.out}.meta.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    if result.error_count() == len(result.records):
+    if result.error_count() == len(result.x):
         print("error: every grid point failed", file=sys.stderr)
         return 2
     if result.stable_count() == 0:
@@ -331,3 +331,7 @@ def entry() -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
     sys.exit(code)
+
+
+if __name__ == "__main__":
+    entry()

@@ -12,22 +12,26 @@ block then gives the stability gate and the steady-state covariance
 (dynamics.solve_lyapunov_batch); the block's points that fail its residual
 check are solved again together, directly, by one batched LU solve of their
 Lyapunov operators on the 55 unknowns of a symmetric covariance. The
-entanglement of every requested mode pair comes from one batched
-log-negativity per pair. The optional atom-free baseline is the same
-pipeline on the same block with its g and r_a columns at zero, where the
-atomic rows decouple exactly; the independent 6-mode route that checks it
-lives in verify.
+entanglement of every (problem, requested mode pair) of the block comes from
+one batched log-negativity over one gathered stack of 4x4 blocks. The
+optional atom-free baseline is the same pipeline on the same block with its g
+and r_a columns at zero, where the atomic rows decouple exactly; the
+independent 6-mode route that checks it lives in verify.
+
+A SweepResult holds columns, one entry per grid point, and the CSV is
+written from them; per-point PointRecords are derived only when asked for.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 
 from .constants import C_LIGHT
-from .errors import ParameterError, SimulationError, SingularityError
+from .errors import ParameterError
 from . import dynamics, gaussian, model
 
 AXIS_OMEGA_M = "delta_c_over_omega_m"
@@ -69,6 +73,11 @@ class SweepSpec:
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)
 
+    @property
+    def baseline_pairs(self) -> tuple[str, ...]:
+        """Pairs with an atom-free column, in CSV order; () without baseline."""
+        return _baseline_pairs(self.pairs) if self.baseline else ()
+
 
 @dataclass(frozen=True)
 class PointRecord:
@@ -86,16 +95,34 @@ class PointRecord:
     error: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
+    """Outcome of a sweep as columns, one entry per grid point.
+
+    An absent value (an unstable or failed point, or an unsolved baseline) is
+    NaN; a computed E_N or abscissa never is. `records` gives the same outcome
+    as one PointRecord per point, derived from the columns on first access.
+    """
+
     spec: SweepSpec
-    records: tuple[PointRecord, ...]
+    x: np.ndarray                 # (n,) grid, axis units
+    stable: np.ndarray            # (n,) Hurwitz gate; False where failed
+    max_real_part: np.ndarray     # (n,) spectral abscissa, 1/s
+    e_n: np.ndarray               # (n, len(spec.pairs))
+    baseline_e_n: np.ndarray      # (n, len(spec.baseline_pairs))
+    failures: dict[int, str]      # error message by point index, ascending
+
+    @cached_property
+    def records(self) -> tuple[PointRecord, ...]:
+        return tuple(_records(self.x, self.spec.pairs, self.spec.baseline_pairs,
+                              self.stable, self.max_real_part, self.e_n,
+                              self.baseline_e_n, self.failures))
 
     def stable_count(self) -> int:
-        return sum(1 for r in self.records if r.stable)
+        return int(np.count_nonzero(self.stable))
 
     def error_count(self) -> int:
-        return sum(1 for r in self.records if r.error is not None)
+        return len(self.failures)
 
 
 #: grid points per batched eigendecomposition; bounds the engine's working
@@ -112,8 +139,10 @@ def evaluate_point(params: model.SystemParameters, pairs: tuple[str, ...],
     going.
     """
     pairs = tuple(gaussian.normalize_pair_tag(t) for t in pairs)
+    base_pairs = _baseline_pairs(pairs) if baseline else ()
     block = model.parameter_block(params, "delta_c", [params.delta_c])  # one point
-    return _evaluate_block(block, [math.nan], pairs, baseline)[0]
+    return _records(np.array([math.nan]), pairs, base_pairs,
+                    *_evaluate_block(block, pairs, base_pairs, baseline))[0]
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
@@ -121,7 +150,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
 
     Every record equals what evaluate_point gives at that grid point. `jobs`
     is accepted and validated for compatibility; the engine is serial, and
-    neither records nor speed depend on it.
+    neither the result nor the speed depends on it.
     """
     if jobs < 1:
         raise ParameterError("jobs must be >= 1")
@@ -131,26 +160,39 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     # column's extremes (or its first NaN) stand for every grid point
     for k in sorted({int(column.argmin()), int(column.argmax())}):
         spec.base.replace(**{spec.varied: float(column[k])})
-    records: list[PointRecord] = []
+    blocks = []
+    failures: dict[int, str] = {}
     for lo in range(0, len(xs), BLOCK_POINTS):
         block = model.parameter_block(spec.base, spec.varied,
                                       column[lo:lo + BLOCK_POINTS])
-        records += _evaluate_block(block, xs[lo:lo + BLOCK_POINTS].tolist(),
-                                   spec.pairs, spec.baseline)
-    return SweepResult(spec=spec, records=tuple(records))
+        *cols, found = _evaluate_block(block, spec.pairs, spec.baseline_pairs,
+                                       spec.baseline)
+        blocks.append(cols)
+        failures.update((lo + i, message) for i, message in found.items())
+    stable, max_real_part, e_n, baseline_e_n = map(np.concatenate, zip(*blocks))
+    return SweepResult(spec, xs, stable, max_real_part, e_n, baseline_e_n, failures)
 
 
-def _evaluate_block(block: model.ParameterBlock, xs: list[float],
-                    pairs: tuple[str, ...], baseline: bool) -> list[PointRecord]:
-    """The pipeline on a block of points, with one batched Lyapunov solve.
+def _baseline_pairs(pairs: tuple[str, ...]) -> tuple[str, ...]:
+    """The requested pairs that have an atom-free value, in CSV column order."""
+    return tuple(t for t in gaussian.BOSONIC_PAIRS if t in pairs)
+
+
+def _evaluate_block(block: model.ParameterBlock, pairs: tuple[str, ...],
+                    base_pairs: tuple[str, ...], baseline: bool
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                               dict[int, str]]:
+    """The pipeline on a block of points, with one batched Lyapunov solve and
+    one batched log-negativity.
 
     Each point poses one drift/diffusion problem and, with baseline, a second
     one at g = 0, r_a = 0: there the atomic rows of the drift decouple
     exactly, so its bosonic blocks are those of the atom-free system.
-    Problem k is point k's main problem, m + k its baseline.
+    Problem k is point k's main problem, m + k its baseline. Returns the
+    columns of SweepResult for the block: stable, max_real_part, e_n,
+    baseline_e_n and failures.
     """
-    m = len(xs)
-    base_pairs = tuple(t for t in pairs if t in gaussian.BOSONIC_PAIRS)
+    m = len(block.delta_c)
     variants = [block]
     if baseline:
         zero = np.zeros(m)
@@ -163,43 +205,63 @@ def _evaluate_block(block: model.ParameterBlock, xs: list[float],
         np.concatenate([dynamics.build_diffusion(p) for p in variants]))
     solved = sol.stable & ~np.tile(pole, len(variants))
     solved[list(sol.errors)] = False
-    # entanglement per (problem, pair): a float, or the error it raised
-    e_n: dict[tuple[int, str], float | SimulationError] = {}
-    for tag in pairs:
-        rows = np.flatnonzero(solved if tag in base_pairs else solved[:m])
-        idx = gaussian.BIPARTITE_PAIRS[tag].indices
-        values, _, errors = gaussian.log_negativities(sol.v[np.ix_(rows, idx, idx)])
-        for j, i in enumerate(rows.tolist()):
-            e_n[i, tag] = errors.get(j, float(values[j]))
-    max_real_part = (sol.max_real_part[:m] * block.omega_m).tolist()
+    e_n = np.full((m, len(pairs)), np.nan)
+    baseline_e_n = np.full((m, len(base_pairs)), np.nan)
+    # every solved (problem, pair) of the block in pipeline order: the main
+    # pairs in pair order, then the baseline pairs in the same order
+    main_rows = np.flatnonzero(solved[:m])
+    base_rows = np.flatnonzero(solved[m:]) + m
+    targets = [(main_rows, e_n, c, tag) for c, tag in enumerate(pairs)]
+    targets += [(base_rows, baseline_e_n, base_pairs.index(tag), tag)
+                for tag in pairs if tag in base_pairs]
+    sizes = [len(rows) for rows, *_ in targets]
+    problems = np.concatenate([np.empty(0, np.intp)] + [rows for rows, *_ in targets])
+    idx = np.array([gaussian.BIPARTITE_PAIRS[tag].indices for *_, tag in targets],
+                   dtype=np.intp).reshape(-1, 4).repeat(sizes, axis=0)
+    values, _, pair_errors = gaussian.log_negativities(
+        sol.v[problems[:, None, None], idx[:, :, None], idx[:, None, :]])
+    for (rows, out, c, _), end in zip(targets, np.cumsum(sizes)):
+        out[rows % m, c] = values[end - len(rows):end]
+    # each failing point's first error in pipeline order: pole, main solve,
+    # main pairs, baseline solve, baseline pairs
+    found = [(0, k, k, model.POLE_MESSAGE) for k in np.flatnonzero(pole)]
+    found += [(1 if k < m else 3, k, k % m, exc) for k, exc in sol.errors.items()]
+    found += [(2 if problems[j] < m else 4, j, problems[j] % m, exc)
+              for j, exc in pair_errors.items()]
+    failures: dict[int, str] = {}
+    for _, _, point, exc in sorted(found, key=lambda f: f[:2]):
+        failures.setdefault(int(point), str(exc))
+    failed = list(failures)
+    stable = sol.stable[:m].copy()
+    stable[failed] = False
+    max_real_part = sol.max_real_part[:m] * block.omega_m
+    max_real_part[failed] = np.nan
+    e_n[failed] = np.nan
+    baseline_e_n[failed] = np.nan
+    return stable, max_real_part, e_n, baseline_e_n, dict(sorted(failures.items()))
+
+
+def _records(xs: np.ndarray, pairs: tuple[str, ...], base_pairs: tuple[str, ...],
+             stable: np.ndarray, max_real_part: np.ndarray, e_n: np.ndarray,
+             baseline_e_n: np.ndarray, failures: dict[int, str]) -> list[PointRecord]:
+    """One PointRecord per point of a set of columns, with Python values."""
     records = []
-    for main, x in enumerate(xs):
-        if pole[main]:
-            records.append(_error_record(x, SingularityError(model.POLE_MESSAGE)))
-            continue
-        last = main + m if baseline else main
-        found = {tag: e_n[main, tag] for tag in pairs if (main, tag) in e_n}
-        found_base = ({tag: e_n[last, tag] for tag in base_pairs if (last, tag) in e_n}
-                      if baseline else {})
-        # the first failure in pipeline order: main solve, main pairs, baseline
-        outcomes = (sol.errors.get(main), *found.values(),
-                    sol.errors.get(last), *found_base.values())
-        failure = next((o for o in outcomes if isinstance(o, SimulationError)), None)
-        if failure is not None:
-            records.append(_error_record(x, failure))
+    for i, (x, ok, abscissa, values, base_values) in enumerate(zip(
+            xs.tolist(), stable.tolist(), max_real_part.tolist(),
+            e_n.tolist(), baseline_e_n.tolist())):
+        if i in failures:
+            records.append(PointRecord(x=x, stable=None, max_real_part=None,
+                                       error=failures[i]))
             continue
         records.append(PointRecord(
             x=x,
-            stable=bool(sol.stable[main]),
-            max_real_part=max_real_part[main],
-            e_n=found,
-            baseline_e_n=found_base,
+            stable=ok,
+            max_real_part=abscissa,
+            e_n={t: v for t, v in zip(pairs, values) if not math.isnan(v)},
+            baseline_e_n={t: v for t, v in zip(base_pairs, base_values)
+                          if not math.isnan(v)},
         ))
     return records
-
-
-def _error_record(x: float, exc: SimulationError) -> PointRecord:
-    return PointRecord(x=x, stable=None, max_real_part=None, error=str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -361,43 +423,41 @@ def preset(name: str) -> SweepSpec:
 _PAIR_COLUMNS = ("mr_oc", "mr_mc", "oc_mc", "oc_sba", "oc_scb")
 
 
-def _fmt(value: float | None) -> str:
-    if value is None:
-        return ""
-    return format(value, ".17g")
+def _cells(column: np.ndarray) -> list[str]:
+    """A float column as CSV cells: %.17g, and empty where NaN (absent)."""
+    return [format(v, ".17g") if v == v else "" for v in column.tolist()]
 
 
 def csv_header(spec: SweepSpec) -> list[str]:
     cols = ["x_value", "x_axis", "stable", "max_real_part"]
     cols += [f"en_{tag}" for tag in _PAIR_COLUMNS]
-    if spec.baseline:
-        cols += [f"en_baseline_{tag}" for tag in gaussian.BOSONIC_PAIRS
-                 if tag in spec.pairs]
+    cols += [f"en_baseline_{tag}" for tag in spec.baseline_pairs]
     return cols
+
+
+def _csv_columns(result: SweepResult) -> list[list[str]]:
+    """The cells of each CSV column, in csv_header order."""
+    spec = result.spec
+    n = len(result.x)
+    stable = np.where(result.stable, "true", "false").tolist()
+    for i in result.failures:
+        stable[i] = ""
+    empty = [""] * n
+    columns = [_cells(result.x), [spec.axis] * n, stable,
+               _cells(result.max_real_part)]
+    columns += [_cells(result.e_n[:, spec.pairs.index(tag)])
+                if tag in spec.pairs else empty for tag in _PAIR_COLUMNS]
+    columns += [_cells(column) for column in result.baseline_e_n.T]
+    return columns
 
 
 def csv_rows(result: SweepResult) -> list[list[str]]:
     """One row per grid point; absent values (unstable/unrequested) are empty."""
-    spec = result.spec
-    rows = []
-    for rec in result.records:
-        row = [_fmt(rec.x), spec.axis]
-        if rec.error is not None:
-            row += ["", ""]
-        else:
-            row += ["true" if rec.stable else "false", _fmt(rec.max_real_part)]
-        for tag in _PAIR_COLUMNS:
-            row.append(_fmt(rec.e_n.get(tag)))
-        if spec.baseline:
-            for tag in gaussian.BOSONIC_PAIRS:
-                if tag in spec.pairs:
-                    row.append(_fmt(rec.baseline_e_n.get(tag)))
-        rows.append(row)
-    return rows
+    return [list(row) for row in zip(*_csv_columns(result))]
 
 
 def write_csv(result: SweepResult, path) -> None:
     lines = [",".join(csv_header(result.spec))]
-    lines += [",".join(row) for row in csv_rows(result)]
+    lines += [",".join(row) for row in zip(*_csv_columns(result))]
     with open(path, "w", newline="") as handle:
         handle.write("\n".join(lines) + "\n")

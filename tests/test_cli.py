@@ -13,8 +13,10 @@ from oemsim import (
     build_diffusion,
     build_drift,
     preset,
+    run_sweep,
     solve_lyapunov,
     solve_steady_state,
+    sweep,
 )
 from oemsim.cli import main, params_to_config, parse_config
 
@@ -227,6 +229,32 @@ class TestSweepCommand:
             assert main(args + ["--out", str(out), "--jobs", jobs]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+    def test_sweep_builds_no_point_records(self, tmp_path, monkeypatch):
+        built = []
+        init = sweep.PointRecord.__init__
+        monkeypatch.setattr(sweep.PointRecord, "__init__",
+                            lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
+        out = tmp_path / "fig3.csv"
+        assert main(["sweep", "--preset", "fig3", "--out", str(out)]) == 0
+        assert built == []
+        records = run_sweep(preset("fig3")).records
+        assert len(built) == len(records) == 401  # the counter sees records
+        meta = json.loads((tmp_path / "fig3.csv.meta.json").read_text())
+        assert meta["counts"] == {
+            "points": 401,
+            "stable": sum(r.stable is True for r in records),
+            "errors": sum(r.error is not None for r in records)}
+
+    @pytest.mark.parametrize("module", ["oemsim", "oemsim.cli"])
+    def test_module_form_runs_the_sweep(self, tmp_path, module):
+        args = ["sweep", "--preset", "fig3", "--grid", "-0.5", "1.5", "21"]
+        out = tmp_path / "module.csv"
+        proc = subprocess.run([sys.executable, "-m", module, *args, "--out", str(out)],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert main(args + ["--out", str(tmp_path / "main.csv")]) == 0
+        assert out.read_bytes() == (tmp_path / "main.csv").read_bytes()
 
 
 class TestOtherCommands:

@@ -10,19 +10,51 @@ import pytest
 
 from _support import OMEGA_M, TWO_PI, base_params
 from oemsim import (
+    BIPARTITE_PAIRS,
     ParameterError,
     PRESET_NAMES,
+    PointRecord,
     SweepSpec,
+    build_diffusion,
+    build_drift,
     evaluate_point,
+    extract_bipartite,
+    log_negativity,
     preset,
     run_sweep,
+    solve_lyapunov,
+    solve_steady_state,
     write_csv,
 )
-from oemsim import dynamics
+from oemsim import dynamics, gaussian
 from oemsim.constants import C_LIGHT
+from oemsim.errors import SimulationError, UnphysicalCovarianceError
 from oemsim.model import _coherence_coefficients
 from oemsim.sweep import (AXIS_KAPPA_C, AXIS_OMEGA_M, BLOCK_POINTS, csv_header,
                           csv_rows)
+
+
+def record_csv(result):
+    """The sweep CSV formatted record by record, as write_csv once did."""
+    spec = result.spec
+    base_tags = [t for t in ("mr_oc", "mr_mc", "oc_mc") if t in spec.pairs]
+
+    def fmt(value):
+        return "" if value is None else format(value, ".17g")
+
+    lines = [",".join(csv_header(spec))]
+    for rec in result.records:
+        row = [fmt(rec.x), spec.axis]
+        if rec.error is not None:
+            row += ["", ""]
+        else:
+            row += ["true" if rec.stable else "false", fmt(rec.max_real_part)]
+        row += [fmt(rec.e_n.get(t))
+                for t in ("mr_oc", "mr_mc", "oc_mc", "oc_sba", "oc_scb")]
+        if spec.baseline:
+            row += [fmt(rec.baseline_e_n.get(t)) for t in base_tags]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
 
 
 def narrowed(spec, start, stop, count, **extra):
@@ -297,7 +329,153 @@ class TestBlockEngine:
         unstable, failed, _ = result.records
         assert unstable.stable is False and unstable.error is None
         assert failed.stable is None and failed.max_real_part is None
-        assert "Lyapunov residual" in failed.error
+        # both of x = 0's problems fail; the main problem's error is reported
+        main = preset("fig3").base.replace(delta_c=0.0)
+        errors = []
+        for params in (main, main.replace(g=0.0, r_a=0.0)):
+            with pytest.raises(SimulationError, match="Lyapunov residual") as err:
+                solve_lyapunov(build_drift(params, solve_steady_state(params)),
+                               build_diffusion(params))
+            errors.append(str(err.value))
+        assert failed.error == errors[0] != errors[1]
+
+    def test_one_log_negativity_call_per_block(self, monkeypatch):
+        stacks = []
+        real = gaussian.log_negativities
+        monkeypatch.setattr(gaussian, "log_negativities",
+                            lambda cm: stacks.append(len(cm)) or real(cm))
+        spec = narrowed(preset("fig6a"), -2.0, 2.0, 150)  # blocks of 64, 64, 22
+        result = run_sweep(spec)
+        assert len(stacks) == 3
+        assert sum(stacks) == (np.count_nonzero(~np.isnan(result.e_n))
+                               + np.count_nonzero(~np.isnan(result.baseline_e_n)))
+        # each value equals a single call on that point's own covariance
+        for i, x in enumerate(result.x.tolist()):
+            point = spec.base.replace(delta_c=x * spec.axis_scale)
+            for params, values, tags in (
+                    (point, result.e_n[i], spec.pairs),
+                    (point.replace(g=0.0, r_a=0.0), result.baseline_e_n[i],
+                     spec.baseline_pairs)):
+                if np.isnan(values).all():
+                    continue
+                v = solve_lyapunov(build_drift(params, solve_steady_state(params)),
+                                   build_diffusion(params))
+                for tag, value in zip(tags, values.tolist()):
+                    pair = BIPARTITE_PAIRS[tag]
+                    assert log_negativity(extract_bipartite(v, pair)).e_n == value
+
+    def test_unphysical_pair_fails_only_its_point(self, monkeypatch):
+        spec = narrowed(preset("fig6a"), 0.5, 1.5, 9,
+                        pairs=("oc_mc", "mr_oc", "mr_mc"))
+        clean = run_sweep(spec).records
+        m = spec.count  # one block: problem k is point k, m + k its baseline
+        # corrupted (problem, pair) cross blocks and failed solves, and whose
+        # error each point reports: the first in pipeline order (main solve,
+        # main pairs, baseline solve, baseline pairs; pairs in the requested
+        # order)
+        scales = {(3, "mr_oc"): 1e3,
+                  (4, "mr_mc"): 1e3, (m + 4, "oc_mc"): 2e3,
+                  (5, "mr_mc"): 1e3, (5, "mr_oc"): 2e3,
+                  (m + 6, "mr_oc"): 1e3, (m + 6, "oc_mc"): 2e3,
+                  (m + 7, "mr_oc"): 3e3,
+                  (8, "mr_mc"): 3e3}
+        messages = {7: "main solve failed", m + 8: "baseline solve failed"}
+        reported = {3: (3, "mr_oc"), 4: (4, "mr_mc"), 5: (5, "mr_oc"),
+                    6: (m + 6, "oc_mc"), 7: 7, 8: (8, "mr_mc")}
+        assert all(clean[i].e_n and clean[i].baseline_e_n for i in reported)
+        real = dynamics.solve_lyapunov_batch
+
+        def corrupted(a, d):
+            sol = real(a, d)
+            for (k, tag), scale in scales.items():
+                pair = BIPARTITE_PAIRS[tag]
+                cross = (k, slice(pair.first, pair.first + 2),
+                         slice(pair.second, pair.second + 2))
+                sol.v[cross] = scale * np.eye(2)
+                sol.v[k].T[cross[1:]] = scale * np.eye(2)
+                with pytest.raises(UnphysicalCovarianceError) as err:
+                    log_negativity(extract_bipartite(sol.v[k], pair))
+                messages[k, tag] = str(err.value)
+            sol.errors.update({k: SimulationError(messages[k]) for k in (7, m + 8)})
+            return sol
+
+        monkeypatch.setattr(dynamics, "solve_lyapunov_batch", corrupted)
+        result = run_sweep(spec)
+        expected = list(clean)
+        for i, key in reported.items():
+            expected[i] = PointRecord(x=clean[i].x, stable=None,
+                                      max_real_part=None, error=messages[key])
+        assert result.records == tuple(expected)
+        assert len(set(messages.values())) == len(messages)  # order is visible
+        failed = sorted(reported)
+        assert list(result.failures) == failed
+        assert not result.stable[failed].any()
+        assert result.stable_count() == sum(r.stable is True for r in expected)
+        assert np.isnan(result.max_real_part[failed]).all()
+        assert np.isnan(result.e_n[failed]).all()
+        assert np.isnan(result.baseline_e_n[failed]).all()
+
+
+def sweep_for_csv(name):
+    """The sweeps whose CSV and records are checked against each other."""
+    if name == "mixed":
+        return TestBlockEngine.mixed_spec()
+    if name == "fig5_8001":
+        return dataclasses.replace(preset("fig5"), count=8001,
+                                   pairs=tuple(BIPARTITE_PAIRS))
+    if name == "fig6a_4001":
+        return dataclasses.replace(preset("fig6a"), count=4001)
+    return preset(name)
+
+
+def cell(value):
+    """A column entry as a record holds it: None where NaN."""
+    return None if math.isnan(value) else float(value)
+
+
+class TestColumnarResult:
+    @pytest.mark.parametrize("name", PRESET_NAMES + ("mixed",))
+    def test_columns_records_and_single_points_agree(self, name):
+        spec = sweep_for_csv(name)
+        result = run_sweep(spec)
+        n = spec.count
+        assert result.x.shape == result.stable.shape == (n,)
+        assert result.max_real_part.shape == (n,)
+        assert result.e_n.shape == (n, len(spec.pairs))
+        assert result.baseline_e_n.shape == (n, len(spec.baseline_pairs))
+        assert len(result.records) == n
+        for i, rec in enumerate(result.records):
+            assert type(rec.x) is float and rec.x == result.x[i]
+            assert rec.error == result.failures.get(i)
+            assert rec.stable is (None if rec.error else bool(result.stable[i]))
+            assert bool(result.stable[i]) is (rec.stable is True)
+            assert cell(result.max_real_part[i]) == rec.max_real_part
+            assert rec.max_real_part is None or type(rec.max_real_part) is float
+            for values, tags, found in (
+                    (result.e_n[i], spec.pairs, rec.e_n),
+                    (result.baseline_e_n[i], spec.baseline_pairs, rec.baseline_e_n)):
+                assert set(found) <= set(tags)
+                assert [cell(v) for v in values] == [found.get(t) for t in tags]
+                assert all(type(v) is float for v in found.values())
+            single = evaluate_point(spec.base.replace(delta_c=rec.x * spec.axis_scale),
+                                    spec.pairs, baseline=spec.baseline)
+            assert dataclasses.replace(single, x=rec.x) == rec
+        assert result.stable_count() == sum(r.stable is True for r in result.records)
+        assert result.error_count() == sum(r.error is not None for r in result.records)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES + ("fig5_8001", "fig6a_4001", "mixed"))
+    def test_csv_equals_the_records_written_one_by_one(self, name, tmp_path):
+        result = run_sweep(sweep_for_csv(name))
+        out = tmp_path / "sweep.csv"
+        write_csv(result, out)
+        expected = record_csv(result)
+        assert out.read_bytes() == expected.encode()
+        assert csv_rows(result) == [line.split(",")
+                                    for line in expected.splitlines()[1:]]
+
+    def test_records_are_derived_once(self):
+        result = run_sweep(narrowed(preset("fig3"), -0.5, 0.5, 5))
+        assert result.records is result.records
 
 
 class TestCsvEmission:
