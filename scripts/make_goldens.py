@@ -20,15 +20,16 @@ def main() -> int:
     for name in ("fig2", "fig3", "fig4", "fig5", "fig6a", "fig6b", "fig6c"):
         result = run_sweep(preset(name))
         write_csv(result, GOLDEN_DIR / f"{name}.csv")
-        print(f"{name}: {result.stable_count()}/{len(result.records)} stable, "
+        print(f"{name}: {result.stable_count()}/{len(result.x)} stable, "
               f"{result.error_count()} errors")
 
     spec = preset("fig5")
     couplings = [2.0 * math.pi * f * 1e5 for f in (0.5, 1.0, 1.5)]
+    column = spec.pairs.index("oc_sba")
     peaks = []
     for g in couplings:
         result = run_sweep(dataclasses.replace(spec, base=spec.base.replace(g=g)))
-        peaks.append(max(r.e_n["oc_sba"] for r in result.records if r.stable))
+        peaks.append(float(result.e_n[result.stable, column].max()))
     payload = {"couplings_rad_s": couplings, "peak_en_oc_sba": peaks}
     (GOLDEN_DIR / "fig5_peaks.json").write_text(
         json.dumps(payload, indent=2) + "\n")

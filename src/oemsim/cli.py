@@ -51,27 +51,32 @@ def parse_config(path) -> model.SystemParameters:
     if unknown:
         raise ParameterError(
             f"unknown parameter key(s): {', '.join(unknown)}")
+    values: dict[str, float] = {}
     for key, value in raw.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ParameterError(f"{key} must be a number, got {value!r}")
+        try:
+            values[key] = float(value)
+        except OverflowError:  # a JSON integer beyond the float range
+            raise ParameterError(f"{key} is out of floating-point range") from None
 
-    if "omega_m" not in raw:
+    if "omega_m" not in values:
         raise ParameterError("missing required key omega_m")
-    omega_m = float(raw["omega_m"])
+    omega_m = values["omega_m"]
 
     kw: dict[str, float] = {}
     for name in _ALL_FIELDS:
         ratio_name = f"{name}_over_omega_m"
-        has_plain = name in raw
-        has_ratio = name in _RATIO_KEYS and ratio_name in raw
+        has_plain = name in values
+        has_ratio = name in _RATIO_KEYS and ratio_name in values
         if has_plain and has_ratio:
             raise ParameterError(
                 f"{name} given in both absolute and _over_omega_m form; "
                 "use exactly one")
         if has_plain:
-            kw[name] = float(raw[name])
+            kw[name] = values[name]
         elif has_ratio:
-            kw[name] = float(raw[ratio_name]) * omega_m
+            kw[name] = values[ratio_name] * omega_m
         else:
             raise ParameterError(f"missing required key {name}")
     return model.SystemParameters(**kw)
@@ -316,6 +321,13 @@ def main(argv: list[str] | None = None) -> int:
     except SimulationError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        raise  # a closed stdout; entry() ends the process quietly
+    except OSError as exc:
+        # parse_config turns a failed read into a ParameterError, so what
+        # reaches here is a failed write: of an --out path, or of stdout
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
     except SystemExit as exc:  # argparse --help / --version
         code = exc.code
         return int(code) if isinstance(code, int) else 0

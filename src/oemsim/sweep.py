@@ -14,9 +14,10 @@ check are solved again together, directly, by one batched LU solve of their
 Lyapunov operators on the 55 unknowns of a symmetric covariance. The
 entanglement of every (problem, requested mode pair) of the block comes from
 one batched log-negativity over one gathered stack of 4x4 blocks. The
-optional atom-free baseline is the same pipeline on the same block with its g
-and r_a columns at zero, where the atomic rows decouple exactly; the
-independent 6-mode route that checks it lives in verify.
+optional atom-free baseline, posed only when a bosonic pair is requested, is
+the same pipeline on the same block with its g and r_a columns at zero, where
+the atomic rows decouple exactly; the independent 6-mode route that checks it
+lives in verify.
 
 A SweepResult holds columns, one entry per grid point, and the CSV is
 written from them; per-point PointRecords are derived only when asked for.
@@ -142,7 +143,7 @@ def evaluate_point(params: model.SystemParameters, pairs: tuple[str, ...],
     base_pairs = _baseline_pairs(pairs) if baseline else ()
     block = model.parameter_block(params, "delta_c", [params.delta_c])  # one point
     return _records(np.array([math.nan]), pairs, base_pairs,
-                    *_evaluate_block(block, pairs, base_pairs, baseline))[0]
+                    *_evaluate_block(block, pairs, base_pairs))[0]
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
@@ -165,8 +166,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     for lo in range(0, len(xs), BLOCK_POINTS):
         block = model.parameter_block(spec.base, spec.varied,
                                       column[lo:lo + BLOCK_POINTS])
-        *cols, found = _evaluate_block(block, spec.pairs, spec.baseline_pairs,
-                                       spec.baseline)
+        *cols, found = _evaluate_block(block, spec.pairs, spec.baseline_pairs)
         blocks.append(cols)
         failures.update((lo + i, message) for i, message in found.items())
     stable, max_real_part, e_n, baseline_e_n = map(np.concatenate, zip(*blocks))
@@ -179,36 +179,37 @@ def _baseline_pairs(pairs: tuple[str, ...]) -> tuple[str, ...]:
 
 
 def _evaluate_block(block: model.ParameterBlock, pairs: tuple[str, ...],
-                    base_pairs: tuple[str, ...], baseline: bool
+                    base_pairs: tuple[str, ...]
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
                                dict[int, str]]:
     """The pipeline on a block of points, with one batched Lyapunov solve and
     one batched log-negativity.
 
-    Each point poses one drift/diffusion problem and, with baseline, a second
-    one at g = 0, r_a = 0: there the atomic rows of the drift decouple
-    exactly, so its bosonic blocks are those of the atom-free system.
-    Problem k is point k's main problem, m + k its baseline. Returns the
-    columns of SweepResult for the block: stable, max_real_part, e_n,
-    baseline_e_n and failures.
+    Each point poses one drift/diffusion problem and, when base_pairs is not
+    empty, a second one at g = 0, r_a = 0: there the atomic rows of the drift
+    decouple exactly, so its bosonic blocks are those of the atom-free system.
+    Problem k is point k's main problem, m + k its baseline. A problem has at
+    most one error: its solve error (a pole of the main problem's optical
+    response reads as one), or else its first pair error in the requested
+    order. A point reports its main problem's error before its baseline's.
+    Returns the columns of SweepResult for the block: stable, max_real_part,
+    e_n, baseline_e_n and failures.
     """
     m = len(block.delta_c)
     variants = [block]
-    if baseline:
+    if base_pairs:
         zero = np.zeros(m)
         variants.append(replace(block, g=zero, r_a=zero))
     working = [model.solve_steady_state(p) for p in variants]
-    # the block form marks a pole of the optical response with NaN
-    pole = np.isnan(working[0].q_s)
     sol = dynamics.solve_lyapunov_batch(
         np.concatenate([dynamics.build_drift(p, ss) for p, ss in zip(variants, working)]),
         np.concatenate([dynamics.build_diffusion(p) for p in variants]))
-    solved = sol.stable & ~np.tile(pole, len(variants))
+    solved = sol.stable.copy()
     solved[list(sol.errors)] = False
     e_n = np.full((m, len(pairs)), np.nan)
     baseline_e_n = np.full((m, len(base_pairs)), np.nan)
-    # every solved (problem, pair) of the block in pipeline order: the main
-    # pairs in pair order, then the baseline pairs in the same order
+    # every solved (problem, pair) of the block: the main pairs in pair
+    # order, then the baseline pairs in the same order
     main_rows = np.flatnonzero(solved[:m])
     base_rows = np.flatnonzero(solved[m:]) + m
     targets = [(main_rows, e_n, c, tag) for c, tag in enumerate(pairs)]
@@ -222,15 +223,16 @@ def _evaluate_block(block: model.ParameterBlock, pairs: tuple[str, ...],
         sol.v[problems[:, None, None], idx[:, :, None], idx[:, None, :]])
     for (rows, out, c, _), end in zip(targets, np.cumsum(sizes)):
         out[rows % m, c] = values[end - len(rows):end]
-    # each failing point's first error in pipeline order: pole, main solve,
-    # main pairs, baseline solve, baseline pairs
-    found = [(0, k, k, model.POLE_MESSAGE) for k in np.flatnonzero(pole)]
-    found += [(1 if k < m else 3, k, k % m, exc) for k, exc in sol.errors.items()]
-    found += [(2 if problems[j] < m else 4, j, problems[j] % m, exc)
-              for j, exc in pair_errors.items()]
+    # the block form marks a pole with NaN, which makes the main drift
+    # non-finite, so the solve has already failed that problem
+    pole = np.isnan(working[0].q_s)
+    errors = {k: model.POLE_MESSAGE if k < m and pole[k] else str(exc)
+              for k, exc in sol.errors.items()}
+    for j, exc in sorted(pair_errors.items()):  # a problem's pairs in order
+        errors.setdefault(int(problems[j]), str(exc))
     failures: dict[int, str] = {}
-    for _, _, point, exc in sorted(found, key=lambda f: f[:2]):
-        failures.setdefault(int(point), str(exc))
+    for k in sorted(errors):
+        failures.setdefault(k % m, errors[k])
     failed = list(failures)
     stable = sol.stable[:m].copy()
     stable[failed] = False
@@ -329,98 +331,65 @@ def _fig6_params(temperature: float) -> model.SystemParameters:
     )
 
 
-def _build_presets() -> dict[str, SweepSpec]:
-    presets: dict[str, SweepSpec] = {}
-    presets["fig2"] = SweepSpec(
-        name="fig2",
-        base=_params(),
-        varied="delta_c", start=-2.0, stop=2.0, count=401,
-        axis=AXIS_OMEGA_M, axis_scale=_OMEGA_M,
-        pairs=("mr_oc",), baseline=True,
-        notes=(_NOTE_GAMMA, _NOTE_KAPPA_A),
-    )
-    presets["fig3"] = SweepSpec(
-        name="fig3",
-        base=_params(
-            gamma_m=_OMEGA_M / 5e4,
-            kappa_c=0.08 * _OMEGA_M,
-            g=_TWO_PI * 1e5,
-            r_a=2000.0,
-            delta_a1=_TWO_PI * 1e7,
-            delta_a2=_TWO_PI * 1e7,
-        ),
-        varied="delta_c", start=-2.0, stop=2.0, count=401,
-        axis=AXIS_OMEGA_M, axis_scale=_OMEGA_M,
-        pairs=("mr_mc",), baseline=True,
-    )
-    presets["fig4"] = SweepSpec(
-        name="fig4",
-        base=_params(
-            kappa_c=0.08 * _OMEGA_M,
-            g=_TWO_PI * 1.5e6,
-            r_a=1.6e6,
-            delta_a2=_TWO_PI * 1e6,
-        ),
-        varied="delta_c", start=-2.0, stop=2.0, count=401,
-        axis=AXIS_OMEGA_M, axis_scale=_OMEGA_M,
-        pairs=("oc_mc",), baseline=True,
-        notes=(_NOTE_GAMMA, _NOTE_KAPPA_A),
-    )
-    presets["fig5"] = SweepSpec(
-        name="fig5",
-        base=_params(
-            kappa_c=0.02 * _OMEGA_M,
-            g=_TWO_PI * 1e5,
-            r_a=1.6e6,
-            delta_a1=_TWO_PI * 1e6,
-            delta_a2=_TWO_PI * 1e6,
-            delta_c=50.0 * 0.02 * _OMEGA_M,
-        ),
-        varied="delta_c", start=0.0, stop=100.0, count=401,
-        axis=AXIS_KAPPA_C, axis_scale=0.02 * _OMEGA_M,
-        pairs=("oc_sba", "oc_scb"), baseline=False,
-        notes=(_NOTE_GAMMA, _NOTE_KAPPA_C_FRACTION),
-    )
-    for tag, temp in (("fig6a", 5e-3), ("fig6b", 250e-3), ("fig6c", 350e-3)):
-        presets[tag] = SweepSpec(
-            name=tag,
-            base=_fig6_params(temp),
-            varied="delta_c", start=-2.0, stop=2.0, count=401,
-            axis=AXIS_OMEGA_M, axis_scale=_OMEGA_M,
-            pairs=("mr_oc", "mr_mc", "oc_mc"), baseline=True,
-            notes=(_NOTE_GAMMA,),
-        )
-    return presets
+def _spec(name: str, base: model.SystemParameters, pairs: tuple[str, ...],
+          notes: tuple[str, ...] = (_NOTE_GAMMA,), baseline: bool = True,
+          start: float = -2.0, stop: float = 2.0, axis: str = AXIS_OMEGA_M,
+          axis_scale: float = _OMEGA_M) -> SweepSpec:
+    """A preset: delta_c over 401 points, by default from -2 to 2 omega_m."""
+    return SweepSpec(name=name, base=base, varied="delta_c", start=start,
+                     stop=stop, count=401, axis=axis, axis_scale=axis_scale,
+                     pairs=pairs, baseline=baseline, notes=notes)
 
 
-PRESET_NAMES = ("fig2", "fig3", "fig4", "fig5", "fig6a", "fig6b", "fig6c")
-
-PRESET_SUMMARIES = {
-    "fig2": "mechanics-optics entanglement vs optical detuning, strong atom beam",
-    "fig3": "mechanics-microwave entanglement vs optical detuning, weak atom beam",
-    "fig4": "optics-microwave entanglement vs optical detuning, strong coupling",
-    "fig5": "optics-atom entanglement vs detuning in optical linewidths",
-    "fig6a": "three bosonic pairs vs optical detuning at 5 mK",
-    "fig6b": "three bosonic pairs vs optical detuning at 250 mK",
-    "fig6c": "three bosonic pairs vs optical detuning at 350 mK",
+#: name -> (summary, spec) of every bundled scenario; the specs are frozen,
+#: so every preset() call shares them
+_PRESETS: dict[str, tuple[str, SweepSpec]] = {
+    spec.name: (summary, spec) for summary, spec in (
+        ("mechanics-optics entanglement vs optical detuning, strong atom beam",
+         _spec("fig2", _params(), ("mr_oc",), (_NOTE_GAMMA, _NOTE_KAPPA_A))),
+        ("mechanics-microwave entanglement vs optical detuning, weak atom beam",
+         _spec("fig3", _params(gamma_m=_OMEGA_M / 5e4, kappa_c=0.08 * _OMEGA_M,
+                               g=_TWO_PI * 1e5, r_a=2000.0, delta_a1=_TWO_PI * 1e7,
+                               delta_a2=_TWO_PI * 1e7), ("mr_mc",), ())),
+        ("optics-microwave entanglement vs optical detuning, strong coupling",
+         _spec("fig4", _params(kappa_c=0.08 * _OMEGA_M, g=_TWO_PI * 1.5e6, r_a=1.6e6,
+                               delta_a2=_TWO_PI * 1e6),
+               ("oc_mc",), (_NOTE_GAMMA, _NOTE_KAPPA_A))),
+        ("optics-atom entanglement vs detuning in optical linewidths",
+         _spec("fig5", _params(kappa_c=0.02 * _OMEGA_M, g=_TWO_PI * 1e5, r_a=1.6e6,
+                               delta_a1=_TWO_PI * 1e6, delta_a2=_TWO_PI * 1e6,
+                               delta_c=50.0 * 0.02 * _OMEGA_M),
+               ("oc_sba", "oc_scb"), (_NOTE_GAMMA, _NOTE_KAPPA_C_FRACTION),
+               baseline=False, start=0.0, stop=100.0, axis=AXIS_KAPPA_C,
+               axis_scale=0.02 * _OMEGA_M)),
+        # temperatures as literals: 350 * 1e-3 is not 350e-3
+        ("three bosonic pairs vs optical detuning at 5 mK",
+         _spec("fig6a", _fig6_params(5e-3), gaussian.BOSONIC_PAIRS)),
+        ("three bosonic pairs vs optical detuning at 250 mK",
+         _spec("fig6b", _fig6_params(250e-3), gaussian.BOSONIC_PAIRS)),
+        ("three bosonic pairs vs optical detuning at 350 mK",
+         _spec("fig6c", _fig6_params(350e-3), gaussian.BOSONIC_PAIRS)),
+    )
 }
+
+PRESET_NAMES = tuple(_PRESETS)
+PRESET_SUMMARIES = {name: summary for name, (summary, _) in _PRESETS.items()}
 
 
 def preset(name: str) -> SweepSpec:
     """Fully-populated sweep spec for a named scenario."""
     key = name.strip().lower()
-    specs = _build_presets()
-    if key not in specs:
+    if key not in _PRESETS:
         raise ParameterError(
             f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
-    return specs[key]
+    return _PRESETS[key][1]
 
 
 # ---------------------------------------------------------------------------
 # CSV emission
 # ---------------------------------------------------------------------------
 
-_PAIR_COLUMNS = ("mr_oc", "mr_mc", "oc_mc", "oc_sba", "oc_scb")
+_PAIR_COLUMNS = tuple(gaussian.BIPARTITE_PAIRS)
 
 
 def _cells(column: np.ndarray) -> list[str]:

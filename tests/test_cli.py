@@ -101,6 +101,19 @@ class TestParseConfig:
         with pytest.raises(ParameterError, match="omega_m"):
             parse_config(write_config(tmp_path, payload))
 
+    @pytest.mark.parametrize("key", ["mass", "g_over_omega_m", "omega_m"])
+    def test_oversized_integer_is_parameter_error(self, tmp_path, capsys, key):
+        from oemsim import ParameterError
+        payload = fig3_config_dict()
+        if key == "g_over_omega_m":
+            del payload["g"]
+        payload[key] = 10 ** 400  # a JSON integer float() cannot hold
+        path = write_config(tmp_path, payload)
+        with pytest.raises(ParameterError, match=f"^{key} is out of floating"):
+            parse_config(path)
+        assert main(["point", "--params", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"parameter error: {key} ")
+
 
 class TestPointCommand:
     def test_preset_point_json(self, capsys):
@@ -255,6 +268,35 @@ class TestSweepCommand:
         assert proc.returncode == 0, proc.stderr
         assert main(args + ["--out", str(tmp_path / "main.csv")]) == 0
         assert out.read_bytes() == (tmp_path / "main.csv").read_bytes()
+
+
+class TestUnwritableOutput:
+    """An --out path that cannot be written is reported, not raised."""
+
+    @staticmethod
+    def assert_reported(capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: ")
+        assert "Traceback" not in err
+
+    def test_sweep(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "dir" / "x.csv"
+        assert main(["sweep", "--preset", "fig3", "--grid", "0.5", "1.5", "3",
+                     "--out", str(out)]) == 1
+        self.assert_reported(capsys)
+
+    def test_point(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        assert main(["point", "--preset", "fig3", "--out", str(out)]) == 1
+        self.assert_reported(capsys)
+        assert not out.parent.exists()
+
+    def test_dump_matrices(self, tmp_path, capsys):
+        plain = tmp_path / "plain"
+        plain.write_text("")
+        assert main(["dump-matrices", "--preset", "fig3",
+                     "--out", str(plain / "sub")]) == 1
+        self.assert_reported(capsys)
 
 
 class TestOtherCommands:

@@ -26,7 +26,7 @@ from oemsim import (
     solve_steady_state,
     write_csv,
 )
-from oemsim import dynamics, gaussian
+from oemsim import dynamics, gaussian, model
 from oemsim.constants import C_LIGHT
 from oemsim.errors import SimulationError, UnphysicalCovarianceError
 from oemsim.model import _coherence_coefficients
@@ -63,6 +63,18 @@ def narrowed(spec, start, stop, count, **extra):
     kw.update(start=start, stop=stop, count=count)
     kw.update(extra)
     return SweepSpec(**kw)
+
+
+def corrupt_pair(v, tag, scale):
+    """Overwrite a pair's cross block of covariance v so that the pair's
+    state is unphysical; returns the error message that state gives."""
+    pair = BIPARTITE_PAIRS[tag]
+    cross = (slice(pair.first, pair.first + 2), slice(pair.second, pair.second + 2))
+    v[cross] = scale * np.eye(2)
+    v.T[cross] = scale * np.eye(2)
+    with pytest.raises(UnphysicalCovarianceError) as err:
+        log_negativity(extract_bipartite(v, pair))
+    return str(err.value)
 
 
 class TestPresets:
@@ -370,9 +382,9 @@ class TestBlockEngine:
         clean = run_sweep(spec).records
         m = spec.count  # one block: problem k is point k, m + k its baseline
         # corrupted (problem, pair) cross blocks and failed solves, and whose
-        # error each point reports: the first in pipeline order (main solve,
-        # main pairs, baseline solve, baseline pairs; pairs in the requested
-        # order)
+        # error each point reports: its main problem's error, else its
+        # baseline's, where a problem's error is its solve error, else its
+        # first pair error in the requested order
         scales = {(3, "mr_oc"): 1e3,
                   (4, "mr_mc"): 1e3, (m + 4, "oc_mc"): 2e3,
                   (5, "mr_mc"): 1e3, (5, "mr_oc"): 2e3,
@@ -388,14 +400,7 @@ class TestBlockEngine:
         def corrupted(a, d):
             sol = real(a, d)
             for (k, tag), scale in scales.items():
-                pair = BIPARTITE_PAIRS[tag]
-                cross = (k, slice(pair.first, pair.first + 2),
-                         slice(pair.second, pair.second + 2))
-                sol.v[cross] = scale * np.eye(2)
-                sol.v[k].T[cross[1:]] = scale * np.eye(2)
-                with pytest.raises(UnphysicalCovarianceError) as err:
-                    log_negativity(extract_bipartite(sol.v[k], pair))
-                messages[k, tag] = str(err.value)
+                messages[k, tag] = corrupt_pair(sol.v[k], tag, scale)
             sol.errors.update({k: SimulationError(messages[k]) for k in (7, m + 8)})
             return sol
 
@@ -414,6 +419,79 @@ class TestBlockEngine:
         assert np.isnan(result.max_real_part[failed]).all()
         assert np.isnan(result.e_n[failed]).all()
         assert np.isnan(result.baseline_e_n[failed]).all()
+
+    def test_atomic_pairs_pose_no_baseline_problems(self, monkeypatch, tmp_path):
+        sizes = []
+        real = dynamics.solve_lyapunov_batch
+        monkeypatch.setattr(dynamics, "solve_lyapunov_batch",
+                            lambda a, d: sizes.append(len(a)) or real(a, d))
+        spec = preset("fig5")  # oc_sba and oc_scb have no atom-free value
+        csv = []
+        for baseline in (False, True):
+            sizes.clear()
+            result = run_sweep(dataclasses.replace(spec, baseline=baseline))
+            blocks = [len(result.x[lo:lo + BLOCK_POINTS])
+                      for lo in range(0, spec.count, BLOCK_POINTS)]
+            assert sizes == blocks and sum(sizes) == spec.count
+            write_csv(result, tmp_path / f"{baseline}.csv")
+            csv.append((tmp_path / f"{baseline}.csv").read_bytes())
+        assert csv[0] == csv[1]
+        sizes.clear()
+        assert evaluate_point(spec.base, spec.pairs, baseline=True).stable
+        assert sizes == [1]
+
+    def test_reported_error_does_not_depend_on_map_order(self, monkeypatch):
+        spec = narrowed(preset("fig6a"), 0.5, 1.5, 9,
+                        pairs=("oc_mc", "mr_oc", "mr_mc"))
+        m = spec.count  # one block: problem k is point k, m + k its baseline
+        # point 2: both solves fail; 3: two main pairs; 5: a main and a
+        # baseline pair. Each map is handed over in the reverse of its
+        # order, the baseline's errors before the main problem's.
+        scales = {(m + 5, "oc_mc"): 3e3, (5, "mr_mc"): 2e3,
+                  (3, "mr_mc"): 2e3, (3, "oc_mc"): 1e3}
+        messages = {}
+        real_batch = dynamics.solve_lyapunov_batch
+        real_negativities = gaussian.log_negativities
+
+        def batch(a, d):
+            sol = real_batch(a, d)
+            for (k, tag), scale in scales.items():
+                messages[k, tag] = corrupt_pair(sol.v[k], tag, scale)
+            sol.errors.update({m + 2: SimulationError("baseline solve failed"),
+                               2: SimulationError("main solve failed")})
+            return sol
+
+        def negativities(cm):
+            values, eta, errors = real_negativities(cm)
+            return values, eta, dict(reversed(errors.items()))
+
+        monkeypatch.setattr(dynamics, "solve_lyapunov_batch", batch)
+        monkeypatch.setattr(gaussian, "log_negativities", negativities)
+        result = run_sweep(spec)
+        assert result.failures == {2: "main solve failed",
+                                   3: messages[3, "oc_mc"],
+                                   5: messages[5, "mr_mc"]}
+        assert len(set(messages.values())) == len(messages)  # order is visible
+
+    def test_pole_is_reported_while_its_baseline_solves(self, monkeypatch):
+        spec = self.mixed_spec()
+        assert spec.baseline
+        solutions = []
+        real = dynamics.solve_lyapunov_batch
+        monkeypatch.setattr(dynamics, "solve_lyapunov_batch",
+                            lambda a, d: solutions.append(real(a, d)) or solutions[-1])
+        result = run_sweep(spec)
+        (pole,) = np.flatnonzero(result.x == 1.0)
+        assert result.failures[pole] == model.POLE_MESSAGE
+        sol = solutions[pole // BLOCK_POINTS]
+        m = len(sol.stable) // 2
+        k = pole % BLOCK_POINTS
+        assert "non-finite" in str(sol.errors[k])  # the pole's NaN drift
+        assert m + k not in sol.errors and sol.stable[m + k]
+        assert not np.isnan(sol.v[m + k]).any()
+        single = evaluate_point(spec.base.replace(delta_c=spec.axis_scale),
+                                spec.pairs, baseline=True)
+        assert single.error == model.POLE_MESSAGE
 
 
 def sweep_for_csv(name):
