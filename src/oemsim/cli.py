@@ -130,8 +130,9 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--baseline", action="store_true",
                          help="force the atom-free comparison on")
     p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="accepted for compatibility (>= 1); results and "
-                              "speed do not depend on it")
+                         help="threads that evaluate the grid's 64-point blocks "
+                              "(>= 1; capped at the block and CPU counts); the "
+                              "output is byte-identical at every value")
     p_sweep.add_argument("--grid", nargs=3, type=float, default=None,
                          metavar=("START", "STOP", "COUNT"),
                          help="override the grid (axis units)")
@@ -237,8 +238,16 @@ def _sweep_spec(args) -> sweep.SweepSpec:
 
 def _cmd_sweep(args) -> int:
     spec = _sweep_spec(args)
-    result = sweep.run_sweep(spec, jobs=args.jobs)
-    sweep.write_csv(result, args.out)
+    out = Path(args.out)
+    created = not out.exists()
+    out.open("a").close()  # an unwritable --out fails here, before the sweep
+    try:
+        result = sweep.run_sweep(spec, jobs=args.jobs)
+    except BaseException:
+        if created:
+            out.unlink(missing_ok=True)
+        raise
+    sweep.write_csv(result, out)
     meta = {
         "tool": {"name": "oemsim", "version": __version__},
         "name": spec.name,

@@ -19,6 +19,12 @@ the same pipeline on the same block with its g and r_a columns at zero, where
 the atomic rows decouple exactly; the independent 6-mode route that checks it
 lives in verify.
 
+Blocks are independent, and their work is batched numpy and LAPACK calls that
+release the interpreter lock, so run_sweep(spec, jobs) with jobs > 1 evaluates
+them on a pool of min(jobs, blocks, CPUs) threads. Results are assembled in
+block order: the columns, the failures map and the CSV bytes are the same at
+every jobs value.
+
 A SweepResult holds columns, one entry per grid point, and the CSV is
 written from them; per-point PointRecords are derived only when asked for.
 """
@@ -26,6 +32,7 @@ written from them; per-point PointRecords are derived only when asked for.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
@@ -149,9 +156,11 @@ def evaluate_point(params: model.SystemParameters, pairs: tuple[str, ...],
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     """Evaluate the pipeline over the grid, BLOCK_POINTS points at a time.
 
-    Every record equals what evaluate_point gives at that grid point. `jobs`
-    is accepted and validated for compatibility; the engine is serial, and
-    neither the result nor the speed depends on it.
+    Every record equals what evaluate_point gives at that grid point. With
+    jobs > 1 the blocks run on a pool of min(jobs, blocks, CPUs) threads
+    (numpy and LAPACK release the interpreter lock); the result is assembled
+    in block order, so it does not depend on jobs. An exception in a block
+    propagates, and blocks not yet started are cancelled.
     """
     if jobs < 1:
         raise ParameterError("jobs must be >= 1")
@@ -161,12 +170,31 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     # column's extremes (or its first NaN) stand for every grid point
     for k in sorted({int(column.argmin()), int(column.argmax())}):
         spec.base.replace(**{spec.varied: float(column[k])})
-    blocks = []
-    failures: dict[int, str] = {}
-    for lo in range(0, len(xs), BLOCK_POINTS):
+    starts = range(0, len(xs), BLOCK_POINTS)
+
+    def evaluate(lo: int):
         block = model.parameter_block(spec.base, spec.varied,
                                       column[lo:lo + BLOCK_POINTS])
-        *cols, found = _evaluate_block(block, spec.pairs, spec.baseline_pairs)
+        return _evaluate_block(block, spec.pairs, spec.baseline_pairs)
+
+    workers = min(jobs, len(starts), os.cpu_count() or 1)
+    if workers > 1:
+        # imported here: it costs milliseconds and pulls in logging, which
+        # `import oemsim` and a serial sweep never need
+        from concurrent import futures
+        pool = futures.ThreadPoolExecutor(workers)
+        try:
+            submitted = [pool.submit(evaluate, lo) for lo in starts]
+            futures.wait(submitted, return_when=futures.FIRST_EXCEPTION)
+        finally:
+            pool.shutdown(cancel_futures=True)
+        # blocks start in order, so none before a failed one was cancelled
+        outcomes = [future.result() for future in submitted]
+    else:
+        outcomes = map(evaluate, starts)
+    blocks = []
+    failures: dict[int, str] = {}
+    for lo, (*cols, found) in zip(starts, outcomes):
         blocks.append(cols)
         failures.update((lo + i, message) for i, message in found.items())
     stable, max_real_part, e_n, baseline_e_n = map(np.concatenate, zip(*blocks))

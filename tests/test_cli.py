@@ -279,11 +279,27 @@ class TestUnwritableOutput:
         assert err.startswith("error: cannot write output: ")
         assert "Traceback" not in err
 
-    def test_sweep(self, tmp_path, capsys):
+    def test_sweep(self, tmp_path, capsys, monkeypatch):
+        def no_sweep(spec, jobs=1):
+            raise AssertionError("the sweep ran before --out was checked")
+
+        monkeypatch.setattr(sweep, "run_sweep", no_sweep)
         out = tmp_path / "missing" / "dir" / "x.csv"
         assert main(["sweep", "--preset", "fig3", "--grid", "0.5", "1.5", "3",
                      "--out", str(out)]) == 1
         self.assert_reported(capsys)
+
+    def test_failed_sweep_leaves_no_csv_behind(self, tmp_path, capsys):
+        # run_sweep rejects --jobs 0, after --out has been checked
+        out = tmp_path / "x.csv"
+        args = ["sweep", "--preset", "fig3", "--grid", "0.5", "1.5", "3",
+                "--jobs", "0"]
+        assert main(args + ["--out", str(out)]) == 1
+        assert "jobs" in capsys.readouterr().err
+        assert not out.exists()
+        out.write_text("earlier output\n")  # an existing file is left as it was
+        assert main(args + ["--out", str(out)]) == 1
+        assert out.read_text() == "earlier output\n"
 
     def test_point(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.json"

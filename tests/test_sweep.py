@@ -4,6 +4,14 @@ import csv
 import dataclasses
 import io
 import math
+import os
+import subprocess
+import sys
+import threading
+import zlib
+from collections import Counter
+from concurrent import futures
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +34,7 @@ from oemsim import (
     solve_steady_state,
     write_csv,
 )
-from oemsim import dynamics, gaussian, model
+from oemsim import dynamics, gaussian, model, sweep
 from oemsim.constants import C_LIGHT
 from oemsim.errors import SimulationError, UnphysicalCovarianceError
 from oemsim.model import _coherence_coefficients
@@ -492,6 +500,156 @@ class TestBlockEngine:
         single = evaluate_point(spec.base.replace(delta_c=spec.axis_scale),
                                 spec.pairs, baseline=True)
         assert single.error == model.POLE_MESSAGE
+
+
+class TestThreadedSweep:
+    """jobs > 1 runs the blocks on threads; the result may not depend on it."""
+
+    @pytest.fixture(autouse=True)
+    def four_cpus(self, monkeypatch):
+        # the pool is capped at the CPU count: fix it, so that jobs = 2 and 3
+        # start threads on any machine
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
+    @staticmethod
+    def injected_errors(monkeypatch):
+        """A solve error on every 31st problem of each block, named after the
+        problem's drift, so that failures fall in several blocks."""
+        real = dynamics.solve_lyapunov_batch
+
+        def batch(a, d):
+            sol = real(a, d)
+            for k in range(5, len(a), 31):
+                sol.errors[k] = SimulationError(
+                    f"injected {zlib.crc32(np.ascontiguousarray(a[k]).tobytes())}")
+            return sol
+
+        monkeypatch.setattr(dynamics, "solve_lyapunov_batch", batch)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES + ("mixed",))
+    def test_columns_failures_and_csv_equal_serial(self, name, monkeypatch, tmp_path):
+        fallbacks = []
+        if name == "mixed":
+            spec = dataclasses.replace(TestBlockEngine.mixed_spec(), count=181)
+            self.injected_errors(monkeypatch)
+            real = dynamics._kronecker_lyapunov
+            monkeypatch.setattr(dynamics, "_kronecker_lyapunov",
+                                lambda a, d: fallbacks.append(len(a)) or real(a, d))
+        else:
+            spec = preset(name)
+        results = {jobs: run_sweep(spec, jobs=jobs) for jobs in (1, 2, 3)}
+        serial = results[1]
+        for jobs, result in results.items():
+            write_csv(result, tmp_path / f"{jobs}.csv")
+            for column in ("x", "stable", "max_real_part", "e_n", "baseline_e_n"):
+                assert np.array_equal(getattr(result, column), getattr(serial, column),
+                                      equal_nan=True), (jobs, column)
+            assert list(result.failures.items()) == list(serial.failures.items())
+            assert list(result.failures) == sorted(result.failures)
+            assert ((tmp_path / f"{jobs}.csv").read_bytes()
+                    == (tmp_path / "1.csv").read_bytes())
+        if name == "mixed":
+            assert spec.count > 2 * BLOCK_POINTS
+            assert serial.failures[np.flatnonzero(serial.x == 1.0)[0]] == model.POLE_MESSAGE
+            assert len({i // BLOCK_POINTS for i in serial.failures}) == 3
+            assert 0 < serial.stable_count()
+            assert np.count_nonzero(~serial.stable) > serial.error_count()  # unstable
+            # x = 0's atom-free problem needs the fallback, once per jobs value
+            (zero,) = np.flatnonzero(serial.x == 0.0)
+            assert zero not in serial.failures
+            assert not np.isnan(serial.baseline_e_n[zero]).any()
+            assert len(fallbacks) == 3
+
+    def test_pool_size_is_bounded_by_blocks_and_cpus(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            """Stands in for ThreadPoolExecutor: records its size and runs
+            each submitted block at once, in the calling thread."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def submit(self, fn, *args):
+                future = futures.Future()
+                try:
+                    future.set_result(fn(*args))
+                except Exception as exc:
+                    future.set_exception(exc)
+                return future
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(futures, "ThreadPoolExecutor", SerialPool)
+        spec = narrowed(preset("fig6a"), -2.0, 2.0, 2 * BLOCK_POINTS + 1)  # 3 blocks
+        serial = run_sweep(spec, jobs=1)
+        assert sizes == []
+        for cpus, size in ((4, 3), (2, 2)):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            pooled = run_sweep(spec, jobs=10_000)
+            assert sizes.pop() == size
+            assert np.array_equal(pooled.e_n, serial.e_n, equal_nan=True)
+        for cpus in (1, None):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            run_sweep(spec, jobs=10_000)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        run_sweep(narrowed(spec, -2.0, 2.0, BLOCK_POINTS), jobs=4)  # one block
+        assert sizes == []
+
+    def test_failing_block_propagates_and_cancels_the_rest(self, monkeypatch):
+        released = threading.Event()
+
+        class Pool(futures.ThreadPoolExecutor):
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                # cancel the blocks not yet started, then let the running
+                # ones finish
+                super().shutdown(wait=False, cancel_futures=cancel_futures)
+                released.set()
+                super().shutdown(wait=wait)
+
+        spec = narrowed(preset("fig3"), -0.5, 1.5, 6 * BLOCK_POINTS)
+        first = spec.grid()[::BLOCK_POINTS] * spec.axis_scale
+        started = []
+        real = sweep._evaluate_block
+
+        def evaluate(block, pairs, base_pairs):
+            k = int(np.flatnonzero(first == block.delta_c[0])[0])
+            started.append(k)
+            if k == 1:
+                raise SimulationError("block 1 failed")
+            # block 0 waits until the failure has cancelled the pending
+            # blocks; any other block holds its thread until then too
+            assert released.wait(timeout=10)
+            return real(block, pairs, base_pairs)
+
+        monkeypatch.setattr(futures, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(sweep, "_evaluate_block", evaluate)
+        with pytest.raises(SimulationError, match="block 1 failed"):
+            run_sweep(spec, jobs=2)
+        assert {0, 1} <= set(started) <= {0, 1, 2}
+
+    def test_serial_sweep_never_imports_the_pool(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from oemsim import cli\n"
+            f"code = cli.main(['sweep', '--preset', 'fig3', '--out', {str(tmp_path / 'x.csv')!r}])\n"
+            "print(code, 'concurrent.futures' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "False"]
+
+    def test_warnings_match_serial(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "CONDITION_WARN", 1e6)
+        caught = {}
+        for jobs in (1, 2):
+            with pytest.warns(RuntimeWarning, match="ill-conditioned") as record:
+                run_sweep(preset("fig4"), jobs=jobs)
+            caught[jobs] = record.list
+        messages = [Counter(str(w.message) for w in caught[jobs]) for jobs in (1, 2)]
+        assert messages[0] == messages[1] and len(messages[0]) > 1
+        assert {Path(w.filename).name for w in caught[1] + caught[2]} == {"sweep.py"}
 
 
 def sweep_for_csv(name):
