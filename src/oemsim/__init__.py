@@ -17,7 +17,6 @@ from .model import (
     SteadyState,
     SystemParameters,
     derive,
-    drive_amplitudes,
     effective_atom_number,
     solve_steady_state,
     solve_steady_state_bare,
@@ -35,11 +34,9 @@ from .gaussian import (
     BOSONIC_PAIRS,
     BipartitePair,
     LogNegativity,
-    bosonic_block_determinants,
     extract_bipartite,
     log_negativity,
     normalize_pair_tag,
-    symmetry_defect,
 )
 from .sweep import (
     PRESET_NAMES,
@@ -78,11 +75,9 @@ __all__ = [
     "SweepSpec",
     "SystemParameters",
     "UnphysicalCovarianceError",
-    "bosonic_block_determinants",
     "build_diffusion",
     "build_drift",
     "derive",
-    "drive_amplitudes",
     "effective_atom_number",
     "evaluate_point",
     "extract_bipartite",
@@ -97,7 +92,6 @@ __all__ = [
     "solve_lyapunov",
     "solve_steady_state",
     "solve_steady_state_bare",
-    "symmetry_defect",
     "thermal_occupation",
     "write_csv",
 ]

@@ -239,31 +239,32 @@ def _sweep_spec(args) -> sweep.SweepSpec:
 def _cmd_sweep(args) -> int:
     spec = _sweep_spec(args)
     out = Path(args.out)
-    created = not out.exists()
-    out.open("a").close()  # an unwritable --out fails here, before the sweep
+    meta_path = Path(f"{args.out}.meta.json")
+    created = [path for path in (out, meta_path) if not path.exists()]
     try:
+        for path in (out, meta_path):
+            path.open("a").close()  # an unwritable path fails here, before the sweep
         result = sweep.run_sweep(spec, jobs=args.jobs)
+        sweep.write_csv(result, out)
+        meta = {
+            "tool": {"name": "oemsim", "version": __version__},
+            "name": spec.name,
+            "varied": spec.varied,
+            "axis": {"label": spec.axis, "scale_rad_per_s": spec.axis_scale,
+                     "start": spec.start, "stop": spec.stop, "count": spec.count},
+            "pairs": list(spec.pairs),
+            "baseline": spec.baseline,
+            "notes": list(spec.notes),
+            "params": params_to_config(spec.base),
+            "counts": {"points": len(result.x),
+                       "stable": result.stable_count(),
+                       "errors": result.error_count()},
+        }
+        meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     except BaseException:
-        if created:
-            out.unlink(missing_ok=True)
+        for path in created:
+            path.unlink(missing_ok=True)
         raise
-    sweep.write_csv(result, out)
-    meta = {
-        "tool": {"name": "oemsim", "version": __version__},
-        "name": spec.name,
-        "varied": spec.varied,
-        "axis": {"label": spec.axis, "scale_rad_per_s": spec.axis_scale,
-                 "start": spec.start, "stop": spec.stop, "count": spec.count},
-        "pairs": list(spec.pairs),
-        "baseline": spec.baseline,
-        "notes": list(spec.notes),
-        "params": params_to_config(spec.base),
-        "counts": {"points": len(result.x),
-                   "stable": result.stable_count(),
-                   "errors": result.error_count()},
-    }
-    Path(f"{args.out}.meta.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n")
     if result.error_count() == len(result.x):
         print("error: every grid point failed", file=sys.stderr)
         return 2

@@ -123,22 +123,3 @@ def log_negativities(cm: np.ndarray) -> tuple[
         errors[int(k)] = UnphysicalCovarianceError(msg)
     return e_n, eta_minus, errors
 
-
-def bosonic_block_determinants(v: np.ndarray) -> np.ndarray:
-    """Determinants of the three bosonic single-mode reduced CMs.
-
-    Each must be >= 1/4 for a physical state in the vacuum-variance-1/2
-    convention. The atomic quasi-mode blocks are deliberately excluded: they
-    are linearized transition coherences, not bosonic modes, so the bound does
-    not apply to them.
-    """
-    return np.array([
-        np.linalg.det(v[0:2, 0:2]),
-        np.linalg.det(v[2:4, 2:4]),
-        np.linalg.det(v[4:6, 4:6]),
-    ])
-
-
-def symmetry_defect(v: np.ndarray) -> float:
-    """Largest absolute asymmetry of a covariance matrix."""
-    return float(np.max(np.abs(v - v.T)))

@@ -179,12 +179,6 @@ def effective_atom_number(params: SystemParameters) -> float:
     return params.r_a / params.kappa_a
 
 
-def drive_amplitudes(params: SystemParameters) -> tuple[float, float]:
-    """Optical and microwave drive amplitudes (e_c, e_w); see derive."""
-    der = derive(params)
-    return der.e_c, der.e_w
-
-
 def derive(params: SystemParameters) -> DerivedQuantities:
     """Drive frequency, bare couplings and drive amplitudes.
 

@@ -144,12 +144,12 @@ def evaluate_point(params: model.SystemParameters, pairs: tuple[str, ...],
 
     Never raises for per-point numerical trouble: instability comes back as a
     flagged record and solver failures as an error record, so grid scans keep
-    going.
+    going. The record's x is delta_c / omega_m, the default sweep axis.
     """
     pairs = tuple(gaussian.normalize_pair_tag(t) for t in pairs)
     base_pairs = _baseline_pairs(pairs) if baseline else ()
     block = model.parameter_block(params, "delta_c", [params.delta_c])  # one point
-    return _records(np.array([math.nan]), pairs, base_pairs,
+    return _records(np.array([params.delta_c / params.omega_m]), pairs, base_pairs,
                     *_evaluate_block(block, pairs, base_pairs))[0]
 
 

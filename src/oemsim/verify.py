@@ -3,7 +3,8 @@
 Four routes to cross-check the production pipeline: a fixed-step time-domain
 integration of the covariance flow, a brute-force vectorized Lyapunov solve,
 analytic two-mode Gaussian states with known entanglement, and a separate
-6-mode model of the atom-free system.
+6-mode model of the atom-free system. They have their own Hurwitz gate and
+logarithmic negativity, and import nothing from dynamics or gaussian.
 """
 
 from __future__ import annotations
@@ -15,9 +16,23 @@ import numpy as np
 
 from .constants import C_LIGHT, HBAR, K_B
 from .errors import ConvergenceError, StabilityError
-from .dynamics import is_stable
-from .gaussian import log_negativity
 from .model import SystemParameters
+
+
+def is_stable(a: np.ndarray) -> tuple[bool, float]:
+    """The oracles' own Hurwitz gate: (abscissa < -1e-12, spectral abscissa)."""
+    abscissa = float(np.max(np.linalg.eigvals(a).real))
+    return abscissa < -1e-12, abscissa
+
+
+def _lyapunov_operator(a: np.ndarray, what: str) -> np.ndarray:
+    """I (x) a + a (x) I, the vectorized Lyapunov operator of a stable drift."""
+    stable, abscissa = is_stable(a)
+    if not stable:
+        raise StabilityError(
+            f"{what} requires a stable drift (spectral abscissa {abscissa:.3e})")
+    eye = np.eye(a.shape[0])
+    return np.kron(eye, a) + np.kron(a, eye)
 
 
 @dataclass(frozen=True)
@@ -64,13 +79,8 @@ def integrate_covariance(a: np.ndarray, d: np.ndarray,
     decays monotonically this is the decision of testing every step.
     """
     cfg = cfg or IntegrationConfig()
-    report = is_stable(a)
-    if not report.stable:
-        raise StabilityError(
-            f"covariance flow requested for unstable drift (spectral abscissa "
-            f"{report.max_real_part:.3e})")
+    lyap_op = _lyapunov_operator(a, "covariance flow")
     n = a.shape[0]
-    lyap_op = np.kron(np.eye(n), a) + np.kron(a, np.eye(n))
     d_vec = d.reshape(-1)
     hk = cfg.dt * lyap_op
     hk2 = hk @ hk
@@ -143,31 +153,55 @@ def lyapunov_bruteforce(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     roundoff at this problem size; used as the independent reference against
     the production solver.
     """
-    report = is_stable(a)
-    if not report.stable:
-        raise StabilityError(
-            f"reference Lyapunov solve requires a stable drift (spectral "
-            f"abscissa {report.max_real_part:.3e})")
-    n = a.shape[0]
-    eye = np.eye(n)
-    op = np.kron(eye, a) + np.kron(a, eye)
+    op = _lyapunov_operator(a, "reference Lyapunov solve")
     try:
         vec = np.linalg.solve(op, -d.reshape(-1))
     except np.linalg.LinAlgError as exc:
         raise StabilityError(
             f"vectorized Lyapunov system is singular (marginal stability): {exc}"
         ) from exc
-    v = vec.reshape(n, n)
+    v = vec.reshape(a.shape)
     return 0.5 * (v + v.T)
+
+
+def symplectic_log_negativity(cm: np.ndarray) -> float:
+    """Logarithmic negativity of a 4x4 two-mode CM from its symplectic spectrum.
+
+    eta_minus, the smallest symplectic eigenvalue of the partial transpose
+    P cm P with P = diag(1, 1, 1, -1), is the smallest modulus among the
+    eigenvalues of i Omega P cm P; e_n = max(0, -ln(2 eta_minus)).
+    """
+    p = np.diag([1.0, 1.0, 1.0, -1.0])  # reflects the second mode's momentum
+    omega = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])  # symplectic form
+    eta_minus = np.min(np.abs(np.linalg.eigvals(1j * omega @ p @ cm @ p)))
+    return max(0.0, -math.log(2.0 * eta_minus))
+
+
+def bosonic_block_determinants(v: np.ndarray) -> np.ndarray:
+    """Determinants of the three bosonic single-mode reduced CMs.
+
+    Each must be >= 1/4 for a physical state in the vacuum-variance-1/2
+    convention. The atomic quasi-mode blocks are deliberately excluded: they
+    are linearized transition coherences, not bosonic modes, so the bound does
+    not apply to them.
+    """
+    return np.array([np.linalg.det(v[k:k + 2, k:k + 2]) for k in (0, 2, 4)])
+
+
+def symmetry_defect(v: np.ndarray) -> float:
+    """Largest absolute asymmetry of a covariance matrix."""
+    return float(np.max(np.abs(v - v.T)))
 
 
 # Atom-free 6-mode reference. Deliberately self-contained: own Bose factor,
 # own drive amplitudes, own bare-cavity working point, literal 6x6 matrices,
-# own vectorized Lyapunov solve. It must stay decoupled from model/dynamics so
+# the oracles' own solve. It must stay decoupled from model/dynamics so
 # that comparing it with the production baseline (the 10-mode pipeline at
 # g = 0, r_a = 0) is a real check, and so no atomic parameter can leak in.
 
-_BASELINE_BLOCKS = {"mr_oc": (0, 2), "mr_mc": (0, 4), "oc_mc": (2, 4)}
+# np.ix_ index of each bosonic pair's 4x4 block of the 6x6 covariance
+_BASELINE_BLOCKS = {tag: np.ix_(rows, rows) for tag, rows in [
+    ("mr_oc", [0, 1, 2, 3]), ("mr_mc", [0, 1, 4, 5]), ("oc_mc", [2, 3, 4, 5])]}
 
 
 def atom_free_point(params: SystemParameters,
@@ -209,14 +243,8 @@ def atom_free_point(params: SystemParameters,
     n_w = bose(params.omega_w)
     d = np.diag([0.0, gm * (2 * n_m + 1), kc, kc,
                  kw * (2 * n_w + 1), kw * (2 * n_w + 1)])
-    if np.max(np.linalg.eigvals(a).real) >= -1e-12:
+    try:
+        v = lyapunov_bruteforce(a, d)
+    except StabilityError:  # no steady state, so no entanglement to report
         return {}
-    op = np.kron(np.eye(6), a) + np.kron(a, np.eye(6))
-    v = np.linalg.solve(op, -d.reshape(-1)).reshape(6, 6)
-    v = 0.5 * (v + v.T)
-    out: dict[str, float] = {}
-    for tag in pairs:
-        i, j = _BASELINE_BLOCKS[tag]
-        idx = [i, i + 1, j, j + 1]
-        out[tag] = log_negativity(v[np.ix_(idx, idx)]).e_n
-    return out
+    return {tag: symplectic_log_negativity(v[_BASELINE_BLOCKS[tag]]) for tag in pairs}

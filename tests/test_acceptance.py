@@ -21,7 +21,6 @@ from _support import base_params, oracle_config
 from oemsim import (
     IntegrationConfig,
     StabilityError,
-    bosonic_block_determinants,
     build_diffusion,
     build_drift,
     evaluate_point,
@@ -34,10 +33,9 @@ from oemsim import (
     run_sweep,
     solve_lyapunov,
     solve_steady_state,
-    symmetry_defect,
 )
 from oemsim.cli import main
-from oemsim.verify import atom_free_point
+from oemsim.verify import atom_free_point, bosonic_block_determinants, symmetry_defect
 
 PRESETS = ("fig2", "fig3", "fig4", "fig5", "fig6a", "fig6b", "fig6c")
 GOLDEN_DIR = Path(__file__).parent / "golden"

@@ -289,6 +289,30 @@ class TestUnwritableOutput:
                      "--out", str(out)]) == 1
         self.assert_reported(capsys)
 
+    def test_sweep_sidecar_is_checked_before_the_grid(self, tmp_path, capsys,
+                                                      monkeypatch):
+        def no_sweep(spec, jobs=1):
+            raise AssertionError("the sweep ran before the sidecar was checked")
+
+        monkeypatch.setattr(sweep, "run_sweep", no_sweep)
+        out = tmp_path / "x.csv"
+        (tmp_path / "x.csv.meta.json").mkdir()
+        assert main(["sweep", "--preset", "fig3", "--out", str(out)]) == 1
+        self.assert_reported(capsys)
+        assert not out.exists()
+
+    def test_failed_write_leaves_neither_file_behind(self, tmp_path, capsys,
+                                                     monkeypatch):
+        def full_disk(result, path):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(sweep, "write_csv", full_disk)
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--preset", "fig3", "--grid", "0.5", "1.5", "3",
+                     "--out", str(out)]) == 1
+        self.assert_reported(capsys)
+        assert sorted(tmp_path.iterdir()) == []
+
     def test_failed_sweep_leaves_no_csv_behind(self, tmp_path, capsys):
         # run_sweep rejects --jobs 0, after --out has been checked
         out = tmp_path / "x.csv"

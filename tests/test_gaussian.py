@@ -11,12 +11,10 @@ from oemsim import (
     BIPARTITE_PAIRS,
     BOSONIC_PAIRS,
     UnphysicalCovarianceError,
-    bosonic_block_determinants,
     extract_bipartite,
     log_negativity,
     make_tmsv,
     normalize_pair_tag,
-    symmetry_defect,
 )
 from oemsim.gaussian import log_negativities
 
@@ -171,17 +169,3 @@ class TestBatchedLogNegativity:
         for cm, value, eta in zip(stack, e_n, eta_minus):
             single = log_negativity(cm)
             assert (single.e_n, single.eta_minus) == (value, eta)
-
-
-class TestWholeMatrixHelpers:
-    def test_bosonic_block_determinants(self):
-        v = np.diag(np.arange(1.0, 11.0))
-        # LU-based det carries last-bit rounding, so compare to tolerance
-        assert np.allclose(bosonic_block_determinants(v),
-                           [2.0, 12.0, 30.0], rtol=1e-12, atol=0.0)
-
-    def test_symmetry_defect(self):
-        v = np.eye(10)
-        assert symmetry_defect(v) == 0.0
-        v[0, 1] += 1e-9
-        assert symmetry_defect(v) == pytest.approx(1e-9, rel=1e-12)

@@ -13,7 +13,6 @@ from oemsim import (
     ParameterError,
     SingularityError,
     derive,
-    drive_amplitudes,
     effective_atom_number,
     solve_steady_state,
     solve_steady_state_bare,
@@ -80,14 +79,14 @@ class TestDerivedQuantities:
         assert der.g_ow_bare == pytest.approx(G_OW_BARE, rel=1e-13)
 
     def test_drive_amplitudes(self):
-        e_c, e_w = drive_amplitudes(base_params())
-        assert e_c == pytest.approx(E_C_BASE, rel=1e-13)
-        assert e_w == pytest.approx(E_W_BASE, rel=1e-13)
+        der = derive(base_params())
+        assert der.e_c == pytest.approx(E_C_BASE, rel=1e-13)
+        assert der.e_w == pytest.approx(E_W_BASE, rel=1e-13)
 
     def test_undriven_amplitudes_are_zero(self):
-        e_c, e_w = drive_amplitudes(base_params(power_c=0.0, power_w=0.0))
-        assert e_c == 0.0
-        assert e_w == 0.0
+        der = derive(base_params(power_c=0.0, power_w=0.0))
+        assert der.e_c == 0.0
+        assert der.e_w == 0.0
 
     def test_effective_atom_number(self):
         params = base_params()

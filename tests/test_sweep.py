@@ -208,6 +208,12 @@ class TestEvaluatePoint:
         assert set(rec.e_n) == {"mr_mc", "oc_mc"}
         assert rec.max_real_part < 0.0  # 1/s, physical units
 
+    def test_repeated_evaluations_compare_equal(self):
+        params = preset("fig3").base
+        rec = evaluate_point(params, ("mr_mc", "oc_mc"), baseline=True)
+        assert rec.x == params.delta_c / params.omega_m  # the default axis
+        assert evaluate_point(params, ("mr_mc", "oc_mc"), baseline=True) == rec
+
     def test_unstable_point_carries_no_entanglement(self):
         rec = evaluate_point(base_params(delta_c=-OMEGA_M), ("mr_oc",))
         assert rec.stable is False

@@ -1,7 +1,9 @@
 """Independent oracles: covariance-flow integration, brute-force Lyapunov
 reference, and analytic two-mode states."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,13 @@ from oemsim import (
     make_tmsv,
     solve_lyapunov,
     solve_steady_state,
+)
+from oemsim import dynamics, gaussian, verify
+from oemsim.verify import (
+    atom_free_point,
+    bosonic_block_determinants,
+    symmetry_defect,
+    symplectic_log_negativity,
 )
 
 
@@ -162,3 +171,103 @@ class TestLyapunovBruteforce:
     def test_unstable_drift_rejected(self):
         with pytest.raises(StabilityError):
             lyapunov_bruteforce(np.diag([0.5, -1.0]), np.eye(2))
+
+
+class TestWholeMatrixHelpers:
+    def test_bosonic_block_determinants(self):
+        v = np.diag(np.arange(1.0, 11.0))
+        # LU-based det carries last-bit rounding, so compare to tolerance
+        assert np.allclose(bosonic_block_determinants(v),
+                           [2.0, 12.0, 30.0], rtol=1e-12, atol=0.0)
+
+    def test_symmetry_defect(self):
+        v = np.eye(10)
+        assert symmetry_defect(v) == 0.0
+        v[0, 1] += 1e-9
+        assert symmetry_defect(v) == pytest.approx(1e-9, rel=1e-12)
+
+
+class TestGate:
+    def test_abscissa_and_strict_guard(self):
+        assert verify.is_stable(np.diag([-1.0, -2.0])) == (True, -1.0)
+        assert verify.is_stable(np.diag([-1.0, 1.0])) == (False, 1.0)
+        assert not verify.is_stable(np.diag([-1.0, -5e-13]))[0]
+        assert verify.is_stable(np.diag([-1.0, -2e-12]))[0]
+        assert not verify.is_stable(np.zeros((3, 3)))[0]
+
+    def test_oracles_name_the_abscissa(self):
+        a = np.diag([0.5, -1.0])
+        for oracle in (lyapunov_bruteforce, integrate_covariance):
+            with pytest.raises(StabilityError, match=r"spectral abscissa 5\.000e-01"):
+                oracle(a, np.eye(2))
+
+    def test_atom_free_point_is_empty_when_unstable(self):
+        params = base_params(g=0.0, r_a=0.0, delta_c=-OMEGA_M)
+        assert atom_free_point(params, ("mr_oc",)) == {}
+
+
+class TestSymplecticLogNegativity:
+    def test_two_mode_squeezed_vacuum(self):
+        for r in (0.0, 0.5, 1.0, 2.0):
+            assert abs(symplectic_log_negativity(make_tmsv(r)) - 2.0 * r) <= 1e-9
+
+    def test_thermal_states_are_separable(self):
+        for n1, n2 in ((0.0, 0.0), (0.5, 4.0), (30.0, 30.0)):
+            thermal = np.diag([n1 + 0.5, n1 + 0.5, n2 + 0.5, n2 + 0.5])
+            assert symplectic_log_negativity(thermal) == 0.0
+
+    def test_agrees_with_the_closed_form_invariant(self):
+        # thermalized two-mode squeezed states, locally squeezed and rotated
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            local = np.zeros((4, 4))
+            for k in (0, 2):
+                theta, sq = rng.uniform(0.0, math.pi), math.exp(rng.uniform(-1.0, 1.0))
+                c, s = math.cos(theta), math.sin(theta)
+                local[k:k + 2, k:k + 2] = np.array([[c, s], [-s, c]]) @ np.diag([sq, 1 / sq])
+            cm = local @ make_tmsv(rng.uniform(0.0, 2.0), rng.uniform(0.0, 1.0)) @ local.T
+            assert abs(symplectic_log_negativity(cm) - log_negativity(cm).e_n) <= 1e-9
+
+
+class TestIndependence:
+    def test_verify_imports_nothing_from_dynamics_or_gaussian(self):
+        # covers `from .dynamics import x`, `from . import gaussian`,
+        # `from oemsim import dynamics` and `import oemsim.gaussian`
+        for node in ast.walk(ast.parse(Path(verify.__file__).read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = (node.module or "").split(".") + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [part for a in node.names for part in a.name.split(".")]
+            else:
+                continue
+            assert not {"dynamics", "gaussian"} & set(names), ast.unparse(node)
+
+    def test_oracles_do_not_run_production_code(self, monkeypatch):
+        # a production gate that passes nothing and a production E_N that
+        # always fails must leave every oracle's answer exactly as it was
+        rng = np.random.default_rng(11)
+        a = random_stable(rng, 4)
+        d = np.eye(4)
+        cfg = IntegrationConfig(dt=0.05, t_max=200.0, tol=1e-10)
+        params = base_params(g=0.0, r_a=0.0, delta_c=OMEGA_M)  # criterion 09
+        pairs = ("mr_oc", "mr_mc", "oc_mc")
+
+        def run():
+            return (lyapunov_bruteforce(a, d), integrate_covariance(a, d, cfg),
+                    atom_free_point(params, pairs))
+
+        brute, flow, reduced = run()
+        assert reduced["mr_oc"] > 0.1
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("production log-negativity called")
+
+        monkeypatch.setattr(dynamics, "STABILITY_TOL", math.inf)
+        monkeypatch.setattr(gaussian, "log_negativities", broken)
+        assert not dynamics.is_stable(a).stable  # both patches are live
+        with pytest.raises(RuntimeError, match="production"):
+            log_negativity(make_tmsv(1.0))
+        patched = run()
+        assert np.array_equal(patched[0], brute)
+        assert np.array_equal(patched[1], flow)
+        assert patched[2] == reduced
