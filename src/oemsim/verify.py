@@ -56,9 +56,18 @@ def integrate_covariance(a: np.ndarray, d: np.ndarray,
                          cfg: IntegrationConfig | None = None) -> np.ndarray:
     """Integrate dV/dt = a V + V a^T + d from the vacuum until stationary.
 
-    Classical fourth-order Runge-Kutta with a fixed step. The flow is linear
-    in the stacked covariance v = vec(V), so one RK4 step is a fixed affine
-    map v -> M v + G d = v + G (L v + d), where L v + d is dV/dt. The stationary
+    Classical fourth-order Runge-Kutta with a fixed step, on the n(n+1)/2
+    unknowns v_pq, p <= q, of the symmetric covariance: v = vech(V). The flow
+    maps symmetric matrices to symmetric matrices, so their space is invariant
+    under it, under the RK4 step and under every power of the step, and the
+    reduction is exact. On vec(V) the flow is L = I (x) a + a (x) I; on v it
+    is E L D, where the duplication matrix D spreads v over vec(V) and the
+    elimination rows E keep the entries p <= q. d is read through its
+    symmetric part (d + d^T)/2; its antisymmetric part would only drive an
+    antisymmetric component, which a covariance does not have.
+
+    The flow is linear in v, so one RK4 step is a fixed affine map
+    v -> M v + G d = v + G (L v + d), where L v + d is dV/dt. The stationary
     point of the exact flow is also the exact fixed point of the discrete map,
     so the step size only has to keep the iteration stable, not accurate.
 
@@ -79,21 +88,25 @@ def integrate_covariance(a: np.ndarray, d: np.ndarray,
     decays monotonically this is the decision of testing every step.
     """
     cfg = cfg or IntegrationConfig()
-    lyap_op = _lyapunov_operator(a, "covariance flow")
     n = a.shape[0]
-    d_vec = d.reshape(-1)
+    rows, cols = np.triu_indices(n)
+    upper = rows * n + cols  # vec index of each unknown v_pq, p <= q
+    k = np.arange(upper.size)
+    dup = np.zeros((n * n, upper.size))  # D: vec(V) = D v
+    dup[upper, k] = dup[cols * n + rows, k] = 1.0
+    lyap_op = _lyapunov_operator(a, "covariance flow")[upper] @ dup
+    d_vec = (0.5 * (d + d.T))[rows, cols]
     hk = cfg.dt * lyap_op
     hk2 = hk @ hk
     hk3 = hk2 @ hk
-    # RK4 one-step map vec(V) -> step_op vec(V) + gain d_vec
-    eye = np.eye(n * n)
+    # RK4 one-step map v -> step_op v + gain d_vec
+    eye = np.eye(upper.size)
     step_op = eye + hk + hk2 / 2.0 + hk3 / 6.0 + (hk2 @ hk2) / 24.0
     gain = cfg.dt * (eye + hk / 2.0 + hk2 / 6.0 + hk3 / 24.0)
-    v = (0.5 * np.eye(n)).reshape(-1)
+    v = (0.5 * np.eye(n))[rows, cols]
 
     def result(v: np.ndarray) -> np.ndarray:
-        out = v.reshape(n, n)
-        return 0.5 * (out + out.T)
+        return (dup @ v).reshape(n, n)
 
     last = int(math.ceil(cfg.t_max / cfg.dt)) - 1
     deriv = lyap_op @ v + d_vec

@@ -19,7 +19,6 @@ import pytest
 
 from _support import base_params, oracle_config
 from oemsim import (
-    IntegrationConfig,
     StabilityError,
     build_diffusion,
     build_drift,
@@ -90,17 +89,8 @@ def test_criterion_02_oracle_triangulation(scans):
             v_brute = lyapunov_bruteforce(pt.a, pt.d)
             assert np.max(np.abs(v_brute - pt.v)) <= 1e-9 * v_scale, \
                 f"{name} x={pt.x}: brute-force disagreement"
-            # fixed-step integration: step from the spectrum, tolerance and
-            # horizon from the slowest decay and the target relative error
-            ev = np.linalg.eigvals(pt.a)
-            rho = float(np.max(np.abs(ev[:, None] + ev[None, :])))
-            decay = 2.0 * abs(pt.abscissa)
-            tol = 1e-2 * decay * 1e-6 * v_scale
-            v0dot = float(np.max(np.abs(0.5 * (pt.a + pt.a.T) + pt.d
-                                        + 0.5 * (pt.a + pt.a.T))))
-            t_need = math.log(max(v0dot, 10.0 * tol) / tol) / decay
-            cfg = IntegrationConfig(dt=2.5 / rho, t_max=2.5 * t_need, tol=tol)
-            v_int = integrate_covariance(pt.a, pt.d, cfg)
+            v_int = integrate_covariance(
+                pt.a, pt.d, oracle_config(pt.a, pt.d, v_scale))
             assert np.max(np.abs(v_int - pt.v)) <= 1e-6 * v_scale, \
                 f"{name} x={pt.x}: integration disagreement"
 

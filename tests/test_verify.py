@@ -99,6 +99,32 @@ class TestIntegrateCovariance:
         v_int = integrate_covariance(a, d)
         assert np.max(np.abs(v_int - v_ref)) <= 1e-8 * np.max(np.abs(v_ref))
 
+    @pytest.mark.parametrize("n", [2, 4, 6, 10])
+    def test_reduction_agrees_with_full_space_solve(self, n):
+        # lyapunov_bruteforce solves on all n^2 entries and assumes no
+        # symmetry, so it checks the flow's reduction to n(n+1)/2 unknowns
+        rng = np.random.default_rng(20 + n)
+        m = rng.normal(size=(n, n)) + 4.0 * np.triu(rng.normal(size=(n, n)), 1)
+        a = m - (np.max(np.linalg.eigvals(m).real) + 0.5) * np.eye(n)
+        departure = np.linalg.norm(a @ a.T - a.T @ a) / np.linalg.norm(a) ** 2
+        assert departure > 0.3  # far from normal
+        r = rng.normal(size=(n, n))
+        d = r @ r.T + np.eye(n)
+        v_ref = lyapunov_bruteforce(a, d)
+        v_int = integrate_covariance(a, d)
+        assert np.max(np.abs(v_int - v_ref)) <= 1e-10 * np.max(np.abs(v_ref))
+
+    def test_reads_the_symmetric_part_of_the_diffusion(self):
+        rng = np.random.default_rng(4)
+        a = random_stable(rng, 6)
+        d = rng.normal(size=(6, 6)) + 6.0 * np.eye(6)
+        sym = 0.5 * (d + d.T)
+        v = integrate_covariance(a, d)
+        assert np.array_equal(v, integrate_covariance(a, sym))
+        # the full-space solve with the asymmetric d, then symmetrized
+        v_ref = lyapunov_bruteforce(a, d)
+        assert np.max(np.abs(v - v_ref)) <= 1e-10 * np.max(np.abs(v_ref))
+
     def test_matches_solver_on_preset_point(self):
         # stiff case: atomic detuning three decades above the mechanics
         a, d = point_matrices(base_params())
@@ -243,8 +269,9 @@ class TestIndependence:
             assert not {"dynamics", "gaussian"} & set(names), ast.unparse(node)
 
     def test_oracles_do_not_run_production_code(self, monkeypatch):
-        # a production gate that passes nothing and a production E_N that
-        # always fails must leave every oracle's answer exactly as it was
+        # a production gate that passes nothing, and a production E_N and
+        # symmetric Lyapunov operator that always fail, must leave every
+        # oracle's answer exactly as it was
         rng = np.random.default_rng(11)
         a = random_stable(rng, 4)
         d = np.eye(4)
@@ -260,13 +287,19 @@ class TestIndependence:
         assert reduced["mr_oc"] > 0.1
 
         def broken(*args, **kwargs):
-            raise RuntimeError("production log-negativity called")
+            raise RuntimeError("production code called")
 
+        # _kronecker_lyapunov is production's own operator on the unknowns
+        # of a symmetric covariance; the flow builds its reduction itself
         monkeypatch.setattr(dynamics, "STABILITY_TOL", math.inf)
         monkeypatch.setattr(gaussian, "log_negativities", broken)
-        assert not dynamics.is_stable(a).stable  # both patches are live
+        monkeypatch.setattr(dynamics, "_kronecker_lyapunov", broken)
+        # all three patches are live
+        assert not dynamics.is_stable(a).stable
         with pytest.raises(RuntimeError, match="production"):
             log_negativity(make_tmsv(1.0))
+        with pytest.raises(RuntimeError, match="production"):
+            dynamics._kronecker_lyapunov(a[None], d[None])
         patched = run()
         assert np.array_equal(patched[0], brute)
         assert np.array_equal(patched[1], flow)
