@@ -2,8 +2,14 @@
 
 Run from the repository root after any intentional physics change, then review
 the diff before committing. The test suite pins against these files.
+
+    python scripts/make_goldens.py [--out DIR]
+
+--out writes the files into DIR instead (created if missing), which leaves
+the committed goldens alone: a fresh set can be compared against them.
 """
 
+import argparse
 import dataclasses
 import json
 import math
@@ -15,11 +21,15 @@ from oemsim import preset, run_sweep, write_csv
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden"
 
 
-def main() -> int:
-    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, default=GOLDEN_DIR, metavar="DIR",
+                        help="output directory (default: tests/golden)")
+    out = parser.parse_args(argv).out
+    out.mkdir(parents=True, exist_ok=True)
     for name in ("fig2", "fig3", "fig4", "fig5", "fig6a", "fig6b", "fig6c"):
         result = run_sweep(preset(name))
-        write_csv(result, GOLDEN_DIR / f"{name}.csv")
+        write_csv(result, out / f"{name}.csv")
         print(f"{name}: {result.stable_count()}/{len(result.x)} stable, "
               f"{result.error_count()} errors")
 
@@ -31,8 +41,7 @@ def main() -> int:
         result = run_sweep(dataclasses.replace(spec, base=spec.base.replace(g=g)))
         peaks.append(float(result.e_n[result.stable, column].max()))
     payload = {"couplings_rad_s": couplings, "peak_en_oc_sba": peaks}
-    (GOLDEN_DIR / "fig5_peaks.json").write_text(
-        json.dumps(payload, indent=2) + "\n")
+    (out / "fig5_peaks.json").write_text(json.dumps(payload, indent=2) + "\n")
     print("fig5 peaks:", peaks)
     return 0
 

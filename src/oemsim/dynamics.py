@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SimulationError, StabilityError
-from .model import SteadyState, SystemParameters, _occupation, effective_atom_number
+from .model import (SteadyState, SystemParameters, _occupation, _points,
+                    effective_atom_number)
 
 #: strict-negativity guard on the spectral abscissa, relative to the rate scale
 STABILITY_TOL = 1e-12
@@ -52,15 +53,21 @@ _DRIFT_SLOTS = _slots(
 _DIFFUSION_SLOTS = _slots(*((k, k) for k in range(1, 10)))
 
 
-def _assemble(slots: np.ndarray, entries: list, omega_m) -> np.ndarray:
+def _assemble(slots: np.ndarray, entries: list, omega_m,
+              points: tuple[int, ...]) -> np.ndarray:
     """Scatter entries / omega_m into a zeroed 10x10 matrix at the flat slots.
 
-    Float entries give one matrix; the equal-length columns of a
-    ParameterBlock give an (m, 10, 10) stack, one matrix per point.
+    At points == () the entries are floats and give one matrix. A
+    ParameterBlock's points == (m,) give an (m, 10, 10) stack, one matrix
+    per point; each entry is then a column or a float, the same at every
+    point, and so is omega_m.
     """
-    points = getattr(omega_m, "shape", ())  # () for a float, (m,) for a column
     out = np.zeros((100,) + points)
-    out[slots] = entries
+    if points:
+        for slot, entry in zip(slots.tolist(), entries):
+            out[slot] = entry
+    else:
+        out[slots] = entries
     out /= omega_m
     return out.T.reshape(points + (10, 10))
 
@@ -72,7 +79,8 @@ def build_drift(params: SystemParameters, ss: SteadyState) -> np.ndarray:
     intracavity atom number; with equal populations and coherence the two
     position-like couplings cancel exactly. Every entry is divided by
     omega_m, which the covariance solution is provably invariant under. A
-    ParameterBlock and its SteadyState give the (m, 10, 10) stack.
+    ParameterBlock and its SteadyState give the (m, 10, 10) stack; an entry
+    that no column reaches is computed once, as a float.
     """
     p = params
     om = p.omega_m
@@ -91,7 +99,7 @@ def build_drift(params: SystemParameters, ss: SteadyState) -> np.ndarray:
         # lower transition quasi-mode (opposite rotation sense)
         gn * (p.rho_cc0 - p.rho_ca0), -p.kappa_a, -p.delta_a2,
         -gn * (p.rho_cc0 + p.rho_ca0), p.delta_a2, -p.kappa_a,
-    ], om)
+    ], om, _points(p))
 
 
 def build_diffusion(params: SystemParameters) -> np.ndarray:
@@ -101,7 +109,8 @@ def build_diffusion(params: SystemParameters) -> np.ndarray:
     optical and atomic channels are taken at zero thermal occupation (optical
     and atomic frequencies put their thermal factors at ~1 for any cryogenic
     temperature), so those entries are the bare decay rates. Entries are in
-    units of omega_m, as the drift's; a ParameterBlock gives the stack.
+    units of omega_m, as the drift's. A ParameterBlock gives the (m, 10, 10)
+    stack, also where no entry varies (a block along delta_c, say).
     """
     p = params
     om, temperature = p.omega_m, p.temperature
@@ -113,7 +122,7 @@ def build_diffusion(params: SystemParameters) -> np.ndarray:
         kappa_c, kappa_c,
         microwave, microwave,
         kappa_a, kappa_a, kappa_a, kappa_a,
-    ], om)
+    ], om, _points(p))
 
 
 def is_stable(a: np.ndarray) -> StabilityReport:

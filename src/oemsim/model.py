@@ -99,23 +99,35 @@ class SystemParameters:
 
 _FIELD_NAMES = tuple(f.name for f in dataclasses.fields(SystemParameters))
 
-#: SystemParameters' fields as equal-length float columns, one entry per point,
-#: unvalidated. derive, solve_steady_state, thermal_occupation, build_drift and
-#: build_diffusion take one in place of a SystemParameters and return columns
-#: and (m, 10, 10) stacks; dataclasses.replace swaps columns.
+#: SystemParameters' fields for m points at once, unvalidated: the varied
+#: field as a float column of shape (m,), one entry per point, and every other
+#: field as a float, the same at every point. derive, solve_steady_state,
+#: build_drift and build_diffusion take one in place of a SystemParameters.
+#: They compute each constant once in float arithmetic, which rounds + - * /
+#: and sqrt as numpy does on a column, and only what the columns reach in
+#: columns; they give a SteadyState of columns and (m, 10, 10) stacks equal to
+#: the single-point results bit for bit. dataclasses.replace swaps a field for
+#: a column or a float; the private field _points keeps the shape (m,), so a
+#: block whose only column was replaced by a float still stands for m points.
 ParameterBlock = dataclasses.make_dataclass(
-    "ParameterBlock", _FIELD_NAMES, frozen=True, eq=False,
+    "ParameterBlock", _FIELD_NAMES + ("_points",), frozen=True, eq=False,
     namespace={"__module__": __name__})
 
 
 def parameter_block(base: SystemParameters, varied: str,
                     column: np.ndarray | list[float]) -> ParameterBlock:
     """The points of `column` along field `varied`; every other field holds
-    base's value. The column is not validated (run_sweep checks its extremes)."""
+    base's value as a float. The column is not validated (run_sweep checks
+    its extremes)."""
     column = np.asarray(column, dtype=float)
     return ParameterBlock(**{
-        name: column if name == varied else np.full(column.shape, getattr(base, name))
-        for name in _FIELD_NAMES})
+        name: column if name == varied else float(getattr(base, name))
+        for name in _FIELD_NAMES}, _points=column.shape)
+
+
+def _points(params: SystemParameters | ParameterBlock) -> tuple[int, ...]:
+    """The shape (m,) of a ParameterBlock's points; () for a single point."""
+    return params._points if params.__class__ is ParameterBlock else ()
 
 
 @dataclass(frozen=True)
@@ -186,8 +198,8 @@ def derive(params: SystemParameters) -> DerivedQuantities:
     E_j = sqrt(2 P_j kappa_j / (hbar omega_drive_j)). The optical drive
     frequency is 2 pi c / lambda_oc; the microwave drive sits close enough to
     omega_w that omega_w is used inside the square root (the detuning
-    correction is far below the other tolerances). A ParameterBlock gives
-    columns.
+    correction is far below the other tolerances). A ParameterBlock gives a
+    column for each quantity that its column reaches and a float for the rest.
     """
     p = params
     omega_oc = 2.0 * math.pi * C_LIGHT / p.lambda_oc
@@ -227,8 +239,10 @@ def solve_steady_state(params: SystemParameters) -> SteadyState:
     coherences eliminated:
         alpha_s = e_c / (i delta_c + kappa_c + i g (a_coef + b_coef)).
     Raises SingularityError where |denominator| < 1e-30. A ParameterBlock gives
-    a SteadyState of columns instead, and a point at such a pole carries NaN
-    in q_s, alpha_s, sigma_ba_s, sigma_cb_s and g_c.
+    a SteadyState of columns instead, one entry per point also where a field
+    is the same at every point, and a point at such a pole carries NaN in
+    q_s, alpha_s, sigma_ba_s, sigma_cb_s and g_c; a pole that no column
+    reaches is at every point.
 
     Complex quotients and products are written in real arithmetic (+ - * /
     sqrt), which rounds a float and a column alike; CPython and numpy round
@@ -243,10 +257,13 @@ def solve_steady_state(params: SystemParameters) -> SteadyState:
     d_r = p.kappa_c - g * (a_i + b_i)
     d_i = p.delta_c + g * (a_r + b_r)
     d_sq = d_r * d_r + d_i * d_i
-    pole = d_sq < 1e-60
-    if isinstance(pole, np.ndarray):
-        d_sq[pole] = np.nan
-    elif pole:
+    points = _points(p)
+    if points:
+        # a column even where the block's column never reaches it, so that a
+        # pole comes back as NaN at every point it hits
+        d_sq = d_sq + np.zeros(points)
+        d_sq[d_sq < 1e-60] = np.nan
+    elif d_sq < 1e-60:
         raise SingularityError(POLE_MESSAGE)
     # alpha_s = u - i v, and beta_s = e_w / (kappa_w + i delta_w)
     e_c, e_w = der.e_c, der.e_w
@@ -267,7 +284,11 @@ def solve_steady_state(params: SystemParameters) -> SteadyState:
     sigma_cb_s = (b_r * u + b_i * v) + 1j * (b_i * u - b_r * v)
     g_c = _SQRT2 * der.g_oc_bare * alpha_abs
     g_w = _SQRT2 * der.g_ow_bare * beta_abs
-    return SteadyState(q_s, p_s, alpha_s, beta_s, sigma_ba_s, sigma_cb_s, g_c, g_w)
+    fields = q_s, p_s, alpha_s, beta_s, sigma_ba_s, sigma_cb_s, g_c, g_w
+    if points:  # a block's constants become columns too
+        fields = [f if f.__class__ is np.ndarray else np.full(points, f)
+                  for f in fields]
+    return SteadyState(*fields)
 
 
 def solve_steady_state_bare(

@@ -2,22 +2,23 @@
 
 A sweep varies one parameter of the 10-mode system over a 1-D grid, in blocks
 of BLOCK_POINTS points. A block is a model.ParameterBlock: the varied field's
-column beside constant columns of the base values. The sweep validates the
+column beside the base's other values as floats. The sweep validates the
 column once, at its extremes, and builds no SystemParameters per point. The
 block's working points, drifts and diffusions come from one call each, since
 model.solve_steady_state, dynamics.build_drift and dynamics.build_diffusion
-take a block as well as a single point; a pole of the optical response comes
-back per point instead of being raised. One batched eigendecomposition per
-block then gives the stability gate and the steady-state covariance
-(dynamics.solve_lyapunov_batch); the block's points that fail its residual
-check are solved again together, directly, by one batched LU solve of their
-Lyapunov operators on the 55 unknowns of a symmetric covariance. The
-entanglement of every (problem, requested mode pair) of the block comes from
-one batched log-negativity over one gathered stack of 4x4 blocks. The
-optional atom-free baseline, posed only when a bosonic pair is requested, is
-the same pipeline on the same block with its g and r_a columns at zero, where
-the atomic rows decouple exactly; the independent 6-mode route that checks it
-lives in verify.
+take a block as well as a single point. They compute what the column does
+not reach once per block, as floats, and the rest in columns; a pole of the
+optical response comes back per point instead of being raised. One batched
+eigendecomposition per block then gives the stability gate and the
+steady-state covariance (dynamics.solve_lyapunov_batch); the block's points
+that fail its residual check are solved again together, directly, by one
+batched LU solve of their Lyapunov operators on the 55 unknowns of a
+symmetric covariance. The entanglement of every (problem, requested mode
+pair) of the block comes from one batched log-negativity over one gathered
+stack of 4x4 blocks. The optional atom-free baseline, posed only when a
+bosonic pair is requested, is the same pipeline on the same block with g and
+r_a at 0.0, where the atomic rows decouple exactly; the independent 6-mode
+route that checks it lives in verify.
 
 Blocks are independent, and their work is batched numpy and LAPACK calls that
 release the interpreter lock, so run_sweep(spec, jobs) with jobs > 1 evaluates
@@ -223,11 +224,10 @@ def _evaluate_block(block: model.ParameterBlock, pairs: tuple[str, ...],
     Returns the columns of SweepResult for the block: stable, max_real_part,
     e_n, baseline_e_n and failures.
     """
-    m = len(block.delta_c)
+    (m,) = model._points(block)
     variants = [block]
     if base_pairs:
-        zero = np.zeros(m)
-        variants.append(replace(block, g=zero, r_a=zero))
+        variants.append(replace(block, g=0.0, r_a=0.0))
     working = [model.solve_steady_state(p) for p in variants]
     sol = dynamics.solve_lyapunov_batch(
         np.concatenate([dynamics.build_drift(p, ss) for p, ss in zip(variants, working)]),
@@ -432,29 +432,31 @@ def csv_header(spec: SweepSpec) -> list[str]:
     return cols
 
 
-def _csv_columns(result: SweepResult) -> list[list[str]]:
-    """The cells of each CSV column, in csv_header order."""
+def _csv_columns(result: SweepResult, lo: int, hi: int) -> list[list[str]]:
+    """The cells of each CSV column for rows lo to hi - 1, in csv_header order."""
     spec = result.spec
-    n = len(result.x)
-    stable = np.where(result.stable, "true", "false").tolist()
-    for i in result.failures:
-        stable[i] = ""
-    empty = [""] * n
-    columns = [_cells(result.x), [spec.axis] * n, stable,
-               _cells(result.max_real_part)]
-    columns += [_cells(result.e_n[:, spec.pairs.index(tag)])
+    rows = slice(lo, hi)
+    stable = ["" if i in result.failures else "true" if ok else "false"
+              for i, ok in enumerate(result.stable[rows].tolist(), lo)]
+    empty = [""] * len(stable)
+    columns = [_cells(result.x[rows]), [spec.axis] * len(stable), stable,
+               _cells(result.max_real_part[rows])]
+    columns += [_cells(result.e_n[rows, spec.pairs.index(tag)])
                 if tag in spec.pairs else empty for tag in _PAIR_COLUMNS]
-    columns += [_cells(column) for column in result.baseline_e_n.T]
+    columns += [_cells(column) for column in result.baseline_e_n[rows].T]
     return columns
 
 
 def csv_rows(result: SweepResult) -> list[list[str]]:
     """One row per grid point; absent values (unstable/unrequested) are empty."""
-    return [list(row) for row in zip(*_csv_columns(result))]
+    return [list(row) for row in zip(*_csv_columns(result, 0, len(result.x)))]
 
 
 def write_csv(result: SweepResult, path) -> None:
-    lines = [",".join(csv_header(result.spec))]
-    lines += [",".join(row) for row in zip(*_csv_columns(result))]
+    """Write csv_header and csv_rows, BLOCK_POINTS rows at a time, so the
+    text held in memory does not grow with the grid."""
     with open(path, "w", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(",".join(csv_header(result.spec)) + "\n")
+        for lo in range(0, len(result.x), BLOCK_POINTS):
+            columns = _csv_columns(result, lo, lo + BLOCK_POINTS)
+            handle.write("".join(",".join(row) + "\n" for row in zip(*columns)))

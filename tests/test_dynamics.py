@@ -19,6 +19,7 @@ from oemsim import (
     SingularityError,
     StabilityError,
     SteadyState,
+    SystemParameters,
     build_diffusion,
     build_drift,
     is_stable,
@@ -457,10 +458,13 @@ class TestBlockForm:
     one column, equal the per-point scalar results bit for bit."""
 
     @staticmethod
-    def assert_block_equals_scalar(base, varied, column, atom_free):
+    def assert_block_equals_scalar(base, varied, column, atom_free, zero=None):
+        """atom_free poses g = r_a = zero: zero columns by default, or a float
+        such as the sweep's 0.0."""
         block = parameter_block(base, varied, column)
         if atom_free:
-            zero = np.zeros(len(column))
+            if zero is None:
+                zero = np.zeros(len(column))
             block = dataclasses.replace(block, g=zero, r_a=zero)
         ss = solve_steady_state(block)
         drifts = build_drift(block, ss)
@@ -488,6 +492,33 @@ class TestBlockForm:
         # column must round alike, which math's and numpy's need not
         self.assert_block_equals_scalar(
             preset("fig6a").base, "temperature", np.linspace(0.0, 0.4, 401), False)
+
+    @staticmethod
+    def field_values(base, name):
+        """Three to five values of a field inside its validated domain."""
+        if name == "temperature":
+            return [0.0, 5e-3, 0.35]
+        if name in ("rho_aa0", "rho_cc0"):  # rho_ca0 = 0.5 needs them >= 0.5
+            return [0.5, 0.75, 1.0]
+        if name == "rho_ca0":
+            return [-0.5, 0.0, 0.25, 0.5]
+        value = getattr(base, name)
+        if name in ("power_c", "power_w", "g", "r_a"):
+            return [0.0, value, 2.0 * value]
+        if name.startswith("delta_"):
+            return [-value, 0.0, value, 2.0 * value]
+        return [0.5 * value, value, 2.0 * value]
+
+    @pytest.mark.parametrize("variant", ["main", "atom_free", "atom_free_columns"])
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SystemParameters)])
+    def test_block_equals_scalar_along_every_field(self, name, variant):
+        # which stages a field reaches decides which of a block's values are
+        # columns and which floats; a block along g or r_a whose atom-free
+        # variant replaces its only column by the sweep's 0.0 keeps its points
+        base = preset("fig6a").base
+        self.assert_block_equals_scalar(
+            base, name, np.array(self.field_values(base, name)), variant != "main",
+            zero=0.0 if variant == "atom_free" else None)
 
     def test_pole_is_masked_at_its_index_only(self):
         spec = _sweep_tests.TestBlockEngine.mixed_spec()

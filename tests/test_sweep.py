@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import zlib
 from collections import Counter
 from concurrent import futures
@@ -22,6 +23,7 @@ from oemsim import (
     ParameterError,
     PRESET_NAMES,
     PointRecord,
+    SweepResult,
     SweepSpec,
     build_diffusion,
     build_drift,
@@ -507,6 +509,23 @@ class TestBlockEngine:
                                 spec.pairs, baseline=True)
         assert single.error == model.POLE_MESSAGE
 
+    def test_pole_that_no_column_reaches_fails_every_point(self):
+        # the temperature column never reaches the optical denominator, so
+        # its block computes the pole once, as a float, and must still give
+        # the pole record at each point instead of raising
+        spec = self.mixed_spec()
+        base = spec.base.replace(delta_c=1.0 * spec.axis_scale)
+        along = SweepSpec(name="pole", base=base, varied="temperature",
+                          start=0.0, stop=0.1, count=5, axis="temperature_k",
+                          axis_scale=1.0, pairs=spec.pairs, baseline=spec.baseline)
+        result = run_sweep(along)
+        assert result.failures == {i: model.POLE_MESSAGE for i in range(5)}
+        assert not result.stable.any() and np.isnan(result.max_real_part).all()
+        for t in result.x:
+            single = evaluate_point(base.replace(temperature=float(t)),
+                                    spec.pairs, baseline=spec.baseline)
+            assert single.error == model.POLE_MESSAGE
+
 
 class TestThreadedSweep:
     """jobs > 1 runs the blocks on threads; the result may not depend on it."""
@@ -714,6 +733,10 @@ class TestColumnarResult:
         assert out.read_bytes() == expected.encode()
         assert csv_rows(result) == [line.split(",")
                                     for line in expected.splitlines()[1:]]
+        # the chunked writer gives exactly the header and rows of csv_rows
+        lines = [csv_header(result.spec)] + csv_rows(result)
+        assert out.read_bytes() == "".join(",".join(row) + "\n"
+                                           for row in lines).encode()
 
     def test_records_are_derived_once(self):
         result = run_sweep(narrowed(preset("fig3"), -0.5, 0.5, 5))
@@ -756,6 +779,34 @@ class TestCsvEmission:
                 assert en_cell == ""
         # unrequested pairs stay empty
         assert {row[5] for row in rows[1:]} == {""}
+
+    def test_writing_a_large_result_holds_little_text(self, tmp_path):
+        # fig6a's 401 points repeated over 40001, with a pole record at
+        # every 97th: about 3.4 MB of CSV, of which the writer may hold a
+        # few blocks' rows at a time
+        small = run_sweep(preset("fig6a"))
+        n = 40001
+        take = np.arange(n) % len(small.x)
+        failures = {i: model.POLE_MESSAGE for i in range(0, n, 97)}
+        failed = list(failures)
+        columns = [small.stable[take], small.max_real_part[take],
+                   small.e_n[take], small.baseline_e_n[take]]
+        columns[0][failed] = False
+        for column in columns[1:]:
+            column[failed] = np.nan
+        result = SweepResult(small.spec, np.linspace(-2.0, 2.0, n), *columns,
+                             failures)
+        out = tmp_path / "large.csv"
+        tracemalloc.start()
+        try:
+            write_csv(result, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.stat().st_size > 3e6
+        assert peak < 2e6
+        with out.open() as handle:
+            assert next(csv.reader(handle)) == csv_header(small.spec)
 
     def test_floats_carry_full_precision(self):
         spec = narrowed(preset("fig3"), 0.99, 1.01, 3)
