@@ -141,20 +141,6 @@ def is_stable(a: np.ndarray) -> StabilityReport:
     return StabilityReport(stable=abscissa < -STABILITY_TOL, max_real_part=abscissa)
 
 
-def _pair_sum_condition(eigvals: np.ndarray) -> np.ndarray:
-    """Condition estimates of the vectorized Lyapunov operators of a stack.
-
-    Its eigenvalues are all pairwise sums of drift eigenvalues, so the ratio
-    of extreme pair-sum magnitudes estimates the condition number without
-    forming the n^2 x n^2 operator. Takes eigenvalues of shape (m, n).
-    """
-    sums = np.abs(eigvals[:, :, None] + eigvals[:, None, :])
-    largest = sums.max(axis=(1, 2))
-    smallest = sums.min(axis=(1, 2))
-    with np.errstate(divide="ignore"):
-        return np.where(smallest == 0.0, np.inf, largest / smallest)
-
-
 def solve_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Steady-state covariance V solving a V + V a^T = -d for Hurwitz-stable a.
 
@@ -214,8 +200,9 @@ def _kronecker_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def _residual_and_bound(a: np.ndarray, d: np.ndarray, v: np.ndarray):
-    """Residual max|a v + v a^T + d| and its bound, of one problem or a stack."""
-    residual = np.abs(a @ v + v @ np.swapaxes(a, -1, -2) + d).max(axis=(-2, -1))
+    """Residual max|a v + v a^T + d| of a symmetric v, and its bound; one or a stack."""
+    av = a @ v
+    residual = np.abs(av + np.swapaxes(av, -1, -2) + d).max(axis=(-2, -1))
     bound = RESIDUAL_TOL * np.maximum(
         np.abs(a).max(axis=(-2, -1)) * np.abs(v).max(axis=(-2, -1)),
         np.abs(d).max(axis=(-2, -1)))
@@ -236,9 +223,14 @@ def solve_lyapunov_batch(a: np.ndarray, d: np.ndarray) -> CovarianceBatch:
     """Hurwitz gate and steady-state covariance for a stack of (a, d) pairs.
 
     One batched eigendecomposition a = S diag(lam) S^-1 serves the whole
-    stack: its eigenvalues give the stability gate and the condition
-    estimate, and in its eigenbasis the Lyapunov equation is diagonal,
+    stack: its eigenvalues give the stability gate, and in its eigenbasis the
+    Lyapunov equation is diagonal,
         C = S^-1 d S^-T,  W_ij = -C_ij / (lam_i + lam_j),  V = S W S^T.
+    The pair sums lam_i + lam_j, nonzero where stable, are the eigenvalues of
+    the vectorized Lyapunov operator; their extreme moduli's ratio estimates
+    its condition. LAPACK's balancing sets aside rows and columns with no
+    off-diagonal entry, as the vacuum placeholders that stand in for the
+    atom-free problems' atomic corner (sweep._evaluate_block).
     That solve is inaccurate where S is ill-conditioned (near-defective
     drifts), so every point's residual is checked against RESIDUAL_TOL. The
     points that fail it are solved again together, directly: one batched LU
@@ -266,8 +258,7 @@ def solve_lyapunov_batch(a: np.ndarray, d: np.ndarray) -> CovarianceBatch:
                 f"eigensolver failed on drift matrix: {exc}")
         return CovarianceBatch(abscissa, np.zeros(m, dtype=bool), v, errors)
     abscissa[ok] = lam.real.max(axis=1)
-    stable = np.zeros(m, dtype=bool)
-    stable[ok] = abscissa[ok] < -STABILITY_TOL
+    stable = abscissa < -STABILITY_TOL  # False where NaN
     keep = stable[ok]
     idx = ok[keep]
     # complex arithmetic throughout, whether or not eig returned real arrays,
@@ -277,7 +268,8 @@ def solve_lyapunov_batch(a: np.ndarray, d: np.ndarray) -> CovarianceBatch:
     a_st, d_st = a[idx], d[idx]
     s_inv = _solve(s, np.broadcast_to(np.eye(n), s.shape))
     c = s_inv @ d_st @ np.swapaxes(s_inv, 1, 2)
-    w = -c / (lam[:, :, None] + lam[:, None, :])
+    pair_sums = lam[:, :, None] + lam[:, None, :]
+    w = -c / pair_sums
     x = (s @ w @ np.swapaxes(s, 1, 2)).real
     x = 0.5 * (x + np.swapaxes(x, 1, 2))
     residual, bound = _residual_and_bound(a_st, d_st, x)
@@ -293,7 +285,8 @@ def solve_lyapunov_batch(a: np.ndarray, d: np.ndarray) -> CovarianceBatch:
             f"Lyapunov residual {residual[j]:.3e} exceeds bound {bound[j]:.3e}"
             if np.isfinite(residual[j]) else
             "Lyapunov operator is singular to working precision")
-    cond = _pair_sum_condition(lam)
+    moduli = np.abs(pair_sums)
+    cond = moduli.max(axis=(1, 2)) / moduli.min(axis=(1, 2))
     for estimate in cond[passed & (cond > CONDITION_WARN)]:
         # names solve_lyapunov's caller, or the sweep that ran the block
         warnings.warn(

@@ -17,8 +17,8 @@ symmetric covariance. The entanglement of every (problem, requested mode
 pair) of the block comes from one batched log-negativity over one gathered
 stack of 4x4 blocks. The optional atom-free baseline, posed only when a
 bosonic pair is requested, is the same pipeline on the same block with g and
-r_a at 0.0, where the atomic rows decouple exactly; the independent 6-mode
-route that checks it lives in verify.
+r_a at 0.0, where the atomic rows decouple, and vacuum placeholders in their
+corner; the independent 6-mode route that checks it lives in verify.
 
 Blocks are independent, and their work is batched numpy and LAPACK calls that
 release the interpreter lock, so run_sweep(spec, jobs) with jobs > 1 evaluates
@@ -217,6 +217,10 @@ def _evaluate_block(block: model.ParameterBlock, pairs: tuple[str, ...],
     Each point poses one drift/diffusion problem and, when base_pairs is not
     empty, a second one at g = 0, r_a = 0: there the atomic rows of the drift
     decouple exactly, so its bosonic blocks are those of the atom-free system.
+    Its atomic corner holds the vacuum placeholders -I (drift) and I
+    (diffusion), solved by I/2: as built, the corner's rates would decide the
+    atom-free gate (kappa_a near 0), condition estimate and residual bound,
+    and LAPACK's balancing sets rows without off-diagonal entries aside.
     Problem k is point k's main problem, m + k its baseline. A problem has at
     most one error: its solve error (a pole of the main problem's optical
     response reads as one), or else its first pair error in the requested
@@ -229,9 +233,11 @@ def _evaluate_block(block: model.ParameterBlock, pairs: tuple[str, ...],
     if base_pairs:
         variants.append(replace(block, g=0.0, r_a=0.0))
     working = [model.solve_steady_state(p) for p in variants]
-    sol = dynamics.solve_lyapunov_batch(
-        np.concatenate([dynamics.build_drift(p, ss) for p, ss in zip(variants, working)]),
-        np.concatenate([dynamics.build_diffusion(p) for p in variants]))
+    a = np.concatenate([dynamics.build_drift(p, ss) for p, ss in zip(variants, working)])
+    d = np.concatenate([dynamics.build_diffusion(p) for p in variants])
+    a[m:, 6:, 6:] = -np.eye(4)
+    d[m:, 6:, 6:] = np.eye(4)
+    sol = dynamics.solve_lyapunov_batch(a, d)
     solved = sol.stable.copy()
     solved[list(sol.errors)] = False
     e_n = np.full((m, len(pairs)), np.nan)

@@ -8,7 +8,8 @@ import math
 
 import numpy as np
 
-from oemsim import IntegrationConfig, SystemParameters
+from oemsim import (IntegrationConfig, SystemParameters, build_diffusion, build_drift,
+                    solve_steady_state)
 
 TWO_PI = 2.0 * math.pi
 OMEGA_M = TWO_PI * 1e7
@@ -42,6 +43,18 @@ def base_params(**overrides) -> SystemParameters:
     )
     kw.update(overrides)
     return SystemParameters(**kw)
+
+
+def atom_free_problem(params: SystemParameters) -> tuple[np.ndarray, np.ndarray]:
+    """The atom-free drift and diffusion that a sweep poses at params: the
+    10-mode pipeline at g = r_a = 0, with the decoupled atomic corner set to
+    the vacuum placeholders -I (drift) and I (diffusion)."""
+    p = params.replace(g=0.0, r_a=0.0)
+    a = build_drift(p, solve_steady_state(p))
+    d = build_diffusion(p)
+    a[6:, 6:] = -np.eye(4)
+    d[6:, 6:] = np.eye(4)
+    return a, d
 
 
 def oracle_config(a, d, v_scale) -> IntegrationConfig:

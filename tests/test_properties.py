@@ -74,3 +74,47 @@ def test_pipeline_contract_and_time_domain_oracle(params, varied):
     v_scale = float(np.max(np.abs(v)))
     v_int = integrate_covariance(a, d, oracle_config(a, d, v_scale))
     assert np.max(np.abs(v_int - v)) <= 1e-6 * v_scale
+
+
+def tenths_of_decades(lo, hi):
+    """10**e for e on a 0.1 grid from lo to hi: drawn as an integer, which
+    spreads a derandomized run's draws over the decades more evenly than a
+    float exponent, whose draws crowd at 10**0."""
+    return st.integers(min_value=10 * lo, max_value=10 * hi).map(lambda k: 10.0 ** (k / 10))
+
+
+def signed(magnitudes):
+    return st.tuples(st.sampled_from((-1.0, 1.0)), magnitudes).map(lambda t: t[0] * t[1])
+
+
+@st.composite
+def atomic_fields(draw):
+    """kappa_a over 15 decades, both signs of the atomic detunings, and
+    populations with a coherence on or inside its bound."""
+    rho_aa0 = draw(st.floats(min_value=0.0, max_value=1.0))
+    rho_cc0 = draw(st.floats(min_value=0.0, max_value=1.0))
+    share = draw(st.one_of(st.sampled_from((-1.0, 1.0)),
+                           st.floats(min_value=-1.0, max_value=1.0)))
+    return dict(
+        kappa_a=draw(tenths_of_decades(-6, 9)),
+        delta_a1=draw(signed(tenths_of_decades(0, 11))),
+        delta_a2=draw(signed(tenths_of_decades(0, 11))),
+        rho_aa0=rho_aa0,
+        rho_cc0=rho_cc0,
+        rho_ca0=share * math.sqrt(rho_aa0 * rho_cc0),
+    )
+
+
+BASELINE_SPEC = dataclasses.replace(preset("fig6a"), count=9)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(atomic_fields())
+def test_baseline_does_not_depend_on_atomic_fields(atomic):
+    """ROADMAP item 5's baseline law, exact: the atom-free columns are the
+    same bits at any atomic decay rate, detunings and populations."""
+    drawn = run_sweep(dataclasses.replace(
+        BASELINE_SPEC, base=BASELINE_SPEC.base.replace(**atomic)))
+    reference = run_sweep(BASELINE_SPEC).baseline_e_n
+    assert not np.isnan(reference).all()
+    assert drawn.baseline_e_n.tobytes() == reference.tobytes()

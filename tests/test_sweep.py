@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 import zlib
 from collections import Counter
 from concurrent import futures
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _support import OMEGA_M, TWO_PI, base_params
+from _support import OMEGA_M, TWO_PI, atom_free_problem, base_params
 from oemsim import (
     BIPARTITE_PAIRS,
     ParameterError,
@@ -36,7 +37,7 @@ from oemsim import (
     solve_steady_state,
     write_csv,
 )
-from oemsim import dynamics, gaussian, model, sweep
+from oemsim import dynamics, gaussian, model, sweep, verify
 from oemsim.constants import C_LIGHT
 from oemsim.errors import SimulationError, UnphysicalCovarianceError
 from oemsim.model import _coherence_coefficients
@@ -240,14 +241,68 @@ class TestEvaluatePoint:
 
     def test_baseline_ignores_atomic_parameters(self):
         pairs = ("mr_oc", "mr_mc", "oc_mc")
+        atomic = dict(g=TWO_PI * 3e5, r_a=7e5, kappa_a=TWO_PI * 3e5,
+                      rho_aa0=0.9, rho_cc0=0.1, rho_ca0=0.2,
+                      delta_a1=TWO_PI * 3e6, delta_a2=TWO_PI * 4e6)
         rec1 = evaluate_point(base_params(), pairs, baseline=True)
-        rec2 = evaluate_point(
-            base_params(g=TWO_PI * 3e5, r_a=7e5, kappa_a=TWO_PI * 3e5,
-                        rho_aa0=0.9, rho_cc0=0.1, rho_ca0=0.2,
-                        delta_a1=TWO_PI * 3e6, delta_a2=TWO_PI * 4e6),
-            pairs, baseline=True)
-        assert rec1.baseline_e_n == rec2.baseline_e_n
+        rec2 = evaluate_point(base_params(**atomic), pairs, baseline=True)
+        # at a near-zero kappa_a an as-built atomic corner would be marginal
+        rec3 = evaluate_point(base_params(**{**atomic, "kappa_a": 1e-5}), pairs,
+                              baseline=True)
+        assert rec1.baseline_e_n
+        assert rec1.baseline_e_n == rec2.baseline_e_n == rec3.baseline_e_n
         assert rec1.e_n != rec2.e_n
+
+
+class TestAtomFreeProblem:
+    """The atom-free problem carries vacuum placeholders in its atomic corner,
+    so no atomic field decides an atom-free result."""
+
+    @staticmethod
+    def fig6a_point(kappa_a):
+        base = preset("fig6a").base  # at x = 1
+        return base.replace(delta_c=base.omega_m, kappa_a=kappa_a)
+
+    def test_slow_atomic_decay_keeps_the_baseline(self):
+        spec = preset("fig6a")
+        params = self.fig6a_point(1e-5)
+        rec = evaluate_point(params, spec.pairs, baseline=True)
+        reduced = verify.atom_free_point(params, spec.baseline_pairs)
+        assert reduced["mr_oc"] > 0.3
+        assert rec.baseline_e_n.keys() == reduced.keys()
+        for tag, value in reduced.items():
+            assert abs(rec.baseline_e_n[tag] - value) <= 1e-9
+
+    def test_atomic_decay_does_not_warn_through_the_baseline(self):
+        spec = preset("fig6a")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rec = evaluate_point(self.fig6a_point(0.01), spec.pairs, baseline=True)
+        assert rec.baseline_e_n
+
+    def test_block_stack_carries_the_vacuum_corner(self, monkeypatch):
+        stacks = []
+        real = dynamics.solve_lyapunov_batch
+        monkeypatch.setattr(dynamics, "solve_lyapunov_batch",
+                            lambda a, d: stacks.append((a.copy(), d.copy())) or real(a, d))
+        spec = narrowed(preset("fig6a"), -2.0, 2.0, 9)
+        run_sweep(spec)
+        ((a, d),) = stacks
+        m = spec.count  # one block: problem k is point k, m + k its baseline
+        base = spec.base
+        assert np.all(a[:m, 6, 7] == base.delta_a1 / base.omega_m)
+        assert (a[m:, 6:, 6:] == -np.eye(4)).all() and (d[m:, 6:, 6:] == np.eye(4)).all()
+        assert not a[m:, 6:, :6].any() and not a[m:, :6, 6:].any()
+        assert not d[m:, 6:, :6].any() and not d[m:, :6, 6:].any()
+        # the largest atom-free drift entry is a bosonic one, not delta_a1/omega_m
+        assert np.array_equal(np.abs(a[m:]).max(axis=(1, 2)),
+                              np.abs(a[m:, :6, :6]).max(axis=(1, 2)))
+        assert np.abs(a[m:]).max() < 1e-2 * base.delta_a1 / base.omega_m
+        for k, x in enumerate(spec.grid().tolist()):
+            point = base.replace(delta_c=x * spec.axis_scale)
+            problem = atom_free_problem(point)
+            assert np.array_equal(a[m + k], problem[0])
+            assert np.array_equal(d[m + k], problem[1])
 
 
 class TestRunSweep:
@@ -360,10 +415,10 @@ class TestBlockEngine:
         # both of x = 0's problems fail; the main problem's error is reported
         main = preset("fig3").base.replace(delta_c=0.0)
         errors = []
-        for params in (main, main.replace(g=0.0, r_a=0.0)):
+        for a, d in ((build_drift(main, solve_steady_state(main)), build_diffusion(main)),
+                     atom_free_problem(main)):
             with pytest.raises(SimulationError, match="Lyapunov residual") as err:
-                solve_lyapunov(build_drift(params, solve_steady_state(params)),
-                               build_diffusion(params))
+                solve_lyapunov(a, d)
             errors.append(str(err.value))
         assert failed.error == errors[0] != errors[1]
 
@@ -380,14 +435,14 @@ class TestBlockEngine:
         # each value equals a single call on that point's own covariance
         for i, x in enumerate(result.x.tolist()):
             point = spec.base.replace(delta_c=x * spec.axis_scale)
-            for params, values, tags in (
-                    (point, result.e_n[i], spec.pairs),
-                    (point.replace(g=0.0, r_a=0.0), result.baseline_e_n[i],
+            for (a, d), values, tags in (
+                    ((build_drift(point, solve_steady_state(point)),
+                      build_diffusion(point)), result.e_n[i], spec.pairs),
+                    (atom_free_problem(point), result.baseline_e_n[i],
                      spec.baseline_pairs)):
                 if np.isnan(values).all():
                     continue
-                v = solve_lyapunov(build_drift(params, solve_steady_state(params)),
-                                   build_diffusion(params))
+                v = solve_lyapunov(a, d)
                 for tag, value in zip(tags, values.tolist()):
                     pair = BIPARTITE_PAIRS[tag]
                     assert log_negativity(extract_bipartite(v, pair)).e_n == value
