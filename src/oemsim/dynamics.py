@@ -219,6 +219,34 @@ class CovarianceBatch:
     errors: dict[int, SimulationError]  # problems that failed, by index
 
 
+def _eigenbasis_lyapunov(lam: np.ndarray, s: np.ndarray, d: np.ndarray):
+    """Symmetric solutions x of a x + x a^T = -d for a stack of drifts
+    a = s diag(lam) s^-1 in complex arithmetic, and the pair-sum condition
+    estimate of each.
+
+    C = s^-1 d s^-T becomes W = -C / (lam_i + lam_j) in place, and the pair
+    sums and the products s W and (s W) s^T go into stacks that the solve no
+    longer needs: fewer than five complex stacks are live at a time, where
+    forming each intermediate afresh took nine. The operations, and so the
+    bits, are the same.
+    """
+    n = s.shape[-1]
+    # a complex identity, so that solve needs no cast copy of it
+    s_inv = _solve(s, np.broadcast_to(np.eye(n, dtype=complex), s.shape))
+    c = s_inv @ d @ np.swapaxes(s_inv, 1, 2)
+    pair_sums = s_inv  # s^-1 is spent; its stack takes the pair sums, then s W
+    pair_sums[...] = lam[:, :, None]
+    pair_sums += lam[:, None, :]
+    np.negative(c, out=c)
+    c /= pair_sums
+    moduli = np.abs(pair_sums)
+    cond = moduli.max(axis=(1, 2)) / moduli.min(axis=(1, 2))
+    y = np.matmul(np.matmul(s, c, out=pair_sums), np.swapaxes(s, 1, 2), out=c).real
+    x = y + np.swapaxes(y, 1, 2)
+    x *= 0.5
+    return x, cond
+
+
 def solve_lyapunov_batch(a: np.ndarray, d: np.ndarray) -> CovarianceBatch:
     """Hurwitz gate and steady-state covariance for a stack of (a, d) pairs.
 
@@ -226,6 +254,10 @@ def solve_lyapunov_batch(a: np.ndarray, d: np.ndarray) -> CovarianceBatch:
     stack: its eigenvalues give the stability gate, and in its eigenbasis the
     Lyapunov equation is diagonal,
         C = S^-1 d S^-T,  W_ij = -C_ij / (lam_i + lam_j),  V = S W S^T.
+    C turns into W in place, negated and then divided by the pair sums, and
+    S W and V go into spent stacks (_eigenbasis_lyapunov). Folding the sign
+    into the symmetrization instead, V = -(Y + Y^T)/2, would give the same
+    values but turn some exact zeros of V into -0.0.
     The pair sums lam_i + lam_j, nonzero where stable, are the eigenvalues of
     the vectorized Lyapunov operator; their extreme moduli's ratio estimates
     its condition. LAPACK's balancing sets aside rows and columns with no
@@ -239,10 +271,12 @@ def solve_lyapunov_batch(a: np.ndarray, d: np.ndarray) -> CovarianceBatch:
     A point whose operator is singular to working precision fails. A stable
     point whose condition estimate exceeds CONDITION_WARN warns. Per-point
     failures come back in `errors` instead of being raised.
+    When every problem is finite and stable the solve works on the stack as
+    given, without gathering it, and returns its own solution stack as `v`.
+    a and d are never written to.
     """
     m, n, _ = a.shape
     abscissa = np.full(m, np.nan)
-    v = np.full((m, n, n), np.nan)
     errors: dict[int, SimulationError] = {}
     finite_a = np.isfinite(a).all(axis=(1, 2))
     finite = finite_a & np.isfinite(d).all(axis=(1, 2))
@@ -251,27 +285,27 @@ def solve_lyapunov_batch(a: np.ndarray, d: np.ndarray) -> CovarianceBatch:
         errors[int(k)] = SimulationError(f"{which} matrix contains non-finite entries")
     ok = np.flatnonzero(finite)
     try:
-        lam, s = np.linalg.eig(a[ok])
+        lam, s = np.linalg.eig(a if ok.size == m else a[ok])
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         for k in ok:
             errors[int(k)] = SimulationError(
                 f"eigensolver failed on drift matrix: {exc}")
-        return CovarianceBatch(abscissa, np.zeros(m, dtype=bool), v, errors)
+        return CovarianceBatch(abscissa, np.zeros(m, dtype=bool),
+                               np.full((m, n, n), np.nan), errors)
     abscissa[ok] = lam.real.max(axis=1)
     stable = abscissa < -STABILITY_TOL  # False where NaN
-    keep = stable[ok]
-    idx = ok[keep]
+    idx = np.flatnonzero(stable)
+    whole = idx.size == m
+    if whole:  # C-contiguous, as a gather leaves it, for the same matmul path
+        a_st, d_st = np.ascontiguousarray(a), np.ascontiguousarray(d)
+    else:
+        keep = stable[ok]
+        lam, s = lam[keep], s[keep]
+        a_st, d_st = a[idx], d[idx]
     # complex arithmetic throughout, whether or not eig returned real arrays,
     # so a point's result does not depend on the rest of its stack
-    lam = lam[keep].astype(complex, copy=False)
-    s = s[keep].astype(complex, copy=False)
-    a_st, d_st = a[idx], d[idx]
-    s_inv = _solve(s, np.broadcast_to(np.eye(n), s.shape))
-    c = s_inv @ d_st @ np.swapaxes(s_inv, 1, 2)
-    pair_sums = lam[:, :, None] + lam[:, None, :]
-    w = -c / pair_sums
-    x = (s @ w @ np.swapaxes(s, 1, 2)).real
-    x = 0.5 * (x + np.swapaxes(x, 1, 2))
+    x, cond = _eigenbasis_lyapunov(lam.astype(complex, copy=False),
+                                   s.astype(complex, copy=False), d_st)
     residual, bound = _residual_and_bound(a_st, d_st, x)
     redo = np.flatnonzero(~(residual <= bound))  # NaN falls back too
     if redo.size:
@@ -279,14 +313,17 @@ def solve_lyapunov_batch(a: np.ndarray, d: np.ndarray) -> CovarianceBatch:
         x[redo] = _kronecker_lyapunov(a_re, d_re)
         residual[redo], bound[redo] = _residual_and_bound(a_re, d_re, x[redo])
     passed = residual <= bound
-    v[idx[passed]] = x[passed]
+    x[~passed] = np.nan
+    if whole:
+        v = x
+    else:
+        v = np.full((m, n, n), np.nan)
+        v[idx] = x
     for j in np.flatnonzero(~passed):
         errors[int(idx[j])] = SimulationError(
             f"Lyapunov residual {residual[j]:.3e} exceeds bound {bound[j]:.3e}"
             if np.isfinite(residual[j]) else
             "Lyapunov operator is singular to working precision")
-    moduli = np.abs(pair_sums)
-    cond = moduli.max(axis=(1, 2)) / moduli.min(axis=(1, 2))
     for estimate in cond[passed & (cond > CONDITION_WARN)]:
         # names solve_lyapunov's caller, or the sweep that ran the block
         warnings.warn(

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import test_sweep as _sweep_tests
-from _support import OMEGA_M, TWO_PI, base_params
+from _support import OMEGA_M, TWO_PI, atom_free_problem, base_params
 from oemsim import (
     PRESET_NAMES,
     SimulationError,
@@ -256,6 +257,13 @@ def jordan_block_point():
     return a, np.diag(np.linspace(0.5, 2.0, 10))
 
 
+def stable_problems(name):
+    """The drift and diffusion stacks of a preset's stable grid points."""
+    problems = [preset_point(name, float(x)) for x in preset(name).grid()]
+    problems = [(a, d) for a, d in problems if is_stable(a).stable]
+    return np.array([a for a, _ in problems]), np.array([d for _, d in problems])
+
+
 FALLBACK_CASES = {
     "fig3": lambda: preset_point("fig3", 0.0),
     "fig5": lambda: preset_point("fig5", 0.0),
@@ -267,11 +275,7 @@ FALLBACK_CASES = {
 class TestBatchedLyapunovSolver:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_agrees_with_bartels_stewart_on_every_stable_preset_point(self, name):
-        spec = preset(name)
-        problems = [preset_point(name, float(x)) for x in spec.grid()]
-        problems = [(a, d) for a, d in problems if is_stable(a).stable]
-        a_stack = np.array([a for a, _ in problems])
-        d_stack = np.array([d for _, d in problems])
+        a_stack, d_stack = stable_problems(name)
         batch = dynamics.solve_lyapunov_batch(a_stack, d_stack)
         assert batch.errors == {}
         assert batch.stable.all()
@@ -282,6 +286,81 @@ class TestBatchedLyapunovSolver:
             sums = np.abs(ev[:, None] + ev[None, :])
             kappa = sums.max() / sums.min()  # pair-sum condition estimate
             assert np.max(np.abs(v - ref)) <= 100.0 * eps * kappa * np.max(np.abs(ref))
+
+    @staticmethod
+    def mixed_stack(a, d):
+        """a and d with a non-finite, an unstable and a fallback problem put in
+        front of members 0, 1 and 2; returns the stacks and the positions of
+        the original members."""
+        bad = a[0].copy()
+        bad[0, 0] = np.nan
+        unstable = -a[1]
+        a_fb, d_fb = FALLBACK_CASES["jordan"]()
+        extra_a, extra_d = [bad, unstable, a_fb], [d[0], d[1], d_fb]
+        a_mix = np.insert(a, [0, 1, 2], np.array(extra_a), axis=0)
+        d_mix = np.insert(d, [0, 1, 2], np.array(extra_d), axis=0)
+        shared = np.setdiff1d(np.arange(len(a_mix)), [0, 2, 4])
+        return a_mix, d_mix, shared
+
+    def test_whole_stack_and_gathered_solves_agree_bit_for_bit(self, fallback_calls):
+        a, d = stable_problems("fig5")
+        whole = dynamics.solve_lyapunov_batch(a, d)
+        assert whole.errors == {} and whole.stable.all()
+        a_mix, d_mix, shared = self.mixed_stack(a, d)
+        mixed = dynamics.solve_lyapunov_batch(a_mix, d_mix)
+        assert set(mixed.errors) == {0}
+        assert not mixed.stable[2] and mixed.stable[4]
+        assert any((call == a_mix[4]).all(axis=(1, 2)).any() for call in fallback_calls)
+        assert np.array_equal(mixed.v[shared], whole.v)
+        assert np.array_equal(mixed.max_real_part[shared], whole.max_real_part)
+        assert np.array_equal(mixed.stable[shared], whole.stable)
+
+    def test_inputs_are_left_as_they_were(self):
+        a, d = stable_problems("fig5")
+        a_mix, d_mix, _ = self.mixed_stack(a, d)
+        for a_st, d_st in [(a, d), (a_mix, d_mix)]:
+            before = a_st.tobytes(), d_st.tobytes()
+            batch = dynamics.solve_lyapunov_batch(a_st, d_st)
+            assert (a_st.tobytes(), d_st.tobytes()) == before
+            assert not np.shares_memory(batch.v, a_st)
+            assert not np.shares_memory(batch.v, d_st)
+
+    def test_solutions_keep_the_bits_of_fresh_intermediates(self, fallback_calls):
+        # the eigenbasis formulas with a fresh array for every step, compared
+        # byte for byte, so that an exact zero keeps its sign too; fig2's
+        # atom-free problems carry exact zeros in their decoupled corner
+        spec = preset("fig2")
+        problems = [atom_free_problem(spec.base.replace(delta_c=x * spec.axis_scale))
+                    for x in spec.grid()[1::4]]
+        problems = [(a, d) for a, d in problems if is_stable(a).stable]
+        a = np.array([a for a, _ in problems])
+        d = np.array([d for _, d in problems])
+        batch = dynamics.solve_lyapunov_batch(a, d)
+        assert batch.errors == {} and batch.stable.all() and fallback_calls == []
+        lam, s = np.linalg.eig(a)
+        lam, s = lam.astype(complex), s.astype(complex)
+        s_inv = np.linalg.solve(s, np.broadcast_to(np.eye(10), s.shape))
+        c = s_inv @ d @ np.swapaxes(s_inv, 1, 2)
+        w = -c / (lam[:, :, None] + lam[:, None, :])
+        x = (s @ w @ np.swapaxes(s, 1, 2)).real
+        assert batch.v.tobytes() == (0.5 * (x + np.swapaxes(x, 1, 2))).tobytes()
+
+    def test_block_solve_holds_few_complex_stacks(self):
+        # a sweep's 64-problem block, all stable: the solve's temporaries
+        # peak below six complex (64, 10, 10) stacks, where forming each
+        # intermediate afresh needs nearly nine
+        a, d = stable_problems("fig5")
+        a, d = a[:64].copy(), d[:64].copy()
+        dynamics.solve_lyapunov_batch(a, d)
+        stack = a.size * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            batch = dynamics.solve_lyapunov_batch(a, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(a) == 64 and batch.errors == {} and batch.stable.all()
+        assert peak <= 6 * stack
 
     @pytest.mark.parametrize("name", sorted(FALLBACK_CASES))
     def test_defective_point_takes_the_fallback(self, name, fallback_calls):
