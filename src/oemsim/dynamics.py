@@ -59,34 +59,27 @@ def _assemble(slots: np.ndarray, entries: list, omega_m,
 
     At points == () the entries are floats and give one matrix. A
     ParameterBlock's points == (m,) give an (m, 10, 10) stack, one matrix
-    per point; each entry is then a column or a float, the same at every
-    point, and so is omega_m.
+    per point, filled from the entries' _Template; each entry is then a
+    column or a float, the same at every point, and so is omega_m.
     """
-    out = np.zeros((100,) + points)
     if points:
-        for slot, entry in zip(slots.tolist(), entries):
-            out[slot] = entry
-    else:
-        out[slots] = entries
+        out = np.empty(points + (100,))
+        _Template.split(slots, entries, omega_m).fill(out, slice(None))
+        return out.reshape(points + (10, 10))
+    out = np.zeros(100)
+    out[slots] = entries
     out /= omega_m
-    return out.T.reshape(points + (10, 10))
+    return out.reshape(10, 10)
 
 
-def build_drift(params: SystemParameters, ss: SteadyState) -> np.ndarray:
-    """Assemble the 10x10 drift matrix of the linearized dynamics.
-
-    The atomic rows couple to the optical quadratures through g times the
-    intracavity atom number; with equal populations and coherence the two
-    position-like couplings cancel exactly. Every entry is divided by
-    omega_m, which the covariance solution is provably invariant under. A
-    ParameterBlock and its SteadyState give the (m, 10, 10) stack; an entry
-    that no column reaches is computed once, as a float.
-    """
+def _drift_entries(params: SystemParameters, ss: SteadyState) -> list:
+    """The drift's entries in _DRIFT_SLOTS order, before the division by
+    omega_m; each a float or, for a ParameterBlock, a column."""
     p = params
     om = p.omega_m
     g = p.g
     gn = g * effective_atom_number(p)
-    return _assemble(_DRIFT_SLOTS, [
+    return [
         om,
         -om, -p.gamma_m, ss.g_c, ss.g_w,
         -p.kappa_c, p.delta_c, g, g,
@@ -99,7 +92,37 @@ def build_drift(params: SystemParameters, ss: SteadyState) -> np.ndarray:
         # lower transition quasi-mode (opposite rotation sense)
         gn * (p.rho_cc0 - p.rho_ca0), -p.kappa_a, -p.delta_a2,
         -gn * (p.rho_cc0 + p.rho_ca0), p.delta_a2, -p.kappa_a,
-    ], om, _points(p))
+    ]
+
+
+def _diffusion_entries(params: SystemParameters) -> list:
+    """The diffusion's entries in _DIFFUSION_SLOTS order, before the division
+    by omega_m; each a float or, for a ParameterBlock, a column."""
+    p = params
+    temperature = p.temperature
+    mechanical = p.gamma_m * (2.0 * _occupation(p.omega_m, temperature) + 1.0)
+    microwave = p.kappa_w * (2.0 * _occupation(p.omega_w, temperature) + 1.0)
+    kappa_c, kappa_a = p.kappa_c, p.kappa_a
+    return [
+        mechanical,
+        kappa_c, kappa_c,
+        microwave, microwave,
+        kappa_a, kappa_a, kappa_a, kappa_a,
+    ]
+
+
+def build_drift(params: SystemParameters, ss: SteadyState) -> np.ndarray:
+    """Assemble the 10x10 drift matrix of the linearized dynamics.
+
+    The atomic rows couple to the optical quadratures through g times the
+    intracavity atom number; with equal populations and coherence the two
+    position-like couplings cancel exactly. Every entry is divided by
+    omega_m, which the covariance solution is provably invariant under. A
+    ParameterBlock and its SteadyState give the (m, 10, 10) stack; an entry
+    that no column reaches is computed once, as a float.
+    """
+    return _assemble(_DRIFT_SLOTS, _drift_entries(params, ss), params.omega_m,
+                     _points(params))
 
 
 def build_diffusion(params: SystemParameters) -> np.ndarray:
@@ -112,17 +135,66 @@ def build_diffusion(params: SystemParameters) -> np.ndarray:
     units of omega_m, as the drift's. A ParameterBlock gives the (m, 10, 10)
     stack, also where no entry varies (a block along delta_c, say).
     """
-    p = params
-    om, temperature = p.omega_m, p.temperature
-    mechanical = p.gamma_m * (2.0 * _occupation(om, temperature) + 1.0)
-    microwave = p.kappa_w * (2.0 * _occupation(p.omega_w, temperature) + 1.0)
-    kappa_c, kappa_a = p.kappa_c, p.kappa_a
-    return _assemble(_DIFFUSION_SLOTS, [
-        mechanical,
-        kappa_c, kappa_c,
-        microwave, microwave,
-        kappa_a, kappa_a, kappa_a, kappa_a,
-    ], om, _points(p))
+    return _assemble(_DIFFUSION_SLOTS, _diffusion_entries(params),
+                     params.omega_m, _points(params))
+
+
+@dataclass(frozen=True)
+class _Template:
+    """The 10x10 matrices of a ParameterBlock's points as what they share
+    and what varies: `fixed` holds every entry / omega_m that is a float (0
+    off the entry slots), and values[i] holds, one per point, the entry at
+    flat slot slots[i]."""
+
+    fixed: np.ndarray    # (100,)
+    slots: np.ndarray    # (k,)
+    values: np.ndarray   # (k, m)
+
+    @classmethod
+    def split(cls, slots: np.ndarray, entries: list, omega_m) -> "_Template":
+        """Sort each entry / omega_m by kind: a float goes into `fixed`, a
+        column into `values`; where omega_m is a column, every entry is one.
+        A working point's float broadcast to the points (a column of stride
+        0) counts as the float."""
+        fixed = np.zeros(100)
+        varying, columns = [], []
+        for slot, entry in zip(slots.tolist(), entries):
+            if entry.__class__ is np.ndarray and not entry.strides[0]:
+                entry = entry[0]
+            value = entry / omega_m  # rounds as a single point's division
+            if value.__class__ is np.ndarray:
+                varying.append(slot)
+                columns.append(value)
+            else:
+                fixed[slot] = value
+        return cls(fixed, np.array(varying, dtype=np.intp), np.array(columns))
+
+    def with_fixed(self, index: tuple[slice, slice], matrix: np.ndarray) -> "_Template":
+        """This template with its 10x10 sub-matrix at index set to matrix at
+        every point; the varying entries there are dropped."""
+        fixed = self.fixed.reshape(10, 10).copy()
+        fixed[index] = matrix
+        inside = np.zeros((10, 10), dtype=bool)
+        inside[index] = True
+        keep = ~inside.ravel()[self.slots]
+        return _Template(fixed.ravel(), self.slots[keep], self.values[keep])
+
+    def fill(self, out: np.ndarray, block: slice) -> None:
+        """Write the flattened matrices of a block of the points into out, an
+        (m, 100) array: the same bits that build_drift or build_diffusion
+        give at those points."""
+        out[...] = self.fixed
+        if self.slots.size:
+            out[:, self.slots] = self.values[:, block].T
+
+
+def _templates(params: SystemParameters, ss: SteadyState) -> tuple[_Template, _Template]:
+    """The drift and the diffusion of a ParameterBlock and its SteadyState,
+    as _Templates: the entries of build_drift and build_diffusion, computed
+    once for all of the block's points."""
+    om = params.omega_m
+    return (_Template.split(_DRIFT_SLOTS, _drift_entries(params, ss), om),
+            _Template.split(_DIFFUSION_SLOTS, _diffusion_entries(params), om))
 
 
 def is_stable(a: np.ndarray) -> StabilityReport:

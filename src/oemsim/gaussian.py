@@ -81,10 +81,6 @@ def log_negativity(cm: np.ndarray) -> LogNegativity:
     return LogNegativity(e_n=float(e_n[0]), eta_minus=float(eta_minus[0]))
 
 
-def _det2(m: np.ndarray) -> np.ndarray:
-    return m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
-
-
 def log_negativities(cm: np.ndarray) -> tuple[
         np.ndarray, np.ndarray, dict[int, UnphysicalCovarianceError]]:
     """Logarithmic negativity of each two-mode state in a (m, 4, 4) stack.
@@ -97,8 +93,12 @@ def log_negativities(cm: np.ndarray) -> tuple[
     where errors maps the index of each rejected state to its error and the
     two arrays hold NaN there.
     """
-    sigma = (_det2(cm[:, :2, :2]) + _det2(cm[:, 2:, 2:])
-             - 2.0 * _det2(cm[:, :2, 2:]))
+    # the determinants of the 2x2 blocks v1, vc (and vc^T) and v2 in one
+    # pass: blocks[:, i, :, j, :] is the block in block row i, block column j
+    blocks = cm.reshape(-1, 2, 2, 2, 2)
+    dets = (blocks[:, :, 0, :, 0] * blocks[:, :, 1, :, 1]
+            - blocks[:, :, 0, :, 1] * blocks[:, :, 1, :, 0])
+    sigma = dets[:, 0, 0] + dets[:, 1, 1] - 2.0 * dets[:, 0, 1]
     det_cm = np.linalg.det(cm)
     disc = sigma * sigma - 4.0 * det_cm
     clamped = np.where((disc < 0.0) & (disc >= -DISCRIMINANT_TOL), 0.0, disc)

@@ -239,10 +239,11 @@ def solve_steady_state(params: SystemParameters) -> SteadyState:
     coherences eliminated:
         alpha_s = e_c / (i delta_c + kappa_c + i g (a_coef + b_coef)).
     Raises SingularityError where |denominator| < 1e-30. A ParameterBlock gives
-    a SteadyState of columns instead, one entry per point also where a field
-    is the same at every point, and a point at such a pole carries NaN in
-    q_s, alpha_s, sigma_ba_s, sigma_cb_s and g_c; a pole that no column
-    reaches is at every point.
+    a SteadyState of columns instead, one entry per point, and a point at
+    such a pole carries NaN in q_s, alpha_s, sigma_ba_s, sigma_cb_s and g_c;
+    a pole that no column reaches is at every point. A field that no column
+    reaches is computed once, as a float, and comes back broadcast to the
+    points: a read-only column of stride 0.
 
     Complex quotients and products are written in real arithmetic (+ - * /
     sqrt), which rounds a float and a column alike; CPython and numpy round
@@ -258,13 +259,12 @@ def solve_steady_state(params: SystemParameters) -> SteadyState:
     d_i = p.delta_c + g * (a_r + b_r)
     d_sq = d_r * d_r + d_i * d_i
     points = _points(p)
-    if points:
-        # a column even where the block's column never reaches it, so that a
-        # pole comes back as NaN at every point it hits
-        d_sq = d_sq + np.zeros(points)
-        d_sq[d_sq < 1e-60] = np.nan
+    if d_sq.__class__ is np.ndarray:
+        d_sq[d_sq < 1e-60] = np.nan  # at the points of a block that it hits
     elif d_sq < 1e-60:
-        raise SingularityError(POLE_MESSAGE)
+        if not points:
+            raise SingularityError(POLE_MESSAGE)
+        d_sq = math.nan  # at every point of the block
     # alpha_s = u - i v, and beta_s = e_w / (kappa_w + i delta_w)
     e_c, e_w = der.e_c, der.e_w
     scale = e_c / d_sq
@@ -286,7 +286,7 @@ def solve_steady_state(params: SystemParameters) -> SteadyState:
     g_w = _SQRT2 * der.g_ow_bare * beta_abs
     fields = q_s, p_s, alpha_s, beta_s, sigma_ba_s, sigma_cb_s, g_c, g_w
     if points:  # a block's constants become columns too
-        fields = [f if f.__class__ is np.ndarray else np.full(points, f)
+        fields = [f if f.__class__ is np.ndarray else np.broadcast_to(f, points)
                   for f in fields]
     return SteadyState(*fields)
 

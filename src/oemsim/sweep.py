@@ -1,30 +1,34 @@
 """Parameter sweeps, bundled scenario presets, and atom-free baselines.
 
-A sweep varies one parameter of the 10-mode system over a 1-D grid, in blocks
-of BLOCK_POINTS points. A block is a model.ParameterBlock: the varied field's
-column beside the base's other values as floats. The sweep validates the
-column once, at its extremes, and builds no SystemParameters per point. The
-block's working points, drifts and diffusions come from one call each, since
-model.solve_steady_state, dynamics.build_drift and dynamics.build_diffusion
-take a block as well as a single point. They compute what the column does
-not reach once per block, as floats, and the rest in columns; a pole of the
-optical response comes back per point instead of being raised. One batched
-eigendecomposition per block then gives the stability gate and the
-steady-state covariance (dynamics.solve_lyapunov_batch); the block's points
-that fail its residual check are solved again together, directly, by one
-batched LU solve of their Lyapunov operators on the 55 unknowns of a
-symmetric covariance. The entanglement of every (problem, requested mode
-pair) of the block comes from one batched log-negativity over one gathered
-stack of 4x4 blocks. The optional atom-free baseline, posed only when a
-bosonic pair is requested, is the same pipeline on the same block with g and
-r_a at 0.0, where the atomic rows decouple, and vacuum placeholders in their
-corner; the independent 6-mode route that checks it lives in verify.
+A sweep varies one parameter of the 10-mode system over a 1-D grid. The model
+stage runs once per _STAGE_POINTS points, which bounds the memory it holds:
+a model.ParameterBlock of those points (the varied field's column beside the
+base's other values as floats, validated once, at the grid's extremes) gives
+one working point per problem variant (model.solve_steady_state), and the
+entries of build_drift and build_diffusion, each computed once. An entry
+that no column reaches is a float and goes into a 10x10 template; the rest
+stay columns, one value per point (dynamics._Template). The stage's points
+are then evaluated in blocks of BLOCK_POINTS: a block copies the templates
+into its drift and diffusion stacks and writes in only its slice of the
+varying entries, and takes its pole mask, where the optical response has a
+pole, from the stage's q_s column. One batched eigendecomposition per block
+then gives the stability gate and the steady-state covariance
+(dynamics.solve_lyapunov_batch); the block's points that fail its residual
+check are solved again together, directly, by one batched LU solve of their
+Lyapunov operators on the 55 unknowns of a symmetric covariance. The
+entanglement of every (problem, requested mode pair) of the block comes from
+one batched log-negativity over one gathered stack of 4x4 blocks. The
+optional atom-free baseline, posed only when a bosonic pair is requested, is
+a second variant of the same points with g and r_a at 0.0, where the atomic
+rows decouple, and vacuum placeholders in their corner; the independent
+6-mode route that checks it lives in verify. evaluate_point is a sweep of
+one point.
 
 Blocks are independent, and their work is batched numpy and LAPACK calls that
 release the interpreter lock, so run_sweep(spec, jobs) with jobs > 1 evaluates
-them on a pool of min(jobs, blocks, CPUs) threads. Results are assembled in
-block order: the columns, the failures map and the CSV bytes are the same at
-every jobs value.
+them on a pool of min(jobs, blocks, CPUs) threads, while the calling thread
+runs the next model stage. Results are assembled in block order: the columns,
+the failures map and the CSV bytes are the same at every jobs value.
 
 A SweepResult holds columns, one entry per grid point, and the CSV is
 written from them; per-point PointRecords are derived only when asked for.
@@ -33,6 +37,7 @@ written from them; per-point PointRecords are derived only when asked for.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
@@ -64,6 +69,9 @@ class SweepSpec:
     notes: tuple[str, ...] = ()  # provenance/interpretation notes for metadata
 
     def __post_init__(self) -> None:
+        if isinstance(self.count, bool) or not isinstance(self.count, numbers.Integral):
+            raise ParameterError(
+                f"sweep grid count must be an integer, got {self.count!r}")
         if self.count < 2:
             raise ParameterError("sweep grid needs at least 2 points")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
@@ -137,6 +145,10 @@ class SweepResult:
 #: grid points per batched eigendecomposition; bounds the engine's working
 #: memory (one batch over a whole 8001-point grid more than doubles peak RSS)
 BLOCK_POINTS = 64
+#: grid points per model stage, a whole number of blocks: the working points
+#: and the varying drift and diffusion entries of a long grid are held for
+#: this many points at a time, not for the whole grid
+_STAGE_POINTS = 16 * BLOCK_POINTS
 
 
 def evaluate_point(params: model.SystemParameters, pairs: tuple[str, ...],
@@ -145,13 +157,15 @@ def evaluate_point(params: model.SystemParameters, pairs: tuple[str, ...],
 
     Never raises for per-point numerical trouble: instability comes back as a
     flagged record and solver failures as an error record, so grid scans keep
-    going. The record's x is delta_c / omega_m, the default sweep axis.
+    going. The record's x is delta_c / omega_m, the default sweep axis. The
+    point is a sweep of one point along delta_c.
     """
     pairs = tuple(gaussian.normalize_pair_tag(t) for t in pairs)
     base_pairs = _baseline_pairs(pairs) if baseline else ()
-    block = model.parameter_block(params, "delta_c", [params.delta_c])  # one point
+    columns = _evaluate(params, "delta_c", np.array([params.delta_c]), pairs,
+                        base_pairs, jobs=1)
     return _records(np.array([params.delta_c / params.omega_m]), pairs, base_pairs,
-                    *_evaluate_block(block, pairs, base_pairs))[0]
+                    *columns)[0]
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
@@ -171,35 +185,8 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     # column's extremes (or its first NaN) stand for every grid point
     for k in sorted({int(column.argmin()), int(column.argmax())}):
         spec.base.replace(**{spec.varied: float(column[k])})
-    starts = range(0, len(xs), BLOCK_POINTS)
-
-    def evaluate(lo: int):
-        block = model.parameter_block(spec.base, spec.varied,
-                                      column[lo:lo + BLOCK_POINTS])
-        return _evaluate_block(block, spec.pairs, spec.baseline_pairs)
-
-    workers = min(jobs, len(starts), os.cpu_count() or 1)
-    if workers > 1:
-        # imported here: it costs milliseconds and pulls in logging, which
-        # `import oemsim` and a serial sweep never need
-        from concurrent import futures
-        pool = futures.ThreadPoolExecutor(workers)
-        try:
-            submitted = [pool.submit(evaluate, lo) for lo in starts]
-            futures.wait(submitted, return_when=futures.FIRST_EXCEPTION)
-        finally:
-            pool.shutdown(cancel_futures=True)
-        # blocks start in order, so none before a failed one was cancelled
-        outcomes = [future.result() for future in submitted]
-    else:
-        outcomes = map(evaluate, starts)
-    blocks = []
-    failures: dict[int, str] = {}
-    for lo, (*cols, found) in zip(starts, outcomes):
-        blocks.append(cols)
-        failures.update((lo + i, message) for i, message in found.items())
-    stable, max_real_part, e_n, baseline_e_n = map(np.concatenate, zip(*blocks))
-    return SweepResult(spec, xs, stable, max_real_part, e_n, baseline_e_n, failures)
+    return SweepResult(spec, xs, *_evaluate(spec.base, spec.varied, column, spec.pairs,
+                                            spec.baseline_pairs, jobs))
 
 
 def _baseline_pairs(pairs: tuple[str, ...]) -> tuple[str, ...]:
@@ -207,36 +194,129 @@ def _baseline_pairs(pairs: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(t for t in gaussian.BOSONIC_PAIRS if t in pairs)
 
 
-def _evaluate_block(block: model.ParameterBlock, pairs: tuple[str, ...],
+def _evaluate(base: model.SystemParameters, varied: str, column: np.ndarray,
+              pairs: tuple[str, ...], base_pairs: tuple[str, ...], jobs: int):
+    """The columns of SweepResult for the points of `column` along `varied`:
+    stable, max_real_part, e_n, baseline_e_n and failures.
+
+    The model stage runs once per _STAGE_POINTS points (_ModelStage), and
+    then each of its blocks once (_evaluate_block). With a pool, the calling
+    thread runs the model stage of the next _STAGE_POINTS points while the
+    pool solves the blocks of the last ones; it waits for the blocks of the
+    stage before that first, so at most three stages are held at a time.
+    """
+    n = len(column)
+
+    def blocks():
+        for lo in range(0, n, _STAGE_POINTS):
+            stage = _ModelStage.of(base, varied, column[lo:lo + _STAGE_POINTS],
+                                   bool(base_pairs))
+            yield [(stage, slice(b, b + BLOCK_POINTS))
+                   for b in range(0, len(stage.pole), BLOCK_POINTS)]
+
+    def evaluate(stage: _ModelStage, block: slice):
+        # a frame in this module: the Lyapunov solve's warnings name it
+        return _evaluate_block(stage, block, pairs, base_pairs)
+
+    workers = 1
+    if jobs > 1:  # os.cpu_count reads the system's CPU list: only a pool needs it
+        workers = min(jobs, -(-n // BLOCK_POINTS), os.cpu_count() or 1)
+    if workers > 1:
+        # imported here: it costs milliseconds and pulls in logging, which
+        # `import oemsim` and a serial sweep never need
+        from concurrent import futures
+        pool = futures.ThreadPoolExecutor(workers)
+        submitted, window = [], []
+        try:
+            for stage_blocks in blocks():
+                window.append([pool.submit(evaluate, *args) for args in stage_blocks])
+                submitted += window[-1]
+                if len(window) == 2:
+                    done, _ = futures.wait(window.pop(0),
+                                           return_when=futures.FIRST_EXCEPTION)
+                    if any(future.exception() for future in done):
+                        break
+            futures.wait(submitted, return_when=futures.FIRST_EXCEPTION)
+        finally:
+            pool.shutdown(cancel_futures=True)
+        # blocks start in order, so none before a failed one was cancelled
+        outcomes = [future.result() for future in submitted]
+    else:
+        outcomes = (evaluate(*args) for stage_blocks in blocks() for args in stage_blocks)
+    parts = []
+    failures: dict[int, str] = {}
+    for lo, (*cols, found) in zip(range(0, n, BLOCK_POINTS), outcomes):
+        parts.append(cols)
+        failures.update((lo + i, message) for i, message in found.items())
+    return (*map(np.concatenate, zip(*parts)), failures)
+
+
+@dataclass(frozen=True, eq=False)
+class _ModelStage:
+    """The model stage of consecutive points of a sweep: everything that the
+    points' problems need before the Lyapunov solve.
+
+    Problem variants: the main problem and, when the sweep reports a
+    baseline, the atom-free problem at g = 0, r_a = 0: there the atomic rows
+    of the drift decouple exactly, so its bosonic blocks are those of the
+    atom-free system. Its atomic corner holds the vacuum placeholders -I
+    (drift) and I (diffusion), solved by I/2: as built, the corner's rates
+    would decide the atom-free gate (kappa_a near 0), condition estimate and
+    residual bound, and LAPACK's balancing sets rows without off-diagonal
+    entries aside.
+    """
+
+    column: np.ndarray         # (n,) the varied field at each point
+    omega_m: np.ndarray        # (n,) omega_m at each point
+    pole: np.ndarray           # (n,) the main working point is at a pole
+    templates: list            # (drift, diffusion) dynamics._Template per variant
+
+    @classmethod
+    def of(cls, base: model.SystemParameters, varied: str, column: np.ndarray,
+           baseline: bool) -> "_ModelStage":
+        """One working point and one pair of templates per variant, each
+        computed once for all of the column's points."""
+        block = model.parameter_block(base, varied, column)
+        working = model.solve_steady_state(block)
+        templates = [dynamics._templates(block, working)]
+        if baseline:
+            atom_free = replace(block, g=0.0, r_a=0.0)
+            drift, diffusion = dynamics._templates(
+                atom_free, model.solve_steady_state(atom_free))
+            corner = (slice(6, None), slice(6, None))
+            templates.append((drift.with_fixed(corner, -np.eye(4)),
+                              diffusion.with_fixed(corner, np.eye(4))))
+        # the block form marks a pole with NaN
+        return cls(column, np.broadcast_to(block.omega_m, column.shape),
+                   np.isnan(working.q_s), templates)
+
+    def stacks(self, block: slice) -> tuple[np.ndarray, np.ndarray]:
+        """The drift and diffusion stacks of a block of the points: problem k
+        is the block's point k's main problem, m + k its atom-free one."""
+        shape = (len(self.templates), len(self.pole[block]), 100)
+        a, d = np.empty(shape), np.empty(shape)
+        for (drift, diffusion), a_variant, d_variant in zip(self.templates, a, d):
+            drift.fill(a_variant, block)
+            diffusion.fill(d_variant, block)
+        return a.reshape(-1, 10, 10), d.reshape(-1, 10, 10)
+
+
+def _evaluate_block(stage: _ModelStage, block: slice, pairs: tuple[str, ...],
                     base_pairs: tuple[str, ...]
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
                                dict[int, str]]:
-    """The pipeline on a block of points, with one batched Lyapunov solve and
-    one batched log-negativity.
+    """The pipeline on a block of a model stage's points, with one batched
+    Lyapunov solve and one batched log-negativity.
 
-    Each point poses one drift/diffusion problem and, when base_pairs is not
-    empty, a second one at g = 0, r_a = 0: there the atomic rows of the drift
-    decouple exactly, so its bosonic blocks are those of the atom-free system.
-    Its atomic corner holds the vacuum placeholders -I (drift) and I
-    (diffusion), solved by I/2: as built, the corner's rates would decide the
-    atom-free gate (kappa_a near 0), condition estimate and residual bound,
-    and LAPACK's balancing sets rows without off-diagonal entries aside.
-    Problem k is point k's main problem, m + k its baseline. A problem has at
-    most one error: its solve error (a pole of the main problem's optical
-    response reads as one), or else its first pair error in the requested
-    order. A point reports its main problem's error before its baseline's.
-    Returns the columns of SweepResult for the block: stable, max_real_part,
-    e_n, baseline_e_n and failures.
+    Each point poses its stage's problem variants. A problem has at most one
+    error: its solve error (a pole of the main problem's optical response
+    reads as one), or else its first pair error in the requested order. A
+    point reports its main problem's error before its baseline's. Returns
+    the columns of SweepResult for the block: stable, max_real_part, e_n,
+    baseline_e_n and failures.
     """
-    (m,) = model._points(block)
-    variants = [block]
-    if base_pairs:
-        variants.append(replace(block, g=0.0, r_a=0.0))
-    working = [model.solve_steady_state(p) for p in variants]
-    a = np.concatenate([dynamics.build_drift(p, ss) for p, ss in zip(variants, working)])
-    d = np.concatenate([dynamics.build_diffusion(p) for p in variants])
-    a[m:, 6:, 6:] = -np.eye(4)
-    d[m:, 6:, 6:] = np.eye(4)
+    a, d = stage.stacks(block)
+    m = len(a) // len(stage.templates)
     sol = dynamics.solve_lyapunov_batch(a, d)
     solved = sol.stable.copy()
     solved[list(sol.errors)] = False
@@ -257,9 +337,9 @@ def _evaluate_block(block: model.ParameterBlock, pairs: tuple[str, ...],
         sol.v[problems[:, None, None], idx[:, :, None], idx[:, None, :]])
     for (rows, out, c, _), end in zip(targets, np.cumsum(sizes)):
         out[rows % m, c] = values[end - len(rows):end]
-    # the block form marks a pole with NaN, which makes the main drift
-    # non-finite, so the solve has already failed that problem
-    pole = np.isnan(working[0].q_s)
+    # a pole's NaN working point makes the main drift non-finite, so the
+    # solve has already failed that problem
+    pole = stage.pole[block]
     errors = {k: model.POLE_MESSAGE if k < m and pole[k] else str(exc)
               for k, exc in sol.errors.items()}
     for j, exc in sorted(pair_errors.items()):  # a problem's pairs in order
@@ -270,7 +350,7 @@ def _evaluate_block(block: model.ParameterBlock, pairs: tuple[str, ...],
     failed = list(failures)
     stable = sol.stable[:m].copy()
     stable[failed] = False
-    max_real_part = sol.max_real_part[:m] * block.omega_m
+    max_real_part = sol.max_real_part[:m] * stage.omega_m[block]
     max_real_part[failed] = np.nan
     e_n[failed] = np.nan
     baseline_e_n[failed] = np.nan

@@ -10,6 +10,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+import weakref
 import zlib
 from collections import Counter
 from concurrent import futures
@@ -74,6 +75,26 @@ def narrowed(spec, start, stop, count, **extra):
     kw.update(start=start, stop=stop, count=count)
     kw.update(extra)
     return SweepSpec(**kw)
+
+
+FIELD_NAMES = tuple(f.name for f in dataclasses.fields(model.SystemParameters))
+
+
+def field_grid(name):
+    """(start, stop, axis_scale) of a grid over a field's validated domain
+    around fig6a's base."""
+    if name == "temperature":
+        return 0.0, 0.35, 1.0
+    if name in ("rho_aa0", "rho_cc0"):  # rho_ca0 = 0.5 needs them >= 0.5
+        return 0.5, 1.0, 1.0
+    if name == "rho_ca0":
+        return -0.5, 0.5, 1.0
+    value = getattr(preset("fig6a").base, name)
+    if name in ("power_c", "power_w", "g", "r_a"):
+        return 0.0, 2.0, value
+    if name.startswith("delta_"):
+        return -2.0, 2.0, abs(value)
+    return 0.5, 2.0, value
 
 
 def corrupt_pair(v, tag, scale):
@@ -195,6 +216,13 @@ class TestSweepSpecValidation:
             "axis", "axis_scale", "pairs", "baseline", "notes")}
         with pytest.raises(ParameterError, match="unknown swept parameter"):
             SweepSpec(varied="detuning", **kw)
+
+    @pytest.mark.parametrize("count", [5.0, 5.5, True, "5", None])
+    def test_rejects_a_count_that_is_not_an_integer(self, count):
+        with pytest.raises(ParameterError, match="count must be an integer"):
+            narrowed(preset("fig2"), -1.0, 1.0, count)
+        # numpy's integers are integers
+        assert len(run_sweep(narrowed(preset("fig2"), -1.0, 1.0, np.int64(5))).x) == 5
 
     def test_pairs_normalized_and_deduplicated(self):
         spec = narrowed(preset("fig2"), -1.0, 1.0, 3, pairs=("MR-OC", "oc_mc"))
@@ -354,16 +382,22 @@ class TestRunSweep:
         # to about 2.4 at 0.2 mK
         ("temperature", 0.0, 2e-4, 1.0),
         ("omega_m", 0.6, 1.6, OMEGA_M),    # enters the scaling and max_real_part
-    ])
+    ] + [(name, *field_grid(name)) for name in FIELD_NAMES
+         if name not in ("r_a", "g", "temperature", "omega_m")])
     def test_sweep_along_field_equals_single_points(self, varied, start, stop, scale):
+        # which entries a field reaches decides which drift and diffusion
+        # entries the sweep's model stage holds per point and which once
         spec = narrowed(preset("fig6a"), start, stop, 71, varied=varied,
-                        axis_scale=scale)
+                        axis_scale=scale, pairs=tuple(BIPARTITE_PAIRS))
+        assert spec.baseline
         result = run_sweep(spec)
         assert result.stable_count() > 0
         for rec in result.records:
             single = evaluate_point(spec.base.replace(**{varied: rec.x * scale}),
                                     spec.pairs, baseline=spec.baseline)
-            assert dataclasses.replace(single, x=rec.x) == rec
+            single = dataclasses.replace(single, x=rec.x)
+            assert single == rec
+            assert repr(single) == repr(rec)  # float reprs tell -0.0 from 0.0
 
 
 class TestBlockEngine:
@@ -564,6 +598,66 @@ class TestBlockEngine:
                                 spec.pairs, baseline=True)
         assert single.error == model.POLE_MESSAGE
 
+    def test_model_stage_runs_once_per_variant_per_stage(self, monkeypatch):
+        calls = Counter()
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(model, "solve_steady_state")
+        counted(dynamics, "build_drift")
+        counted(dynamics, "build_diffusion")
+        counted(dynamics, "solve_lyapunov_batch")
+        spec = narrowed(preset("fig6a"), -2.0, 2.0, 2049)
+        assert spec.baseline
+        run_sweep(spec, jobs=1)
+        blocks = -(-spec.count // BLOCK_POINTS)
+        stages = -(-spec.count // sweep._STAGE_POINTS)
+        assert 1 < stages and 8 * stages <= blocks  # many blocks per stage
+        # a main and an atom-free working point per stage, not per block
+        assert calls == {"solve_steady_state": 2 * stages, "solve_lyapunov_batch": blocks}
+
+    def test_model_stage_sorts_entries_by_kind(self):
+        # an entry that no column reaches is held once, as a float
+        base = preset("fig6a").base
+        columns = {"temperature": np.array([0.0, 1e-3, 0.3]),
+                   "omega_m": np.array([0.8, 1.0, 1.2]) * base.omega_m,
+                   "delta_c": np.array([-1.0, 0.0, 1.0]) * base.delta_c}
+        along = {name: sweep._ModelStage.of(base, name, column, baseline=True)
+                 for name, column in columns.items()}
+        for drift, diffusion in along["temperature"].templates:
+            assert drift.slots.size == 0  # the drift does not depend on temperature
+            assert sorted(diffusion.slots.tolist()) == [11, 44, 55]  # the thermal factors
+        (drift, diffusion), (free_drift, free_diffusion) = along["omega_m"].templates
+        assert drift.slots.size == 31 and diffusion.slots.size == 9
+        # the atom-free corner is fixed to the vacuum placeholders
+        assert free_drift.slots.size == 31 - 8 and free_diffusion.slots.size == 9 - 4
+        # delta_c reaches its own two entries and the optomechanical coupling
+        for drift, diffusion in along["delta_c"].templates:
+            assert sorted(drift.slots.tolist()) == [12, 23, 30, 32]
+            assert diffusion.slots.size == 0
+
+    def test_long_sweep_holds_one_model_stage_at_a_time(self):
+        # along omega_m every drift and diffusion entry varies; one model
+        # stage over the whole grid would hold 2 x 40 columns of 8001 points,
+        # 5.1 MB, and more in working points and temporaries
+        spec = narrowed(preset("fig6a"), 0.6, 1.6, 8001, varied="omega_m",
+                        axis_scale=OMEGA_M)
+        tracemalloc.start()
+        try:
+            result = run_sweep(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(column.nbytes for column in (
+            result.x, result.stable, result.max_real_part, result.e_n, result.baseline_e_n))
+        assert peak - held < 3 * 2**20
+
     def test_pole_that_no_column_reaches_fails_every_point(self):
         # the temperature column never reaches the optical denominator, so
         # its block computes the pole once, as a float, and must still give
@@ -693,21 +787,73 @@ class TestThreadedSweep:
         started = []
         real = sweep._evaluate_block
 
-        def evaluate(block, pairs, base_pairs):
-            k = int(np.flatnonzero(first == block.delta_c[0])[0])
+        def evaluate(stage, block, pairs, base_pairs):
+            k = int(np.flatnonzero(first == stage.column[block][0])[0])
             started.append(k)
             if k == 1:
                 raise SimulationError("block 1 failed")
             # block 0 waits until the failure has cancelled the pending
             # blocks; any other block holds its thread until then too
             assert released.wait(timeout=10)
-            return real(block, pairs, base_pairs)
+            return real(stage, block, pairs, base_pairs)
 
         monkeypatch.setattr(futures, "ThreadPoolExecutor", Pool)
         monkeypatch.setattr(sweep, "_evaluate_block", evaluate)
         with pytest.raises(SimulationError, match="block 1 failed"):
             run_sweep(spec, jobs=2)
         assert {0, 1} <= set(started) <= {0, 1, 2}
+
+    def test_stages_equal_serial_and_stay_few(self, monkeypatch):
+        # blocks of eight points and stages of two blocks: the pool solves
+        # the blocks of at most two stages while the calling thread computes
+        # the next one, however many stages the grid has
+        monkeypatch.setattr(sweep, "BLOCK_POINTS", 8)
+        monkeypatch.setattr(sweep, "_STAGE_POINTS", 16)
+        self.injected_errors(monkeypatch)
+        live = weakref.WeakSet()
+        counts = []
+        stage_of, evaluate_block = sweep._ModelStage.of, sweep._evaluate_block
+
+        def of(*args):
+            stage = stage_of(*args)
+            live.add(stage)
+            counts.append(len(live))
+            return stage
+
+        def block(*args):
+            counts.append(len(live))
+            return evaluate_block(*args)
+
+        monkeypatch.setattr(sweep._ModelStage, "of", of)
+        monkeypatch.setattr(sweep, "_evaluate_block", block)
+        spec = narrowed(preset("fig6a"), -2.0, 2.0, 161)  # 11 stages
+        results = {jobs: run_sweep(spec, jobs=jobs) for jobs in (1, 2, 3)}
+        assert max(counts) <= 3
+        serial = results[1]
+        assert serial.error_count() > 1
+        for result in results.values():
+            for column in ("stable", "max_real_part", "e_n", "baseline_e_n"):
+                assert np.array_equal(getattr(result, column), getattr(serial, column),
+                                      equal_nan=True), column
+            assert result.failures == serial.failures
+
+    def test_failing_block_of_a_later_stage_propagates(self, monkeypatch):
+        monkeypatch.setattr(sweep, "BLOCK_POINTS", 8)
+        monkeypatch.setattr(sweep, "_STAGE_POINTS", 16)
+        started = []
+        real = sweep._evaluate_block
+
+        def evaluate(*args):
+            started.append(1)
+            if len(started) == 5:  # a block of the third stage or earlier
+                raise SimulationError("fifth block failed")
+            return real(*args)
+
+        monkeypatch.setattr(sweep, "_evaluate_block", evaluate)
+        spec = narrowed(preset("fig6a"), -2.0, 2.0, 161)  # 21 blocks
+        with pytest.raises(SimulationError, match="fifth block failed"):
+            run_sweep(spec, jobs=2)
+        assert len(started) < 21
 
     def test_serial_sweep_never_imports_the_pool(self, tmp_path):
         script = (
