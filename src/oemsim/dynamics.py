@@ -319,6 +319,21 @@ def _eigenbasis_lyapunov(lam: np.ndarray, s: np.ndarray, d: np.ndarray):
     return x, cond
 
 
+def _has_stable(spectra: np.ndarray) -> bool:
+    """Whether any of a stack's spectra passes the Hurwitz gate."""
+    return bool((spectra.real.max(axis=1) < -STABILITY_TOL).any())
+
+
+def _eigensolver_failed(exc: np.linalg.LinAlgError, ok: np.ndarray,
+                        shape: tuple[int, int, int],
+                        errors: dict[int, SimulationError]) -> CovarianceBatch:
+    """The batch in which LAPACK failed on the finite problems ok."""
+    for k in ok:
+        errors[int(k)] = SimulationError(f"eigensolver failed on drift matrix: {exc}")
+    return CovarianceBatch(np.full(shape[0], np.nan), np.zeros(shape[0], dtype=bool),
+                           np.full(shape, np.nan), errors)
+
+
 def solve_lyapunov_batch(a: np.ndarray, d: np.ndarray) -> CovarianceBatch:
     """Hurwitz gate and steady-state covariance for a stack of (a, d) pairs.
 
@@ -326,6 +341,15 @@ def solve_lyapunov_batch(a: np.ndarray, d: np.ndarray) -> CovarianceBatch:
     stack: its eigenvalues give the stability gate, and in its eigenbasis the
     Lyapunov equation is diagonal,
         C = S^-1 d S^-T,  W_ij = -C_ij / (lam_i + lam_j),  V = S W S^T.
+    Only stable problems need S. A stack of more than two finite problems
+    first takes the spectra of its first and last one with eigvals; if
+    neither is stable (a sweep block's ends, on the unstable part of a
+    grid), the whole stack takes its spectra from eigvals, and eig runs on
+    its stable problems alone, or not at all. LAPACK's dgeev runs the same
+    balancing, Hessenberg reduction and QR iterations with and without
+    eigenvectors, so both routes give the same spectra, gate and solutions
+    bit for bit; the probe only decides which driver runs. A stack with no
+    stable problem returns after the gate.
     C turns into W in place, negated and then divided by the pair sums, and
     S W and V go into spent stacks (_eigenbasis_lyapunov). Folding the sign
     into the symmetrization instead, V = -(Y + Y^T)/2, would give the same
@@ -356,23 +380,35 @@ def solve_lyapunov_batch(a: np.ndarray, d: np.ndarray) -> CovarianceBatch:
         which = "diffusion" if finite_a[k] else "drift"
         errors[int(k)] = SimulationError(f"{which} matrix contains non-finite entries")
     ok = np.flatnonzero(finite)
+    a_ok = a if ok.size == m else a[ok]
     try:
-        lam, s = np.linalg.eig(a if ok.size == m else a[ok])
+        if ok.size > 2 and not _has_stable(np.linalg.eigvals(a_ok[[0, -1]])):
+            # neither end of the stack has a steady state, so most of it
+            # likely has none: spectra without eigenvectors, then eig on the
+            # stable problems alone
+            spectra, s = np.linalg.eigvals(a_ok), None
+        else:
+            spectra, s = np.linalg.eig(a_ok)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        for k in ok:
-            errors[int(k)] = SimulationError(
-                f"eigensolver failed on drift matrix: {exc}")
-        return CovarianceBatch(abscissa, np.zeros(m, dtype=bool),
-                               np.full((m, n, n), np.nan), errors)
-    abscissa[ok] = lam.real.max(axis=1)
+        return _eigensolver_failed(exc, ok, a.shape, errors)
+    abscissa[ok] = spectra.real.max(axis=1)
     stable = abscissa < -STABILITY_TOL  # False where NaN
     idx = np.flatnonzero(stable)
+    if not idx.size:
+        return CovarianceBatch(abscissa, stable, np.full((m, n, n), np.nan), errors)
     whole = idx.size == m
-    if whole:  # C-contiguous, as a gather leaves it, for the same matmul path
+    if s is None:  # eigenvectors for the stable problems alone
+        a_st, d_st = a[idx], d[idx]
+        try:
+            lam, s = np.linalg.eig(a_st)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+            return _eigensolver_failed(exc, ok, a.shape, errors)
+    elif whole:  # C-contiguous, as a gather leaves it, for the same matmul path
         a_st, d_st = np.ascontiguousarray(a), np.ascontiguousarray(d)
+        lam = spectra
     else:
         keep = stable[ok]
-        lam, s = lam[keep], s[keep]
+        lam, s = spectra[keep], s[keep]
         a_st, d_st = a[idx], d[idx]
     # complex arithmetic throughout, whether or not eig returned real arrays,
     # so a point's result does not depend on the rest of its stack

@@ -11,9 +11,12 @@ stay columns, one value per point (dynamics._Template). The stage's points
 are then evaluated in blocks of BLOCK_POINTS: a block copies the templates
 into its drift and diffusion stacks and writes in only its slice of the
 varying entries, and takes its pole mask, where the optical response has a
-pole, from the stage's q_s column. One batched eigendecomposition per block
-then gives the stability gate and the steady-state covariance
-(dynamics.solve_lyapunov_batch); the block's points that fail its residual
+pole, from the stage's q_s column. One batched solve per block then gives
+the stability gate and the steady-state covariance
+(dynamics.solve_lyapunov_batch): one batched eigendecomposition, or, where
+the block's end problems are unstable, batched spectra without
+eigenvectors and an eigendecomposition of its stable problems alone, with
+the same bits either way. The block's points that fail its residual
 check are solved again together, directly, by one batched LU solve of their
 Lyapunov operators on the 55 unknowns of a symmetric covariance. The
 entanglement of every (problem, requested mode pair) of the block comes from
@@ -177,6 +180,8 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     in block order, so it does not depend on jobs. An exception in a block
     propagates, and blocks not yet started are cancelled.
     """
+    if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral):
+        raise ParameterError(f"jobs must be an integer, got {jobs!r}")
     if jobs < 1:
         raise ParameterError("jobs must be >= 1")
     xs = spec.grid()

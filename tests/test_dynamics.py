@@ -1,10 +1,14 @@
 """Drift/diffusion assembly, stability gate, and the Lyapunov solver."""
 
+import contextlib
 import dataclasses
+import io
 import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,14 +27,17 @@ from oemsim import (
     SystemParameters,
     build_diffusion,
     build_drift,
+    evaluate_point,
     is_stable,
     preset,
+    run_sweep,
     solve_lyapunov,
     solve_steady_state,
     thermal_occupation,
 )
 from oemsim import dynamics
 from oemsim.model import parameter_block
+from oemsim.sweep import BLOCK_POINTS
 
 
 def drift_at(params):
@@ -530,6 +537,168 @@ class TestBatchedLyapunovSolver:
         assert proc.returncode == 0, proc.stderr
         # fig3's two fallback problems, x = 0 with and without atoms, in one call
         assert proc.stdout.split() == ["0", "[2]", "False"]
+
+
+def lapack_versions():
+    """numpy's version and the BLAS and LAPACK it was built with."""
+    try:
+        deps = np.show_config(mode="dicts")["Build Dependencies"]
+        libs = "; ".join(f"{k} {deps[k].get('name')} {deps[k].get('version')}"
+                         for k in ("blas", "lapack"))
+    except (TypeError, KeyError):  # numpy before 1.26 only prints its config
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            np.show_config()
+        libs = out.getvalue()
+    return f"numpy {np.__version__}; {libs}"
+
+
+def sweep_stacks(monkeypatch, spec):
+    """The (drift, diffusion) stack of each block of a sweep, as it is solved."""
+    stacks = []
+    real = dynamics.solve_lyapunov_batch
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "solve_lyapunov_batch",
+                      lambda a, d: stacks.append((a.copy(), d.copy())) or real(a, d))
+        run_sweep(spec)
+    return stacks
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """Counts the calls of np.linalg.eig and eigvals and the problems they get."""
+    counts = Counter()
+    for name in ("eig", "eigvals"):
+        def counted(a, name=name, real=getattr(np.linalg, name)):
+            counts[name] += 1
+            counts[f"{name} problems"] += len(a) if a.ndim == 3 else 1
+            return real(a)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+class TestSpectraWithoutEigenvectors:
+    """LAPACK's dgeev runs the same balancing, Hessenberg reduction and QR
+    iterations whether or not it computes eigenvectors, so eigvals gives the
+    spectra of eig bit for bit. solve_lyapunov_batch's gate relies on that
+    when a stack takes its spectra from eigvals: a numpy or LAPACK that
+    breaks it fails here, not in the sweep outputs."""
+
+    @staticmethod
+    def assert_same_spectra(a, what):
+        assert np.array_equal(np.linalg.eigvals(a), np.linalg.eig(a)[0]), (
+            f"eigvals and eig give different spectra for {what} ({lapack_versions()})")
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_every_preset_block(self, name, monkeypatch):
+        stacks = sweep_stacks(monkeypatch, preset(name))
+        assert len(stacks) == -(-preset(name).count // BLOCK_POINTS)
+        for k, (a, _) in enumerate(stacks):  # main problems, then atom-free ones
+            self.assert_same_spectra(a, f"{name} block {k}")
+
+    @pytest.mark.parametrize("name", _sweep_tests.FIELD_NAMES)
+    def test_grid_along_every_field(self, name, monkeypatch):
+        start, stop, scale = _sweep_tests.field_grid(name)
+        spec = _sweep_tests.narrowed(preset("fig6a"), start, stop, BLOCK_POINTS,
+                                     varied=name, axis_scale=scale)
+        ((a, _),) = sweep_stacks(monkeypatch, spec)
+        assert len(a) == 2 * BLOCK_POINTS
+        self.assert_same_spectra(a, f"the fig6a grid along {name}")
+
+    def test_defective_problem_inside_a_stack(self, monkeypatch):
+        a, _ = sweep_stacks(monkeypatch, preset("fig3"))[3]
+        a = np.insert(a, len(a) // 2, FALLBACK_CASES["jordan"]()[0], axis=0)
+        self.assert_same_spectra(a, "fig3's block 3 with the Jordan problem")
+
+
+def preset_problems(name, stable):
+    """The drift and diffusion of a preset's main problems that are (or are
+    not) stable, in grid order."""
+    problems = [preset_point(name, float(x)) for x in preset(name).grid()[::7]]
+    return [(a, d) for a, d in problems if is_stable(a).stable == stable]
+
+
+def route_stacks():
+    """Stacks named by what they hold around their stable (S) and unstable
+    (U) preset problems."""
+    u, s = preset_problems("fig2", False), preset_problems("fig2", True)
+    nan_drift = s[0][0].copy()
+    nan_drift[0, 0] = np.nan
+    inf_diffusion = s[1][1].copy()
+    inf_diffusion[1, 1] = np.inf
+    warns = np.diag([-1.5e-12] + [-10.0] * 9), np.eye(10)  # condition 6.7e12
+    return {
+        "all_unstable": u[:6],
+        "all_stable": s[:4],
+        "stable_end": [s[0], u[0], s[1], u[1]],
+        "stable_island": [u[0], u[1], s[0], s[1], s[2], u[2]],
+        "non_finite_ends": [(nan_drift, s[0][1]), u[0], s[0], s[1], u[1],
+                            (s[1][0], inf_diffusion)],
+        "interior_fallback": [u[0], s[0], FALLBACK_CASES["jordan"](), s[1], u[1]],
+        "interior_warning": [u[0], s[0], warns, s[1], u[1]],
+    }
+
+
+def outcome(a, d):
+    """solve_lyapunov_batch on a stack: per problem the bytes of v and of
+    the abscissa, the gate and the error message; and the warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sol = dynamics.solve_lyapunov_batch(a, d)
+    problems = [(v.tobytes(), x.tobytes(), bool(ok), str(sol.errors.get(k)))
+                for k, (v, x, ok) in enumerate(zip(sol.v, sol.max_real_part, sol.stable))]
+    return problems, [(w.category, str(w.message)) for w in caught]
+
+
+class TestSolveRoutes:
+    """A stack whose end problems are unstable takes its spectra from
+    eigvals and eig only on its stable problems; any other stack takes eig
+    on the whole stack. Either way each problem's outcome is that of the
+    problem solved alone, a stack of one, which is never probed."""
+
+    @pytest.mark.parametrize("route", ["as_found", "eig", "spectra"])
+    @pytest.mark.parametrize("name", sorted(route_stacks()))
+    def test_route_gives_each_problem_its_own_outcome(self, name, route, monkeypatch,
+                                                      decompositions):
+        problems = route_stacks()[name]
+        a = np.array([a for a, _ in problems])
+        d = np.array([d for _, d in problems])
+        alone = [outcome(a[k:k + 1], d[k:k + 1]) for k in range(len(a))]
+        stable = sum(ok for (((_, _, ok, _),), _) in alone)
+        if route != "as_found":
+            monkeypatch.setattr(dynamics, "_has_stable", lambda spectra: route == "eig")
+        decompositions.clear()
+        together = outcome(a, d)
+        assert together[0] == [problem for (problem,), _ in alone]
+        assert together[1] == [w for _, caught in alone for w in caught]
+        if name == "interior_warning":
+            assert together[1]
+        finite = len(a) - 2 * (name == "non_finite_ends")
+        spectra = route == "spectra" or (
+            route == "as_found" and name not in ("all_stable", "stable_end"))
+        # the two probe problems, then the spectra of the finite problems
+        assert decompositions["eigvals problems"] == 2 + spectra * finite
+        assert decompositions["eig problems"] == (stable if spectra else finite)
+        assert decompositions["eig"] == (stable > 0 or not spectra)
+
+    def test_calls_per_presets_pass(self, decompositions):
+        # 22 of the 49 blocks have unstable ends: eigvals on 2 probe
+        # problems per block and on the 2816 problems of those 22; eig on
+        # the 2397 problems of the other 27 blocks and on the 15 stable
+        # problems that 4 of the 22 hold, where eig on every block took 5213
+        for name in PRESET_NAMES:
+            run_sweep(preset(name))
+        assert decompositions == {"eigvals": 71, "eigvals problems": 2914,
+                                  "eig": 31, "eig problems": 2412}
+
+    @pytest.mark.parametrize("baseline", [False, True])
+    def test_single_point_takes_one_eig(self, baseline, decompositions):
+        spec = preset("fig6a")
+        evaluate_point(spec.base, spec.pairs, baseline=baseline)
+        assert decompositions == {"eig": 1, "eig problems": 1 + baseline}
+        decompositions.clear()
+        solve_lyapunov(*preset_point("fig6a", 1.0))
+        assert decompositions == {"eig": 1, "eig problems": 1}
 
 
 class TestBlockForm:

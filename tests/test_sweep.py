@@ -352,6 +352,17 @@ class TestRunSweep:
         with pytest.raises(ParameterError):
             run_sweep(preset("fig3"), jobs=0)
 
+    def test_rejects_jobs_that_are_not_integers(self, monkeypatch):
+        # 1.5 would start a pool of ThreadPoolExecutor(1.5), two threads
+        monkeypatch.setattr(futures, "ThreadPoolExecutor", None)
+        spec = narrowed(preset("fig3"), -0.5, 1.5, 3 * BLOCK_POINTS)
+        for jobs in (1.5, 2.0, "2", None, True, False):
+            with pytest.raises(ParameterError, match="jobs must be an integer"):
+                run_sweep(spec, jobs=jobs)
+        monkeypatch.undo()
+        serial = run_sweep(spec, jobs=1)
+        assert run_sweep(spec, jobs=np.int64(2)).records == serial.records
+
     def test_counts(self):
         spec = narrowed(preset("fig2"), -2.0, 2.0, 41)
         res = run_sweep(spec)
