@@ -16,7 +16,7 @@ import math
 import sys
 from pathlib import Path
 
-from oemsim import preset, run_sweep, write_csv
+from oemsim import PRESET_NAMES, preset, run_sweep, write_csv
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden"
 
@@ -27,7 +27,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="output directory (default: tests/golden)")
     out = parser.parse_args(argv).out
     out.mkdir(parents=True, exist_ok=True)
-    for name in ("fig2", "fig3", "fig4", "fig5", "fig6a", "fig6b", "fig6c"):
+    for name in PRESET_NAMES:
         result = run_sweep(preset(name))
         write_csv(result, out / f"{name}.csv")
         print(f"{name}: {result.stable_count()}/{len(result.x)} stable, "

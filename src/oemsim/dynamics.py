@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SimulationError, StabilityError
-from .model import (SteadyState, SystemParameters, _occupation, _points,
+from .model import (SteadyState, SystemParameters, _occupation,
                     effective_atom_number)
 
 #: strict-negativity guard on the spectral abscissa, relative to the rate scale
@@ -53,19 +53,8 @@ _DRIFT_SLOTS = _slots(
 _DIFFUSION_SLOTS = _slots(*((k, k) for k in range(1, 10)))
 
 
-def _assemble(slots: np.ndarray, entries: list, omega_m,
-              points: tuple[int, ...]) -> np.ndarray:
-    """Scatter entries / omega_m into a zeroed 10x10 matrix at the flat slots.
-
-    At points == () the entries are floats and give one matrix. A
-    ParameterBlock's points == (m,) give an (m, 10, 10) stack, one matrix
-    per point, filled from the entries' _Template; each entry is then a
-    column or a float, the same at every point, and so is omega_m.
-    """
-    if points:
-        out = np.empty(points + (100,))
-        _Template.split(slots, entries, omega_m).fill(out, slice(None))
-        return out.reshape(points + (10, 10))
+def _assemble(slots: np.ndarray, entries: list, omega_m: float) -> np.ndarray:
+    """Scatter entries / omega_m into a zeroed 10x10 matrix at the flat slots."""
     out = np.zeros(100)
     out[slots] = entries
     out /= omega_m
@@ -112,17 +101,15 @@ def _diffusion_entries(params: SystemParameters) -> list:
 
 
 def build_drift(params: SystemParameters, ss: SteadyState) -> np.ndarray:
-    """Assemble the 10x10 drift matrix of the linearized dynamics.
+    """Assemble the 10x10 drift matrix of the linearized dynamics at one point.
 
     The atomic rows couple to the optical quadratures through g times the
     intracavity atom number; with equal populations and coherence the two
     position-like couplings cancel exactly. Every entry is divided by
     omega_m, which the covariance solution is provably invariant under. A
-    ParameterBlock and its SteadyState give the (m, 10, 10) stack; an entry
-    that no column reaches is computed once, as a float.
+    sweep builds many points' drifts from a _Template (sweep._ModelStage).
     """
-    return _assemble(_DRIFT_SLOTS, _drift_entries(params, ss), params.omega_m,
-                     _points(params))
+    return _assemble(_DRIFT_SLOTS, _drift_entries(params, ss), params.omega_m)
 
 
 def build_diffusion(params: SystemParameters) -> np.ndarray:
@@ -132,11 +119,9 @@ def build_diffusion(params: SystemParameters) -> np.ndarray:
     optical and atomic channels are taken at zero thermal occupation (optical
     and atomic frequencies put their thermal factors at ~1 for any cryogenic
     temperature), so those entries are the bare decay rates. Entries are in
-    units of omega_m, as the drift's. A ParameterBlock gives the (m, 10, 10)
-    stack, also where no entry varies (a block along delta_c, say).
+    units of omega_m, as the drift's. One point, as build_drift.
     """
-    return _assemble(_DIFFUSION_SLOTS, _diffusion_entries(params),
-                     params.omega_m, _points(params))
+    return _assemble(_DIFFUSION_SLOTS, _diffusion_entries(params), params.omega_m)
 
 
 @dataclass(frozen=True)
@@ -154,13 +139,11 @@ class _Template:
     def split(cls, slots: np.ndarray, entries: list, omega_m) -> "_Template":
         """Sort each entry / omega_m by kind: a float goes into `fixed`, a
         column into `values`; where omega_m is a column, every entry is one.
-        A working point's float broadcast to the points (a column of stride
-        0) counts as the float."""
+        An entry that no column reaches is a float, in the ParameterBlock and
+        its SteadyState alike."""
         fixed = np.zeros(100)
         varying, columns = [], []
         for slot, entry in zip(slots.tolist(), entries):
-            if entry.__class__ is np.ndarray and not entry.strides[0]:
-                entry = entry[0]
             value = entry / omega_m  # rounds as a single point's division
             if value.__class__ is np.ndarray:
                 varying.append(slot)

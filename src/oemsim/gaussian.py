@@ -89,29 +89,35 @@ def log_negativities(cm: np.ndarray) -> tuple[
     eta_minus = sqrt((sigma - sqrt(sigma^2 - 4 det cm)) / 2), and
     e_n = max(0, -ln(2 eta_minus)). A discriminant within -DISCRIMINANT_TOL of
     zero is clamped to zero (roundoff at degenerate symplectic spectra); beyond
-    that the state is rejected as unphysical. Returns (e_n, eta_minus, errors),
-    where errors maps the index of each rejected state to its error and the
-    two arrays hold NaN there.
+    that the state is rejected as unphysical, and so is a state with a NaN or
+    infinite entry. Returns (e_n, eta_minus, errors), where errors maps the
+    index of each rejected state to its error and the two arrays hold NaN
+    there.
     """
+    finite = np.isfinite(cm)
     # the determinants of the 2x2 blocks v1, vc (and vc^T) and v2 in one
     # pass: blocks[:, i, :, j, :] is the block in block row i, block column j
     blocks = cm.reshape(-1, 2, 2, 2, 2)
-    dets = (blocks[:, :, 0, :, 0] * blocks[:, :, 1, :, 1]
-            - blocks[:, :, 0, :, 1] * blocks[:, :, 1, :, 0])
-    sigma = dets[:, 0, 0] + dets[:, 1, 1] - 2.0 * dets[:, 0, 1]
-    det_cm = np.linalg.det(cm)
-    disc = sigma * sigma - 4.0 * det_cm
-    clamped = np.where((disc < 0.0) & (disc >= -DISCRIMINANT_TOL), 0.0, disc)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite members
+        dets = (blocks[:, :, 0, :, 0] * blocks[:, :, 1, :, 1]
+                - blocks[:, :, 0, :, 1] * blocks[:, :, 1, :, 0])
+        sigma = dets[:, 0, 0] + dets[:, 1, 1] - 2.0 * dets[:, 0, 1]
+        det_cm = np.linalg.det(cm)
+        disc = sigma * sigma - 4.0 * det_cm
+        clamped = np.where((disc < 0.0) & (disc >= -DISCRIMINANT_TOL), 0.0, disc)
         eta_sq = 0.5 * (sigma - np.sqrt(clamped))
-        bad = ((det_cm < -DISCRIMINANT_TOL) | (disc < -DISCRIMINANT_TOL)
-               | (eta_sq <= 0.0))
+        bad = (~finite.all(axis=(1, 2)) | (det_cm < -DISCRIMINANT_TOL)
+               | (disc < -DISCRIMINANT_TOL) | (eta_sq <= 0.0))
         eta_minus = np.where(bad, np.nan, np.sqrt(eta_sq))
         neg_log = -np.log(2.0 * eta_minus)
     e_n = np.where(bad, np.nan, np.where(neg_log > 0.0, neg_log, 0.0))
     errors: dict[int, UnphysicalCovarianceError] = {}
     for k in np.flatnonzero(bad):
-        if det_cm[k] < -DISCRIMINANT_TOL:
+        if not finite[k].all():
+            entries = ", ".join(f"({i}, {j}) = {cm[k, i, j]}"
+                                for i, j in np.argwhere(~finite[k]).tolist())
+            msg = f"covariance has non-finite entries: {entries}"
+        elif det_cm[k] < -DISCRIMINANT_TOL:
             msg = (f"covariance determinant {det_cm[k]:.3e} is negative; "
                    "upstream state is unstable or corrupted")
         elif disc[k] < -DISCRIMINANT_TOL:

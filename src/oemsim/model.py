@@ -101,16 +101,15 @@ _FIELD_NAMES = tuple(f.name for f in dataclasses.fields(SystemParameters))
 
 #: SystemParameters' fields for m points at once, unvalidated: the varied
 #: field as a float column of shape (m,), one entry per point, and every other
-#: field as a float, the same at every point. derive, solve_steady_state,
-#: build_drift and build_diffusion take one in place of a SystemParameters.
-#: They compute each constant once in float arithmetic, which rounds + - * /
-#: and sqrt as numpy does on a column, and only what the columns reach in
-#: columns; they give a SteadyState of columns and (m, 10, 10) stacks equal to
-#: the single-point results bit for bit. dataclasses.replace swaps a field for
-#: a column or a float; the private field _points keeps the shape (m,), so a
-#: block whose only column was replaced by a float still stands for m points.
+#: field as a float, the same at every point. derive and solve_steady_state
+#: take one in place of a SystemParameters, and dynamics._templates builds the
+#: drift and diffusion of its points. They compute each value that no column
+#: reaches once, as a float, in float arithmetic, which rounds + - * / and
+#: sqrt as numpy does on a column, and the rest in columns; each point's
+#: values equal the single-point results bit for bit. dataclasses.replace
+#: swaps a field for a column or a float.
 ParameterBlock = dataclasses.make_dataclass(
-    "ParameterBlock", _FIELD_NAMES + ("_points",), frozen=True, eq=False,
+    "ParameterBlock", _FIELD_NAMES, frozen=True, eq=False,
     namespace={"__module__": __name__})
 
 
@@ -122,12 +121,7 @@ def parameter_block(base: SystemParameters, varied: str,
     column = np.asarray(column, dtype=float)
     return ParameterBlock(**{
         name: column if name == varied else float(getattr(base, name))
-        for name in _FIELD_NAMES}, _points=column.shape)
-
-
-def _points(params: SystemParameters | ParameterBlock) -> tuple[int, ...]:
-    """The shape (m,) of a ParameterBlock's points; () for a single point."""
-    return params._points if params.__class__ is ParameterBlock else ()
+        for name in _FIELD_NAMES})
 
 
 @dataclass(frozen=True)
@@ -159,12 +153,13 @@ def thermal_occupation(omega: float | np.ndarray,
 
     Takes floats, or equal-length columns and then returns the column of
     occupations. Returns the exact zero-temperature limit 0.0 at
-    temperature == 0.
+    temperature == 0. A NaN or infinite omega or temperature is rejected.
     """
-    if np.count_nonzero(omega <= 0):
-        raise ParameterError("omega must be strictly positive")
-    if np.count_nonzero(temperature < 0):
-        raise ParameterError("temperature must be nonnegative")
+    # written so that NaN, which compares false, fails the checks
+    if not np.all((omega > 0) & (omega < math.inf)):
+        raise ParameterError("omega must be strictly positive and finite")
+    if not np.all((temperature >= 0) & (temperature < math.inf)):
+        raise ParameterError("temperature must be nonnegative and finite")
     return _occupation(omega, temperature)
 
 
@@ -239,11 +234,10 @@ def solve_steady_state(params: SystemParameters) -> SteadyState:
     coherences eliminated:
         alpha_s = e_c / (i delta_c + kappa_c + i g (a_coef + b_coef)).
     Raises SingularityError where |denominator| < 1e-30. A ParameterBlock gives
-    a SteadyState of columns instead, one entry per point, and a point at
-    such a pole carries NaN in q_s, alpha_s, sigma_ba_s, sigma_cb_s and g_c;
-    a pole that no column reaches is at every point. A field that no column
-    reaches is computed once, as a float, and comes back broadcast to the
-    points: a read-only column of stride 0.
+    a SteadyState whose fields are columns, one entry per point, where the
+    block's column reaches them, and floats elsewhere. A point at such a pole
+    carries NaN in q_s, alpha_s, sigma_ba_s, sigma_cb_s and g_c; a pole that
+    no column reaches makes those fields float NaNs.
 
     Complex quotients and products are written in real arithmetic (+ - * /
     sqrt), which rounds a float and a column alike; CPython and numpy round
@@ -258,11 +252,10 @@ def solve_steady_state(params: SystemParameters) -> SteadyState:
     d_r = p.kappa_c - g * (a_i + b_i)
     d_i = p.delta_c + g * (a_r + b_r)
     d_sq = d_r * d_r + d_i * d_i
-    points = _points(p)
     if d_sq.__class__ is np.ndarray:
         d_sq[d_sq < 1e-60] = np.nan  # at the points of a block that it hits
     elif d_sq < 1e-60:
-        if not points:
+        if p.__class__ is not ParameterBlock:
             raise SingularityError(POLE_MESSAGE)
         d_sq = math.nan  # at every point of the block
     # alpha_s = u - i v, and beta_s = e_w / (kappa_w + i delta_w)
@@ -284,11 +277,7 @@ def solve_steady_state(params: SystemParameters) -> SteadyState:
     sigma_cb_s = (b_r * u + b_i * v) + 1j * (b_i * u - b_r * v)
     g_c = _SQRT2 * der.g_oc_bare * alpha_abs
     g_w = _SQRT2 * der.g_ow_bare * beta_abs
-    fields = q_s, p_s, alpha_s, beta_s, sigma_ba_s, sigma_cb_s, g_c, g_w
-    if points:  # a block's constants become columns too
-        fields = [f if f.__class__ is np.ndarray else np.broadcast_to(f, points)
-                  for f in fields]
-    return SteadyState(*fields)
+    return SteadyState(q_s, p_s, alpha_s, beta_s, sigma_ba_s, sigma_cb_s, g_c, g_w)
 
 
 def solve_steady_state_bare(

@@ -77,6 +77,11 @@ class SweepSpec:
                 f"sweep grid count must be an integer, got {self.count!r}")
         if self.count < 2:
             raise ParameterError("sweep grid needs at least 2 points")
+        for name in ("start", "stop", "axis_scale"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ParameterError(
+                    f"sweep {name} must be a real number, got {value!r}")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ParameterError("sweep grid bounds must be finite")
         if self.start == self.stop:
@@ -291,9 +296,9 @@ class _ModelStage:
             corner = (slice(6, None), slice(6, None))
             templates.append((drift.with_fixed(corner, -np.eye(4)),
                               diffusion.with_fixed(corner, np.eye(4))))
-        # the block form marks a pole with NaN
+        # the block form marks a pole with NaN; a float where no column reaches
         return cls(column, np.broadcast_to(block.omega_m, column.shape),
-                   np.isnan(working.q_s), templates)
+                   np.broadcast_to(np.isnan(working.q_s), column.shape), templates)
 
     def stacks(self, block: slice) -> tuple[np.ndarray, np.ndarray]:
         """The drift and diffusion stacks of a block of the points: problem k

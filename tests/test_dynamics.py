@@ -702,31 +702,43 @@ class TestSolveRoutes:
 
 
 class TestBlockForm:
-    """The working point, drift and diffusion of a ParameterBlock, built from
-    one column, equal the per-point scalar results bit for bit."""
+    """The working point of a ParameterBlock built from one column, and the
+    drift and diffusion stacks that a sweep fills from its templates, equal
+    the per-point scalar results bit for bit."""
 
     @staticmethod
-    def assert_block_equals_scalar(base, varied, column, atom_free, zero=None):
+    def stacks(block, ss, m):
+        """The (m, 10, 10) drift and diffusion stacks of the block's points,
+        filled from dynamics._templates as the sweep's model stage does."""
+        out = []
+        for template in dynamics._templates(block, ss):
+            stack = np.empty((m, 100))
+            template.fill(stack, slice(None))
+            out.append(stack.reshape(m, 10, 10))
+        return out
+
+    @classmethod
+    def assert_block_equals_scalar(cls, base, varied, column, atom_free, zero=None):
         """atom_free poses g = r_a = zero: zero columns by default, or a float
-        such as the sweep's 0.0."""
+        such as the sweep's 0.0. Returns the block's SteadyState."""
         block = parameter_block(base, varied, column)
         if atom_free:
             if zero is None:
                 zero = np.zeros(len(column))
             block = dataclasses.replace(block, g=zero, r_a=zero)
         ss = solve_steady_state(block)
-        drifts = build_drift(block, ss)
-        diffusions = build_diffusion(block)
-        assert drifts.shape == diffusions.shape == (len(column), 10, 10)
+        drifts, diffusions = cls.stacks(block, ss, len(column))
         for k, value in enumerate(column):
             p = base.replace(**{varied: float(value)})
             if atom_free:
                 p = p.replace(g=0.0, r_a=0.0)
             ref = solve_steady_state(p)
             for f in dataclasses.fields(SteadyState):
-                assert np.array_equal(getattr(ss, f.name)[k], getattr(ref, f.name)), f.name
+                field = np.broadcast_to(getattr(ss, f.name), column.shape)
+                assert np.array_equal(field[k], getattr(ref, f.name)), f.name
             assert np.array_equal(drifts[k], build_drift(p, ref))
             assert np.array_equal(diffusions[k], build_diffusion(p))
+        return ss
 
     @pytest.mark.parametrize("atom_free", [False, True], ids=["main", "atom_free"])
     @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -738,8 +750,12 @@ class TestBlockForm:
     def test_block_equals_scalar_along_temperature(self):
         # 401 Bose factors from 0 K up: exp and expm1 of a float and of a
         # column must round alike, which math's and numpy's need not
-        self.assert_block_equals_scalar(
+        ss = self.assert_block_equals_scalar(
             preset("fig6a").base, "temperature", np.linspace(0.0, 0.4, 401), False)
+        # temperature reaches no field of the working point: each stays a scalar
+        for f in dataclasses.fields(SteadyState):
+            value = getattr(ss, f.name)
+            assert isinstance(value, (float, complex)), (f.name, type(value))
 
     @staticmethod
     def field_values(base, name):
@@ -762,7 +778,8 @@ class TestBlockForm:
     def test_block_equals_scalar_along_every_field(self, name, variant):
         # which stages a field reaches decides which of a block's values are
         # columns and which floats; a block along g or r_a whose atom-free
-        # variant replaces its only column by the sweep's 0.0 keeps its points
+        # variant replaces its only column by the sweep's 0.0 holds floats
+        # alone, and its templates still fill every point
         base = preset("fig6a").base
         self.assert_block_equals_scalar(
             base, name, np.array(self.field_values(base, name)), variant != "main",

@@ -151,12 +151,19 @@ class TestLogNegativityRejections:
 
 class TestBatchedLogNegativity:
     def test_rejections_stay_with_their_member(self):
+        with_nan = make_tmsv(1.0)
+        with_nan[0, 2] = math.nan
+        with_inf = 0.5 * np.eye(4)
+        with_inf[3, 3] = math.inf
         stack = np.array([make_tmsv(1.0), np.diag([2.0, 2.0, 2.0, -2.0]),
-                          0.5 * np.eye(4)])
+                          0.5 * np.eye(4), with_nan, with_inf])
         e_n, eta_minus, errors = log_negativities(stack)
-        assert set(errors) == {1}
+        assert set(errors) == {1, 3, 4}
         assert "determinant" in str(errors[1])
-        assert math.isnan(e_n[1]) and math.isnan(eta_minus[1])
+        assert str(errors[3]) == "covariance has non-finite entries: (0, 2) = nan"
+        assert str(errors[4]) == "covariance has non-finite entries: (3, 3) = inf"
+        for k in errors:
+            assert math.isnan(e_n[k]) and math.isnan(eta_minus[k])
         assert abs(e_n[0] - 2.0) <= 1e-9
         assert e_n[2] == 0.0
 

@@ -48,12 +48,16 @@ class TestThermalOccupation:
         assert thermal_occupation(OMEGA_M, 0.0) == 0.0
 
     def test_domain_errors(self):
-        with pytest.raises(ParameterError):
-            thermal_occupation(0.0, 1e-3)
-        with pytest.raises(ParameterError):
-            thermal_occupation(-OMEGA_M, 1e-3)
-        with pytest.raises(ParameterError):
-            thermal_occupation(OMEGA_M, -1e-3)
+        for omega, temperature in [
+                (0.0, 1e-3), (-OMEGA_M, 1e-3), (OMEGA_M, -1e-3),
+                # NaN compares false with every bound, and an infinite bath
+                # has no occupation number
+                (math.nan, 1e-3), (OMEGA_M, math.nan), (OMEGA_M, math.inf),
+                (np.array([OMEGA_M, math.nan]), 1e-3),
+                (np.full(2, OMEGA_M), np.array([1e-3, math.nan])),
+                (np.full(2, OMEGA_M), np.array([1e-3, math.inf]))]:
+            with pytest.raises(ParameterError):
+                thermal_occupation(omega, temperature)
 
     def test_columns_give_the_float_values(self):
         temps = np.array([0.0, 1e-6, 15e-3, 0.35])

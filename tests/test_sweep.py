@@ -224,6 +224,17 @@ class TestSweepSpecValidation:
         # numpy's integers are integers
         assert len(run_sweep(narrowed(preset("fig2"), -1.0, 1.0, np.int64(5))).x) == 5
 
+    @pytest.mark.parametrize("value", ["a", None, True])
+    @pytest.mark.parametrize("name", ["start", "stop", "axis_scale"])
+    def test_rejects_a_bound_that_is_not_a_real_number(self, name, value):
+        bounds = {"start": -1.0, "stop": 2.0}
+        bounds[name] = value
+        with pytest.raises(ParameterError, match=f"{name} must be a real number"):
+            narrowed(preset("fig2"), count=5, **bounds)
+        # numpy's floats are real numbers
+        bounds[name] = np.float64(0.5)
+        assert len(run_sweep(narrowed(preset("fig2"), count=5, **bounds)).x) == 5
+
     def test_pairs_normalized_and_deduplicated(self):
         spec = narrowed(preset("fig2"), -1.0, 1.0, 3, pairs=("MR-OC", "oc_mc"))
         assert spec.pairs == ("mr_oc", "oc_mc")
