@@ -153,26 +153,32 @@ def _build_parser() -> _Parser:
 def _parse_pairs(arg: str | None, default: tuple[str, ...]) -> tuple[str, ...]:
     if arg is None:
         return default
-    try:
-        tags = tuple(gaussian.normalize_pair_tag(t) for t in arg.split(",") if t.strip())
-    except KeyError as exc:
-        raise _UsageError(str(exc.args[0])) from exc
+    tags = [t for t in arg.split(",") if t.strip()]
     if not tags:
         raise _UsageError("--pairs must name at least one mode pair")
-    return tags
+    try:
+        return sweep._pair_tags(tags)
+    except ParameterError as exc:
+        raise _UsageError(str(exc)) from exc
+
+
+def _source_spec(args) -> sweep.SweepSpec:
+    """The --preset spec, or a --params file as a custom delta_c sweep."""
+    if args.preset:
+        return sweep.preset(args.preset)
+    params = parse_config(args.params)
+    return sweep.SweepSpec(
+        name="custom", base=params, varied="delta_c", start=-2.0, stop=2.0,
+        count=401, axis=sweep.AXIS_OMEGA_M, axis_scale=params.omega_m,
+        pairs=gaussian.BOSONIC_PAIRS)
 
 
 def _point_params(args) -> tuple[model.SystemParameters, float]:
     """Resolve (params, x) for point/dump modes."""
-    if args.preset:
-        spec = sweep.preset(args.preset)
-        x = args.x if args.x is not None else spec.base.delta_c / spec.axis_scale
-        return spec.base.replace(delta_c=x * spec.axis_scale), x
-    params = parse_config(args.params)
-    if args.x is not None:
-        params = params.replace(delta_c=args.x * params.omega_m)
-        return params, args.x
-    return params, params.delta_c / params.omega_m
+    spec = _source_spec(args)
+    if args.x is None:
+        return spec.base, spec.base.delta_c / spec.axis_scale
+    return spec.base.replace(delta_c=args.x * spec.axis_scale), args.x
 
 
 def _cmd_point(args) -> int:
@@ -189,8 +195,7 @@ def _cmd_point(args) -> int:
     }
     if args.baseline:
         payload["baseline_e_n"] = {
-            tag: rec.baseline_e_n.get(tag)
-            for tag in pairs if tag in gaussian.BOSONIC_PAIRS}
+            tag: rec.baseline_e_n.get(tag) for tag in sweep._baseline_pairs(pairs)}
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n")
@@ -207,33 +212,16 @@ def _grid_count(count: float) -> int:
 
 
 def _sweep_spec(args) -> sweep.SweepSpec:
-    if args.preset:
-        spec = sweep.preset(args.preset)
-        changes = {}
-        if args.pairs is not None:
-            changes["pairs"] = _parse_pairs(args.pairs, spec.pairs)
-        if args.baseline:
-            changes["baseline"] = True
-        if args.grid is not None:
-            start, stop, count = args.grid
-            changes.update(start=start, stop=stop, count=_grid_count(count))
-        if args.axis is not None and args.axis != spec.axis:
-            scale = (spec.base.kappa_c if args.axis == sweep.AXIS_KAPPA_C
-                     else spec.base.omega_m)
-            changes.update(axis=args.axis, axis_scale=scale)
-        return replace(spec, **changes)
-    params = parse_config(args.params)
-    axis = args.axis or sweep.AXIS_OMEGA_M
-    scale = params.kappa_c if axis == sweep.AXIS_KAPPA_C else params.omega_m
-    start, stop, count = args.grid if args.grid is not None else (-2.0, 2.0, 401)
-    return sweep.SweepSpec(
-        name="custom",
-        base=params,
-        varied="delta_c", start=start, stop=stop, count=_grid_count(count),
-        axis=axis, axis_scale=scale,
-        pairs=_parse_pairs(args.pairs, gaussian.BOSONIC_PAIRS),
-        baseline=args.baseline,
-    )
+    spec = _source_spec(args)
+    changes = {"pairs": _parse_pairs(args.pairs, spec.pairs),
+               "baseline": spec.baseline or args.baseline}
+    if args.grid is not None:
+        start, stop, count = args.grid
+        changes.update(start=start, stop=stop, count=_grid_count(count))
+    if args.axis not in (None, spec.axis):
+        scale = "kappa_c" if args.axis == sweep.AXIS_KAPPA_C else "omega_m"
+        changes.update(axis=args.axis, axis_scale=getattr(spec.base, scale))
+    return replace(spec, **changes)
 
 
 def _cmd_sweep(args) -> int:

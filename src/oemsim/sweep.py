@@ -90,10 +90,7 @@ class SweepSpec:
             raise ParameterError(f"unknown swept parameter {self.varied!r}")
         if not 0 < self.axis_scale < math.inf:
             raise ParameterError("axis_scale must be positive and finite")
-        canon = tuple(gaussian.normalize_pair_tag(t) for t in self.pairs)
-        if len(set(canon)) != len(canon):
-            raise ParameterError("duplicate mode pairs requested")
-        object.__setattr__(self, "pairs", canon)
+        object.__setattr__(self, "pairs", _pair_tags(self.pairs))
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)
@@ -168,7 +165,7 @@ def evaluate_point(params: model.SystemParameters, pairs: tuple[str, ...],
     going. The record's x is delta_c / omega_m, the default sweep axis. The
     point is a sweep of one point along delta_c.
     """
-    pairs = tuple(gaussian.normalize_pair_tag(t) for t in pairs)
+    pairs = _pair_tags(pairs)
     base_pairs = _baseline_pairs(pairs) if baseline else ()
     columns = _evaluate(params, "delta_c", np.array([params.delta_c]), pairs,
                         base_pairs, jobs=1)
@@ -197,6 +194,20 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
         spec.base.replace(**{spec.varied: float(column[k])})
     return SweepResult(spec, xs, *_evaluate(spec.base, spec.varied, column, spec.pairs,
                                             spec.baseline_pairs, jobs))
+
+
+def _pair_tags(pairs) -> tuple[str, ...]:
+    """The canonical tags of a list of mode pairs, in its order. A bare
+    string, None, an unknown tag or a repeated pair is a ParameterError."""
+    if pairs is None or isinstance(pairs, str):
+        raise ParameterError(f"mode pairs must be a sequence of tags, got {pairs!r}")
+    try:
+        tags = tuple(gaussian.normalize_pair_tag(t) for t in pairs)
+    except KeyError as exc:
+        raise ParameterError(exc.args[0]) from None
+    if len(set(tags)) != len(tags):
+        raise ParameterError("duplicate mode pairs requested")
+    return tags
 
 
 def _baseline_pairs(pairs: tuple[str, ...]) -> tuple[str, ...]:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import shutil
 import subprocess
 import sys
 
@@ -141,6 +142,9 @@ class TestPointCommand:
     def test_unknown_pair_is_usage_error(self, capsys):
         assert main(["point", "--preset", "fig3", "--pairs", "mr_zz"]) == 1
         assert "usage error" in capsys.readouterr().err
+        # a repeated pair too, as in a sweep
+        assert main(["point", "--preset", "fig3", "--pairs", "mr_mc,MR-MC"]) == 1
+        assert "usage error: duplicate mode pairs" in capsys.readouterr().err
 
     def test_unstable_point_is_reported_not_failed(self, capsys):
         assert main(["point", "--preset", "fig2", "--x", "-1.0"]) == 0
@@ -234,14 +238,47 @@ class TestSweepCommand:
         assert code == 1
         assert "jobs" in capsys.readouterr().err
 
-    def test_repeat_runs_identical_at_any_parallelism(self, tmp_path):
-        args = ["sweep", "--preset", "fig3", "--grid", "-0.5", "1.5", "21"]
+    @pytest.mark.parametrize("args, jobs", [
+        (["--preset", "fig3", "--grid", "-0.5", "1.5", "21"], ("1", "3", "3")),
+        # x = 0 fails the eigenbasis residual check: a direct fallback block
+        (["--preset", "fig5"], ("1", "2")),
+        # 16 blocks in one model stage, then 63 blocks in four stages
+        (["--preset", "fig6a", "--grid", "-2", "2", "1001"], ("1", "2")),
+        (["--preset", "fig6a", "--grid", "-2", "2", "4001"], ("1", "2")),
+        # the dense atomic traffic: all-stable blocks that are solved whole
+        (["--preset", "fig5", "--grid", "0", "100", "8001",
+          "--pairs", "mr_oc,mr_mc,oc_mc,oc_sba,oc_scb"], ("1", "2")),
+    ], ids=["fig3", "fig5", "fig6a-1001", "fig6a-4001", "fig5-dense"])
+    def test_repeat_runs_identical_at_any_parallelism(self, tmp_path, args, jobs):
         outs = []
-        for tag, jobs in (("a", "1"), ("b", "3"), ("c", "3")):
-            out = tmp_path / f"{tag}.csv"
-            assert main(args + ["--out", str(out), "--jobs", jobs]) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1] == outs[2]
+        for k, j in enumerate(jobs):
+            out = tmp_path / f"{k}.csv"
+            assert main(["sweep", *args, "--out", str(out), "--jobs", j]) == 0
+            meta = tmp_path / f"{k}.csv.meta.json"
+            outs.append((out.read_bytes(), meta.read_bytes()))
+        assert all(out == outs[0] for out in outs)
+
+    def test_slow_atoms_keep_the_atom_free_columns(self, tmp_path, capsys):
+        grid = ["--grid", "-2", "2", "41"]
+        fig6a = tmp_path / "fig6a.csv"
+        assert main(["sweep", "--preset", "fig6a", *grid, "--out", str(fig6a)]) == 0
+        params = json.loads((tmp_path / "fig6a.csv.meta.json").read_text())["params"]
+        path = write_config(tmp_path, {**params, "kappa_a": 1e-5})
+        slow = tmp_path / "slow.csv"
+        # the marginal atoms leave no main point stable, but the CSV is written
+        assert main(["sweep", "--params", str(path), *grid, "--baseline",
+                     "--out", str(slow)]) == 2
+        assert "no stable grid point" in capsys.readouterr().err
+
+        def x_and_baseline(csv_path):  # columns x_value and en_baseline_*
+            rows = [line.split(",") for line in csv_path.read_text().splitlines()]
+            return [[row[0], *row[9:12]] for row in rows]
+
+        kept = x_and_baseline(fig6a)
+        assert kept[0] == ["x_value", "en_baseline_mr_oc", "en_baseline_mr_mc",
+                           "en_baseline_oc_mc"]
+        assert any(all(cells) for cells in kept[1:])
+        assert x_and_baseline(slow) == kept
 
     def test_sweep_builds_no_point_records(self, tmp_path, monkeypatch):
         built = []
@@ -259,11 +296,16 @@ class TestSweepCommand:
             "stable": sum(r.stable is True for r in records),
             "errors": sum(r.error is not None for r in records)}
 
-    @pytest.mark.parametrize("module", ["oemsim", "oemsim.cli"])
+    @pytest.mark.parametrize("module", ["oemsim", "oemsim.cli", None],
+                             ids=["oemsim", "oemsim.cli", "console-script"])
     def test_module_form_runs_the_sweep(self, tmp_path, module):
+        # None: the installed console script, or `python -m oemsim` where
+        # the package is not installed
+        script = shutil.which("oemsim") if module is None else None
+        command = [script] if script else [sys.executable, "-m", module or "oemsim"]
         args = ["sweep", "--preset", "fig3", "--grid", "-0.5", "1.5", "21"]
         out = tmp_path / "module.csv"
-        proc = subprocess.run([sys.executable, "-m", module, *args, "--out", str(out)],
+        proc = subprocess.run([*command, *args, "--out", str(out)],
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert main(args + ["--out", str(tmp_path / "main.csv")]) == 0

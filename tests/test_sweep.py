@@ -238,8 +238,15 @@ class TestSweepSpecValidation:
     def test_pairs_normalized_and_deduplicated(self):
         spec = narrowed(preset("fig2"), -1.0, 1.0, 3, pairs=("MR-OC", "oc_mc"))
         assert spec.pairs == ("mr_oc", "oc_mc")
-        with pytest.raises(ParameterError, match="duplicate"):
-            narrowed(preset("fig2"), -1.0, 1.0, 3, pairs=("mr_oc", "MR-OC"))
+        # one rule for a sweep and a point: a bare string is not a list of tags
+        for pairs, match in [(("mr_oc", "MR-OC"), "duplicate mode pairs"),
+                             ("mr_mc", "sequence of tags, got 'mr_mc'"),
+                             (None, "sequence of tags, got None"),
+                             (("mr_oc", "mr_zz"), "unknown mode pair 'mr_zz'")]:
+            with pytest.raises(ParameterError, match=match):
+                narrowed(preset("fig2"), -1.0, 1.0, 3, pairs=pairs)
+            with pytest.raises(ParameterError, match=match):
+                evaluate_point(preset("fig2").base, pairs)
 
 
 class TestEvaluatePoint:
