@@ -112,9 +112,9 @@ def _build_parser() -> _Parser:
 
     p_point = sub.add_parser("point", parents=[], help="evaluate one parameter point")
     add_source(p_point)
-    p_point.add_argument("--x", type=float, default=None,
-                         help="swept-axis value (preset axis units, or units of "
-                              "omega_m with --params); default: the base detuning")
+    x_help = ("swept-axis value (preset axis units, or units of omega_m with "
+              "--params); default: the base detuning")
+    p_point.add_argument("--x", type=float, default=None, help=x_help)
     p_point.add_argument("--pairs", default=None,
                          help="comma list of mode pairs (default: all five)")
     p_point.add_argument("--baseline", action="store_true",
@@ -138,14 +138,15 @@ def _build_parser() -> _Parser:
                          help="override the grid (axis units)")
     p_sweep.add_argument("--axis", default=None,
                          choices=[sweep.AXIS_OMEGA_M, sweep.AXIS_KAPPA_C],
-                         help="axis normalization for --params sweeps")
+                         help="axis unit of the grid and the CSV's x_value; for "
+                              "a preset, its grid is read in the new unit")
 
     sub.add_parser("presets", help="list available scenario presets")
 
     p_dump = sub.add_parser("dump-matrices",
                             help="write drift, diffusion, covariance CSVs for one point")
     add_source(p_dump)
-    p_dump.add_argument("--x", type=float, default=None)
+    p_dump.add_argument("--x", type=float, default=None, help=x_help)
     p_dump.add_argument("--out", required=True, help="output directory")
     return parser
 
@@ -307,9 +308,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_sweep(args)
         if args.command == "presets":
             return _cmd_presets()
-        if args.command == "dump-matrices":
-            return _cmd_dump(args)
-        raise _UsageError(f"unknown command {args.command!r}")
+        return _cmd_dump(args)  # dump-matrices, the last of the four
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -190,7 +190,7 @@ def is_stable(a: np.ndarray) -> StabilityReport:
         raise SimulationError("drift matrix contains non-finite entries")
     try:
         eigvals = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+    except np.linalg.LinAlgError as exc:
         raise SimulationError(f"eigensolver failed on drift matrix: {exc}") from exc
     abscissa = float(np.max(eigvals.real))
     return StabilityReport(stable=abscissa < -STABILITY_TOL, max_real_part=abscissa)
@@ -307,16 +307,6 @@ def _has_stable(spectra: np.ndarray) -> bool:
     return bool((spectra.real.max(axis=1) < -STABILITY_TOL).any())
 
 
-def _eigensolver_failed(exc: np.linalg.LinAlgError, ok: np.ndarray,
-                        shape: tuple[int, int, int],
-                        errors: dict[int, SimulationError]) -> CovarianceBatch:
-    """The batch in which LAPACK failed on the finite problems ok."""
-    for k in ok:
-        errors[int(k)] = SimulationError(f"eigensolver failed on drift matrix: {exc}")
-    return CovarianceBatch(np.full(shape[0], np.nan), np.zeros(shape[0], dtype=bool),
-                           np.full(shape, np.nan), errors)
-
-
 def solve_lyapunov_batch(a: np.ndarray, d: np.ndarray) -> CovarianceBatch:
     """Hurwitz gate and steady-state covariance for a stack of (a, d) pairs.
 
@@ -341,7 +331,7 @@ def solve_lyapunov_batch(a: np.ndarray, d: np.ndarray) -> CovarianceBatch:
     the vectorized Lyapunov operator; their extreme moduli's ratio estimates
     its condition. LAPACK's balancing sets aside rows and columns with no
     off-diagonal entry, as the vacuum placeholders that stand in for the
-    atom-free problems' atomic corner (sweep._evaluate_block).
+    atom-free problems' atomic corner (sweep._ModelStage.of).
     That solve is inaccurate where S is ill-conditioned (near-defective
     drifts), so every point's residual is checked against RESIDUAL_TOL. The
     points that fail it are solved again together, directly: one batched LU
@@ -349,7 +339,9 @@ def solve_lyapunov_batch(a: np.ndarray, d: np.ndarray) -> CovarianceBatch:
     10 x 10 solution (_kronecker_lyapunov), checked against the same bound.
     A point whose operator is singular to working precision fails. A stable
     point whose condition estimate exceeds CONDITION_WARN warns. Per-point
-    failures come back in `errors` instead of being raised.
+    failures come back in `errors` instead of being raised; where LAPACK
+    fails in any of the stack's eigen calls, every finite problem of the
+    stack fails with it, and the batch carries no abscissa.
     When every problem is finite and stable the solve works on the stack as
     given, without gathering it, and returns its own solution stack as `v`.
     a and d are never written to.
@@ -372,27 +364,28 @@ def solve_lyapunov_batch(a: np.ndarray, d: np.ndarray) -> CovarianceBatch:
             spectra, s = np.linalg.eigvals(a_ok), None
         else:
             spectra, s = np.linalg.eig(a_ok)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        return _eigensolver_failed(exc, ok, a.shape, errors)
-    abscissa[ok] = spectra.real.max(axis=1)
-    stable = abscissa < -STABILITY_TOL  # False where NaN
-    idx = np.flatnonzero(stable)
+        abscissa[ok] = spectra.real.max(axis=1)
+        stable = abscissa < -STABILITY_TOL  # False where NaN
+        idx = np.flatnonzero(stable)
+        whole = idx.size == m
+        if whole and s is not None:
+            # C-contiguous, as a gather leaves it, for the same matmul path
+            a_st, d_st = np.ascontiguousarray(a), np.ascontiguousarray(d)
+            lam = spectra
+        elif idx.size:
+            a_st, d_st = a[idx], d[idx]
+            if s is None:  # eigenvectors for the stable problems alone
+                lam, s = np.linalg.eig(a_st)
+            else:
+                keep = stable[ok]
+                lam, s = spectra[keep], s[keep]
+    except np.linalg.LinAlgError as exc:
+        for k in ok:
+            errors[int(k)] = SimulationError(f"eigensolver failed on drift matrix: {exc}")
+        return CovarianceBatch(np.full(m, np.nan), np.zeros(m, dtype=bool),
+                               np.full((m, n, n), np.nan), errors)
     if not idx.size:
         return CovarianceBatch(abscissa, stable, np.full((m, n, n), np.nan), errors)
-    whole = idx.size == m
-    if s is None:  # eigenvectors for the stable problems alone
-        a_st, d_st = a[idx], d[idx]
-        try:
-            lam, s = np.linalg.eig(a_st)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-            return _eigensolver_failed(exc, ok, a.shape, errors)
-    elif whole:  # C-contiguous, as a gather leaves it, for the same matmul path
-        a_st, d_st = np.ascontiguousarray(a), np.ascontiguousarray(d)
-        lam = spectra
-    else:
-        keep = stable[ok]
-        lam, s = spectra[keep], s[keep]
-        a_st, d_st = a[idx], d[idx]
     # complex arithmetic throughout, whether or not eig returned real arrays,
     # so a point's result does not depend on the rest of its stack
     x, cond = _eigenbasis_lyapunov(lam.astype(complex, copy=False),

@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
@@ -197,17 +198,22 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
 
 
 def _pair_tags(pairs) -> tuple[str, ...]:
-    """The canonical tags of a list of mode pairs, in its order. A bare
-    string, None, an unknown tag or a repeated pair is a ParameterError."""
-    if pairs is None or isinstance(pairs, str):
+    """The canonical tags of a list of mode pairs, in its order. Anything but
+    an iterable of string tags (a bare string, None, a number, a tag that is
+    not a string), an unknown tag or a repeated pair is a ParameterError."""
+    if isinstance(pairs, str) or not isinstance(pairs, Iterable):
         raise ParameterError(f"mode pairs must be a sequence of tags, got {pairs!r}")
-    try:
-        tags = tuple(gaussian.normalize_pair_tag(t) for t in pairs)
-    except KeyError as exc:
-        raise ParameterError(exc.args[0]) from None
+    tags = []
+    for tag in pairs:
+        if not isinstance(tag, str):
+            raise ParameterError(f"mode pair tags must be strings, got {tag!r}")
+        try:
+            tags.append(gaussian.normalize_pair_tag(tag))
+        except KeyError as exc:
+            raise ParameterError(exc.args[0]) from None
     if len(set(tags)) != len(tags):
         raise ParameterError("duplicate mode pairs requested")
-    return tags
+    return tuple(tags)
 
 
 def _baseline_pairs(pairs: tuple[str, ...]) -> tuple[str, ...]:
@@ -287,7 +293,6 @@ class _ModelStage:
     entries aside.
     """
 
-    column: np.ndarray         # (n,) the varied field at each point
     omega_m: np.ndarray        # (n,) omega_m at each point
     pole: np.ndarray           # (n,) the main working point is at a pole
     templates: list            # (drift, diffusion) dynamics._Template per variant
@@ -308,7 +313,7 @@ class _ModelStage:
             templates.append((drift.with_fixed(corner, -np.eye(4)),
                               diffusion.with_fixed(corner, np.eye(4))))
         # the block form marks a pole with NaN; a float where no column reaches
-        return cls(column, np.broadcast_to(block.omega_m, column.shape),
+        return cls(np.broadcast_to(block.omega_m, column.shape),
                    np.broadcast_to(np.isnan(working.q_s), column.shape), templates)
 
     def stacks(self, block: slice) -> tuple[np.ndarray, np.ndarray]:

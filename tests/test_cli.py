@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import test_sweep as _sweep_tests
 from _support import OMEGA_M, base_params
 from oemsim import (
     build_diffusion,
@@ -81,12 +82,17 @@ class TestParseConfig:
         with pytest.raises(ParameterError, match="kappa_c"):
             parse_config(write_config(tmp_path, payload))
 
-    def test_missing_key_rejected(self, tmp_path):
+    def test_missing_key_rejected(self, tmp_path, capsys):
         from oemsim import ParameterError
-        payload = fig3_config_dict()
-        del payload["mu"]
-        with pytest.raises(ParameterError, match="mu"):
-            parse_config(write_config(tmp_path, payload))
+        for key in ("mu", "omega_m"):  # omega_m is looked up first: ratios need it
+            payload = fig3_config_dict()
+            del payload[key]
+            path = write_config(tmp_path, payload)
+            with pytest.raises(ParameterError, match=f"^missing required key {key}$"):
+                parse_config(path)
+            assert main(["point", "--params", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err == f"parameter error: missing required key {key}\n"
 
     def test_non_numeric_value_rejected(self, tmp_path):
         from oemsim import ParameterError
@@ -145,6 +151,10 @@ class TestPointCommand:
         # a repeated pair too, as in a sweep
         assert main(["point", "--preset", "fig3", "--pairs", "mr_mc,MR-MC"]) == 1
         assert "usage error: duplicate mode pairs" in capsys.readouterr().err
+        # and a list that names no pair
+        assert main(["point", "--preset", "fig3", "--pairs", ","]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: --pairs must name at least one mode pair\n")
 
     def test_unstable_point_is_reported_not_failed(self, capsys):
         assert main(["point", "--preset", "fig2", "--x", "-1.0"]) == 0
@@ -207,6 +217,18 @@ class TestSweepCommand:
         assert "no stable grid point" in capsys.readouterr().err
         lines = out.read_text().splitlines()
         assert len(lines) == 10  # grid is still fully recorded
+
+    def test_every_point_failing_exits_two(self, tmp_path, capsys):
+        # 2n + 1 at 1e300 K overflows the microwave diffusion at every point
+        path = write_config(tmp_path, {**fig3_config_dict(), "temperature": 1e300})
+        out = tmp_path / "hot.csv"
+        with pytest.warns(RuntimeWarning, match="overflow") as caught:
+            code = main(["sweep", "--params", str(path), "--out", str(out),
+                         "--grid", "0.5", "1.5", "5"])
+        assert code == 2 and len(caught) == 1
+        assert capsys.readouterr().err == "error: every grid point failed\n"
+        counts = json.loads((tmp_path / "hot.csv.meta.json").read_text())["counts"]
+        assert counts == {"points": 5, "stable": 0, "errors": 5}
 
     def test_custom_params_sweep(self, tmp_path):
         path = write_config(tmp_path, fig3_config_dict())
@@ -428,6 +450,16 @@ class TestOtherCommands:
         assert cov.shape == (10, 10)
         assert np.array_equal(cov, cov.T)
         assert np.array_equal(cov, solve_lyapunov(drift, diffusion))
+
+    def test_dump_matrices_at_a_pole_exits_two(self, tmp_path, capsys):
+        spec = _sweep_tests.TestBlockEngine.mixed_spec()
+        pole = spec.base.replace(delta_c=1.0 * spec.axis_scale)  # its x = 1
+        path = write_config(tmp_path, params_to_config(pole))
+        out = tmp_path / "mats"
+        assert main(["dump-matrices", "--params", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: optical response has a pole at these parameters\n")
+        assert list(out.iterdir()) == []
 
     def test_dump_matrices_unstable_point(self, tmp_path, capsys):
         out = tmp_path / "mats"

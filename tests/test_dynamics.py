@@ -141,6 +141,11 @@ class TestStabilityGate:
         with pytest.raises(SimulationError):
             is_stable(bad)
 
+    def test_eigensolver_failure_raises(self, monkeypatch):
+        lapack_fails(monkeypatch, "eigvals", 1)
+        with pytest.raises(SimulationError, match=f"^{LAPACK_FAILURE}$"):
+            is_stable(np.diag([-1.0, -2.0]))
+
 
 class TestLyapunovSolver:
     def test_identity_case(self):
@@ -187,6 +192,11 @@ class TestLyapunovSolver:
         d[1, 1] = np.nan
         with pytest.raises(SimulationError, match="diffusion matrix contains non-finite"):
             solve_lyapunov(-np.eye(3), d)
+
+    def test_eigensolver_failure_raises_simulation_error(self, monkeypatch):
+        lapack_fails(monkeypatch, "eig", 1)
+        with pytest.raises(SimulationError, match=f"^{LAPACK_FAILURE}$"):
+            solve_lyapunov(-np.eye(3), np.eye(3))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -577,6 +587,26 @@ def decompositions(monkeypatch):
     return counts
 
 
+#: what a problem records where LAPACK fails on its stack
+LAPACK_FAILURE = "eigensolver failed on drift matrix: Eigenvalues did not converge"
+
+
+def lapack_fails(monkeypatch, name, call):
+    """Patches np.linalg.eig or eigvals, as the decompositions fixture does,
+    to raise LinAlgError on its call-th call. Returns the number of problems
+    that each call got."""
+    sizes = []
+
+    def failing(a, real=getattr(np.linalg, name)):
+        sizes.append(len(a) if a.ndim == 3 else 1)
+        if len(sizes) == call:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, name, failing)
+    return sizes
+
+
 class TestSpectraWithoutEigenvectors:
     """LAPACK's dgeev runs the same balancing, Hessenberg reduction and QR
     iterations whether or not it computes eigenvectors, so eigvals gives the
@@ -680,6 +710,55 @@ class TestSolveRoutes:
         assert decompositions["eigvals problems"] == 2 + spectra * finite
         assert decompositions["eig problems"] == (stable if spectra else finite)
         assert decompositions["eig"] == (stable > 0 or not spectra)
+
+    @pytest.mark.parametrize("name, routine, call, size", [
+        ("all_unstable", "eigvals", 1, 2),
+        ("stable_island", "eigvals", 2, 6),
+        ("stable_end", "eig", 1, 4),
+        ("all_stable", "eig", 1, 4),
+        ("non_finite_ends", "eig", 1, 2),
+    ], ids=["probe", "spectra", "stack_eig", "whole_stack_eig", "stable_problems_eig"])
+    def test_eigensolver_failure_fails_every_finite_problem(self, name, routine, call,
+                                                            size, monkeypatch):
+        problems = route_stacks()[name]
+        a = np.array([a for a, _ in problems])
+        d = np.array([d for _, d in problems])
+        sizes = lapack_fails(monkeypatch, routine, call)
+        sol = dynamics.solve_lyapunov_batch(a, d)
+        assert sizes[call - 1] == size  # the call site named by the id failed
+        finite = np.flatnonzero(np.isfinite(a).all(axis=(1, 2))
+                                & np.isfinite(d).all(axis=(1, 2))).tolist()
+        errors = {k: str(exc) for k, exc in sol.errors.items()}
+        assert {k: errors.pop(k, None) for k in finite} == dict.fromkeys(
+            finite, LAPACK_FAILURE)
+        # a non-finite problem keeps its own message
+        assert errors == ({0: "drift matrix contains non-finite entries",
+                           len(a) - 1: "diffusion matrix contains non-finite entries"}
+                          if name == "non_finite_ends" else {})
+        assert not sol.stable.any()
+        assert np.isnan(sol.max_real_part).all() and np.isnan(sol.v).all()
+
+    # fig3 calls eig four times: on the whole stacks of three blocks, then
+    # on the stable problems of its last block, whose ends are unstable
+    @pytest.mark.parametrize("call", [3, 4], ids=["stack_eig", "stable_problems_eig"])
+    def test_eigensolver_failure_fails_its_block_of_a_sweep(self, call, monkeypatch):
+        spec = preset("fig3")
+        clean = run_sweep(spec)
+        sizes = lapack_fails(monkeypatch, "eig", call)
+        result = run_sweep(spec)
+        assert len(sizes) == 4
+        lo = min(result.failures)
+        block = np.arange(lo, min(lo + BLOCK_POINTS, spec.count))
+        assert lo % BLOCK_POINTS == 0 and clean.failures == {}
+        assert result.failures == {int(i): LAPACK_FAILURE for i in block}
+        rest = np.ones(spec.count, dtype=bool)
+        rest[block] = False
+        for column in ("stable", "max_real_part", "e_n", "baseline_e_n"):
+            got, want = getattr(result, column), getattr(clean, column)
+            assert got[rest].tobytes() == want[rest].tobytes(), column
+        assert not result.stable[block].any()
+        for column in ("max_real_part", "e_n", "baseline_e_n"):
+            assert np.isnan(getattr(result, column)[block]).all(), column
 
     def test_calls_per_presets_pass(self, decompositions):
         # 22 of the 49 blocks have unstable ends: eigvals on 2 probe

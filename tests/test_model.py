@@ -183,6 +183,12 @@ class TestBareDetuningMode:
         assert ss.alpha_s == 0.0
         assert ss.beta_s == 0.0
 
+    def test_runaway_branch_raises(self):
+        # a drive amplitude beyond the float range: the displacement is not finite
+        with pytest.raises(ConvergenceError, match="classical branch diverged"):
+            solve_steady_state_bare(base_params(power_c=1e300), delta_oc=OMEGA_M,
+                                    delta_ow=OMEGA_M)
+
     def test_exhausted_iteration_budget_raises(self):
         with pytest.raises(ConvergenceError):
             solve_steady_state_bare(base_params(), delta_oc=OMEGA_M,

@@ -242,7 +242,11 @@ class TestSweepSpecValidation:
         for pairs, match in [(("mr_oc", "MR-OC"), "duplicate mode pairs"),
                              ("mr_mc", "sequence of tags, got 'mr_mc'"),
                              (None, "sequence of tags, got None"),
-                             (("mr_oc", "mr_zz"), "unknown mode pair 'mr_zz'")]:
+                             (("mr_oc", "mr_zz"), "unknown mode pair 'mr_zz'"),
+                             ((1,), "tags must be strings, got 1"),
+                             (("mr_oc", 3), "tags must be strings, got 3"),
+                             (5, "sequence of tags, got 5"),
+                             ([b"mr_oc"], "tags must be strings, got b'mr_oc'")]:
             with pytest.raises(ParameterError, match=match):
                 narrowed(preset("fig2"), -1.0, 1.0, 3, pairs=pairs)
             with pytest.raises(ParameterError, match=match):
@@ -315,6 +319,19 @@ class TestAtomFreeProblem:
         rec = evaluate_point(params, spec.pairs, baseline=True)
         reduced = verify.atom_free_point(params, spec.baseline_pairs)
         assert reduced["mr_oc"] > 0.3
+        assert rec.baseline_e_n.keys() == reduced.keys()
+        for tag, value in reduced.items():
+            assert abs(rec.baseline_e_n[tag] - value) <= 1e-9
+
+    # at 1e-5 K the mechanical and microwave quanta are hbar omega / kT = 48
+    @pytest.mark.parametrize("temperature", [0.0, 1e-5])
+    def test_cold_baseline_matches_the_oracle(self, temperature):
+        spec = preset("fig6a")
+        params = spec.base.replace(temperature=temperature)  # at x = 1
+        rec = evaluate_point(params, spec.pairs, baseline=True)
+        reduced = verify.atom_free_point(params, spec.baseline_pairs)
+        # a bath this cold entangles the microwave mode, which at 5 mK it does not
+        assert min(reduced.values()) > 3e-5
         assert rec.baseline_e_n.keys() == reduced.keys()
         for tag, value in reduced.items():
             assert abs(rec.baseline_e_n[tag] - value) <= 1e-9
@@ -811,13 +828,12 @@ class TestThreadedSweep:
                 released.set()
                 super().shutdown(wait=wait)
 
-        spec = narrowed(preset("fig3"), -0.5, 1.5, 6 * BLOCK_POINTS)
-        first = spec.grid()[::BLOCK_POINTS] * spec.axis_scale
+        spec = narrowed(preset("fig3"), -0.5, 1.5, 6 * BLOCK_POINTS)  # one stage
         started = []
         real = sweep._evaluate_block
 
         def evaluate(stage, block, pairs, base_pairs):
-            k = int(np.flatnonzero(first == stage.column[block][0])[0])
+            k = block.start // BLOCK_POINTS
             started.append(k)
             if k == 1:
                 raise SimulationError("block 1 failed")
