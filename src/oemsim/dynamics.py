@@ -89,8 +89,11 @@ def _diffusion_entries(params: SystemParameters) -> list:
     by omega_m; each a float or, for a ParameterBlock, a column."""
     p = params
     temperature = p.temperature
-    mechanical = p.gamma_m * (2.0 * _occupation(p.omega_m, temperature) + 1.0)
-    microwave = p.kappa_w * (2.0 * _occupation(p.omega_w, temperature) + 1.0)
+    # a temperature that validation accepts can overflow a thermal factor to
+    # inf; the solve reports that problem's non-finite entries instead
+    with np.errstate(over="ignore"):
+        mechanical = p.gamma_m * (2.0 * _occupation(p.omega_m, temperature) + 1.0)
+        microwave = p.kappa_w * (2.0 * _occupation(p.omega_w, temperature) + 1.0)
     kappa_c, kappa_a = p.kappa_c, p.kappa_a
     return [
         mechanical,
@@ -152,15 +155,12 @@ class _Template:
                 fixed[slot] = value
         return cls(fixed, np.array(varying, dtype=np.intp), np.array(columns))
 
-    def with_fixed(self, index: tuple[slice, slice], matrix: np.ndarray) -> "_Template":
-        """This template with its 10x10 sub-matrix at index set to matrix at
-        every point; the varying entries there are dropped."""
-        fixed = self.fixed.reshape(10, 10).copy()
-        fixed[index] = matrix
-        inside = np.zeros((10, 10), dtype=bool)
-        inside[index] = True
-        keep = ~inside.ravel()[self.slots]
-        return _Template(fixed.ravel(), self.slots[keep], self.values[keep])
+    def with_fixed(self, mask: np.ndarray, matrix: np.ndarray) -> "_Template":
+        """This template with its 10x10 entries where mask is True set to
+        matrix's at every point; the varying entries there are dropped."""
+        fixed = np.where(mask.ravel(), matrix.ravel(), self.fixed)
+        keep = ~mask.ravel()[self.slots]
+        return _Template(fixed, self.slots[keep], self.values[keep])
 
     def fill(self, out: np.ndarray, block: slice) -> None:
         """Write the flattened matrices of a block of the points into out, an
@@ -274,86 +274,39 @@ class CovarianceBatch:
     errors: dict[int, SimulationError]  # problems that failed, by index
 
 
-def _eigenbasis_lyapunov(lam: np.ndarray, s: np.ndarray, d: np.ndarray):
-    """Symmetric solutions x of a x + x a^T = -d for a stack of drifts
-    a = s diag(lam) s^-1 in complex arithmetic, and the pair-sum condition
-    estimate of each.
+@dataclass(frozen=True, eq=False)
+class _Eigenbasis:
+    """The half of solve_lyapunov_batch that depends on a stack of drifts
+    alone (_decompose): the gate, and the eigenbasis of the stable problems.
+    Nothing that reads one writes to it, so a sweep hands the same one to
+    every block whose drift stack is the same (sweep._DRIFT_MEMO)."""
 
-    C = s^-1 d s^-T becomes W = -C / (lam_i + lam_j) in place, and the pair
-    sums and the products s W and (s W) s^T go into stacks that the solve no
-    longer needs: fewer than five complex stacks are live at a time, where
-    forming each intermediate afresh took nine. The operations, and so the
-    bits, are the same.
-    """
-    n = s.shape[-1]
-    # a complex identity, so that solve needs no cast copy of it
-    s_inv = _solve(s, np.broadcast_to(np.eye(n, dtype=complex), s.shape))
-    c = s_inv @ d @ np.swapaxes(s_inv, 1, 2)
-    pair_sums = s_inv  # s^-1 is spent; its stack takes the pair sums, then s W
-    pair_sums[...] = lam[:, :, None]
-    pair_sums += lam[:, None, :]
-    np.negative(c, out=c)
-    c /= pair_sums
-    moduli = np.abs(pair_sums)
-    cond = moduli.max(axis=(1, 2)) / moduli.min(axis=(1, 2))
-    y = np.matmul(np.matmul(s, c, out=pair_sums), np.swapaxes(s, 1, 2), out=c).real
-    x = y + np.swapaxes(y, 1, 2)
-    x *= 0.5
-    return x, cond
+    max_real_part: np.ndarray   # (m,) spectral abscissa; NaN where failed
+    stable: np.ndarray          # (m,) Hurwitz gate
+    errors: dict[int, str]      # the problems that failed, by index
+    # a = s diag(lam) s^-1 for the stable problems, in stack order, complex;
+    # None where no problem is stable
+    lam: np.ndarray | None      # (k, n)
+    s: np.ndarray | None        # (k, n, n)
+    s_inv: np.ndarray | None    # (k, n, n)
+
+    def __post_init__(self) -> None:
+        for value in (self.max_real_part, self.stable, self.lam, self.s, self.s_inv):
+            if value is not None:
+                value.flags.writeable = False
 
 
-def _has_stable(spectra: np.ndarray) -> bool:
-    """Whether any of a stack's spectra passes the Hurwitz gate."""
-    return bool((spectra.real.max(axis=1) < -STABILITY_TOL).any())
-
-
-def solve_lyapunov_batch(a: np.ndarray, d: np.ndarray) -> CovarianceBatch:
-    """Hurwitz gate and steady-state covariance for a stack of (a, d) pairs.
-
-    One batched eigendecomposition a = S diag(lam) S^-1 serves the whole
-    stack: its eigenvalues give the stability gate, and in its eigenbasis the
-    Lyapunov equation is diagonal,
-        C = S^-1 d S^-T,  W_ij = -C_ij / (lam_i + lam_j),  V = S W S^T.
-    Only stable problems need S. A stack of more than two finite problems
-    first takes the spectra of its first and last one with eigvals; if
-    neither is stable (a sweep block's ends, on the unstable part of a
-    grid), the whole stack takes its spectra from eigvals, and eig runs on
-    its stable problems alone, or not at all. LAPACK's dgeev runs the same
-    balancing, Hessenberg reduction and QR iterations with and without
-    eigenvectors, so both routes give the same spectra, gate and solutions
-    bit for bit; the probe only decides which driver runs. A stack with no
-    stable problem returns after the gate.
-    C turns into W in place, negated and then divided by the pair sums, and
-    S W and V go into spent stacks (_eigenbasis_lyapunov). Folding the sign
-    into the symmetrization instead, V = -(Y + Y^T)/2, would give the same
-    values but turn some exact zeros of V into -0.0.
-    The pair sums lam_i + lam_j, nonzero where stable, are the eigenvalues of
-    the vectorized Lyapunov operator; their extreme moduli's ratio estimates
-    its condition. LAPACK's balancing sets aside rows and columns with no
-    off-diagonal entry, as the vacuum placeholders that stand in for the
-    atom-free problems' atomic corner (sweep._ModelStage.of).
-    That solve is inaccurate where S is ill-conditioned (near-defective
-    drifts), so every point's residual is checked against RESIDUAL_TOL. The
-    points that fail it are solved again together, directly: one batched LU
-    solve of their Lyapunov operators on the 55 unknowns of a symmetric
-    10 x 10 solution (_kronecker_lyapunov), checked against the same bound.
-    A point whose operator is singular to working precision fails. A stable
-    point whose condition estimate exceeds CONDITION_WARN warns. Per-point
-    failures come back in `errors` instead of being raised; where LAPACK
-    fails in any of the stack's eigen calls, every finite problem of the
-    stack fails with it, and the batch carries no abscissa.
-    When every problem is finite and stable the solve works on the stack as
-    given, without gathering it, and returns its own solution stack as `v`.
-    a and d are never written to.
-    """
+def _decompose(a: np.ndarray) -> _Eigenbasis:
+    """The finite check, gate and eigenbasis of a stack of drifts a; see
+    solve_lyapunov_batch. A stack of more than two finite drifts first takes
+    the spectra of its first and last one with eigvals: if neither is
+    stable, every spectrum comes from eigvals and eig runs on the stable
+    drifts alone, else eig runs on the whole stack."""
     m, n, _ = a.shape
     abscissa = np.full(m, np.nan)
-    errors: dict[int, SimulationError] = {}
-    finite_a = np.isfinite(a).all(axis=(1, 2))
-    finite = finite_a & np.isfinite(d).all(axis=(1, 2))
-    for k in np.flatnonzero(~finite):
-        which = "diffusion" if finite_a[k] else "drift"
-        errors[int(k)] = SimulationError(f"{which} matrix contains non-finite entries")
+    finite = np.isfinite(a).all(axis=(1, 2))
+    errors = dict.fromkeys(np.flatnonzero(~finite).tolist(),
+                           "drift matrix contains non-finite entries")
     ok = np.flatnonzero(finite)
     a_ok = a if ok.size == m else a[ok]
     try:
@@ -367,29 +320,141 @@ def solve_lyapunov_batch(a: np.ndarray, d: np.ndarray) -> CovarianceBatch:
         abscissa[ok] = spectra.real.max(axis=1)
         stable = abscissa < -STABILITY_TOL  # False where NaN
         idx = np.flatnonzero(stable)
-        whole = idx.size == m
-        if whole and s is not None:
-            # C-contiguous, as a gather leaves it, for the same matmul path
-            a_st, d_st = np.ascontiguousarray(a), np.ascontiguousarray(d)
+        if not idx.size:
+            return _Eigenbasis(abscissa, stable, errors, None, None, None)
+        if s is None:
+            lam, s = np.linalg.eig(a[idx])
+        elif idx.size < ok.size:
+            keep = stable[ok]
+            lam, s = spectra[keep], s[keep]
+        else:
             lam = spectra
-        elif idx.size:
-            a_st, d_st = a[idx], d[idx]
-            if s is None:  # eigenvectors for the stable problems alone
-                lam, s = np.linalg.eig(a_st)
-            else:
-                keep = stable[ok]
-                lam, s = spectra[keep], s[keep]
     except np.linalg.LinAlgError as exc:
-        for k in ok:
-            errors[int(k)] = SimulationError(f"eigensolver failed on drift matrix: {exc}")
-        return CovarianceBatch(np.full(m, np.nan), np.zeros(m, dtype=bool),
-                               np.full((m, n, n), np.nan), errors)
+        errors.update(dict.fromkeys(
+            ok.tolist(), f"eigensolver failed on drift matrix: {exc}"))
+        return _Eigenbasis(np.full(m, np.nan), np.zeros(m, dtype=bool), errors,
+                           None, None, None)
+    # complex arithmetic throughout, whether or not eig returned real arrays,
+    # so a problem's result does not depend on the rest of its stack
+    s = s.astype(complex, copy=False)
+    # a complex identity, so that solve needs no cast copy of it
+    s_inv = _solve(s, np.broadcast_to(np.eye(n, dtype=complex), s.shape))
+    return _Eigenbasis(abscissa, stable, errors, lam.astype(complex, copy=False),
+                       s, s_inv)
+
+
+def _eigenbasis_lyapunov(lam: np.ndarray, s: np.ndarray, s_inv: np.ndarray,
+                         d: np.ndarray):
+    """Symmetric solutions x of a x + x a^T = -d for a stack of drifts
+    a = s diag(lam) s^-1 in complex arithmetic, and the pair-sum condition
+    estimate of each.
+
+    C = s^-1 d s^-T becomes W = -C / (lam_i + lam_j) in place, and the
+    products s W and (s W) s^T, and the solution, go into the stacks of the
+    pair sums, of C and of the pair sums' moduli, which the solve no longer
+    needs. The operations, and so the bits, are those of fresh arrays. lam,
+    s and s^-1 are only read.
+    """
+    c = s_inv @ d @ np.swapaxes(s_inv, 1, 2)
+    # filled in two steps: lam[:, :, None] + lam[:, None, :] buffers both
+    # broadcast operands, a stack each
+    pair_sums = np.empty_like(c)
+    pair_sums[...] = lam[:, :, None]
+    pair_sums += lam[:, None, :]
+    np.negative(c, out=c)
+    c /= pair_sums
+    moduli = np.abs(pair_sums)
+    cond = moduli.max(axis=(1, 2)) / moduli.min(axis=(1, 2))
+    y = np.matmul(np.matmul(s, c, out=pair_sums), np.swapaxes(s, 1, 2), out=c).real
+    x = np.add(y, np.swapaxes(y, 1, 2), out=moduli)
+    x *= 0.5
+    return x, cond
+
+
+def _has_stable(spectra: np.ndarray) -> bool:
+    """Whether any of a stack's spectra passes the Hurwitz gate."""
+    return bool((spectra.real.max(axis=1) < -STABILITY_TOL).any())
+
+
+def solve_lyapunov_batch(a: np.ndarray, d: np.ndarray,
+                         eigenbasis: _Eigenbasis | None = None) -> CovarianceBatch:
+    """Hurwitz gate and steady-state covariance for a stack of (a, d) pairs.
+
+    One batched eigendecomposition a = S diag(lam) S^-1 serves the whole
+    stack: its eigenvalues give the stability gate, and in its eigenbasis the
+    Lyapunov equation is diagonal,
+        C = S^-1 d S^-T,  W_ij = -C_ij / (lam_i + lam_j),  V = S W S^T.
+    The solve has two halves. The first depends on the drifts alone
+    (_decompose): the finite check of a, the gate, and lam, S and S^-1 of
+    the stable problems, or the failure of the stack's eigen calls. A caller
+    that has it for the same drift stack passes it as `eigenbasis` (a sweep
+    whose blocks repeat a drift does), and the solve runs the second half
+    alone: C, W and V from d, the residual check, the fallback, the errors
+    and the condition warning. The results are the same bits either way.
+    Only stable problems need S. A stack of more than two finite problems
+    first takes the spectra of its first and last one with eigvals; if
+    neither is stable (a sweep block's ends, on the unstable part of a
+    grid), the whole stack takes its spectra from eigvals, and eig runs on
+    its stable problems alone, or not at all. LAPACK's dgeev runs the same
+    balancing, Hessenberg reduction and QR iterations with and without
+    eigenvectors, so both routes give the same spectra, gate and solutions
+    bit for bit; the probe only decides which driver runs. A stack with no
+    stable problem returns after the gate. A problem whose diffusion is
+    non-finite fails before the solve, with no abscissa, and its error names
+    the non-finite entries.
+    C turns into W in place, negated and then divided by the pair sums, and
+    S W and V go into spent stacks (_eigenbasis_lyapunov). Folding the sign
+    into the symmetrization instead, V = -(Y + Y^T)/2, would give the same
+    values but turn some exact zeros of V into -0.0.
+    The pair sums lam_i + lam_j, nonzero where stable, are the eigenvalues of
+    the vectorized Lyapunov operator; their extreme moduli's ratio estimates
+    its condition. LAPACK's balancing sets aside rows and columns with no
+    off-diagonal entry, as the vacuum placeholders that stand in for the
+    atom-free problems' atomic modes (sweep._ModelStage.of).
+    That solve is inaccurate where S is ill-conditioned (near-defective
+    drifts), so every point's residual is checked against RESIDUAL_TOL. The
+    points that fail it are solved again together, directly: one batched LU
+    solve of their Lyapunov operators on the 55 unknowns of a symmetric
+    10 x 10 solution (_kronecker_lyapunov), checked against the same bound.
+    A point whose operator is singular to working precision fails. A stable
+    point whose condition estimate exceeds CONDITION_WARN warns. Per-point
+    failures come back in `errors` instead of being raised; where LAPACK
+    fails in any of the stack's eigen calls, every finite problem of the
+    stack fails with it, and the batch carries no abscissa.
+    When every problem is finite and stable the solve works on the stack as
+    given, without gathering it, and returns its own solution stack as `v`.
+    a, d and eigenbasis are never written to.
+    """
+    if eigenbasis is None:
+        eigenbasis = _decompose(a)
+    m, n, _ = a.shape
+    abscissa = eigenbasis.max_real_part.copy()
+    stable = eigenbasis.stable.copy()
+    errors = {k: SimulationError(message) for k, message in eigenbasis.errors.items()}
+    noisy = ~np.isfinite(d).all(axis=(1, 2))
+    if noisy.any():
+        # a non-finite drift keeps its own error
+        for k in np.flatnonzero(noisy & np.isfinite(a).all(axis=(1, 2))).tolist():
+            entries = ", ".join(f"({i}, {j}) = {d[k, i, j]}"
+                                for i, j in np.argwhere(~np.isfinite(d[k])).tolist())
+            errors[k] = SimulationError(
+                f"diffusion matrix contains non-finite entries: {entries}")
+        abscissa[noisy] = np.nan
+        stable[noisy] = False
+    idx = np.flatnonzero(stable)
     if not idx.size:
         return CovarianceBatch(abscissa, stable, np.full((m, n, n), np.nan), errors)
-    # complex arithmetic throughout, whether or not eig returned real arrays,
-    # so a point's result does not depend on the rest of its stack
-    x, cond = _eigenbasis_lyapunov(lam.astype(complex, copy=False),
-                                   s.astype(complex, copy=False), d_st)
+    lam, s, s_inv = eigenbasis.lam, eigenbasis.s, eigenbasis.s_inv
+    if idx.size < len(lam):  # drop the problems with a non-finite diffusion
+        keep = stable[eigenbasis.stable]
+        lam, s, s_inv = lam[keep], s[keep], s_inv[keep]
+    whole = idx.size == m
+    if whole:
+        # C-contiguous, as a gather leaves it, for the same matmul path
+        a_st, d_st = np.ascontiguousarray(a), np.ascontiguousarray(d)
+    else:
+        a_st, d_st = a[idx], d[idx]
+    x, cond = _eigenbasis_lyapunov(lam, s, s_inv, d_st)
     residual, bound = _residual_and_bound(a_st, d_st, x)
     redo = np.flatnonzero(~(residual <= bound))  # NaN falls back too
     if redo.size:

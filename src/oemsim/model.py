@@ -42,6 +42,11 @@ class SystemParameters:
     delta_c and delta_w are the EFFECTIVE cavity detunings (already including
     the static radiation-pressure shift); they are what the sweeps vary
     directly. Use solve_steady_state_bare to start from bare detunings instead.
+
+    rho_ca0 is the coherence in the phase frame of the intracavity optical
+    field: the injected coherence is locked to the phase of alpha_s, in which
+    alpha_s, like g_c, is real. The working point and the drift's atomic rows
+    agree only under that reading.
     """
 
     omega_m: float          # mechanical angular frequency
@@ -215,6 +220,12 @@ def _coherence_coefficients(params: SystemParameters) -> tuple[complex, complex]
         b_coef = -i g N (rho_ca0 + rho_cc0) / (kappa_a - i delta_a2).
     """
     p = params
+    g, r_a = p.g, p.r_a
+    if ((g.__class__ is not np.ndarray and g == 0.0)
+            or (r_a.__class__ is not np.ndarray and r_a == 0.0)):
+        # g N is +0.0 at every point, so both coefficients are zero: scalars,
+        # even where a ParameterBlock's atomic fields are columns
+        return 0j, 0j
     gn = p.g * effective_atom_number(p)
     kappa_sq = p.kappa_a * p.kappa_a
     s_a = gn * (p.rho_ca0 + p.rho_aa0) / (kappa_sq + p.delta_a1 * p.delta_a1)

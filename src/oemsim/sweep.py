@@ -16,7 +16,11 @@ the stability gate and the steady-state covariance
 (dynamics.solve_lyapunov_batch): one batched eigendecomposition, or, where
 the block's end problems are unstable, batched spectra without
 eigenvectors and an eigendecomposition of its stable problems alone, with
-the same bits either way. The block's points that fail its residual
+the same bits either way. That half of the solve depends on the drifts
+alone, so a block whose drift stack an earlier block posed (along
+temperature, which reaches only the diffusion, or fig6b after fig6a) takes
+it from a memo of one stage (_DriftMemo) and solves only the diffusion
+half. The block's points that fail its residual
 check are solved again together, directly, by one batched LU solve of their
 Lyapunov operators on the 55 unknowns of a symmetric covariance. The
 entanglement of every (problem, requested mode pair) of the block comes from
@@ -42,9 +46,11 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from collections.abc import Iterable
+import threading
+from collections import Counter
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -227,7 +233,9 @@ def _evaluate(base: model.SystemParameters, varied: str, column: np.ndarray,
     stable, max_real_part, e_n, baseline_e_n and failures.
 
     The model stage runs once per _STAGE_POINTS points (_ModelStage), and
-    then each of its blocks once (_evaluate_block). With a pool, the calling
+    then each of its blocks once (_evaluate_block), with the drift half of
+    its solve from _DRIFT_MEMO where a block before it posed the same drift
+    stack. With a pool, the calling
     thread runs the model stage of the next _STAGE_POINTS points while the
     pool solves the blocks of the last ones; it waits for the blocks of the
     stage before that first, so at most three stages are held at a time.
@@ -238,12 +246,16 @@ def _evaluate(base: model.SystemParameters, varied: str, column: np.ndarray,
         for lo in range(0, n, _STAGE_POINTS):
             stage = _ModelStage.of(base, varied, column[lo:lo + _STAGE_POINTS],
                                    bool(base_pairs))
-            yield [(stage, slice(b, b + BLOCK_POINTS))
-                   for b in range(0, len(stage.pole), BLOCK_POINTS)]
+            slices = [slice(b, b + BLOCK_POINTS)
+                      for b in range(0, len(stage.pole), BLOCK_POINTS)]
+            keys = [stage.drift_key(block) for block in slices]
+            lookup = _DRIFT_MEMO.enter(keys, keep_all=n <= _STAGE_POINTS)
+            yield [(stage, block, partial(lookup, key))
+                   for block, key in zip(slices, keys)]
 
-    def evaluate(stage: _ModelStage, block: slice):
+    def evaluate(stage: _ModelStage, block: slice, decompose):
         # a frame in this module: the Lyapunov solve's warnings name it
-        return _evaluate_block(stage, block, pairs, base_pairs)
+        return _evaluate_block(stage, block, decompose, pairs, base_pairs)
 
     workers = 1
     if jobs > 1:  # os.cpu_count reads the system's CPU list: only a pool needs it
@@ -278,6 +290,14 @@ def _evaluate(base: model.SystemParameters, varied: str, column: np.ndarray,
     return (*map(np.concatenate, zip(*parts)), failures)
 
 
+# the atom-free problem's atomic rows and columns, and its vacuum placeholders
+# there: -I (drift) and I (diffusion) in the atomic corner, zeros elsewhere
+_ATOMIC_MODES = np.zeros((10, 10), dtype=bool)
+_ATOMIC_MODES[6:] = _ATOMIC_MODES[:, 6:] = True
+_VACUUM_DRIFT, _VACUUM_DIFFUSION = np.zeros((2, 10, 10))
+_VACUUM_DRIFT[6:, 6:], _VACUUM_DIFFUSION[6:, 6:] = -np.eye(4), np.eye(4)
+
+
 @dataclass(frozen=True, eq=False)
 class _ModelStage:
     """The model stage of consecutive points of a sweep: everything that the
@@ -285,15 +305,17 @@ class _ModelStage:
 
     Problem variants: the main problem and, when the sweep reports a
     baseline, the atom-free problem at g = 0, r_a = 0: there the atomic rows
-    of the drift decouple exactly, so its bosonic blocks are those of the
-    atom-free system. Its atomic corner holds the vacuum placeholders -I
-    (drift) and I (diffusion), solved by I/2: as built, the corner's rates
-    would decide the atom-free gate (kappa_a near 0), condition estimate and
-    residual bound, and LAPACK's balancing sets rows without off-diagonal
-    entries aside.
+    and columns of the drift decouple exactly, so its bosonic blocks are
+    those of the atom-free system, and no atomic field reaches them. Its
+    atomic modes hold the vacuum placeholders: -I (drift) and I (diffusion)
+    in their corner, solved by I/2, and zeros in their rows and columns
+    outside it. As built, the corner's rates would decide the atom-free gate
+    (kappa_a near 0), condition estimate and residual bound, and LAPACK's
+    balancing sets rows without off-diagonal entries aside.
     """
 
     omega_m: np.ndarray        # (n,) omega_m at each point
+    temperature: np.ndarray    # (n,) the bath temperature at each point
     pole: np.ndarray           # (n,) the main working point is at a pole
     templates: list            # (drift, diffusion) dynamics._Template per variant
 
@@ -309,12 +331,22 @@ class _ModelStage:
             atom_free = replace(block, g=0.0, r_a=0.0)
             drift, diffusion = dynamics._templates(
                 atom_free, model.solve_steady_state(atom_free))
-            corner = (slice(6, None), slice(6, None))
-            templates.append((drift.with_fixed(corner, -np.eye(4)),
-                              diffusion.with_fixed(corner, np.eye(4))))
+            templates.append((drift.with_fixed(_ATOMIC_MODES, _VACUUM_DRIFT),
+                              diffusion.with_fixed(_ATOMIC_MODES, _VACUUM_DIFFUSION)))
         # the block form marks a pole with NaN; a float where no column reaches
-        return cls(np.broadcast_to(block.omega_m, column.shape),
-                   np.broadcast_to(np.isnan(working.q_s), column.shape), templates)
+        return cls(*(np.broadcast_to(value, column.shape) for value in (
+            block.omega_m, block.temperature, np.isnan(working.q_s))), templates)
+
+    def drift_key(self, block: slice) -> tuple:
+        """What decides the drift stack of a block of the points: the
+        block's length and, per variant, the drift template's fixed entries,
+        varying slots and slice of values. Equal keys, equal stacks."""
+        key = [len(self.pole[block])]
+        for drift, _ in self.templates:
+            key += [drift.fixed.tobytes(), drift.slots.tobytes()]
+            if drift.slots.size:
+                key.append(drift.values[:, block].tobytes())
+        return tuple(key)
 
     def stacks(self, block: slice) -> tuple[np.ndarray, np.ndarray]:
         """The drift and diffusion stacks of a block of the points: problem k
@@ -327,23 +359,26 @@ class _ModelStage:
         return a.reshape(-1, 10, 10), d.reshape(-1, 10, 10)
 
 
-def _evaluate_block(stage: _ModelStage, block: slice, pairs: tuple[str, ...],
-                    base_pairs: tuple[str, ...]
+def _evaluate_block(stage: _ModelStage, block: slice,
+                    decompose: Callable[[np.ndarray], dynamics._Eigenbasis],
+                    pairs: tuple[str, ...], base_pairs: tuple[str, ...]
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
                                dict[int, str]]:
     """The pipeline on a block of a model stage's points, with one batched
-    Lyapunov solve and one batched log-negativity.
+    Lyapunov solve and one batched log-negativity; decompose gives the
+    drift half of the solve for the block's drift stack.
 
     Each point poses its stage's problem variants. A problem has at most one
     error: its solve error (a pole of the main problem's optical response
-    reads as one), or else its first pair error in the requested order. A
-    point reports its main problem's error before its baseline's. Returns
-    the columns of SweepResult for the block: stable, max_real_part, e_n,
-    baseline_e_n and failures.
+    reads as one, and a non-finite diffusion names the bath temperature), or
+    else its first pair error in the requested order. A point reports its
+    main problem's error before its baseline's. Returns the columns of
+    SweepResult for the block: stable, max_real_part, e_n, baseline_e_n and
+    failures.
     """
     a, d = stage.stacks(block)
     m = len(a) // len(stage.templates)
-    sol = dynamics.solve_lyapunov_batch(a, d)
+    sol = dynamics.solve_lyapunov_batch(a, d, decompose(a))
     solved = sol.stable.copy()
     solved[list(sol.errors)] = False
     e_n = np.full((m, len(pairs)), np.nan)
@@ -366,8 +401,15 @@ def _evaluate_block(stage: _ModelStage, block: slice, pairs: tuple[str, ...],
     # a pole's NaN working point makes the main drift non-finite, so the
     # solve has already failed that problem
     pole = stage.pole[block]
-    errors = {k: model.POLE_MESSAGE if k < m and pole[k] else str(exc)
-              for k, exc in sol.errors.items()}
+    temperature = stage.temperature[block]
+    errors = {}
+    for k, exc in sol.errors.items():
+        if k < m and pole[k]:
+            errors[k] = model.POLE_MESSAGE
+        elif np.isfinite(a[k]).all() and not np.isfinite(d[k]).all():
+            errors[k] = f"{exc}; bath temperature {temperature[k % m].item()!r} K"
+        else:
+            errors[k] = str(exc)
     for j, exc in sorted(pair_errors.items()):  # a problem's pairs in order
         errors.setdefault(int(problems[j]), str(exc))
     failures: dict[int, str] = {}
@@ -381,6 +423,60 @@ def _evaluate_block(stage: _ModelStage, block: slice, pairs: tuple[str, ...],
     e_n[failed] = np.nan
     baseline_e_n[failed] = np.nan
     return stable, max_real_part, e_n, baseline_e_n, dict(sorted(failures.items()))
+
+
+class _DriftMemo:
+    """The drift halves of the Lyapunov solve (dynamics._Eigenbasis) of one
+    model stage's blocks, by drift key (_ModelStage.drift_key), so that a
+    block whose drift stack was already decomposed, in its stage or in an
+    earlier sweep, runs only the diffusion half. Results never depend on it:
+    an eigenbasis is the same bits whoever computes it.
+
+    When a stage starts, the memo drops every key that the stage's blocks do
+    not pose. A block keeps its eigenbasis only if its key recurs within its
+    stage (no column reaches the drift, as along temperature), or if the
+    whole sweep is one stage, whose keys the next sweep may pose again (as
+    fig6a to fig6c do). So it holds at most one stage, and a long sweep of
+    distinct drifts keeps nothing. The pool's threads share it, under a lock.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._held: dict[tuple, dynamics._Eigenbasis] = {}
+        self._stage: object = None  # marks the stage whose blocks may store
+
+    def clear(self) -> None:
+        with self._lock:
+            self._held.clear()
+            self._stage = None
+
+    def enter(self, keys: list[tuple], keep_all: bool
+              ) -> Callable[[tuple, np.ndarray], dynamics._Eigenbasis]:
+        """Start a stage whose blocks pose the drift keys `keys`, and return
+        its lookup: (key, drift stack) -> the stack's eigenbasis. keep_all
+        says that the sweep is this one stage."""
+        counts = Counter(keys)
+        kept = {key for key, count in counts.items() if keep_all or count > 1}
+        stage = object()
+        with self._lock:
+            self._held = {key: held for key, held in self._held.items() if key in counts}
+            self._stage = stage
+
+        def lookup(key: tuple, a: np.ndarray) -> dynamics._Eigenbasis:
+            with self._lock:
+                held = self._held.get(key)
+            if held is None:
+                held = dynamics._decompose(a)
+                if key in kept:
+                    with self._lock:
+                        if self._stage is stage:  # not a block of an earlier stage
+                            self._held[key] = held
+            return held
+
+        return lookup
+
+
+_DRIFT_MEMO = _DriftMemo()
 
 
 def _records(xs: np.ndarray, pairs: tuple[str, ...], base_pairs: tuple[str, ...],

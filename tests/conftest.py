@@ -1,4 +1,16 @@
-"""Test-session plumbing: per-criterion pass/fail summary lines."""
+"""Test-session plumbing: a cold drift memo for every test, and
+per-criterion pass/fail summary lines."""
+
+import pytest
+
+from oemsim import sweep
+
+
+@pytest.fixture(autouse=True)
+def cold_drift_memo():
+    """Each test starts with no decomposed drift held from an earlier one, so
+    eigen call counts and LAPACK failures are the test's own."""
+    sweep._DRIFT_MEMO.clear()
 
 _CRITERION_OUTCOMES = {}
 

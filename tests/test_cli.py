@@ -5,6 +5,7 @@ import math
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -219,16 +220,23 @@ class TestSweepCommand:
         assert len(lines) == 10  # grid is still fully recorded
 
     def test_every_point_failing_exits_two(self, tmp_path, capsys):
-        # 2n + 1 at 1e300 K overflows the microwave diffusion at every point
+        # 2n + 1 at 1e300 K overflows the microwave diffusion at every point;
+        # no raw numpy warning reaches the user, and each point's record
+        # names the non-finite entries and the temperature
         path = write_config(tmp_path, {**fig3_config_dict(), "temperature": 1e300})
         out = tmp_path / "hot.csv"
-        with pytest.warns(RuntimeWarning, match="overflow") as caught:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = main(["sweep", "--params", str(path), "--out", str(out),
                          "--grid", "0.5", "1.5", "5"])
-        assert code == 2 and len(caught) == 1
-        assert capsys.readouterr().err == "error: every grid point failed\n"
+            assert code == 2
+            assert capsys.readouterr().err == "error: every grid point failed\n"
+            assert main(["point", "--params", str(path), "--x", "1.0"]) == 2
         counts = json.loads((tmp_path / "hot.csv.meta.json").read_text())["counts"]
         assert counts == {"points": 5, "stable": 0, "errors": 5}
+        assert json.loads(capsys.readouterr().out)["error"] == (
+            "diffusion matrix contains non-finite entries: (4, 4) = inf, "
+            "(5, 5) = inf; bath temperature 1e+300 K")
 
     def test_custom_params_sweep(self, tmp_path):
         path = write_config(tmp_path, fig3_config_dict())

@@ -35,7 +35,7 @@ from oemsim import (
     solve_steady_state,
     thermal_occupation,
 )
-from oemsim import dynamics
+from oemsim import dynamics, sweep
 from oemsim.model import parameter_block
 from oemsim.sweep import BLOCK_POINTS
 
@@ -569,7 +569,8 @@ def sweep_stacks(monkeypatch, spec):
     real = dynamics.solve_lyapunov_batch
     with monkeypatch.context() as patch:
         patch.setattr(dynamics, "solve_lyapunov_batch",
-                      lambda a, d: stacks.append((a.copy(), d.copy())) or real(a, d))
+                      lambda a, d, *basis: stacks.append((a.copy(), d.copy()))
+                      or real(a, d, *basis))
         run_sweep(spec)
     return stacks
 
@@ -703,10 +704,13 @@ class TestSolveRoutes:
         assert together[1] == [w for _, caught in alone for w in caught]
         if name == "interior_warning":
             assert together[1]
-        finite = len(a) - 2 * (name == "non_finite_ends")
-        spectra = route == "spectra" or (
-            route == "as_found" and name not in ("all_stable", "stable_end"))
-        # the two probe problems, then the spectra of the finite problems
+        # the drift half of the solve decomposes every finite drift, whatever
+        # its diffusion: non_finite_ends' last drift is finite and stable
+        finite = len(a) - (name == "non_finite_ends")
+        stable += name == "non_finite_ends"
+        spectra = route == "spectra" or (route == "as_found" and name not in (
+            "all_stable", "stable_end", "non_finite_ends"))
+        # the two probe problems, then the spectra of the finite drifts
         assert decompositions["eigvals problems"] == 2 + spectra * finite
         assert decompositions["eig problems"] == (stable if spectra else finite)
         assert decompositions["eig"] == (stable > 0 or not spectra)
@@ -716,8 +720,10 @@ class TestSolveRoutes:
         ("stable_island", "eigvals", 2, 6),
         ("stable_end", "eig", 1, 4),
         ("all_stable", "eig", 1, 4),
-        ("non_finite_ends", "eig", 1, 2),
-    ], ids=["probe", "spectra", "stack_eig", "whole_stack_eig", "stable_problems_eig"])
+        ("stable_island", "eig", 1, 3),
+        ("non_finite_ends", "eig", 1, 5),
+    ], ids=["probe", "spectra", "stack_eig", "whole_stack_eig", "stable_problems_eig",
+            "finite_drifts_eig"])
     def test_eigensolver_failure_fails_every_finite_problem(self, name, routine, call,
                                                             size, monkeypatch):
         problems = route_stacks()[name]
@@ -733,7 +739,8 @@ class TestSolveRoutes:
             finite, LAPACK_FAILURE)
         # a non-finite problem keeps its own message
         assert errors == ({0: "drift matrix contains non-finite entries",
-                           len(a) - 1: "diffusion matrix contains non-finite entries"}
+                           len(a) - 1: "diffusion matrix contains non-finite entries: "
+                                       "(1, 1) = inf"}
                           if name == "non_finite_ends" else {})
         assert not sol.stable.any()
         assert np.isnan(sol.max_real_part).all() and np.isnan(sol.v).all()
@@ -744,6 +751,7 @@ class TestSolveRoutes:
     def test_eigensolver_failure_fails_its_block_of_a_sweep(self, call, monkeypatch):
         spec = preset("fig3")
         clean = run_sweep(spec)
+        sweep._DRIFT_MEMO.clear()  # else the clean run's eigenbases serve the next
         sizes = lapack_fails(monkeypatch, "eig", call)
         result = run_sweep(spec)
         assert len(sizes) == 4
@@ -761,14 +769,17 @@ class TestSolveRoutes:
             assert np.isnan(getattr(result, column)[block]).all(), column
 
     def test_calls_per_presets_pass(self, decompositions):
-        # 22 of the 49 blocks have unstable ends: eigvals on 2 probe
-        # problems per block and on the 2816 problems of those 22; eig on
-        # the 2397 problems of the other 27 blocks and on the 15 stable
-        # problems that 4 of the 22 hold, where eig on every block took 5213
+        # 35 of the 49 blocks are decomposed: fig6b and fig6c pose fig6a's
+        # drifts (temperature enters the diffusion alone), so their 14
+        # blocks reuse fig6a's eigenbases. 14 of the 35 have unstable ends:
+        # eigvals on 2 probe problems per block and on the 1792 problems of
+        # those 14; eig on the 1817 problems of the other 21 blocks and on
+        # the 7 stable problems that 2 of the 14 hold. Decomposing every
+        # block took eigvals 71 times on 2914 problems and eig 31 times on 2412.
         for name in PRESET_NAMES:
             run_sweep(preset(name))
-        assert decompositions == {"eigvals": 71, "eigvals problems": 2914,
-                                  "eig": 31, "eig problems": 2412}
+        assert decompositions == {"eigvals": 49, "eigvals problems": 1862,
+                                  "eig": 23, "eig problems": 1824}
 
     @pytest.mark.parametrize("baseline", [False, True])
     def test_single_point_takes_one_eig(self, baseline, decompositions):

@@ -347,7 +347,8 @@ class TestAtomFreeProblem:
         stacks = []
         real = dynamics.solve_lyapunov_batch
         monkeypatch.setattr(dynamics, "solve_lyapunov_batch",
-                            lambda a, d: stacks.append((a.copy(), d.copy())) or real(a, d))
+                            lambda a, d, *basis: stacks.append((a.copy(), d.copy()))
+                            or real(a, d, *basis))
         spec = narrowed(preset("fig6a"), -2.0, 2.0, 9)
         run_sweep(spec)
         ((a, d),) = stacks
@@ -548,8 +549,8 @@ class TestBlockEngine:
         assert all(clean[i].e_n and clean[i].baseline_e_n for i in reported)
         real = dynamics.solve_lyapunov_batch
 
-        def corrupted(a, d):
-            sol = real(a, d)
+        def corrupted(a, d, *basis):
+            sol = real(a, d, *basis)
             for (k, tag), scale in scales.items():
                 messages[k, tag] = corrupt_pair(sol.v[k], tag, scale)
             sol.errors.update({k: SimulationError(messages[k]) for k in (7, m + 8)})
@@ -575,7 +576,8 @@ class TestBlockEngine:
         sizes = []
         real = dynamics.solve_lyapunov_batch
         monkeypatch.setattr(dynamics, "solve_lyapunov_batch",
-                            lambda a, d: sizes.append(len(a)) or real(a, d))
+                            lambda a, d, *basis: sizes.append(len(a))
+                            or real(a, d, *basis))
         spec = preset("fig5")  # oc_sba and oc_scb have no atom-free value
         csv = []
         for baseline in (False, True):
@@ -604,8 +606,8 @@ class TestBlockEngine:
         real_batch = dynamics.solve_lyapunov_batch
         real_negativities = gaussian.log_negativities
 
-        def batch(a, d):
-            sol = real_batch(a, d)
+        def batch(a, d, *basis):
+            sol = real_batch(a, d, *basis)
             for (k, tag), scale in scales.items():
                 messages[k, tag] = corrupt_pair(sol.v[k], tag, scale)
             sol.errors.update({m + 2: SimulationError("baseline solve failed"),
@@ -630,7 +632,8 @@ class TestBlockEngine:
         solutions = []
         real = dynamics.solve_lyapunov_batch
         monkeypatch.setattr(dynamics, "solve_lyapunov_batch",
-                            lambda a, d: solutions.append(real(a, d)) or solutions[-1])
+                            lambda a, d, *basis: solutions.append(real(a, d, *basis))
+                            or solutions[-1])
         result = run_sweep(spec)
         (pole,) = np.flatnonzero(result.x == 1.0)
         assert result.failures[pole] == model.POLE_MESSAGE
@@ -681,12 +684,25 @@ class TestBlockEngine:
             assert sorted(diffusion.slots.tolist()) == [11, 44, 55]  # the thermal factors
         (drift, diffusion), (free_drift, free_diffusion) = along["omega_m"].templates
         assert drift.slots.size == 31 and diffusion.slots.size == 9
-        # the atom-free corner is fixed to the vacuum placeholders
-        assert free_drift.slots.size == 31 - 8 and free_diffusion.slots.size == 9 - 4
+        # the atom-free atomic rows and columns are fixed to the vacuum
+        # placeholders: 8 drift entries in their corner and 8 outside it
+        assert free_drift.slots.size == 31 - 16 and free_diffusion.slots.size == 9 - 4
         # delta_c reaches its own two entries and the optomechanical coupling
         for drift, diffusion in along["delta_c"].templates:
             assert sorted(drift.slots.tolist()) == [12, 23, 30, 32]
             assert diffusion.slots.size == 0
+
+    @pytest.mark.parametrize("name", ["g", "r_a", "kappa_a", "rho_aa0", "rho_cc0",
+                                      "rho_ca0", "delta_a1", "delta_a2"])
+    def test_atomic_fields_do_not_reach_the_atom_free_problem(self, name):
+        # at g = r_a = 0 the fields that act only through the atoms reach
+        # nothing outside the atomic modes, which hold the vacuum placeholders
+        start, stop, scale = field_grid(name)
+        column = np.linspace(start, stop, 5) * scale
+        stage = sweep._ModelStage.of(preset("fig6a").base, name, column, baseline=True)
+        (drift, _), (free_drift, free_diffusion) = stage.templates
+        assert drift.slots.size > 0
+        assert free_drift.slots.size == 0 and free_diffusion.slots.size == 0
 
     def test_long_sweep_holds_one_model_stage_at_a_time(self):
         # along omega_m every drift and diffusion entry varies; one model
@@ -737,8 +753,8 @@ class TestThreadedSweep:
         problem's drift, so that failures fall in several blocks."""
         real = dynamics.solve_lyapunov_batch
 
-        def batch(a, d):
-            sol = real(a, d)
+        def batch(a, d, *basis):
+            sol = real(a, d, *basis)
             for k in range(5, len(a), 31):
                 sol.errors[k] = SimulationError(
                     f"injected {zlib.crc32(np.ascontiguousarray(a[k]).tobytes())}")
@@ -832,7 +848,7 @@ class TestThreadedSweep:
         started = []
         real = sweep._evaluate_block
 
-        def evaluate(stage, block, pairs, base_pairs):
+        def evaluate(stage, block, *rest):
             k = block.start // BLOCK_POINTS
             started.append(k)
             if k == 1:
@@ -840,7 +856,7 @@ class TestThreadedSweep:
             # block 0 waits until the failure has cancelled the pending
             # blocks; any other block holds its thread until then too
             assert released.wait(timeout=10)
-            return real(stage, block, pairs, base_pairs)
+            return real(stage, block, *rest)
 
         monkeypatch.setattr(futures, "ThreadPoolExecutor", Pool)
         monkeypatch.setattr(sweep, "_evaluate_block", evaluate)
@@ -921,6 +937,138 @@ class TestThreadedSweep:
         messages = [Counter(str(w.message) for w in caught[jobs]) for jobs in (1, 2)]
         assert messages[0] == messages[1] and len(messages[0]) > 1
         assert {Path(w.filename).name for w in caught[1] + caught[2]} == {"sweep.py"}
+
+
+def along_temperature(spec, count, start=0.0, stop=0.5):
+    """spec's base swept over the bath temperature, in kelvin."""
+    return narrowed(spec, start, stop, count, varied="temperature",
+                    axis="temperature_k", axis_scale=1.0)
+
+
+def assert_same_bits(result, other):
+    """Two sweep results hold the same bits in every column and the same
+    failure messages."""
+    for column in ("x", "stable", "max_real_part", "e_n", "baseline_e_n"):
+        got, want = getattr(result, column), getattr(other, column)
+        assert got.tobytes() == want.tobytes(), column
+    assert result.failures == other.failures
+
+
+class TestDriftMemo:
+    """A block whose drift stack a block before it decomposed, in its sweep
+    or in the one before, runs only the diffusion half of the solve, with
+    the same results."""
+
+    @pytest.fixture
+    def decomposed(self, monkeypatch):
+        """The size of each drift stack that the sweeps decompose."""
+        sizes = []
+        real = dynamics._decompose
+        monkeypatch.setattr(dynamics, "_decompose",
+                            lambda a: sizes.append(len(a)) or real(a))
+        return sizes
+
+    def test_fig6_presets_decompose_one_set_of_drifts(self, monkeypatch):
+        # fig6a to fig6c differ only in temperature, which the drift does
+        # not see: fig6b and fig6c make no eigen call
+        names = ("fig6a", "fig6b", "fig6c")
+        cold = {}
+        for name in names:
+            sweep._DRIFT_MEMO.clear()
+            cold[name] = run_sweep(preset(name))
+        sweep._DRIFT_MEMO.clear()
+        calls = Counter()
+        for routine in ("eig", "eigvals"):
+            real = getattr(np.linalg, routine)
+            monkeypatch.setattr(np.linalg, routine,
+                                lambda a, real=real: calls.update([1]) or real(a))
+        for name in names:
+            calls.clear()
+            assert_same_bits(run_sweep(preset(name)), cold[name])
+            assert (calls.total() > 0) == (name == "fig6a"), name
+
+    def test_temperature_sweep_decomposes_two_blocks(self, decomposed):
+        # four stages, one drift: the first full block and the short last
+        # block are decomposed, and the memo ends with the full blocks' key
+        spec = along_temperature(preset("fig6a"), 4001)
+        assert spec.count > 3 * sweep._STAGE_POINTS and spec.count % BLOCK_POINTS
+        result = run_sweep(spec)
+        assert decomposed == [2 * BLOCK_POINTS, 2 * (spec.count % BLOCK_POINTS)]
+        assert len(sweep._DRIFT_MEMO._held) == 1
+        for rec in result.records:
+            single = evaluate_point(spec.base.replace(temperature=rec.x),
+                                    spec.pairs, baseline=True)
+            assert dataclasses.replace(single, x=rec.x) == rec
+
+    @pytest.mark.parametrize("name", ["unstable_drift", "fallback", "pole"])
+    def test_warm_run_equals_cold_run(self, name, monkeypatch, decomposed):
+        fallbacks = []
+        real = dynamics._kronecker_lyapunov
+        monkeypatch.setattr(dynamics, "_kronecker_lyapunov",
+                            lambda a, d: fallbacks.append(len(a)) or real(a, d))
+        if name == "unstable_drift":  # fig2 blue of the cavity: no steady state
+            fig2 = preset("fig2")
+            spec = along_temperature(dataclasses.replace(
+                fig2, base=fig2.base.replace(delta_c=-fig2.axis_scale)), 150)
+        elif name == "fallback":  # x = 0's problems miss the residual bound
+            spec = preset("fig3")
+        else:
+            mixed = TestBlockEngine.mixed_spec()
+            spec = along_temperature(dataclasses.replace(
+                mixed, base=mixed.base.replace(delta_c=mixed.axis_scale)), 150, stop=0.1)
+        cold = run_sweep(spec)
+        blocks, cold_fallbacks = len(decomposed), list(fallbacks)
+        warm = run_sweep(spec)
+        assert len(decomposed) == blocks  # the warm run decomposes nothing
+        assert fallbacks == 2 * cold_fallbacks
+        assert_same_bits(warm, cold)
+        assert warm.records == cold.records
+        if name == "unstable_drift":
+            assert not cold.stable.any() and not cold.failures
+        elif name == "fallback":
+            assert cold_fallbacks == [2] and not cold.failures
+        else:
+            assert cold.failures == dict.fromkeys(range(spec.count), model.POLE_MESSAGE)
+
+    def test_long_sweep_of_distinct_drifts_keeps_nothing(self, decomposed):
+        run_sweep(preset("fig6a"))  # one stage: its seven blocks are kept
+        assert len(sweep._DRIFT_MEMO._held) == len(decomposed) == 7
+        decomposed.clear()
+        spec = narrowed(preset("fig6a"), -2.0, 2.0, 2 * sweep._STAGE_POINTS + 1)
+        run_sweep(spec)
+        assert len(decomposed) == -(-spec.count // BLOCK_POINTS)
+        assert sweep._DRIFT_MEMO._held == {}
+
+    def test_block_of_an_earlier_stage_stores_nothing(self):
+        # a pool's block may finish after the next stage has started; the
+        # memo then holds the new stage's drifts alone
+        memo = sweep._DriftMemo()
+        a = -np.eye(10)[None]
+        first = memo.enter([("first",)] * 2, keep_all=False)
+        second = memo.enter([("second",)] * 2, keep_all=False)
+        first(("first",), a)
+        assert memo._held == {}
+        second(("second",), a)
+        assert list(memo._held) == [("second",)]
+
+    def test_threads_share_the_memo(self, monkeypatch, decomposed):
+        # more threads than CPUs and a short switch interval, over stages of
+        # two blocks that each pose one drift: whatever the interleaving,
+        # the results equal the serial run's and the memo holds one key
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(sweep, "BLOCK_POINTS", 8)
+        monkeypatch.setattr(sweep, "_STAGE_POINTS", 16)
+        spec = along_temperature(preset("fig6a"), 200)
+        serial = run_sweep(spec)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                sweep._DRIFT_MEMO.clear()
+                assert_same_bits(run_sweep(spec, jobs=8), serial)
+                assert len(sweep._DRIFT_MEMO._held) == 1
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def sweep_for_csv(name):
