@@ -264,6 +264,12 @@ def _residual_and_bound(a: np.ndarray, d: np.ndarray, v: np.ndarray):
     return residual, bound
 
 
+class _NonFiniteDiffusion(SimulationError):
+    """A problem's diffusion has non-finite entries where its drift has none,
+    as where a thermal factor overflows. A sweep adds the point's bath
+    temperature to the message."""
+
+
 @dataclass(frozen=True)
 class CovarianceBatch:
     """Stability and steady-state covariance of each problem in a stack."""
@@ -437,7 +443,7 @@ def solve_lyapunov_batch(a: np.ndarray, d: np.ndarray,
         for k in np.flatnonzero(noisy & np.isfinite(a).all(axis=(1, 2))).tolist():
             entries = ", ".join(f"({i}, {j}) = {d[k, i, j]}"
                                 for i, j in np.argwhere(~np.isfinite(d[k])).tolist())
-            errors[k] = SimulationError(
+            errors[k] = _NonFiniteDiffusion(
                 f"diffusion matrix contains non-finite entries: {entries}")
         abscissa[noisy] = np.nan
         stable[noisy] = False

@@ -17,10 +17,10 @@ the stability gate and the steady-state covariance
 the block's end problems are unstable, batched spectra without
 eigenvectors and an eigendecomposition of its stable problems alone, with
 the same bits either way. That half of the solve depends on the drifts
-alone, so a block whose drift stack an earlier block posed (along
-temperature, which reaches only the diffusion, or fig6b after fig6a) takes
-it from a memo of one stage (_DriftMemo) and solves only the diffusion
-half. The block's points that fail its residual
+alone, so in a sweep of one model stage a block whose drift stack an
+earlier block posed (along temperature, which reaches only the diffusion,
+or fig6b after fig6a) takes it from a memo (_DriftMemo) and solves only the
+diffusion half. The block's points that fail its residual
 check are solved again together, directly, by one batched LU solve of their
 Lyapunov operators on the 55 unknowns of a symmetric covariance. The
 entanglement of every (problem, requested mode pair) of the block comes from
@@ -47,7 +47,6 @@ import math
 import numbers
 import os
 import threading
-from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, partial
@@ -233,14 +232,17 @@ def _evaluate(base: model.SystemParameters, varied: str, column: np.ndarray,
     stable, max_real_part, e_n, baseline_e_n and failures.
 
     The model stage runs once per _STAGE_POINTS points (_ModelStage), and
-    then each of its blocks once (_evaluate_block), with the drift half of
-    its solve from _DRIFT_MEMO where a block before it posed the same drift
-    stack. With a pool, the calling
+    then each of its blocks once (_evaluate_block). In a sweep of one stage
+    the drift half of a block's solve comes from _DRIFT_MEMO where a block
+    before it posed the same drift stack. With a pool, the calling
     thread runs the model stage of the next _STAGE_POINTS points while the
     pool solves the blocks of the last ones; it waits for the blocks of the
     stage before that first, so at most three stages are held at a time.
     """
     n = len(column)
+    one_stage = n <= _STAGE_POINTS
+    if not one_stage:  # the memo serves sweeps of one stage alone
+        _DRIFT_MEMO.clear()
 
     def blocks():
         for lo in range(0, n, _STAGE_POINTS):
@@ -248,10 +250,13 @@ def _evaluate(base: model.SystemParameters, varied: str, column: np.ndarray,
                                    bool(base_pairs))
             slices = [slice(b, b + BLOCK_POINTS)
                       for b in range(0, len(stage.pole), BLOCK_POINTS)]
-            keys = [stage.drift_key(block) for block in slices]
-            lookup = _DRIFT_MEMO.enter(keys, keep_all=n <= _STAGE_POINTS)
-            yield [(stage, block, partial(lookup, key))
-                   for block, key in zip(slices, keys)]
+            if one_stage:
+                keys = [stage.drift_key(block) for block in slices]
+                _DRIFT_MEMO.keep(keys)
+                yield [(stage, block, partial(_DRIFT_MEMO.lookup, key))
+                       for block, key in zip(slices, keys)]
+            else:
+                yield [(stage, block, dynamics._decompose) for block in slices]
 
     def evaluate(stage: _ModelStage, block: slice, decompose):
         # a frame in this module: the Lyapunov solve's warnings name it
@@ -370,11 +375,11 @@ def _evaluate_block(stage: _ModelStage, block: slice,
 
     Each point poses its stage's problem variants. A problem has at most one
     error: its solve error (a pole of the main problem's optical response
-    reads as one, and a non-finite diffusion names the bath temperature), or
-    else its first pair error in the requested order. A point reports its
-    main problem's error before its baseline's. Returns the columns of
-    SweepResult for the block: stable, max_real_part, e_n, baseline_e_n and
-    failures.
+    reads as one, and a non-finite diffusion's error gains the bath
+    temperature), or else its first pair error in the requested order. A
+    point reports its main problem's error before its baseline's. Returns
+    the columns of SweepResult for the block: stable, max_real_part, e_n,
+    baseline_e_n and failures.
     """
     a, d = stage.stacks(block)
     m = len(a) // len(stage.templates)
@@ -406,8 +411,8 @@ def _evaluate_block(stage: _ModelStage, block: slice,
     for k, exc in sol.errors.items():
         if k < m and pole[k]:
             errors[k] = model.POLE_MESSAGE
-        elif np.isfinite(a[k]).all() and not np.isfinite(d[k]).all():
-            errors[k] = f"{exc}; bath temperature {temperature[k % m].item()!r} K"
+        elif isinstance(exc, dynamics._NonFiniteDiffusion):
+            errors[k] = f"{exc}; at bath temperature {temperature[k % m].item()!r} K"
         else:
             errors[k] = str(exc)
     for j, exc in sorted(pair_errors.items()):  # a problem's pairs in order
@@ -426,54 +431,43 @@ def _evaluate_block(stage: _ModelStage, block: slice,
 
 
 class _DriftMemo:
-    """The drift halves of the Lyapunov solve (dynamics._Eigenbasis) of one
-    model stage's blocks, by drift key (_ModelStage.drift_key), so that a
-    block whose drift stack was already decomposed, in its stage or in an
-    earlier sweep, runs only the diffusion half. Results never depend on it:
-    an eigenbasis is the same bits whoever computes it.
+    """The drift halves of the Lyapunov solve (dynamics._Eigenbasis) of the
+    blocks of a sweep of one model stage, by drift key
+    (_ModelStage.drift_key), so that a block whose drift stack was already
+    decomposed, in its sweep or in the sweep before, runs only the diffusion
+    half. Results never depend on it: an eigenbasis is the same bits whoever
+    computes it.
 
-    When a stage starts, the memo drops every key that the stage's blocks do
-    not pose. A block keeps its eigenbasis only if its key recurs within its
-    stage (no column reaches the drift, as along temperature), or if the
-    whole sweep is one stage, whose keys the next sweep may pose again (as
-    fig6a to fig6c do). So it holds at most one stage, and a long sweep of
-    distinct drifts keeps nothing. The pool's threads share it, under a lock.
+    A sweep of one stage (every preset) first drops every key that its
+    blocks do not pose, then stores every block's eigenbasis: along
+    temperature, which the drift does not see, all its full blocks share one,
+    and fig6b and fig6c pose fig6a's. A longer sweep empties the memo and
+    decomposes every block itself. So the memo holds at most one stage per
+    sweep that runs at a time. The pool's threads share it, under a lock.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._held: dict[tuple, dynamics._Eigenbasis] = {}
-        self._stage: object = None  # marks the stage whose blocks may store
 
     def clear(self) -> None:
-        with self._lock:
-            self._held.clear()
-            self._stage = None
+        self.keep(())
 
-    def enter(self, keys: list[tuple], keep_all: bool
-              ) -> Callable[[tuple, np.ndarray], dynamics._Eigenbasis]:
-        """Start a stage whose blocks pose the drift keys `keys`, and return
-        its lookup: (key, drift stack) -> the stack's eigenbasis. keep_all
-        says that the sweep is this one stage."""
-        counts = Counter(keys)
-        kept = {key for key, count in counts.items() if keep_all or count > 1}
-        stage = object()
+    def keep(self, keys: Iterable[tuple]) -> None:
+        """Drop every held eigenbasis whose key is not in keys."""
+        keys = set(keys)
         with self._lock:
-            self._held = {key: held for key, held in self._held.items() if key in counts}
-            self._stage = stage
+            self._held = {key: held for key, held in self._held.items() if key in keys}
 
-        def lookup(key: tuple, a: np.ndarray) -> dynamics._Eigenbasis:
+    def lookup(self, key: tuple, a: np.ndarray) -> dynamics._Eigenbasis:
+        """The eigenbasis of the drift stack a, whose drift key is key."""
+        with self._lock:
+            held = self._held.get(key)
+        if held is None:
+            held = dynamics._decompose(a)
             with self._lock:
-                held = self._held.get(key)
-            if held is None:
-                held = dynamics._decompose(a)
-                if key in kept:
-                    with self._lock:
-                        if self._stage is stage:  # not a block of an earlier stage
-                            self._held[key] = held
-            return held
-
-        return lookup
+                self._held[key] = held
+        return held
 
 
 _DRIFT_MEMO = _DriftMemo()

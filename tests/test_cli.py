@@ -236,7 +236,7 @@ class TestSweepCommand:
         assert counts == {"points": 5, "stable": 0, "errors": 5}
         assert json.loads(capsys.readouterr().out)["error"] == (
             "diffusion matrix contains non-finite entries: (4, 4) = inf, "
-            "(5, 5) = inf; bath temperature 1e+300 K")
+            "(5, 5) = inf; at bath temperature 1e+300 K")
 
     def test_custom_params_sweep(self, tmp_path):
         path = write_config(tmp_path, fig3_config_dict())

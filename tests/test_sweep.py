@@ -988,13 +988,13 @@ class TestDriftMemo:
             assert (calls.total() > 0) == (name == "fig6a"), name
 
     def test_temperature_sweep_decomposes_two_blocks(self, decomposed):
-        # four stages, one drift: the first full block and the short last
-        # block are decomposed, and the memo ends with the full blocks' key
-        spec = along_temperature(preset("fig6a"), 4001)
-        assert spec.count > 3 * sweep._STAGE_POINTS and spec.count % BLOCK_POINTS
+        # one stage, one drift: the first full block and the short last
+        # block are decomposed, and the memo ends with their two keys
+        spec = along_temperature(preset("fig6a"), 1001)
+        assert spec.count <= sweep._STAGE_POINTS and spec.count % BLOCK_POINTS
         result = run_sweep(spec)
         assert decomposed == [2 * BLOCK_POINTS, 2 * (spec.count % BLOCK_POINTS)]
-        assert len(sweep._DRIFT_MEMO._held) == 1
+        assert len(sweep._DRIFT_MEMO._held) == 2
         for rec in result.records:
             single = evaluate_point(spec.base.replace(temperature=rec.x),
                                     spec.pairs, baseline=True)
@@ -1039,25 +1039,19 @@ class TestDriftMemo:
         assert len(decomposed) == -(-spec.count // BLOCK_POINTS)
         assert sweep._DRIFT_MEMO._held == {}
 
-    def test_block_of_an_earlier_stage_stores_nothing(self):
-        # a pool's block may finish after the next stage has started; the
-        # memo then holds the new stage's drifts alone
-        memo = sweep._DriftMemo()
-        a = -np.eye(10)[None]
-        first = memo.enter([("first",)] * 2, keep_all=False)
-        second = memo.enter([("second",)] * 2, keep_all=False)
-        first(("first",), a)
-        assert memo._held == {}
-        second(("second",), a)
-        assert list(memo._held) == [("second",)]
+    def test_sweep_of_one_stage_drops_the_drifts_it_does_not_pose(self, decomposed):
+        run_sweep(preset("fig6a"))
+        run_sweep(preset("fig6b"))  # fig6a's drifts: nothing decomposed, all kept
+        assert len(sweep._DRIFT_MEMO._held) == len(decomposed) == 7
+        run_sweep(preset("fig2"))
+        assert len(sweep._DRIFT_MEMO._held) == len(decomposed) - 7 > 0
 
     def test_threads_share_the_memo(self, monkeypatch, decomposed):
-        # more threads than CPUs and a short switch interval, over stages of
-        # two blocks that each pose one drift: whatever the interleaving,
-        # the results equal the serial run's and the memo holds one key
+        # more threads than CPUs and a short switch interval, over 25 blocks
+        # that pose one drift: whatever the interleaving, the results equal
+        # the serial run's and the memo holds one key
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setattr(sweep, "BLOCK_POINTS", 8)
-        monkeypatch.setattr(sweep, "_STAGE_POINTS", 16)
         spec = along_temperature(preset("fig6a"), 200)
         serial = run_sweep(spec)
         interval = sys.getswitchinterval()
