@@ -48,12 +48,6 @@ from .sweep import (
     run_sweep,
     write_csv,
 )
-from .verify import (
-    IntegrationConfig,
-    integrate_covariance,
-    lyapunov_bruteforce,
-    make_tmsv,
-)
 
 __all__ = [
     "BIPARTITE_PAIRS",
@@ -61,7 +55,6 @@ __all__ = [
     "BipartitePair",
     "ConvergenceError",
     "DerivedQuantities",
-    "IntegrationConfig",
     "LogNegativity",
     "PRESET_NAMES",
     "ParameterError",
@@ -81,11 +74,8 @@ __all__ = [
     "effective_atom_number",
     "evaluate_point",
     "extract_bipartite",
-    "integrate_covariance",
     "is_stable",
     "log_negativity",
-    "lyapunov_bruteforce",
-    "make_tmsv",
     "normalize_pair_tag",
     "preset",
     "run_sweep",

@@ -15,13 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_LIGHT, HBAR, K_B
-from .errors import ConvergenceError, StabilityError
+from .errors import ConvergenceError, SimulationError, StabilityError
 from .model import SystemParameters
 
 
 def is_stable(a: np.ndarray) -> tuple[bool, float]:
-    """The oracles' own Hurwitz gate: (abscissa < -1e-12, spectral abscissa)."""
-    abscissa = float(np.max(np.linalg.eigvals(a).real))
+    """The oracles' own Hurwitz gate: (abscissa < -1e-12, spectral abscissa).
+
+    A drift with a non-finite entry has no spectrum; it raises SimulationError.
+    """
+    if not np.isfinite(a).all():
+        raise SimulationError("drift matrix contains non-finite entries")
+    abscissa = float(np.linalg.eigvals(a).real.max())
     return abscissa < -1e-12, abscissa
 
 
@@ -31,25 +36,32 @@ def _lyapunov_operator(a: np.ndarray, what: str) -> np.ndarray:
     if not stable:
         raise StabilityError(
             f"{what} requires a stable drift (spectral abscissa {abscissa:.3e})")
-    eye = np.eye(a.shape[0])
-    return np.kron(eye, a) + np.kron(a, eye)
+    n = a.shape[0]
+    eye = np.eye(n)
+    # entry (i n + k, j n + l) is eye[i, j] a[k, l] + a[i, j] eye[k, l]: the
+    # products and sum of np.kron(eye, a) + np.kron(a, eye), bit for bit,
+    # without np.kron's shape bookkeeping, which cost more than the products
+    op = (eye[:, None, :, None] * a[None, :, None, :]
+          + a[:, None, :, None] * eye[None, :, None, :])
+    return op.reshape(n * n, n * n)
 
 
 @dataclass(frozen=True)
 class IntegrationConfig:
-    """Fixed-step integration controls, in dimensionless time units."""
+    """Fixed-step integration controls, in dimensionless time units; each
+    positive and finite, and so is the step count t_max / dt."""
 
     dt: float = 1e-3      # time step
     t_max: float = 1000.0  # horizon (default 1e6 steps at the default dt)
     tol: float = 1e-12    # stationarity threshold on max|dV/dt|
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.t_max <= 0:
-            raise ValueError("t_max must be positive")
+        # written so that NaN fails every test
+        for name in ("dt", "t_max", "tol"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not self.t_max / self.dt < math.inf:
+            raise ValueError("t_max / dt must be finite")
 
 
 def integrate_covariance(a: np.ndarray, d: np.ndarray,
@@ -89,7 +101,7 @@ def integrate_covariance(a: np.ndarray, d: np.ndarray,
     """
     cfg = cfg or IntegrationConfig()
     n = a.shape[0]
-    rows, cols = np.triu_indices(n)
+    rows, cols = np.nonzero(~np.tri(n, k=-1, dtype=bool))  # np.triu_indices(n)
     upper = rows * n + cols  # vec index of each unknown v_pq, p <= q
     k = np.arange(upper.size)
     dup = np.zeros((n * n, upper.size))  # D: vec(V) = D v
@@ -110,26 +122,28 @@ def integrate_covariance(a: np.ndarray, d: np.ndarray,
 
     last = int(math.ceil(cfg.t_max / cfg.dt)) - 1
     deriv = lyap_op @ v + d_vec
-    if np.max(np.abs(deriv)) < cfg.tol:
+    if np.abs(deriv).max() < cfg.tol:
         return result(v)
     gains = [gain]  # gains[j] advances 2^j steps
     power = step_op  # M_j for the newest gain
     k, jump = 0, 1
     while k + jump <= last:
-        v = v + gains[-1] @ deriv
+        v += gains[-1] @ deriv
         k += jump
         deriv = lyap_op @ v + d_vec
-        if np.max(np.abs(deriv)) < cfg.tol:
+        if np.abs(deriv).max() < cfg.tol:
             return result(v)
         jump *= 2
         if k + jump <= last:
-            gains.append(gains[-1] + power @ gains[-1])
+            gain = power @ gains[-1]
+            gain += gains[-1]
+            gains.append(gain)
             power = power @ power
     remaining = last - k  # < jump, so every set bit has a stored gain
     for j, g in enumerate(gains):
         if remaining >> j & 1:
-            v = v + g @ (lyap_op @ v + d_vec)
-    if np.max(np.abs(lyap_op @ v + d_vec)) < cfg.tol:
+            v += g @ (lyap_op @ v + d_vec)
+    if np.abs(lyap_op @ v + d_vec).max() < cfg.tol:
         return result(v)
     raise ConvergenceError(
         f"covariance flow not stationary within t_max = {cfg.t_max} "
@@ -144,10 +158,11 @@ def make_tmsv(r: float, n_th: float = 0.0) -> np.ndarray:
     partially-transposed symplectic eigenvalue is exp(-2r)/2, so the
     logarithmic negativity is exactly 2r.
     """
-    if r < 0:
-        raise ValueError("squeezing parameter must be nonnegative")
-    if n_th < 0:
-        raise ValueError("thermal occupancy must be nonnegative")
+    # written so that NaN fails both tests
+    if not 0.0 <= r < math.inf:
+        raise ValueError("squeezing parameter must be nonnegative and finite")
+    if not 0.0 <= n_th < math.inf:
+        raise ValueError("thermal occupancy must be nonnegative and finite")
     scale = 2.0 * n_th + 1.0
     ch = 0.5 * scale * math.cosh(2.0 * r)
     sh = 0.5 * scale * math.sinh(2.0 * r)

@@ -8,8 +8,8 @@ import math
 
 import numpy as np
 
-from oemsim import (IntegrationConfig, SystemParameters, build_diffusion, build_drift,
-                    solve_steady_state)
+from oemsim import SystemParameters, build_diffusion, build_drift, solve_steady_state
+from oemsim.verify import IntegrationConfig
 
 TWO_PI = 2.0 * math.pi
 OMEGA_M = TWO_PI * 1e7

@@ -23,18 +23,22 @@ from oemsim import (
     build_diffusion,
     build_drift,
     evaluate_point,
-    integrate_covariance,
     is_stable,
     log_negativity,
-    lyapunov_bruteforce,
-    make_tmsv,
     preset,
     run_sweep,
     solve_lyapunov,
     solve_steady_state,
 )
 from oemsim.cli import main
-from oemsim.verify import atom_free_point, bosonic_block_determinants, symmetry_defect
+from oemsim.verify import (
+    atom_free_point,
+    bosonic_block_determinants,
+    integrate_covariance,
+    lyapunov_bruteforce,
+    make_tmsv,
+    symmetry_defect,
+)
 
 PRESETS = ("fig2", "fig3", "fig4", "fig5", "fig6a", "fig6b", "fig6c")
 GOLDEN_DIR = Path(__file__).parent / "golden"

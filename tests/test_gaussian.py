@@ -13,10 +13,10 @@ from oemsim import (
     UnphysicalCovarianceError,
     extract_bipartite,
     log_negativity,
-    make_tmsv,
     normalize_pair_tag,
 )
 from oemsim.gaussian import log_negativities
+from oemsim.verify import make_tmsv
 
 
 def rotation_pair(theta1, theta2):

@@ -18,13 +18,13 @@ from oemsim import (
     build_diffusion,
     build_drift,
     evaluate_point,
-    integrate_covariance,
     preset,
     run_sweep,
     solve_lyapunov,
     solve_steady_state,
 )
 from oemsim.gaussian import BIPARTITE_PAIRS
+from oemsim.verify import integrate_covariance
 
 PRESETS = ("fig2", "fig3", "fig4", "fig5", "fig6a", "fig6b", "fig6c")
 PAIRS = tuple(BIPARTITE_PAIRS)

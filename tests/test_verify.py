@@ -3,6 +3,8 @@ reference, and analytic two-mode states."""
 
 import ast
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,21 +13,22 @@ import pytest
 from _support import OMEGA_M, base_params, oracle_config
 from oemsim import (
     ConvergenceError,
-    IntegrationConfig,
+    SimulationError,
     StabilityError,
     build_diffusion,
     build_drift,
-    integrate_covariance,
     log_negativity,
-    lyapunov_bruteforce,
-    make_tmsv,
     solve_lyapunov,
     solve_steady_state,
 )
 from oemsim import dynamics, gaussian, verify
 from oemsim.verify import (
+    IntegrationConfig,
     atom_free_point,
     bosonic_block_determinants,
+    integrate_covariance,
+    lyapunov_bruteforce,
+    make_tmsv,
     symmetry_defect,
     symplectic_log_negativity,
 )
@@ -48,6 +51,15 @@ class TestIntegrationConfig:
     ])
     def test_rejects_nonpositive_controls(self, kw):
         with pytest.raises(ValueError):
+            IntegrationConfig(**kw)
+
+    @pytest.mark.parametrize("kw", [
+        {"dt": math.nan}, {"dt": math.inf}, {"t_max": math.nan},
+        {"t_max": math.inf}, {"tol": math.nan}, {"tol": math.inf},
+        {"dt": 1e-300, "t_max": 1e300},  # a step count that overflows
+    ])
+    def test_rejects_nonfinite_controls(self, kw):
+        with pytest.raises(ValueError, match="finite"):
             IntegrationConfig(**kw)
 
 
@@ -170,6 +182,25 @@ class TestMakeTmsv:
             make_tmsv(-0.1)
         with pytest.raises(ValueError):
             make_tmsv(1.0, n_th=-1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                make_tmsv(bad)
+            with pytest.raises(ValueError, match="finite"):
+                make_tmsv(1.0, n_th=bad)
+
+
+class TestLyapunovOperator:
+    @pytest.mark.parametrize("n", [2, 6, 10])
+    def test_is_the_kronecker_sum_bit_for_bit(self, n):
+        rng = np.random.default_rng(40 + n)
+        a = random_stable(rng, n)
+        a[0, -1] = -0.0  # a signed zero of the drift's own
+        eye = np.eye(n)
+        ref = np.kron(eye, a) + np.kron(a, eye)
+        op = verify._lyapunov_operator(a, "test")
+        assert op.shape == ref.shape
+        assert op.tobytes() == ref.tobytes()  # signed zeros included
+        assert np.signbit(ref[ref == 0.0]).any()
 
 
 class TestLyapunovBruteforce:
@@ -227,6 +258,16 @@ class TestGate:
             with pytest.raises(StabilityError, match=r"spectral abscissa 5\.000e-01"):
                 oracle(a, np.eye(2))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_drift_is_a_simulation_error(self, bad):
+        a = -np.eye(3)
+        a[1, 2] = bad
+        with pytest.raises(SimulationError, match="non-finite"):
+            verify.is_stable(a)
+        for oracle in (lyapunov_bruteforce, integrate_covariance):
+            with pytest.raises(SimulationError, match="non-finite"):
+                oracle(a, np.eye(3))
+
     def test_atom_free_point_is_empty_when_unstable(self):
         params = base_params(g=0.0, r_a=0.0, delta_c=-OMEGA_M)
         assert atom_free_point(params, ("mr_oc",)) == {}
@@ -253,6 +294,21 @@ class TestSymplecticLogNegativity:
                 local[k:k + 2, k:k + 2] = np.array([[c, s], [-s, c]]) @ np.diag([sq, 1 / sq])
             cm = local @ make_tmsv(rng.uniform(0.0, 2.0), rng.uniform(0.0, 1.0)) @ local.T
             assert abs(symplectic_log_negativity(cm) - log_negativity(cm).e_n) <= 1e-9
+
+
+class TestLoading:
+    def test_import_and_cli_sweep_leave_the_oracles_unloaded(self, tmp_path):
+        script = (
+            "import sys\n"
+            "import oemsim\n"
+            "loaded = 'oemsim.verify' in sys.modules\n"
+            "from oemsim import cli\n"
+            f"code = cli.main(['sweep', '--preset', 'fig3', '--out', {str(tmp_path / 'x.csv')!r}])\n"
+            "print(loaded, code, 'oemsim.verify' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "0", "False"]
 
 
 class TestIndependence:
