@@ -19,7 +19,6 @@ from .model import (
     derive,
     effective_atom_number,
     solve_steady_state,
-    solve_steady_state_bare,
     thermal_occupation,
 )
 from .dynamics import (
@@ -81,7 +80,6 @@ __all__ = [
     "run_sweep",
     "solve_lyapunov",
     "solve_steady_state",
-    "solve_steady_state_bare",
     "thermal_occupation",
     "write_csv",
 ]

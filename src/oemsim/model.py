@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_LIGHT, HBAR, K_B
-from .errors import ConvergenceError, ParameterError, SingularityError
+from .errors import ParameterError, SingularityError
 
 # fields that may be exactly zero (undriven / atom-free configurations)
 _NONNEGATIVE = ("power_c", "power_w", "g", "r_a")
@@ -31,8 +31,6 @@ _POSITIVE = (
 _ANY_SIGN = ("delta_a1", "delta_a2", "delta_c", "delta_w")
 
 _SQRT2 = math.sqrt(2.0)
-#: weight of the new iterate in solve_steady_state_bare's damped update
-_BARE_DAMPING = 0.5
 
 
 @dataclass(frozen=True)
@@ -41,7 +39,9 @@ class SystemParameters:
 
     delta_c and delta_w are the EFFECTIVE cavity detunings (already including
     the static radiation-pressure shift); they are what the sweeps vary
-    directly. Use solve_steady_state_bare to start from bare detunings instead.
+    directly. The bare detunings of the working point follow without
+    iteration: delta_c + g_oc_bare * q_s and delta_w + g_ow_bare * q_s
+    (derive, solve_steady_state).
 
     rho_ca0 is the coherence in the phase frame of the intracavity optical
     field: the injected coherence is locked to the phase of alpha_s, in which
@@ -290,35 +290,3 @@ def solve_steady_state(params: SystemParameters) -> SteadyState:
     g_w = _SQRT2 * der.g_ow_bare * beta_abs
     return SteadyState(q_s, p_s, alpha_s, beta_s, sigma_ba_s, sigma_cb_s, g_c, g_w)
 
-
-def solve_steady_state_bare(
-    params: SystemParameters,
-    delta_oc: float,
-    delta_ow: float,
-    max_iter: int = 10_000,
-) -> SteadyState:
-    """Working point from BARE detunings via a damped fixed-point iteration.
-
-    The effective detunings shift with the static displacement:
-        delta_c = delta_oc - g_oc_bare * q_s,  delta_w = delta_ow - g_ow_bare * q_s,
-    and q_s in turn depends on them. Iterates q until self-consistent.
-    Raises ConvergenceError when the classical branch is bistable or runaway.
-    """
-    der = derive(params)
-    q = 0.0
-    for _ in range(max_iter):
-        trial = params.replace(
-            delta_c=delta_oc - der.g_oc_bare * q,
-            delta_w=delta_ow - der.g_ow_bare * q,
-        )
-        ss = solve_steady_state(trial)
-        if not math.isfinite(ss.q_s):
-            raise ConvergenceError("classical branch diverged in bare-detuning mode")
-        # converge two decades below the contract tolerance so that the
-        # returned state is a fixed point of the effective-detuning solve
-        if abs(ss.q_s - q) < 1e-12 * abs(ss.q_s) + 1e-14:
-            return ss
-        q = (1.0 - _BARE_DAMPING) * q + _BARE_DAMPING * ss.q_s
-    raise ConvergenceError(
-        f"bare-detuning fixed point did not converge in {max_iter} iterations "
-        "(possible classical bistability)")

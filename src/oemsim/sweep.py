@@ -234,14 +234,16 @@ def _evaluate(base: model.SystemParameters, varied: str, column: np.ndarray,
     The model stage runs once per _STAGE_POINTS points (_ModelStage), and
     then each of its blocks once (_evaluate_block). In a sweep of one stage
     the drift half of a block's solve comes from _DRIFT_MEMO where a block
-    before it posed the same drift stack. With a pool, the calling
-    thread runs the model stage of the next _STAGE_POINTS points while the
-    pool solves the blocks of the last ones; it waits for the blocks of the
-    stage before that first, so at most three stages are held at a time.
+    before it posed the same drift stack. A single point neither reads nor
+    prunes the memo: it has no second block to share a drift with. With a
+    pool, the calling thread runs the model stage of the next _STAGE_POINTS
+    points while the pool solves the blocks of the last ones; it waits for
+    the blocks of the stage before that first, so at most three stages are
+    held at a time.
     """
     n = len(column)
-    one_stage = n <= _STAGE_POINTS
-    if not one_stage:  # the memo serves sweeps of one stage alone
+    memo = 2 <= n <= _STAGE_POINTS  # sweeps of one stage and two points or more
+    if n > _STAGE_POINTS:
         _DRIFT_MEMO.clear()
 
     def blocks():
@@ -250,7 +252,7 @@ def _evaluate(base: model.SystemParameters, varied: str, column: np.ndarray,
                                    bool(base_pairs))
             slices = [slice(b, b + BLOCK_POINTS)
                       for b in range(0, len(stage.pole), BLOCK_POINTS)]
-            if one_stage:
+            if memo:
                 keys = [stage.drift_key(block) for block in slices]
                 _DRIFT_MEMO.keep(keys)
                 yield [(stage, block, partial(_DRIFT_MEMO.lookup, key))
@@ -442,8 +444,10 @@ class _DriftMemo:
     blocks do not pose, then stores every block's eigenbasis: along
     temperature, which the drift does not see, all its full blocks share one,
     and fig6b and fig6c pose fig6a's. A longer sweep empties the memo and
-    decomposes every block itself. So the memo holds at most one stage per
-    sweep that runs at a time. The pool's threads share it, under a lock.
+    decomposes every block itself, and a single point (evaluate_point)
+    decomposes its own and leaves the memo as it was. So the memo holds at
+    most one stage per sweep that runs at a time. The pool's threads share
+    it, under a lock.
     """
 
     def __init__(self) -> None:

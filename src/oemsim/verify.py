@@ -46,6 +46,15 @@ def _lyapunov_operator(a: np.ndarray, what: str) -> np.ndarray:
     return op.reshape(n * n, n * n)
 
 
+def _check_diffusion(d: np.ndarray) -> None:
+    """Raise SimulationError, naming the entries, if d has a non-finite one."""
+    finite = np.isfinite(d)
+    if not finite.all():
+        entries = ", ".join(f"({i}, {j}) = {d[i, j]}"
+                            for i, j in np.argwhere(~finite).tolist())
+        raise SimulationError(f"diffusion matrix contains non-finite entries: {entries}")
+
+
 @dataclass(frozen=True)
 class IntegrationConfig:
     """Fixed-step integration controls, in dimensionless time units; each
@@ -107,6 +116,7 @@ def integrate_covariance(a: np.ndarray, d: np.ndarray,
     dup = np.zeros((n * n, upper.size))  # D: vec(V) = D v
     dup[upper, k] = dup[cols * n + rows, k] = 1.0
     lyap_op = _lyapunov_operator(a, "covariance flow")[upper] @ dup
+    _check_diffusion(d)
     d_vec = (0.5 * (d + d.T))[rows, cols]
     hk = cfg.dt * lyap_op
     hk2 = hk @ hk
@@ -164,8 +174,11 @@ def make_tmsv(r: float, n_th: float = 0.0) -> np.ndarray:
     if not 0.0 <= n_th < math.inf:
         raise ValueError("thermal occupancy must be nonnegative and finite")
     scale = 2.0 * n_th + 1.0
-    ch = 0.5 * scale * math.cosh(2.0 * r)
-    sh = 0.5 * scale * math.sinh(2.0 * r)
+    try:
+        ch = 0.5 * scale * math.cosh(2.0 * r)
+        sh = 0.5 * scale * math.sinh(2.0 * r)
+    except OverflowError:
+        raise ValueError(f"squeezing parameter {r!r} overflows cosh(2r)") from None
     cm = np.zeros((4, 4))
     cm[0, 0] = cm[1, 1] = cm[2, 2] = cm[3, 3] = ch
     cm[0, 2] = cm[2, 0] = sh
@@ -182,6 +195,7 @@ def lyapunov_bruteforce(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     the production solver.
     """
     op = _lyapunov_operator(a, "reference Lyapunov solve")
+    _check_diffusion(d)
     try:
         vec = np.linalg.solve(op, -d.reshape(-1))
     except np.linalg.LinAlgError as exc:

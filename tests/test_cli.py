@@ -1,15 +1,19 @@
-"""Command-line behavior: config parsing, subcommands, exit codes, outputs."""
+"""Command-line behavior: config parsing, subcommands, exit codes, outputs;
+and the package root that README documents."""
 
 import json
 import math
+import re
 import shutil
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oemsim
 import test_sweep as _sweep_tests
 from _support import OMEGA_M, base_params
 from oemsim import (
@@ -478,3 +482,15 @@ class TestOtherCommands:
         assert (out / "drift.csv").exists()
         assert (out / "diffusion.csv").exists()
         assert not (out / "covariance.csv").exists()
+
+
+class TestPublicSurface:
+    def test_readme_api_table_is_the_package_root(self):
+        # the first cell of each row of README's table of root names, in its
+        # Python API section
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+        names = re.findall(r"^\| `(\w+)` \|", section, re.MULTILINE)
+        assert len(names) == len(set(names))
+        assert set(names) == set(oemsim.__all__)
+        assert len(oemsim.__all__) == len(set(oemsim.__all__))

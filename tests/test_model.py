@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 
 from _support import OMEGA_M, TWO_PI, base_params
 from oemsim import (
-    ConvergenceError,
     ParameterError,
     SingularityError,
     derive,
     effective_atom_number,
     solve_steady_state,
-    solve_steady_state_bare,
     thermal_occupation,
 )
 from oemsim.model import _coherence_coefficients
@@ -157,42 +155,31 @@ class TestSteadyState:
             solve_steady_state(tuned)
 
 
-class TestBareDetuningMode:
-    def test_round_trip_matches_effective_solve(self):
-        params = base_params()
-        der = derive(params)
-        ss = solve_steady_state_bare(params, delta_oc=OMEGA_M, delta_ow=OMEGA_M)
-        effective = params.replace(
-            delta_c=OMEGA_M - der.g_oc_bare * ss.q_s,
-            delta_w=OMEGA_M - der.g_ow_bare * ss.q_s,
-        )
-        again = solve_steady_state(effective)
-        assert abs(again.q_s - ss.q_s) <= 1e-10 * abs(ss.q_s) + 1e-12
-        assert again.alpha_s == pytest.approx(ss.alpha_s, rel=1e-9)
+class TestBareDetunings:
+    """The bare detunings of a working point posed at effective detunings
+    need no iteration: delta_c + g_oc_bare q_s and delta_w + g_ow_bare q_s."""
 
-    def test_static_shift_moves_the_operating_point(self):
-        ss = solve_steady_state_bare(base_params(), delta_oc=OMEGA_M, delta_ow=OMEGA_M)
-        der = derive(base_params())
-        # 30 mW displaces the resonator by several linewidths
-        assert der.g_oc_bare * ss.q_s > OMEGA_M
+    def test_forward_map_recovers_a_self_consistent_bare_point(self):
+        # the effective detunings of the self-consistent working point at bare
+        # detunings (omega_m, omega_m), from the damped fixed-point iteration
+        # that once solved for them
+        params = base_params(delta_c=-117629636.86143641, delta_w=62831658.03846138)
+        der = derive(params)
+        ss = solve_steady_state(params)
+        assert params.delta_c + der.g_oc_bare * ss.q_s == pytest.approx(OMEGA_M, rel=1e-12)
+        assert params.delta_w + der.g_ow_bare * ss.q_s == pytest.approx(OMEGA_M, rel=1e-12)
+
+    def test_static_shift_at_the_test_base(self):
+        # 30 mW displaces the optical cavity by several mechanical frequencies
+        ss = solve_steady_state(base_params())
+        shift = derive(base_params()).g_oc_bare * ss.q_s
+        assert shift / OMEGA_M == pytest.approx(2.9349548533093155, rel=1e-12)
 
     def test_undriven_system_sits_at_origin(self):
-        ss = solve_steady_state_bare(base_params(power_c=0.0, power_w=0.0),
-                                     delta_oc=OMEGA_M, delta_ow=OMEGA_M)
+        ss = solve_steady_state(base_params(power_c=0.0, power_w=0.0))
         assert ss.q_s == 0.0
         assert ss.alpha_s == 0.0
         assert ss.beta_s == 0.0
-
-    def test_runaway_branch_raises(self):
-        # a drive amplitude beyond the float range: the displacement is not finite
-        with pytest.raises(ConvergenceError, match="classical branch diverged"):
-            solve_steady_state_bare(base_params(power_c=1e300), delta_oc=OMEGA_M,
-                                    delta_ow=OMEGA_M)
-
-    def test_exhausted_iteration_budget_raises(self):
-        with pytest.raises(ConvergenceError):
-            solve_steady_state_bare(base_params(), delta_oc=OMEGA_M,
-                                    delta_ow=OMEGA_M, max_iter=2)
 
 
 class TestParameterValidation:

@@ -1046,6 +1046,20 @@ class TestDriftMemo:
         run_sweep(preset("fig2"))
         assert len(sweep._DRIFT_MEMO._held) == len(decomposed) - 7 > 0
 
+    def test_single_point_leaves_the_memo_alone(self, decomposed):
+        # a point between fig6a and fig6b neither prunes fig6a's drifts from
+        # the memo nor stores its own, so fig6b still decomposes nothing
+        run_sweep(preset("fig6a"))
+        held = dict(sweep._DRIFT_MEMO._held)
+        spec = preset("fig6a")
+        evaluate_point(spec.base, spec.pairs, baseline=True)
+        after = sweep._DRIFT_MEMO._held
+        assert after.keys() == held.keys()
+        assert all(after[key] is held[key] for key in held)
+        decomposed.clear()
+        run_sweep(preset("fig6b"))
+        assert decomposed == []
+
     def test_threads_share_the_memo(self, monkeypatch, decomposed):
         # more threads than CPUs and a short switch interval, over 25 blocks
         # that pose one drift: whatever the interleaving, the results equal

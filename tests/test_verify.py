@@ -72,6 +72,16 @@ class TestIntegrateCovariance:
         with pytest.raises(StabilityError):
             integrate_covariance(np.eye(4), np.eye(4))
 
+    def test_nonfinite_diffusion_is_rejected_before_the_flow(self):
+        # not integrated over the whole horizon and blamed on t_max
+        d = np.eye(3)
+        d[0, 0], d[2, 1] = math.nan, math.inf
+        with pytest.raises(SimulationError) as info:
+            integrate_covariance(-np.eye(3), d)
+        assert info.type is SimulationError
+        assert str(info.value) == ("diffusion matrix contains non-finite entries: "
+                                   "(0, 0) = nan, (2, 1) = inf")
+
     def test_horizon_exceeded(self):
         a = -1e-4 * np.eye(4)  # decays far slower than the short horizon
         with pytest.raises(ConvergenceError):
@@ -188,6 +198,12 @@ class TestMakeTmsv:
             with pytest.raises(ValueError, match="finite"):
                 make_tmsv(1.0, n_th=bad)
 
+    def test_squeezing_at_the_float_limit(self):
+        # cosh(2r) is finite up to r = 355.2379300..., and overflows past it
+        assert np.isfinite(make_tmsv(355.2379)).all()
+        with pytest.raises(ValueError, match="overflows cosh"):
+            make_tmsv(400.0)
+
 
 class TestLyapunovOperator:
     @pytest.mark.parametrize("n", [2, 6, 10])
@@ -224,6 +240,15 @@ class TestLyapunovBruteforce:
         v_ref = lyapunov_bruteforce(a, d)
         v = solve_lyapunov(a, d)
         assert np.max(np.abs(v - v_ref)) <= 1e-9 * np.max(np.abs(v_ref))
+
+    def test_nonfinite_diffusion_is_rejected_before_the_solve(self):
+        # not solved into a NaN covariance
+        d = np.eye(4)
+        d[0, 0] = math.nan
+        with pytest.raises(SimulationError) as info:
+            lyapunov_bruteforce(-np.eye(4), d)
+        assert info.type is SimulationError
+        assert str(info.value) == "diffusion matrix contains non-finite entries: (0, 0) = nan"
 
     def test_unstable_drift_rejected(self):
         with pytest.raises(StabilityError):
