@@ -118,7 +118,9 @@ def _build_parser() -> _Parser:
     p_point.add_argument("--pairs", default=None,
                          help="comma list of mode pairs (default: all five)")
     p_point.add_argument("--baseline", action="store_true",
-                         help="also report the atom-free (g = r_a = 0) values")
+                         help="also report the values at the atom-free point: "
+                              "g = r_a = 0, kappa_a = omega_m, and no atomic "
+                              "detuning, population or coherence")
     p_point.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
     p_sweep = sub.add_parser("sweep", help="run a 1-D grid sweep and write CSV")

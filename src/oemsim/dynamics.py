@@ -155,13 +155,6 @@ class _Template:
                 fixed[slot] = value
         return cls(fixed, np.array(varying, dtype=np.intp), np.array(columns))
 
-    def with_fixed(self, mask: np.ndarray, matrix: np.ndarray) -> "_Template":
-        """This template with its 10x10 entries where mask is True set to
-        matrix's at every point; the varying entries there are dropped."""
-        fixed = np.where(mask.ravel(), matrix.ravel(), self.fixed)
-        keep = ~mask.ravel()[self.slots]
-        return _Template(fixed, self.slots[keep], self.values[keep])
-
     def fill(self, out: np.ndarray, block: slice) -> None:
         """Write the flattened matrices of a block of the points into out, an
         (m, 100) array: the same bits that build_drift or build_diffusion
@@ -415,8 +408,8 @@ def solve_lyapunov_batch(a: np.ndarray, d: np.ndarray,
     The pair sums lam_i + lam_j, nonzero where stable, are the eigenvalues of
     the vectorized Lyapunov operator; their extreme moduli's ratio estimates
     its condition. LAPACK's balancing sets aside rows and columns with no
-    off-diagonal entry, as the vacuum placeholders that stand in for the
-    atom-free problems' atomic modes (sweep._ModelStage.of).
+    off-diagonal entry, as the vacuum atomic modes of an atom-free problem
+    (sweep._atom_free).
     That solve is inaccurate where S is ill-conditioned (near-defective
     drifts), so every point's residual is checked against RESIDUAL_TOL. The
     points that fail it are solved again together, directly: one batched LU

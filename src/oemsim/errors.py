@@ -10,7 +10,8 @@ class ParameterError(SimulationError):
 
 
 class SingularityError(SimulationError):
-    """The driven-cavity response has an (unphysical) pole at the requested point."""
+    """No finite working point: the driven-cavity response has an (unphysical)
+    pole at the requested point, or its arithmetic leaves floating-point range."""
 
 
 class StabilityError(SimulationError):

@@ -220,22 +220,23 @@ def _coherence_coefficients(params: SystemParameters) -> tuple[complex, complex]
         b_coef = -i g N (rho_ca0 + rho_cc0) / (kappa_a - i delta_a2).
     """
     p = params
-    g, r_a = p.g, p.r_a
-    if ((g.__class__ is not np.ndarray and g == 0.0)
-            or (r_a.__class__ is not np.ndarray and r_a == 0.0)):
-        # g N is +0.0 at every point, so both coefficients are zero: scalars,
-        # even where a ParameterBlock's atomic fields are columns
-        return 0j, 0j
     gn = p.g * effective_atom_number(p)
     kappa_sq = p.kappa_a * p.kappa_a
-    s_a = gn * (p.rho_ca0 + p.rho_aa0) / (kappa_sq + p.delta_a1 * p.delta_a1)
-    s_b = gn * (p.rho_ca0 + p.rho_cc0) / (kappa_sq + p.delta_a2 * p.delta_a2)
+    try:
+        s_a = gn * (p.rho_ca0 + p.rho_aa0) / (kappa_sq + p.delta_a1 * p.delta_a1)
+        s_b = gn * (p.rho_ca0 + p.rho_cc0) / (kappa_sq + p.delta_a2 * p.delta_a2)
+    except ZeroDivisionError:
+        # float fields whose kappa_a**2 + delta**2 underflows to 0; a column
+        # gives inf or NaN there instead, and both fail the range check
+        s_a = s_b = math.nan
     return (s_a * p.delta_a1 + 1j * (s_a * p.kappa_a),
             s_b * p.delta_a2 - 1j * (s_b * p.kappa_a))
 
 
 #: error text of a working point at a pole of the optical response
 POLE_MESSAGE = "optical response has a pole at these parameters"
+#: error text of a working point whose arithmetic leaves floating-point range
+RANGE_MESSAGE = "working point leaves floating-point range at these parameters"
 
 
 def solve_steady_state(params: SystemParameters) -> SteadyState:
@@ -244,11 +245,14 @@ def solve_steady_state(params: SystemParameters) -> SteadyState:
     The optical amplitude solves the linear self-consistency with the atomic
     coherences eliminated:
         alpha_s = e_c / (i delta_c + kappa_c + i g (a_coef + b_coef)).
-    Raises SingularityError where |denominator| < 1e-30. A ParameterBlock gives
-    a SteadyState whose fields are columns, one entry per point, where the
-    block's column reaches them, and floats elsewhere. A point at such a pole
-    carries NaN in q_s, alpha_s, sigma_ba_s, sigma_cb_s and g_c; a pole that
-    no column reaches makes those fields float NaNs.
+    Raises SingularityError where |denominator| < 1e-30, and where its square
+    is not finite: an atomic coefficient or the square overflows, or
+    kappa_a**2 + delta_a**2 underflows to 0 (tiny kappa_a and detuning). A
+    ParameterBlock gives a SteadyState whose fields are columns, one entry
+    per point, where the block's column reaches them, and floats elsewhere.
+    A point at such a pole carries NaN in q_s, alpha_s, sigma_ba_s,
+    sigma_cb_s and g_c; a point out of range carries the same NaNs but inf
+    in q_s. Where no column reaches the denominator, the NaNs are floats.
 
     Complex quotients and products are written in real arithmetic (+ - * /
     sqrt), which rounds a float and a column alike; CPython and numpy round
@@ -264,11 +268,14 @@ def solve_steady_state(params: SystemParameters) -> SteadyState:
     d_i = p.delta_c + g * (a_r + b_r)
     d_sq = d_r * d_r + d_i * d_i
     if d_sq.__class__ is np.ndarray:
-        d_sq[d_sq < 1e-60] = np.nan  # at the points of a block that it hits
-    elif d_sq < 1e-60:
-        if p.__class__ is not ParameterBlock:
-            raise SingularityError(POLE_MESSAGE)
-        d_sq = math.nan  # at every point of the block
+        lost = ~(d_sq < math.inf)  # inf or NaN
+        d_sq[lost | (d_sq < 1e-60)] = np.nan  # at the points of a block that they hit
+    else:
+        lost = not d_sq < math.inf
+        if lost or d_sq < 1e-60:
+            if p.__class__ is not ParameterBlock:
+                raise SingularityError(RANGE_MESSAGE if lost else POLE_MESSAGE)
+            d_sq = math.nan  # at every point of the block
     # alpha_s = u - i v, and beta_s = e_w / (kappa_w + i delta_w)
     e_c, e_w = der.e_c, der.e_w
     scale = e_c / d_sq
@@ -281,6 +288,10 @@ def solve_steady_state(params: SystemParameters) -> SteadyState:
     beta_abs = e_w / _sqrt(w_sq)
     q_s = (der.g_oc_bare * alpha_abs * alpha_abs
            + der.g_ow_bare * beta_abs * beta_abs) / p.omega_m
+    if q_s.__class__ is np.ndarray:
+        q_s[lost] = math.inf  # a bool lost indexes every point or none
+    elif lost:
+        q_s = math.inf
     p_s = 0.0 * p.omega_m  # zero, as a float or a column
     alpha_s = u - 1j * v
     beta_s = w_scale * kappa_w - 1j * (w_scale * delta_w)

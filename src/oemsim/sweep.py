@@ -10,8 +10,9 @@ that no column reaches is a float and goes into a 10x10 template; the rest
 stay columns, one value per point (dynamics._Template). The stage's points
 are then evaluated in blocks of BLOCK_POINTS: a block copies the templates
 into its drift and diffusion stacks and writes in only its slice of the
-varying entries, and takes its pole mask, where the optical response has a
-pole, from the stage's q_s column. One batched solve per block then gives
+varying entries, and reads where its working point failed (a pole of the
+optical response, or arithmetic out of floating-point range) from the
+stage's q_s column. One batched solve per block then gives
 the stability gate and the steady-state covariance
 (dynamics.solve_lyapunov_batch): one batched eigendecomposition, or, where
 the block's end problems are unstable, batched spectra without
@@ -26,10 +27,9 @@ Lyapunov operators on the 55 unknowns of a symmetric covariance. The
 entanglement of every (problem, requested mode pair) of the block comes from
 one batched log-negativity over one gathered stack of 4x4 blocks. The
 optional atom-free baseline, posed only when a bosonic pair is requested, is
-a second variant of the same points with g and r_a at 0.0, where the atomic
-rows decouple, and vacuum placeholders in their corner; the independent
-6-mode route that checks it lives in verify. evaluate_point is a sweep of
-one point.
+a second variant of the same points: each point's atom-free parameter point
+(_atom_free), built like any other; the independent 6-mode route that
+checks it lives in verify. evaluate_point is a sweep of one point.
 
 Blocks are independent, and their work is batched numpy and LAPACK calls that
 release the interpreter lock, so run_sweep(spec, jobs) with jobs > 1 evaluates
@@ -74,7 +74,7 @@ class SweepSpec:
     axis: str                    # axis label recorded in outputs
     axis_scale: float            # multiply axis units by this to get rad/s
     pairs: tuple[str, ...]       # mode pairs to report
-    baseline: bool = False       # also report the atom-free (g = r_a = 0) values
+    baseline: bool = False       # also report the values at the atom-free point
     notes: tuple[str, ...] = ()  # provenance/interpretation notes for metadata
 
     def __post_init__(self) -> None:
@@ -251,7 +251,7 @@ def _evaluate(base: model.SystemParameters, varied: str, column: np.ndarray,
             stage = _ModelStage.of(base, varied, column[lo:lo + _STAGE_POINTS],
                                    bool(base_pairs))
             slices = [slice(b, b + BLOCK_POINTS)
-                      for b in range(0, len(stage.pole), BLOCK_POINTS)]
+                      for b in range(0, len(stage.q_s), BLOCK_POINTS)]
             if memo:
                 keys = [stage.drift_key(block) for block in slices]
                 _DRIFT_MEMO.keep(keys)
@@ -297,12 +297,14 @@ def _evaluate(base: model.SystemParameters, varied: str, column: np.ndarray,
     return (*map(np.concatenate, zip(*parts)), failures)
 
 
-# the atom-free problem's atomic rows and columns, and its vacuum placeholders
-# there: -I (drift) and I (diffusion) in the atomic corner, zeros elsewhere
-_ATOMIC_MODES = np.zeros((10, 10), dtype=bool)
-_ATOMIC_MODES[6:] = _ATOMIC_MODES[:, 6:] = True
-_VACUUM_DRIFT, _VACUUM_DIFFUSION = np.zeros((2, 10, 10))
-_VACUUM_DRIFT[6:, 6:], _VACUUM_DIFFUSION[6:, 6:] = -np.eye(4), np.eye(4)
+def _atom_free(params):
+    """The atom-free point of a SystemParameters or a ParameterBlock: its
+    fields with no atoms (g = r_a = 0), and atomic modes that hold the vacuum
+    (kappa_a = omega_m, no detuning, population or coherence). In units of
+    omega_m their corner is -I (drift) and I (diffusion), and their other
+    entries are zeros, so no atomic field of params reaches its problem."""
+    return replace(params, g=0.0, r_a=0.0, kappa_a=params.omega_m, delta_a1=0.0,
+                   delta_a2=0.0, rho_aa0=0.0, rho_cc0=0.0, rho_ca0=0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,44 +313,42 @@ class _ModelStage:
     points' problems need before the Lyapunov solve.
 
     Problem variants: the main problem and, when the sweep reports a
-    baseline, the atom-free problem at g = 0, r_a = 0: there the atomic rows
-    and columns of the drift decouple exactly, so its bosonic blocks are
-    those of the atom-free system, and no atomic field reaches them. Its
-    atomic modes hold the vacuum placeholders: -I (drift) and I (diffusion)
-    in their corner, solved by I/2, and zeros in their rows and columns
-    outside it. As built, the corner's rates would decide the atom-free gate
-    (kappa_a near 0), condition estimate and residual bound, and LAPACK's
-    balancing sets rows without off-diagonal entries aside.
+    baseline, the problem at the points' atom-free point (_atom_free). There
+    the atomic modes decouple, so its bosonic blocks are those of the
+    atom-free system, and its atomic corner, -I (drift) and I (diffusion),
+    is solved by I/2: no atomic rate decides its gate, condition estimate or
+    residual bound.
     """
 
     omega_m: np.ndarray        # (n,) omega_m at each point
     temperature: np.ndarray    # (n,) the bath temperature at each point
-    pole: np.ndarray           # (n,) the main working point is at a pole
+    q_s: np.ndarray            # (n,) main working point: NaN at a pole, inf out of range
     templates: list            # (drift, diffusion) dynamics._Template per variant
 
     @classmethod
     def of(cls, base: model.SystemParameters, varied: str, column: np.ndarray,
            baseline: bool) -> "_ModelStage":
         """One working point and one pair of templates per variant, each
-        computed once for all of the column's points."""
+        computed once for all of the column's points. Arithmetic that leaves
+        floating-point range does not warn: the working point marks it, and
+        the solve fails a problem with a non-finite entry."""
         block = model.parameter_block(base, varied, column)
-        working = model.solve_steady_state(block)
-        templates = [dynamics._templates(block, working)]
-        if baseline:
-            atom_free = replace(block, g=0.0, r_a=0.0)
-            drift, diffusion = dynamics._templates(
-                atom_free, model.solve_steady_state(atom_free))
-            templates.append((drift.with_fixed(_ATOMIC_MODES, _VACUUM_DRIFT),
-                              diffusion.with_fixed(_ATOMIC_MODES, _VACUUM_DIFFUSION)))
-        # the block form marks a pole with NaN; a float where no column reaches
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            working = model.solve_steady_state(block)
+            templates = [dynamics._templates(block, working)]
+            if baseline:
+                atom_free = _atom_free(block)
+                templates.append(dynamics._templates(
+                    atom_free, model.solve_steady_state(atom_free)))
+        # a float where no column reaches
         return cls(*(np.broadcast_to(value, column.shape) for value in (
-            block.omega_m, block.temperature, np.isnan(working.q_s))), templates)
+            block.omega_m, block.temperature, working.q_s)), templates)
 
     def drift_key(self, block: slice) -> tuple:
         """What decides the drift stack of a block of the points: the
         block's length and, per variant, the drift template's fixed entries,
         varying slots and slice of values. Equal keys, equal stacks."""
-        key = [len(self.pole[block])]
+        key = [len(self.q_s[block])]
         for drift, _ in self.templates:
             key += [drift.fixed.tobytes(), drift.slots.tobytes()]
             if drift.slots.size:
@@ -358,7 +358,7 @@ class _ModelStage:
     def stacks(self, block: slice) -> tuple[np.ndarray, np.ndarray]:
         """The drift and diffusion stacks of a block of the points: problem k
         is the block's point k's main problem, m + k its atom-free one."""
-        shape = (len(self.templates), len(self.pole[block]), 100)
+        shape = (len(self.templates), len(self.q_s[block]), 100)
         a, d = np.empty(shape), np.empty(shape)
         for (drift, diffusion), a_variant, d_variant in zip(self.templates, a, d):
             drift.fill(a_variant, block)
@@ -376,7 +376,7 @@ def _evaluate_block(stage: _ModelStage, block: slice,
     drift half of the solve for the block's drift stack.
 
     Each point poses its stage's problem variants. A problem has at most one
-    error: its solve error (a pole of the main problem's optical response
+    error: its solve error (a main working point at a pole or out of range
     reads as one, and a non-finite diffusion's error gains the bath
     temperature), or else its first pair error in the requested order. A
     point reports its main problem's error before its baseline's. Returns
@@ -405,14 +405,16 @@ def _evaluate_block(stage: _ModelStage, block: slice,
         sol.v[problems[:, None, None], idx[:, :, None], idx[:, None, :]])
     for (rows, out, c, _), end in zip(targets, np.cumsum(sizes)):
         out[rows % m, c] = values[end - len(rows):end]
-    # a pole's NaN working point makes the main drift non-finite, so the
-    # solve has already failed that problem
-    pole = stage.pole[block]
+    # a working point at a pole or out of range makes the main drift
+    # non-finite, so the solve has already failed that problem
+    q_s = stage.q_s[block]
     temperature = stage.temperature[block]
     errors = {}
     for k, exc in sol.errors.items():
-        if k < m and pole[k]:
+        if k < m and np.isnan(q_s[k]):
             errors[k] = model.POLE_MESSAGE
+        elif k < m and np.isinf(q_s[k]):
+            errors[k] = model.RANGE_MESSAGE
         elif isinstance(exc, dynamics._NonFiniteDiffusion):
             errors[k] = f"{exc}; at bath temperature {temperature[k % m].item()!r} K"
         else:

@@ -179,6 +179,9 @@ def make_tmsv(r: float, n_th: float = 0.0) -> np.ndarray:
         sh = 0.5 * scale * math.sinh(2.0 * r)
     except OverflowError:
         raise ValueError(f"squeezing parameter {r!r} overflows cosh(2r)") from None
+    if not math.isfinite(ch):  # sh <= ch
+        raise ValueError(f"(2 n_th + 1) cosh(2r) / 2 overflows at r = {r!r}, "
+                         f"n_th = {n_th!r}")
     cm = np.zeros((4, 4))
     cm[0, 0] = cm[1, 1] = cm[2, 2] = cm[3, 3] = ch
     cm[0, 2] = cm[2, 0] = sh

@@ -190,6 +190,23 @@ class TestPointCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"] is not None
 
+    def test_working_point_out_of_range_exits_two(self, tmp_path, capsys):
+        # kappa_a**2 + delta_a1**2 underflows to 0
+        params = preset("fig6a").base.replace(kappa_a=1e-200, delta_a1=0.0)
+        path = write_config(tmp_path, params_to_config(params))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["point", "--params", str(path), "--baseline"]) == 2
+            captured = capsys.readouterr()
+            assert json.loads(captured.out)["error"] == (
+                "working point leaves floating-point range at these parameters")
+            assert captured.err == ""
+            out = tmp_path / "mats"
+            assert main(["dump-matrices", "--params", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("numerical failure: working point leaves "
+                                           "floating-point range at these parameters\n")
+        assert list(out.iterdir()) == []
+
 
 class TestSweepCommand:
     def test_preset_sweep_writes_csv_and_sidecar(self, tmp_path):

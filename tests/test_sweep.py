@@ -40,7 +40,7 @@ from oemsim import (
 )
 from oemsim import dynamics, gaussian, model, sweep, verify
 from oemsim.constants import C_LIGHT
-from oemsim.errors import SimulationError, UnphysicalCovarianceError
+from oemsim.errors import SimulationError, SingularityError, UnphysicalCovarianceError
 from oemsim.model import _coherence_coefficients
 from oemsim.sweep import (AXIS_KAPPA_C, AXIS_OMEGA_M, BLOCK_POINTS, csv_header,
                           csv_rows)
@@ -305,8 +305,8 @@ class TestEvaluatePoint:
 
 
 class TestAtomFreeProblem:
-    """The atom-free problem carries vacuum placeholders in its atomic corner,
-    so no atomic field decides an atom-free result."""
+    """The atom-free problem is posed at the atom-free point, whose atomic
+    modes hold the vacuum, so no atomic field decides an atom-free result."""
 
     @staticmethod
     def fig6a_point(kappa_a):
@@ -367,6 +367,105 @@ class TestAtomFreeProblem:
             problem = atom_free_problem(point)
             assert np.array_equal(a[m + k], problem[0])
             assert np.array_equal(d[m + k], problem[1])
+
+    @staticmethod
+    def atom_free(params):
+        """The atom-free point, spelled out field by field."""
+        return params.replace(g=0.0, r_a=0.0, kappa_a=params.omega_m, delta_a1=0.0,
+                              delta_a2=0.0, rho_aa0=0.0, rho_cc0=0.0, rho_ca0=0.0)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_baseline_is_the_sweep_at_the_atom_free_point(self, name):
+        spec = narrowed(preset(name), preset(name).start, preset(name).stop, 801,
+                        pairs=gaussian.BOSONIC_PAIRS, baseline=True)
+        free_base = self.atom_free(spec.base)
+        assert sweep._atom_free(spec.base) == free_base
+        result = run_sweep(spec)
+        free = run_sweep(dataclasses.replace(spec, base=free_base, baseline=False))
+        assert free.baseline_e_n.shape[1] == 0
+        # bit for bit, and absent at the same entries, wherever the point
+        # with atoms did not fail
+        kept = np.array([i not in result.failures for i in range(spec.count)])
+        assert kept.any() and not np.isnan(free.e_n[kept]).all()
+        assert result.baseline_e_n[kept].tobytes() == free.e_n[kept].tobytes()
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_point_at_the_atom_free_point_is_the_baseline(self, name):
+        spec = preset(name)
+        pairs = gaussian.BOSONIC_PAIRS
+        for x in np.linspace(spec.start, spec.stop, 9).tolist():
+            point = spec.base.replace(delta_c=x * spec.axis_scale)
+            with_atoms = evaluate_point(point, pairs, baseline=True)
+            free = evaluate_point(self.atom_free(point), pairs)
+            assert free.error is None
+            assert free.e_n == with_atoms.baseline_e_n
+
+
+class TestWorkingPointRange:
+    """Atomic fields so extreme that the working point's arithmetic leaves
+    floating-point range give a typed outcome, never a raw exception or a
+    numpy warning."""
+
+    @staticmethod
+    def point(**changes):
+        return preset("fig6a").base.replace(**changes)
+
+    # kappa_a**2 + delta**2 underflows to 0: with atoms (g > 0), and with
+    # none through g = 0 or r_a = 0, which multiply that zero's quotient
+    @pytest.mark.parametrize("atoms", [{}, {"g": 0.0}, {"r_a": 0.0}],
+                             ids=["g>0", "g=0", "r_a=0"])
+    @pytest.mark.parametrize("tiny", [{"kappa_a": 1e-200, "delta_a1": 0.0},
+                                      {"kappa_a": 1e-170, "delta_a2": 0.0}],
+                             ids=["upper", "lower"])
+    def test_underflowed_atomic_denominator(self, atoms, tiny):
+        params = self.point(**tiny, **atoms)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = evaluate_point(params, ("mr_oc", "oc_sba"), baseline=True)
+            with pytest.raises(SingularityError) as info:
+                solve_steady_state(params)
+        assert rec.error == model.RANGE_MESSAGE == str(info.value)
+        assert rec.stable is None and rec.e_n == {} and rec.baseline_e_n == {}
+
+    def test_overflowing_optical_denominator_along_kappa_a(self):
+        # the atom number r_a / kappa_a is about 1e206 and more: |d|^2 overflows
+        spec = SweepSpec(name="k", base=self.point(), varied="kappa_a",
+                         start=1e-200, stop=1e-150, count=5, axis="kappa_a",
+                         axis_scale=1.0, pairs=("mr_oc",), baseline=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_sweep(spec)
+            for k in spec.grid().tolist():
+                with pytest.raises(SingularityError, match="floating-point range"):
+                    solve_steady_state(spec.base.replace(kappa_a=k))
+        assert result.failures == dict.fromkeys(range(5), model.RANGE_MESSAGE)
+        assert not result.stable.any()
+
+    def test_column_marks_only_the_points_out_of_range(self):
+        spec = SweepSpec(name="k", base=self.point(delta_a1=0.0), varied="kappa_a",
+                         start=1e-200, stop=TWO_PI * 1e6, count=5, axis="kappa_a",
+                         axis_scale=1.0, pairs=gaussian.BOSONIC_PAIRS, baseline=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_sweep(spec)
+        assert result.failures == {0: model.RANGE_MESSAGE}
+        for rec, k in zip(result.records, spec.grid().tolist()):
+            single = evaluate_point(spec.base.replace(kappa_a=k), spec.pairs,
+                                    baseline=True)
+            assert dataclasses.replace(single, x=rec.x) == rec
+
+    # delta_c reaches the optical denominator; temperature and power_w do
+    # not, so it is a float there, and power_w's q_s is a column all the same
+    @pytest.mark.parametrize("varied", ["delta_c", "temperature", "power_w"])
+    def test_range_fails_every_point_of_the_grid(self, varied):
+        base = self.point(kappa_a=1e-200, delta_a1=0.0)
+        spec = SweepSpec(name="r", base=base, varied=varied, start=0.5, stop=1.5,
+                         count=5, axis=varied, axis_scale=getattr(base, varied),
+                         pairs=gaussian.BOSONIC_PAIRS, baseline=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_sweep(spec)
+        assert result.failures == dict.fromkeys(range(5), model.RANGE_MESSAGE)
 
 
 class TestRunSweep:
@@ -682,11 +781,18 @@ class TestBlockEngine:
         for drift, diffusion in along["temperature"].templates:
             assert drift.slots.size == 0  # the drift does not depend on temperature
             assert sorted(diffusion.slots.tolist()) == [11, 44, 55]  # the thermal factors
-        (drift, diffusion), (free_drift, free_diffusion) = along["omega_m"].templates
+        (drift, diffusion), _ = along["omega_m"].templates
         assert drift.slots.size == 31 and diffusion.slots.size == 9
-        # the atom-free atomic rows and columns are fixed to the vacuum
-        # placeholders: 8 drift entries in their corner and 8 outside it
-        assert free_drift.slots.size == 31 - 16 and free_diffusion.slots.size == 9 - 4
+        # at every point the atom-free atomic modes hold the vacuum: -I
+        # (drift) and I (diffusion) in their corner, and zeros in their rows
+        # and columns outside it, even where every entry is a column
+        for stage in along.values():
+            a, d = stage.stacks(slice(0, 3))
+            free_a, free_d = a[3:], d[3:]
+            assert (free_a[:, 6:, 6:] == -np.eye(4)).all()
+            assert (free_d[:, 6:, 6:] == np.eye(4)).all()
+            assert not free_a[:, 6:, :6].any() and not free_a[:, :6, 6:].any()
+            assert not free_d[:, 6:, :6].any() and not free_d[:, :6, 6:].any()
         # delta_c reaches its own two entries and the optomechanical coupling
         for drift, diffusion in along["delta_c"].templates:
             assert sorted(drift.slots.tolist()) == [12, 23, 30, 32]

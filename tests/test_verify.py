@@ -204,6 +204,14 @@ class TestMakeTmsv:
         with pytest.raises(ValueError, match="overflows cosh"):
             make_tmsv(400.0)
 
+    @pytest.mark.parametrize("r, n_th, n_finite", [(300.0, 1e300, 1e40),
+                                                    (1.0, 1e308, 1e300)])
+    def test_thermal_scale_at_the_float_limit(self, r, n_th, n_finite):
+        # cosh(2r) is finite, but (2 n_th + 1) cosh(2r) / 2 is not
+        with pytest.raises(ValueError, match="overflows at r"):
+            make_tmsv(r, n_th=n_th)
+        assert np.isfinite(make_tmsv(r, n_th=n_finite)).all()
+
 
 class TestLyapunovOperator:
     @pytest.mark.parametrize("n", [2, 6, 10])
