@@ -297,7 +297,7 @@ def _evaluate(base: model.SystemParameters, varied: str, column: np.ndarray,
     return (*map(np.concatenate, zip(*parts)), failures)
 
 
-def _atom_free(params):
+def _atom_free(params: model.SystemParameters) -> model.SystemParameters:
     """The atom-free point of a SystemParameters or a ParameterBlock: its
     fields with no atoms (g = r_a = 0), and atomic modes that hold the vacuum
     (kappa_a = omega_m, no detuning, population or coherence). In units of
