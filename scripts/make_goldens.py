@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 from oemsim import PRESET_NAMES, preset, run_sweep, write_csv
+from oemsim.sweep import _write_text
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden"
 
@@ -41,7 +42,7 @@ def main(argv: list[str] | None = None) -> int:
         result = run_sweep(dataclasses.replace(spec, base=spec.base.replace(g=g)))
         peaks.append(float(result.e_n[result.stable, column].max()))
     payload = {"couplings_rad_s": couplings, "peak_en_oc_sba": peaks}
-    (out / "fig5_peaks.json").write_text(json.dumps(payload, indent=2) + "\n")
+    _write_text(out / "fig5_peaks.json", [json.dumps(payload, indent=2), "\n"])
     print("fig5 peaks:", peaks)
     return 0
 

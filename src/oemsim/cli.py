@@ -201,7 +201,7 @@ def _cmd_point(args) -> int:
             tag: rec.baseline_e_n.get(tag) for tag in sweep._baseline_pairs(pairs)}
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        sweep._write_text(args.out, [text, "\n"])
     else:
         print(text)
     return 2 if rec.error is not None else 0
@@ -251,7 +251,8 @@ def _cmd_sweep(args) -> int:
                        "stable": result.stable_count(),
                        "errors": result.error_count()},
         }
-        meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        sweep._write_text(meta_path,
+                          [json.dumps(meta, indent=2, sort_keys=True), "\n"])
     except BaseException:
         for path in created:
             path.unlink(missing_ok=True)
@@ -278,8 +279,8 @@ def _cmd_presets() -> int:
 
 
 def _write_matrix(path: Path, mat: np.ndarray) -> None:
-    lines = [",".join(format(x, ".17g") for x in row) for row in np.asarray(mat)]
-    path.write_text("\n".join(lines) + "\n")
+    sweep._write_text(path, (",".join(format(x, ".17g") for x in row) + "\n"
+                             for row in np.asarray(mat)))
 
 
 def _cmd_dump(args) -> int:

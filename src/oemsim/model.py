@@ -11,6 +11,7 @@ rate. Two atomic transition coherences act as additional quasi-modes.
 
 from __future__ import annotations
 
+import cmath
 import math
 import dataclasses
 from dataclasses import dataclass
@@ -248,6 +249,8 @@ def solve_steady_state(params: SystemParameters) -> SteadyState:
     Raises SingularityError where |denominator| < 1e-30, and where its square
     is not finite: an atomic coefficient or the square overflows, or
     kappa_a**2 + delta_a**2 underflows to 0 (tiny kappa_a and detuning). A
+    SystemParameters also raises it where any field of the working point is
+    not finite (a drive amplitude that overflows gives inf in q_s). A
     ParameterBlock gives a SteadyState whose fields are columns, one entry
     per point, where the block's column reaches them, and floats elsewhere.
     A point at such a pole carries NaN in q_s, alpha_s, sigma_ba_s,
@@ -299,5 +302,8 @@ def solve_steady_state(params: SystemParameters) -> SteadyState:
     sigma_cb_s = (b_r * u + b_i * v) + 1j * (b_i * u - b_r * v)
     g_c = _SQRT2 * der.g_oc_bare * alpha_abs
     g_w = _SQRT2 * der.g_ow_bare * beta_abs
-    return SteadyState(q_s, p_s, alpha_s, beta_s, sigma_ba_s, sigma_cb_s, g_c, g_w)
+    values = (q_s, p_s, alpha_s, beta_s, sigma_ba_s, sigma_cb_s, g_c, g_w)
+    if p.__class__ is not ParameterBlock and not all(map(cmath.isfinite, values)):
+        raise SingularityError(RANGE_MESSAGE)
+    return SteadyState(*values)
 

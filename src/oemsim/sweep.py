@@ -46,6 +46,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import stat
 import threading
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, fields, replace
@@ -662,9 +663,35 @@ def csv_rows(result: SweepResult) -> list[list[str]]:
 
 def write_csv(result: SweepResult, path) -> None:
     """Write csv_header and csv_rows, BLOCK_POINTS rows at a time, so the
-    text held in memory does not grow with the grid."""
-    with open(path, "w", newline="") as handle:
-        handle.write(",".join(csv_header(result.spec)) + "\n")
+    text held in memory does not grow with the grid.
+
+    An existing file is rewritten in place (_write_text): a failed write
+    leaves only the new bytes written before it failed, but a process killed
+    during the write can leave the old file's tail after them.
+    """
+    def chunks():
+        yield ",".join(csv_header(result.spec)) + "\n"
         for lo in range(0, len(result.x), BLOCK_POINTS):
             columns = _csv_columns(result, lo, lo + BLOCK_POINTS)
-            handle.write("".join(",".join(row) + "\n" for row in zip(*columns)))
+            yield "".join(",".join(row) + "\n" for row in zip(*columns))
+
+    _write_text(path, chunks(), newline="")
+
+
+def _write_text(path, chunks: Iterable[str], newline: str | None = None) -> None:
+    """Write the text of chunks to path, created if missing, and trim a
+    regular file to the bytes written, also when writing raises.
+
+    An existing file is overwritten in place, never opened with O_TRUNC or
+    emptied first: emptying a file frees its blocks, which on ext4 mounted
+    with discard costs tens of milliseconds once they are on disk, while an
+    overwrite frees none; the trim frees only the blocks past the new end.
+    A pipe or a device is written and not trimmed. newline is open()'s.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", newline=newline) as handle:
+        try:
+            handle.writelines(chunks)
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                handle.truncate()  # flushes, then trims at the offset reached

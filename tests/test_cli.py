@@ -3,6 +3,7 @@ and the package root that README documents."""
 
 import json
 import math
+import os
 import re
 import shutil
 import subprocess
@@ -193,6 +194,15 @@ class TestPointCommand:
     def test_working_point_out_of_range_exits_two(self, tmp_path, capsys):
         # kappa_a**2 + delta_a1**2 underflows to 0
         params = preset("fig6a").base.replace(kappa_a=1e-200, delta_a1=0.0)
+        self.assert_out_of_range(tmp_path, capsys, params)
+
+    def test_overflowing_drive_exits_two(self, tmp_path, capsys):
+        # the microwave drive amplitude overflows: q_s = g_w = inf
+        params = preset("fig3").base.replace(power_w=1e300)
+        self.assert_out_of_range(tmp_path, capsys, params)
+
+    @staticmethod
+    def assert_out_of_range(tmp_path, capsys, params):
         path = write_config(tmp_path, params_to_config(params))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -430,6 +440,93 @@ class TestUnwritableOutput:
         assert main(["dump-matrices", "--preset", "fig3",
                      "--out", str(plain / "sub")]) == 1
         self.assert_reported(capsys)
+
+
+class TestRewriteInPlace:
+    """Outputs are overwritten in place and trimmed to the bytes written: an
+    existing file is never emptied first, and a failed write leaves none of
+    its old bytes."""
+
+    @pytest.mark.parametrize("old", [b"old\n" * 5000, b"o"], ids=["longer", "shorter"])
+    def test_rewrite_gives_exactly_the_new_bytes(self, tmp_path, old):
+        path = tmp_path / "out.txt"
+        path.write_bytes(old)
+        sweep._write_text(path, ["new\n", "text\n"])
+        assert path.read_bytes() == b"new\ntext\n"
+
+    @staticmethod
+    def fig6a(tmp_path):
+        """fig6a at 1001 points (16 CSV chunks), and its CSV at a fresh path."""
+        result = run_sweep(_sweep_tests.narrowed(preset("fig6a"), -2.0, 2.0, 1001))
+        fresh = tmp_path / "fresh.csv"
+        sweep.write_csv(result, fresh)
+        return result, fresh.read_bytes()
+
+    def test_raise_partway_leaves_a_prefix_of_the_new_text(self, tmp_path,
+                                                           monkeypatch):
+        result, new = self.fig6a(tmp_path)
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"old\n" * len(new))
+        columns = sweep._csv_columns
+        calls = []
+
+        def failing_columns(*args):
+            calls.append(1)
+            if len(calls) == 4:
+                raise KeyboardInterrupt
+            return columns(*args)
+
+        monkeypatch.setattr(sweep, "_csv_columns", failing_columns)
+        with pytest.raises(KeyboardInterrupt):
+            sweep.write_csv(result, path)
+        written = path.read_bytes()
+        assert 0 < len(written) < len(new)
+        assert written == new[:len(written)]
+
+    def test_an_existing_file_is_never_emptied(self, tmp_path, monkeypatch):
+        result, new = self.fig6a(tmp_path)
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"old\n" * len(new))
+        old_size = path.stat().st_size
+        columns = sweep._csv_columns
+        sizes = []
+
+        def watched_columns(*args):
+            sizes.append(os.stat(path).st_size)
+            return columns(*args)
+
+        monkeypatch.setattr(sweep, "_csv_columns", watched_columns)
+        sweep.write_csv(result, path)
+        assert len(sizes) == 16 and min(sizes) >= old_size
+        assert path.read_bytes() == new
+
+    def test_point_to_a_device(self, capsys):
+        assert main(["point", "--preset", "fig3", "--out", os.devnull]) == 0
+        assert capsys.readouterr().out == ""
+
+    def test_symlink_rewrites_its_target(self, tmp_path):
+        fresh = tmp_path / "fresh.json"
+        assert main(["point", "--preset", "fig3", "--out", str(fresh)]) == 0
+        target = tmp_path / "target.json"
+        target.write_text("old\n" * 1000)
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        assert main(["point", "--preset", "fig3", "--out", str(link)]) == 0
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert target.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sweep_into_a_used_path_writes_the_fresh_bytes(self, tmp_path, jobs):
+        def run(grid, out):
+            args = ["sweep", "--preset", "fig6a", "--grid", "-2", "2", grid]
+            assert main([*args, "--jobs", jobs, "--out", str(out)]) == 0
+            return out.read_bytes(), Path(f"{out}.meta.json").read_bytes()
+
+        used = tmp_path / "used.csv"
+        larger = run("1001", used)
+        fresh = run("101", tmp_path / "fresh.csv")
+        assert run("101", used) == fresh
+        assert all(len(old) > len(new) for old, new in zip(larger, fresh))
 
 
 class TestOtherCommands:

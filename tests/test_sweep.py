@@ -467,6 +467,20 @@ class TestWorkingPointRange:
             result = run_sweep(spec)
         assert result.failures == dict.fromkeys(range(5), model.RANGE_MESSAGE)
 
+    def test_overflowing_drive(self):
+        # the microwave drive amplitude overflows in derive, outside the
+        # optical denominator: q_s and g_w are inf
+        base = preset("fig3").base.replace(power_w=1e300)
+        spec = narrowed(preset("fig3"), 0.5, 1.5, 5, base=base, baseline=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_sweep(spec)
+            rec = evaluate_point(base, ("mr_mc",), baseline=True)
+            with pytest.raises(SingularityError) as info:
+                solve_steady_state(base)
+        assert result.failures == dict.fromkeys(range(5), model.RANGE_MESSAGE)
+        assert rec.error == model.RANGE_MESSAGE == str(info.value)
+
 
 class TestRunSweep:
     def test_axis_units_map_to_detuning(self):
