@@ -283,21 +283,32 @@ def _write_matrix(path: Path, mat: np.ndarray) -> None:
                              for row in np.asarray(mat)))
 
 
+#: the files of dump-matrices, in the order that a point's matrices are computed
+_DUMP_FILES = ("drift.csv", "diffusion.csv", "covariance.csv")
+
+
 def _cmd_dump(args) -> int:
     params, _ = _point_params(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ss = model.solve_steady_state(params)
-    a = dynamics.build_drift(params, ss)
-    d = dynamics.build_diffusion(params)
-    _write_matrix(out_dir / "drift.csv", a)
-    _write_matrix(out_dir / "diffusion.csv", d)
+    matrices, failure = [], None
     try:
-        v = dynamics.solve_lyapunov(a, d)
-    except StabilityError as exc:
-        print(f"error: point is unstable: {exc}", file=sys.stderr)
+        ss = model.solve_steady_state(params)
+        matrices += [dynamics.build_drift(params, ss), dynamics.build_diffusion(params)]
+        matrices.append(dynamics.solve_lyapunov(*matrices))
+    except SimulationError as exc:
+        failure = exc
+    for name, matrix in zip(_DUMP_FILES, matrices):
+        _write_matrix(out_dir / name, matrix)
+    # the directory holds this point's matrices alone: a file that the point
+    # has no matrix for must not keep an earlier dump's
+    for name in _DUMP_FILES[len(matrices):]:
+        (out_dir / name).unlink(missing_ok=True)
+    if isinstance(failure, StabilityError):
+        print(f"error: point is unstable: {failure}", file=sys.stderr)
         return 2
-    _write_matrix(out_dir / "covariance.csv", v)
+    if failure is not None:
+        raise failure
     return 0
 
 
@@ -321,6 +332,10 @@ def main(argv: list[str] | None = None) -> int:
     except SimulationError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # a grid too large to allocate; numpy says how much it asked for
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         raise  # a closed stdout; entry() ends the process quietly
     except OSError as exc:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -163,6 +164,14 @@ class _Template:
         if self.slots.size:
             out[:, self.slots] = self.values[:, block].T
 
+    def abs_max(self, m: int) -> np.ndarray:
+        """max |entry| of each of the m points' matrices, the scale that the
+        residual bound takes: not finite where an entry is not."""
+        fixed = np.abs(self.fixed).max()
+        if self.slots.size:
+            return np.abs(self.values).max(axis=0, initial=fixed)
+        return np.full(m, fixed)
+
 
 def _templates(params: SystemParameters, ss: SteadyState) -> tuple[_Template, _Template]:
     """The drift and the diffusion of a ParameterBlock and its SteadyState,
@@ -232,28 +241,48 @@ def _kronecker_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     keeps each system at 55 unknowns for n = 10: a 100 x 100 system is past
     the size from which OpenBLAS threads its LU, and is many times slower.
     """
-    n = a.shape[-1]
-    rows, cols = np.triu_indices(n)
-    i, j = rows[:, None], cols[:, None]  # the equation of each row
-    p, q = rows, cols  # the unknown of each column
-    eye = np.eye(n)
-    op = (a[:, i, p] * eye[j, q] + eye[i, p] * a[:, j, q]
-          + (p != q) * (a[:, i, q] * eye[j, p] + eye[i, q] * a[:, j, p]))
+    k, n, _ = a.shape
+    rows, cols, ij, ip, jq, iq, jp, e_jq, e_ip, off, e_jp, e_iq = _operator_terms(n)
+    a = a.reshape(k, n * n)
+    op = a[:, ip] * e_jq + e_ip * a[:, jq] + off * (a[:, iq] * e_jp + e_iq * a[:, jp])
     # a (k, 55, 1) right-hand side reads as a stack of columns in every numpy
-    x = _solve(op, -d[:, i, j])[..., 0]
+    x = _solve(op, -d.reshape(k, n * n)[:, ij, None])[..., 0]
     v = np.empty_like(d)
     v[:, rows, cols] = x
     v[:, cols, rows] = x
     return v
 
 
-def _residual_and_bound(a: np.ndarray, d: np.ndarray, v: np.ndarray):
-    """Residual max|a v + v a^T + d| of a symmetric v, and its bound; one or a stack."""
+@cache
+def _operator_terms(n: int) -> tuple[np.ndarray, ...]:
+    """What _kronecker_lyapunov's operator takes from n alone: the (p, q)
+    of each unknown, p <= q; the flat index into an n x n matrix of each
+    equation (i, j); of a_ip, a_jq, a_iq and a_jp at each (equation,
+    unknown); and the factors delta_jq, delta_ip, [p != q], delta_jp and
+    delta_iq there."""
+    rows, cols = np.triu_indices(n)
+    i, j = rows[:, None], cols[:, None]  # the equation of each row
+    p, q = rows, cols  # the unknown of each column
+    eye = np.eye(n)
+    terms = (rows, cols, n * rows + cols, n * i + p, n * j + q, n * i + q, n * j + p,
+             eye[j, q], eye[i, p], p != q, eye[j, p], eye[i, q])
+    for term in terms:  # shared by every fallback solve
+        term.flags.writeable = False
+    return terms
+
+
+def _abs_max(x: np.ndarray) -> np.ndarray:
+    """max |entry| of each matrix of a stack."""
+    return np.abs(x).max(axis=(-2, -1))
+
+
+def _residual_and_bound(a: np.ndarray, d: np.ndarray, v: np.ndarray,
+                        a_max: np.ndarray, d_max: np.ndarray):
+    """Residual max|a v + v a^T + d| of each symmetric v of a stack, and its
+    bound; a_max and d_max are _abs_max of a and d."""
     av = a @ v
-    residual = np.abs(av + np.swapaxes(av, -1, -2) + d).max(axis=(-2, -1))
-    bound = RESIDUAL_TOL * np.maximum(
-        np.abs(a).max(axis=(-2, -1)) * np.abs(v).max(axis=(-2, -1)),
-        np.abs(d).max(axis=(-2, -1)))
+    residual = _abs_max(av + np.swapaxes(av, -1, -2) + d)
+    bound = RESIDUAL_TOL * np.maximum(a_max * _abs_max(v), d_max)
     return residual, bound
 
 
@@ -302,35 +331,38 @@ def _decompose(a: np.ndarray) -> _Eigenbasis:
     stable, every spectrum comes from eigvals and eig runs on the stable
     drifts alone, else eig runs on the whole stack."""
     m, n, _ = a.shape
-    abscissa = np.full(m, np.nan)
-    finite = np.isfinite(a).all(axis=(1, 2))
-    errors = dict.fromkeys(np.flatnonzero(~finite).tolist(),
-                           "drift matrix contains non-finite entries")
-    ok = np.flatnonzero(finite)
-    a_ok = a if ok.size == m else a[ok]
+    if np.isfinite(a).all():  # the usual stack, taken as it is
+        ok, a_ok, errors = slice(None), a, {}
+    else:
+        finite = np.isfinite(a).all(axis=(1, 2))
+        ok = np.flatnonzero(finite)
+        a_ok = a[ok]
+        errors = dict.fromkeys(np.flatnonzero(~finite).tolist(),
+                               "drift matrix contains non-finite entries")
     try:
-        if ok.size > 2 and not _has_stable(np.linalg.eigvals(a_ok[[0, -1]])):
+        if len(a_ok) > 2 and not _has_stable(np.linalg.eigvals(a_ok[[0, -1]])):
             # neither end of the stack has a steady state, so most of it
             # likely has none: spectra without eigenvectors, then eig on the
             # stable problems alone
             spectra, s = np.linalg.eigvals(a_ok), None
         else:
             spectra, s = np.linalg.eig(a_ok)
+        abscissa = np.full(m, np.nan)
         abscissa[ok] = spectra.real.max(axis=1)
         stable = abscissa < -STABILITY_TOL  # False where NaN
-        idx = np.flatnonzero(stable)
-        if not idx.size:
+        count = np.count_nonzero(stable)
+        if not count:
             return _Eigenbasis(abscissa, stable, errors, None, None, None)
         if s is None:
-            lam, s = np.linalg.eig(a[idx])
-        elif idx.size < ok.size:
+            lam, s = np.linalg.eig(a[stable])
+        elif count < len(a_ok):
             keep = stable[ok]
             lam, s = spectra[keep], s[keep]
         else:
             lam = spectra
     except np.linalg.LinAlgError as exc:
         errors.update(dict.fromkeys(
-            ok.tolist(), f"eigensolver failed on drift matrix: {exc}"))
+            np.arange(m)[ok].tolist(), f"eigensolver failed on drift matrix: {exc}"))
         return _Eigenbasis(np.full(m, np.nan), np.zeros(m, dtype=bool), errors,
                            None, None, None)
     # complex arithmetic throughout, whether or not eig returned real arrays,
@@ -376,7 +408,9 @@ def _has_stable(spectra: np.ndarray) -> bool:
 
 
 def solve_lyapunov_batch(a: np.ndarray, d: np.ndarray,
-                         eigenbasis: _Eigenbasis | None = None) -> CovarianceBatch:
+                         eigenbasis: _Eigenbasis | None = None,
+                         maxima: tuple[np.ndarray, np.ndarray] | None = None
+                         ) -> CovarianceBatch:
     """Hurwitz gate and steady-state covariance for a stack of (a, d) pairs.
 
     One batched eigendecomposition a = S diag(lam) S^-1 serves the whole
@@ -390,6 +424,10 @@ def solve_lyapunov_batch(a: np.ndarray, d: np.ndarray,
     whose blocks repeat a drift does), and the solve runs the second half
     alone: C, W and V from d, the residual check, the fallback, the errors
     and the condition warning. The results are the same bits either way.
+    The finite check of d and the residual bound read each problem's
+    largest |entry| of a and of d (_abs_max), not finite where an entry is
+    not; a caller that has them (a sweep's model stage, per point) passes
+    them as `maxima`, the pair of (m,) arrays, for the same bits.
     Only stable problems need S. A stack of more than two finite problems
     first takes the spectra of its first and last one with eigvals; if
     neither is stable (a sweep block's ends, on the unstable part of a
@@ -426,52 +464,57 @@ def solve_lyapunov_batch(a: np.ndarray, d: np.ndarray,
     """
     if eigenbasis is None:
         eigenbasis = _decompose(a)
+    a_max, d_max = (_abs_max(a), _abs_max(d)) if maxima is None else maxima
     m, n, _ = a.shape
     abscissa = eigenbasis.max_real_part.copy()
     stable = eigenbasis.stable.copy()
     errors = {k: SimulationError(message) for k, message in eigenbasis.errors.items()}
-    noisy = ~np.isfinite(d).all(axis=(1, 2))
+    noisy = ~np.isfinite(d_max)
     if noisy.any():
         # a non-finite drift keeps its own error
-        for k in np.flatnonzero(noisy & np.isfinite(a).all(axis=(1, 2))).tolist():
+        for k in np.flatnonzero(noisy & np.isfinite(a_max)).tolist():
             entries = ", ".join(f"({i}, {j}) = {d[k, i, j]}"
                                 for i, j in np.argwhere(~np.isfinite(d[k])).tolist())
             errors[k] = _NonFiniteDiffusion(
                 f"diffusion matrix contains non-finite entries: {entries}")
         abscissa[noisy] = np.nan
         stable[noisy] = False
-    idx = np.flatnonzero(stable)
-    if not idx.size:
+    count = np.count_nonzero(stable)
+    if not count:
         return CovarianceBatch(abscissa, stable, np.full((m, n, n), np.nan), errors)
     lam, s, s_inv = eigenbasis.lam, eigenbasis.s, eigenbasis.s_inv
-    if idx.size < len(lam):  # drop the problems with a non-finite diffusion
+    if count < len(lam):  # drop the problems with a non-finite diffusion
         keep = stable[eigenbasis.stable]
         lam, s, s_inv = lam[keep], s[keep], s_inv[keep]
-    whole = idx.size == m
+    whole = count == m
     if whole:
         # C-contiguous, as a gather leaves it, for the same matmul path
         a_st, d_st = np.ascontiguousarray(a), np.ascontiguousarray(d)
     else:
-        a_st, d_st = a[idx], d[idx]
+        a_st, d_st = a[stable], d[stable]
+        a_max, d_max = a_max[stable], d_max[stable]
     x, cond = _eigenbasis_lyapunov(lam, s, s_inv, d_st)
-    residual, bound = _residual_and_bound(a_st, d_st, x)
-    redo = np.flatnonzero(~(residual <= bound))  # NaN falls back too
-    if redo.size:
+    residual, bound = _residual_and_bound(a_st, d_st, x, a_max, d_max)
+    passed = residual <= bound
+    if not passed.all():
+        redo = np.flatnonzero(~passed)  # NaN falls back too
         a_re, d_re = a_st[redo], d_st[redo]
         x[redo] = _kronecker_lyapunov(a_re, d_re)
-        residual[redo], bound[redo] = _residual_and_bound(a_re, d_re, x[redo])
-    passed = residual <= bound
-    x[~passed] = np.nan
+        residual[redo], bound[redo] = _residual_and_bound(
+            a_re, d_re, x[redo], a_max[redo], d_max[redo])
+        passed = residual <= bound
+        x[~passed] = np.nan
+        idx = np.flatnonzero(stable)
+        for j in np.flatnonzero(~passed):
+            errors[int(idx[j])] = SimulationError(
+                f"Lyapunov residual {residual[j]:.3e} exceeds bound {bound[j]:.3e}"
+                if np.isfinite(residual[j]) else
+                "Lyapunov operator is singular to working precision")
     if whole:
         v = x
     else:
         v = np.full((m, n, n), np.nan)
-        v[idx] = x
-    for j in np.flatnonzero(~passed):
-        errors[int(idx[j])] = SimulationError(
-            f"Lyapunov residual {residual[j]:.3e} exceeds bound {bound[j]:.3e}"
-            if np.isfinite(residual[j]) else
-            "Lyapunov operator is singular to working precision")
+        v[stable] = x
     for estimate in cond[passed & (cond > CONDITION_WARN)]:
         # names solve_lyapunov's caller, or the sweep that ran the block
         warnings.warn(

@@ -94,24 +94,32 @@ def log_negativities(cm: np.ndarray) -> tuple[
     index of each rejected state to its error and the two arrays hold NaN
     there.
     """
-    finite = np.isfinite(cm)
     # the determinants of the 2x2 blocks v1, vc (and vc^T) and v2 in one
     # pass: blocks[:, i, :, j, :] is the block in block row i, block column j
     blocks = cm.reshape(-1, 2, 2, 2, 2)
-    with np.errstate(invalid="ignore", over="ignore"):  # non-finite members
+    # a non-finite member gives NaN or inf along the way, and fails below
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         dets = (blocks[:, :, 0, :, 0] * blocks[:, :, 1, :, 1]
                 - blocks[:, :, 0, :, 1] * blocks[:, :, 1, :, 0])
         sigma = dets[:, 0, 0] + dets[:, 1, 1] - 2.0 * dets[:, 0, 1]
         det_cm = np.linalg.det(cm)
         disc = sigma * sigma - 4.0 * det_cm
-        clamped = np.where((disc < 0.0) & (disc >= -DISCRIMINANT_TOL), 0.0, disc)
-        eta_sq = 0.5 * (sigma - np.sqrt(clamped))
-        bad = (~finite.all(axis=(1, 2)) | (det_cm < -DISCRIMINANT_TOL)
-               | (disc < -DISCRIMINANT_TOL) | (eta_sq <= 0.0))
-        eta_minus = np.where(bad, np.nan, np.sqrt(eta_sq))
+        # clamps every negative discriminant: those below -DISCRIMINANT_TOL
+        # fail below, whatever eta_sq they give; sigma * sigma is never
+        # -0.0, so no discriminant is
+        eta_sq = 0.5 * (sigma - np.sqrt(np.maximum(disc, 0.0)))
+        eta_minus = np.sqrt(eta_sq)
         neg_log = -np.log(2.0 * eta_minus)
-    e_n = np.where(bad, np.nan, np.where(neg_log > 0.0, neg_log, 0.0))
+    e_n = np.where(neg_log > 0.0, neg_log, 0.0)
+    bad = (det_cm < -DISCRIMINANT_TOL) | (disc < -DISCRIMINANT_TOL) | (eta_sq <= 0.0)
+    finite = np.isfinite(cm)
+    if not finite.all():
+        bad |= ~finite.reshape(-1, 16).all(axis=1)
     errors: dict[int, UnphysicalCovarianceError] = {}
+    if not bad.any():
+        return e_n, eta_minus, errors
+    eta_minus[bad] = np.nan
+    e_n[bad] = np.nan
     for k in np.flatnonzero(bad):
         if not finite[k].all():
             entries = ", ".join(f"({i}, {j}) = {cm[k, i, j]}"

@@ -7,7 +7,9 @@ base's other values as floats, validated once, at the grid's extremes) gives
 one working point per problem variant (model.solve_steady_state), and the
 entries of build_drift and build_diffusion, each computed once. An entry
 that no column reaches is a float and goes into a 10x10 template; the rest
-stay columns, one value per point (dynamics._Template). The stage's points
+stay columns, one value per point (dynamics._Template); the templates also
+give each problem's largest drift and diffusion entry, which the solve's
+finite check and residual bound read. The stage's points
 are then evaluated in blocks of BLOCK_POINTS: a block copies the templates
 into its drift and diffusion stacks and writes in only its slice of the
 varying entries, and reads where its working point failed (a pole of the
@@ -50,7 +52,7 @@ import stat
 import threading
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -325,6 +327,10 @@ class _ModelStage:
     temperature: np.ndarray    # (n,) the bath temperature at each point
     q_s: np.ndarray            # (n,) main working point: NaN at a pole, inf out of range
     templates: list            # (drift, diffusion) dynamics._Template per variant
+    # (2, variants, n) the largest |entry| of each problem's drift, then of
+    # its diffusion, as solve_lyapunov_batch's maxima; not finite where an
+    # entry is not
+    maxima: np.ndarray
 
     @classmethod
     def of(cls, base: model.SystemParameters, varied: str, column: np.ndarray,
@@ -334,6 +340,7 @@ class _ModelStage:
         floating-point range does not warn: the working point marks it, and
         the solve fails a problem with a non-finite entry."""
         block = model.parameter_block(base, varied, column)
+        n = len(column)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             working = model.solve_steady_state(block)
             templates = [dynamics._templates(block, working)]
@@ -341,9 +348,11 @@ class _ModelStage:
                 atom_free = _atom_free(block)
                 templates.append(dynamics._templates(
                     atom_free, model.solve_steady_state(atom_free)))
+            maxima = np.array([[template.abs_max(n) for template in variant]
+                               for variant in zip(*templates)])
         # a float where no column reaches
-        return cls(*(np.broadcast_to(value, column.shape) for value in (
-            block.omega_m, block.temperature, working.q_s)), templates)
+        return cls(*(np.full(column.shape, value) for value in (
+            block.omega_m, block.temperature, working.q_s)), templates, maxima)
 
     def drift_key(self, block: slice) -> tuple:
         """What decides the drift stack of a block of the points: the
@@ -366,6 +375,33 @@ class _ModelStage:
             diffusion.fill(d_variant, block)
         return a.reshape(-1, 10, 10), d.reshape(-1, 10, 10)
 
+    def block_maxima(self, block: slice) -> tuple[np.ndarray, np.ndarray]:
+        """The maxima of the problems of a block of the points, in the
+        order of stacks."""
+        a_max, d_max = self.maxima[:, :, block].reshape(2, -1)
+        return a_max, d_max
+
+
+@cache
+def _pair_columns(pairs: tuple[str, ...], base_pairs: tuple[str, ...]
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where a block's log-negativities come from and go: the flat indices
+    into a 10x10 covariance of the 4x4 blocks of the pairs, in their order,
+    for a main problem; the same for the baseline pairs, taken in the order
+    of pairs, for an atom-free problem; and the permutation that puts the
+    latter's values in the order of base_pairs, the CSV's."""
+    def columns(tags):
+        return np.array([10 * i + j for tag in tags
+                         for i in gaussian.BIPARTITE_PAIRS[tag].indices
+                         for j in gaussian.BIPARTITE_PAIRS[tag].indices], dtype=np.intp)
+
+    requested = [tag for tag in pairs if tag in base_pairs]
+    order = np.array([requested.index(tag) for tag in base_pairs], dtype=np.intp)
+    shared = columns(pairs), columns(requested), order
+    for array in shared:  # every block of every sweep of these pairs reads them
+        array.flags.writeable = False
+    return shared
+
 
 def _evaluate_block(stage: _ModelStage, block: slice,
                     decompose: Callable[[np.ndarray], dynamics._Eigenbasis],
@@ -382,30 +418,41 @@ def _evaluate_block(stage: _ModelStage, block: slice,
     temperature), or else its first pair error in the requested order. A
     point reports its main problem's error before its baseline's. Returns
     the columns of SweepResult for the block: stable, max_real_part, e_n,
-    baseline_e_n and failures.
+    baseline_e_n and failures. The stage gives the solve each problem's
+    maxima, and a block with no error skips the error mapping.
     """
     a, d = stage.stacks(block)
     m = len(a) // len(stage.templates)
-    sol = dynamics.solve_lyapunov_batch(a, d, decompose(a))
-    solved = sol.stable.copy()
-    solved[list(sol.errors)] = False
-    e_n = np.full((m, len(pairs)), np.nan)
-    baseline_e_n = np.full((m, len(base_pairs)), np.nan)
-    # every solved (problem, pair) of the block: the main pairs in pair
-    # order, then the baseline pairs in the same order
+    sol = dynamics.solve_lyapunov_batch(a, d, decompose(a), stage.block_maxima(block))
+    solved = sol.stable
+    if sol.errors:
+        solved = solved.copy()
+        solved[list(sol.errors)] = False
+    # one stack of the 4x4 blocks of every solved (problem, requested pair):
+    # the main problems' pairs in pair order, then the atom-free ones'
+    main_cols, base_cols, base_order = _pair_columns(pairs, base_pairs)
+    v = sol.v.reshape(len(a), 100)
     main_rows = np.flatnonzero(solved[:m])
-    base_rows = np.flatnonzero(solved[m:]) + m
-    targets = [(main_rows, e_n, c, tag) for c, tag in enumerate(pairs)]
-    targets += [(base_rows, baseline_e_n, base_pairs.index(tag), tag)
-                for tag in pairs if tag in base_pairs]
-    sizes = [len(rows) for rows, *_ in targets]
-    problems = np.concatenate([np.empty(0, np.intp)] + [rows for rows, *_ in targets])
-    idx = np.array([gaussian.BIPARTITE_PAIRS[tag].indices for *_, tag in targets],
-                   dtype=np.intp).reshape(-1, 4).repeat(sizes, axis=0)
-    values, _, pair_errors = gaussian.log_negativities(
-        sol.v[problems[:, None, None], idx[:, :, None], idx[:, None, :]])
-    for (rows, out, c, _), end in zip(targets, np.cumsum(sizes)):
-        out[rows % m, c] = values[end - len(rows):end]
+    states = v.take(main_rows, axis=0).take(main_cols, axis=1)
+    if base_pairs:
+        base_rows = np.flatnonzero(solved[m:])
+        states = np.concatenate(
+            (states, v.take(m + base_rows, axis=0).take(base_cols, axis=1)), axis=None)
+    values, _, pair_errors = gaussian.log_negativities(states.reshape(-1, 4, 4))
+    main_values = values[:main_rows.size * len(pairs)].reshape(main_rows.size, len(pairs))
+    if main_rows.size == m:
+        e_n = main_values
+    else:
+        e_n = np.full((m, len(pairs)), np.nan)
+        e_n[main_rows] = main_values
+    baseline_e_n = np.full((m, len(base_pairs)), np.nan)
+    if base_pairs:
+        baseline_e_n[base_rows] = values[main_values.size:].reshape(
+            base_rows.size, len(base_pairs))[:, base_order]
+    stable = sol.stable[:m]
+    max_real_part = sol.max_real_part[:m] * stage.omega_m[block]
+    if not (sol.errors or pair_errors):
+        return stable, max_real_part, e_n, baseline_e_n, {}
     # a working point at a pole or out of range makes the main drift
     # non-finite, so the solve has already failed that problem
     q_s = stage.q_s[block]
@@ -421,14 +468,17 @@ def _evaluate_block(stage: _ModelStage, block: slice,
         else:
             errors[k] = str(exc)
     for j, exc in sorted(pair_errors.items()):  # a problem's pairs in order
-        errors.setdefault(int(problems[j]), str(exc))
+        if j < main_values.size:
+            k = main_rows[j // len(pairs)]
+        else:
+            k = m + base_rows[(j - main_values.size) // len(base_pairs)]
+        errors.setdefault(int(k), str(exc))
     failures: dict[int, str] = {}
     for k in sorted(errors):
         failures.setdefault(k % m, errors[k])
     failed = list(failures)
-    stable = sol.stable[:m].copy()
+    stable = stable.copy()
     stable[failed] = False
-    max_real_part = sol.max_real_part[:m] * stage.omega_m[block]
     max_real_part[failed] = np.nan
     e_n[failed] = np.nan
     baseline_e_n[failed] = np.nan

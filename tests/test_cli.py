@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -268,6 +269,24 @@ class TestSweepCommand:
         assert json.loads(capsys.readouterr().out)["error"] == (
             "diffusion matrix contains non-finite entries: (4, 4) = inf, "
             "(5, 5) = inf; at bath temperature 1e+300 K")
+
+    def test_grid_too_large_for_memory_exits_one(self, tmp_path):
+        # 1e13 points ask numpy for 72.8 TiB, which it refuses outright; the
+        # child's address space is capped as well, so that no allocation of
+        # that size can succeed, whatever the machine's overcommit policy
+        def cap_address_space():
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            resource.setrlimit(resource.RLIMIT_AS, (8 << 30, hard))
+
+        out = tmp_path / "x.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "oemsim", "sweep", "--preset", "fig2",
+             "--grid", "-2", "2", "1e13", "--out", str(out)],
+            capture_output=True, text=True, timeout=120, preexec_fn=cap_address_space)
+        assert proc.returncode == 1
+        assert re.fullmatch(r"error: out of memory: Unable to allocate 72\.8 TiB[^\n]*\n",
+                            proc.stderr), proc.stderr
+        assert list(tmp_path.iterdir()) == []  # the run's outputs are removed
 
     def test_custom_params_sweep(self, tmp_path):
         path = write_config(tmp_path, fig3_config_dict())
@@ -586,6 +605,39 @@ class TestOtherCommands:
         assert capsys.readouterr().err == (
             "numerical failure: optical response has a pole at these parameters\n")
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("second", ["unstable", "non_finite_diffusion", "pole"])
+    def test_failed_dump_leaves_no_earlier_matrix(self, tmp_path, capsys, second):
+        # a stable point's dump, then into the same directory a point that
+        # has no covariance (or, at a pole, no matrix at all): only the
+        # second point's matrices remain
+        if second == "unstable":
+            spec = preset("fig2")
+            params = spec.base.replace(delta_c=-1.0 * spec.axis_scale)
+            args = ["--preset", "fig2", "--x", "-1.0"]
+            message = "error: point is unstable: "
+        else:
+            if second == "pole":
+                spec = _sweep_tests.TestBlockEngine.mixed_spec()
+                params = spec.base.replace(delta_c=1.0 * spec.axis_scale)
+                message = "numerical failure: optical response has a pole"
+            else:  # fig3 at 1e300 K, whose thermal factors overflow
+                params = preset("fig3").base.replace(temperature=1e300)
+                message = "numerical failure: diffusion matrix contains non-finite entries"
+            args = ["--params", str(write_config(tmp_path, params_to_config(params)))]
+        out = tmp_path / "mats"
+        assert main(["dump-matrices", "--preset", "fig2", "--x", "1.0",
+                     "--out", str(out)]) == 0
+        assert (out / "covariance.csv").exists()
+        capsys.readouterr()
+        assert main(["dump-matrices", *args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(message)
+        if second == "pole":
+            assert list(out.iterdir()) == []
+            return
+        assert sorted(p.name for p in out.iterdir()) == ["diffusion.csv", "drift.csv"]
+        drift = np.loadtxt(out / "drift.csv", delimiter=",")
+        assert np.array_equal(drift, build_drift(params, solve_steady_state(params)))
 
     def test_dump_matrices_unstable_point(self, tmp_path, capsys):
         out = tmp_path / "mats"

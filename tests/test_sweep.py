@@ -512,6 +512,17 @@ class TestRunSweep:
         serial = run_sweep(spec, jobs=1)
         assert run_sweep(spec, jobs=np.int64(2)).records == serial.records
 
+    def test_no_pairs(self):
+        # a sweep may ask for no pair at all: the gate and abscissa alone
+        spec = narrowed(preset("fig2"), -2.0, 2.0, 41, pairs=())
+        result = run_sweep(spec)
+        full = run_sweep(narrowed(preset("fig2"), -2.0, 2.0, 41))
+        assert result.e_n.shape == (41, 0) and result.baseline_e_n.shape == (41, 0)
+        assert result.stable.tobytes() == full.stable.tobytes()
+        assert result.max_real_part.tobytes() == full.max_real_part.tobytes()
+        assert not result.failures
+        assert evaluate_point(spec.base, ()).e_n == {}
+
     def test_counts(self):
         spec = narrowed(preset("fig2"), -2.0, 2.0, 41)
         res = run_sweep(spec)
@@ -640,6 +651,44 @@ class TestBlockEngine:
                 for tag, value in zip(tags, values.tolist()):
                     pair = BIPARTITE_PAIRS[tag]
                     assert log_negativity(extract_bipartite(v, pair)).e_n == value
+
+    @pytest.mark.parametrize("pairs", [("oc_mc", "mr_oc", "mr_mc"),
+                                       ("oc_sba", "oc_mc", "mr_oc")])
+    def test_columns_follow_the_request_and_the_csv(self, pairs):
+        # e_n holds the pairs in the requested order, baseline_e_n the
+        # bosonic ones in the CSV's order, whatever order they were asked in
+        spec = narrowed(preset("fig6a"), -2.0, 2.0, 41, pairs=tuple(BIPARTITE_PAIRS))
+        canonical = run_sweep(spec)
+        result = run_sweep(dataclasses.replace(spec, pairs=pairs))
+        assert result.stable_count() > 0 and not result.failures
+        main = [spec.pairs.index(tag) for tag in pairs]
+        base = [spec.baseline_pairs.index(tag) for tag in result.spec.baseline_pairs]
+        assert result.e_n.tobytes() == canonical.e_n[:, main].tobytes()
+        assert result.baseline_e_n.tobytes() == canonical.baseline_e_n[:, base].tobytes()
+
+    def test_pair_error_alone_fails_its_point(self, monkeypatch):
+        # a block whose solve has no error: one unphysical baseline pair
+        # fails its point, and every other point keeps its bits
+        spec = narrowed(preset("fig6a"), 0.5, 1.5, 9, pairs=("oc_mc", "mr_oc", "mr_mc"))
+        clean = run_sweep(spec)
+        m = spec.count  # one block: problem k is point k, m + k its baseline
+        messages = []
+        real = dynamics.solve_lyapunov_batch
+
+        def corrupted(a, d, *basis):
+            sol = real(a, d, *basis)
+            assert not sol.errors
+            messages.append(corrupt_pair(sol.v[m + 4], "mr_oc", 1e3))
+            return sol
+
+        monkeypatch.setattr(dynamics, "solve_lyapunov_batch", corrupted)
+        result = run_sweep(spec)
+        assert result.failures == {4: messages[0]}
+        rest = np.arange(m) != 4
+        for column in ("stable", "max_real_part", "e_n", "baseline_e_n"):
+            assert (getattr(result, column)[rest].tobytes()
+                    == getattr(clean, column)[rest].tobytes()), column
+        assert not result.stable[4] and np.isnan(result.e_n[4]).all()
 
     def test_unphysical_pair_fails_only_its_point(self, monkeypatch):
         spec = narrowed(preset("fig6a"), 0.5, 1.5, 9,
@@ -824,6 +873,27 @@ class TestBlockEngine:
         assert drift.slots.size > 0
         assert free_drift.slots.size == 0 and free_diffusion.slots.size == 0
 
+    @pytest.mark.parametrize("name", FIELD_NAMES + ("pole", "hot"))
+    def test_model_stage_maxima_are_those_of_the_stacks(self, name):
+        # the residual bound's scales and the solve's finite check of d come
+        # from the templates: per problem they equal max |entry| of the
+        # stacks' matrices, NaN and inf included
+        spec = {"pole": TestBlockEngine.mixed_spec(),
+                "hot": narrowed(preset("fig2"), 0.0, 1e305, 9, varied="temperature",
+                                axis_scale=1.0)}.get(name)
+        if spec is None:
+            start, stop, scale = field_grid(name)
+            spec = narrowed(preset("fig6a"), start, stop, 9, varied=name, axis_scale=scale)
+        stage = sweep._ModelStage.of(spec.base, spec.varied, spec.grid() * spec.axis_scale,
+                                     baseline=True)
+        for block in (slice(0, 4), slice(4, None)):
+            a, d = stage.stacks(block)
+            a_max, d_max = stage.block_maxima(block)
+            assert np.array_equal(a_max, np.abs(a).max(axis=(1, 2)), equal_nan=True)
+            assert np.array_equal(d_max, np.abs(d).max(axis=(1, 2)), equal_nan=True)
+        # the pole's drift holds NaN, the hot points' diffusions inf
+        assert np.isfinite(stage.maxima).all() == (name not in ("pole", "hot"))
+
     def test_long_sweep_holds_one_model_stage_at_a_time(self):
         # along omega_m every drift and diffusion entry varies; one model
         # stage over the whole grid would hold 2 x 40 columns of 8001 points,
@@ -915,6 +985,40 @@ class TestThreadedSweep:
             assert zero not in serial.failures
             assert not np.isnan(serial.baseline_e_n[zero]).any()
             assert len(fallbacks) == 3
+
+    @pytest.mark.parametrize("name", ["fig3", "fig6a", "fig5_all_pairs",
+                                      "fig2_temperature"])
+    def test_columns_and_failures_do_not_depend_on_block_size(self, name, monkeypatch):
+        # cut into blocks of 1, 7 and 128 points (model stages of 16 blocks),
+        # on one thread and on two, a sweep gives the bits of its 64-point
+        # blocks: fig3 has a fallback problem, fig6a a baseline, fig5 all
+        # five pairs, and the temperature sweep overflows at all but T = 0
+        fallbacks = []
+        real = dynamics._kronecker_lyapunov
+        monkeypatch.setattr(dynamics, "_kronecker_lyapunov",
+                            lambda a, d: fallbacks.append(len(a)) or real(a, d))
+        spec = {
+            "fig3": preset("fig3"),
+            "fig6a": narrowed(preset("fig6a"), -2.0, 2.0, 150),
+            "fig5_all_pairs": narrowed(preset("fig5"), 0.0, 100.0, 150,
+                                       pairs=tuple(BIPARTITE_PAIRS)),
+            "fig2_temperature": narrowed(preset("fig2"), 0.0, 1e305, 97,
+                                         varied="temperature", axis_scale=1.0),
+        }[name]
+        reference = run_sweep(spec)
+        assert reference.stable_count() > 0
+        assert fallbacks or name != "fig3"
+        assert spec.baseline == (name != "fig5_all_pairs")
+        assert reference.error_count() == (96 if name == "fig2_temperature" else 0)
+        for points in (1, 7, 128):
+            monkeypatch.setattr(sweep, "BLOCK_POINTS", points)
+            monkeypatch.setattr(sweep, "_STAGE_POINTS", 16 * points)
+            for jobs in (1, 2):
+                result = run_sweep(spec, jobs=jobs)
+                for column in ("stable", "max_real_part", "e_n", "baseline_e_n"):
+                    assert (getattr(result, column).tobytes()
+                            == getattr(reference, column).tobytes()), (points, jobs, column)
+                assert list(result.failures.items()) == list(reference.failures.items())
 
     def test_pool_size_is_bounded_by_blocks_and_cpus(self, monkeypatch):
         sizes = []
