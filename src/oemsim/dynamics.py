@@ -446,8 +446,9 @@ def solve_lyapunov_batch(a: np.ndarray, d: np.ndarray,
     The pair sums lam_i + lam_j, nonzero where stable, are the eigenvalues of
     the vectorized Lyapunov operator; their extreme moduli's ratio estimates
     its condition. LAPACK's balancing sets aside rows and columns with no
-    off-diagonal entry, as the vacuum atomic modes of an atom-free problem
-    (sweep._atom_free).
+    off-diagonal entry, as the vacuum atomic modes of an atom-free point
+    (sweep._atom_free), which a sweep's baseline solves in stacks of their
+    own.
     That solve is inaccurate where S is ill-conditioned (near-defective
     drifts), so every point's residual is checked against RESIDUAL_TOL. The
     points that fail it are solved again together, directly: one batched LU

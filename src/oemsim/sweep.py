@@ -1,43 +1,47 @@
 """Parameter sweeps, bundled scenario presets, and atom-free baselines.
 
-A sweep varies one parameter of the 10-mode system over a 1-D grid. The model
-stage runs once per _STAGE_POINTS points, which bounds the memory it holds:
-a model.ParameterBlock of those points (the varied field's column beside the
-base's other values as floats, validated once, at the grid's extremes) gives
-one working point per problem variant (model.solve_steady_state), and the
-entries of build_drift and build_diffusion, each computed once. An entry
+A sweep varies one parameter of the 10-mode system over a 1-D grid: its
+points are a model.ParameterBlock (the varied field's column beside the
+base's other values as floats, validated once, at the grid's extremes). The
+model stage runs once per _STAGE_POINTS points, which bounds the memory it
+holds: it gives the points' working point (model.solve_steady_state) and
+the entries of build_drift and build_diffusion, each computed once. An entry
 that no column reaches is a float and goes into a 10x10 template; the rest
 stay columns, one value per point (dynamics._Template); the templates also
-give each problem's largest drift and diffusion entry, which the solve's
-finite check and residual bound read. The stage's points
-are then evaluated in blocks of BLOCK_POINTS: a block copies the templates
-into its drift and diffusion stacks and writes in only its slice of the
-varying entries, and reads where its working point failed (a pole of the
-optical response, or arithmetic out of floating-point range) from the
-stage's q_s column. One batched solve per block then gives
-the stability gate and the steady-state covariance
-(dynamics.solve_lyapunov_batch): one batched eigendecomposition, or, where
-the block's end problems are unstable, batched spectra without
+give each point's largest drift and diffusion entry, which the solve's
+finite check and residual bound read. The stage's points are then evaluated
+in blocks of BLOCK_POINTS: a block copies the templates into its drift and
+diffusion stacks and writes in only its slice of the varying entries, and
+reads where its working point failed (a pole of the optical response, or
+arithmetic out of floating-point range) from the stage's q_s column. One
+batched solve per block then gives the stability gate and the steady-state
+covariance (dynamics.solve_lyapunov_batch): one batched eigendecomposition,
+or, where the block's end problems are unstable, batched spectra without
 eigenvectors and an eigendecomposition of its stable problems alone, with
 the same bits either way. That half of the solve depends on the drifts
 alone, so in a sweep of one model stage a block whose drift stack an
 earlier block posed (along temperature, which reaches only the diffusion,
 or fig6b after fig6a) takes it from a memo (_DriftMemo) and solves only the
-diffusion half. The block's points that fail its residual
-check are solved again together, directly, by one batched LU solve of their
-Lyapunov operators on the 55 unknowns of a symmetric covariance. The
-entanglement of every (problem, requested mode pair) of the block comes from
-one batched log-negativity over one gathered stack of 4x4 blocks. The
-optional atom-free baseline, posed only when a bosonic pair is requested, is
-a second variant of the same points: each point's atom-free parameter point
-(_atom_free), built like any other; the independent 6-mode route that
-checks it lives in verify. evaluate_point is a sweep of one point.
+diffusion half. The block's points that fail its residual check are solved
+again together, directly, by one batched LU solve of their Lyapunov
+operators on the 55 unknowns of a symmetric covariance. The entanglement of
+every (point, requested mode pair) of the block comes from one batched
+log-negativity over one gathered stack of 4x4 blocks.
+
+The optional atom-free baseline, evaluated only when a bosonic pair is
+requested, is a second point set: each point's atom-free point (_atom_free),
+with the requested bosonic pairs, run through the same stages in the same
+call. One merge then puts its values into the baseline columns, in CSV
+order, and its errors, tagged _ATOM_FREE_TAG, behind the point's own; the
+independent 6-mode route that checks it lives in verify. evaluate_point is
+a sweep of one point.
 
 Blocks are independent, and their work is batched numpy and LAPACK calls that
 release the interpreter lock, so run_sweep(spec, jobs) with jobs > 1 evaluates
 them on a pool of min(jobs, blocks, CPUs) threads, while the calling thread
-runs the next model stage. Results are assembled in block order: the columns,
-the failures map and the CSV bytes are the same at every jobs value.
+runs the model stages of the next _STAGE_POINTS points. Results are assembled
+in block order: the columns, the failures map and the CSV bytes are the same
+at every jobs value.
 
 A SweepResult holds columns, one entry per grid point, and the CSV is
 written from them; per-point PointRecords are derived only when asked for.
@@ -176,8 +180,8 @@ def evaluate_point(params: model.SystemParameters, pairs: tuple[str, ...],
     """
     pairs = _pair_tags(pairs)
     base_pairs = _baseline_pairs(pairs) if baseline else ()
-    columns = _evaluate(params, "delta_c", np.array([params.delta_c]), pairs,
-                        base_pairs, jobs=1)
+    points = model.parameter_block(params, "delta_c", [params.delta_c])
+    columns = _evaluate(points, 1, pairs, base_pairs, jobs=1)
     return _records(np.array([params.delta_c / params.omega_m]), pairs, base_pairs,
                     *columns)[0]
 
@@ -201,7 +205,8 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     # column's extremes (or its first NaN) stand for every grid point
     for k in sorted({int(column.argmin()), int(column.argmax())}):
         spec.base.replace(**{spec.varied: float(column[k])})
-    return SweepResult(spec, xs, *_evaluate(spec.base, spec.varied, column, spec.pairs,
+    points = model.parameter_block(spec.base, spec.varied, column)
+    return SweepResult(spec, xs, *_evaluate(points, len(column), spec.pairs,
                                             spec.baseline_pairs, jobs))
 
 
@@ -229,47 +234,63 @@ def _baseline_pairs(pairs: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(t for t in gaussian.BOSONIC_PAIRS if t in pairs)
 
 
-def _evaluate(base: model.SystemParameters, varied: str, column: np.ndarray,
-              pairs: tuple[str, ...], base_pairs: tuple[str, ...], jobs: int):
-    """The columns of SweepResult for the points of `column` along `varied`:
+#: what a point's error message starts with when it comes from its atom-free point
+_ATOM_FREE_TAG = "atom-free point: "
+
+
+def _evaluate(points: model.ParameterBlock, n: int, pairs: tuple[str, ...],
+              base_pairs: tuple[str, ...], jobs: int):
+    """The columns of SweepResult for the n points of a ParameterBlock:
     stable, max_real_part, e_n, baseline_e_n and failures.
 
-    The model stage runs once per _STAGE_POINTS points (_ModelStage), and
-    then each of its blocks once (_evaluate_block). In a sweep of one stage
-    the drift half of a block's solve comes from _DRIFT_MEMO where a block
-    before it posed the same drift stack. A single point neither reads nor
-    prunes the memo: it has no second block to share a drift with. With a
-    pool, the calling thread runs the model stage of the next _STAGE_POINTS
-    points while the pool solves the blocks of the last ones; it waits for
-    the blocks of the stage before that first, so at most three stages are
-    held at a time.
+    The point sets: the points with pairs and, when base_pairs is not
+    empty, their atom-free points (_atom_free) with the requested pairs
+    that are in base_pairs, in the requested order. Each set's model stage
+    runs once per _STAGE_POINTS points (_ModelStage), and then each of its
+    blocks once (_evaluate_block). In a sweep of one stage the drift half of
+    a block's solve comes from _DRIFT_MEMO where a block before it posed the
+    same drift stack. A single point neither reads nor prunes the memo: it
+    has no second block to share a drift with. With a pool, the calling
+    thread runs the model stages of the next _STAGE_POINTS points while the
+    pool solves the blocks of the last ones; it waits for the blocks of the
+    range before that first, so at most three ranges are held at a time.
+
+    Then one merge: the atom-free values become baseline_e_n, in the order
+    of base_pairs; a point's own error comes before its atom-free point's,
+    which is tagged _ATOM_FREE_TAG; and every column of a failed point is
+    absent.
     """
-    n = len(column)
+    sets = [(points, pairs)]
+    if base_pairs:
+        requested = tuple(tag for tag in pairs if tag in base_pairs)
+        sets.append((_atom_free(points), requested))
     memo = 2 <= n <= _STAGE_POINTS  # sweeps of one stage and two points or more
     if n > _STAGE_POINTS:
         _DRIFT_MEMO.clear()
 
     def blocks():
+        """Per range of _STAGE_POINTS points, each set's blocks of it."""
         for lo in range(0, n, _STAGE_POINTS):
-            stage = _ModelStage.of(base, varied, column[lo:lo + _STAGE_POINTS],
-                                   bool(base_pairs))
-            slices = [slice(b, b + BLOCK_POINTS)
-                      for b in range(0, len(stage.q_s), BLOCK_POINTS)]
+            hi = min(lo + _STAGE_POINTS, n)
+            stages = [_ModelStage.of(set_points, lo, hi) for set_points, _ in sets]
+            work = [(s, lo + b, stage, slice(b, b + BLOCK_POINTS))
+                    for s, stage in enumerate(stages)
+                    for b in range(0, hi - lo, BLOCK_POINTS)]
             if memo:
-                keys = [stage.drift_key(block) for block in slices]
+                keys = [stage.drift_key(block) for _, _, stage, block in work]
                 _DRIFT_MEMO.keep(keys)
-                yield [(stage, block, partial(_DRIFT_MEMO.lookup, key))
-                       for block, key in zip(slices, keys)]
+                yield [(*args, partial(_DRIFT_MEMO.lookup, key))
+                       for args, key in zip(work, keys)]
             else:
-                yield [(stage, block, dynamics._decompose) for block in slices]
+                yield [(*args, dynamics._decompose) for args in work]
 
-    def evaluate(stage: _ModelStage, block: slice, decompose):
+    def evaluate(s: int, lo: int, stage: _ModelStage, block: slice, decompose):
         # a frame in this module: the Lyapunov solve's warnings name it
-        return _evaluate_block(stage, block, decompose, pairs, base_pairs)
+        return s, lo, _evaluate_block(stage, block, decompose, sets[s][1])
 
     workers = 1
     if jobs > 1:  # os.cpu_count reads the system's CPU list: only a pool needs it
-        workers = min(jobs, -(-n // BLOCK_POINTS), os.cpu_count() or 1)
+        workers = min(jobs, len(sets) * -(-n // BLOCK_POINTS), os.cpu_count() or 1)
     if workers > 1:
         # imported here: it costs milliseconds and pulls in logging, which
         # `import oemsim` and a serial sweep never need
@@ -277,8 +298,8 @@ def _evaluate(base: model.SystemParameters, varied: str, column: np.ndarray,
         pool = futures.ThreadPoolExecutor(workers)
         submitted, window = [], []
         try:
-            for stage_blocks in blocks():
-                window.append([pool.submit(evaluate, *args) for args in stage_blocks])
+            for range_blocks in blocks():
+                window.append([pool.submit(evaluate, *args) for args in range_blocks])
                 submitted += window[-1]
                 if len(window) == 2:
                     done, _ = futures.wait(window.pop(0),
@@ -291,13 +312,27 @@ def _evaluate(base: model.SystemParameters, varied: str, column: np.ndarray,
         # blocks start in order, so none before a failed one was cancelled
         outcomes = [future.result() for future in submitted]
     else:
-        outcomes = (evaluate(*args) for stage_blocks in blocks() for args in stage_blocks)
-    parts = []
-    failures: dict[int, str] = {}
-    for lo, (*cols, found) in zip(range(0, n, BLOCK_POINTS), outcomes):
-        parts.append(cols)
-        failures.update((lo + i, message) for i, message in found.items())
-    return (*map(np.concatenate, zip(*parts)), failures)
+        outcomes = (evaluate(*args) for range_blocks in blocks() for args in range_blocks)
+    parts = [[] for _ in sets]
+    found = [{} for _ in sets]
+    for s, lo, (*cols, errors) in outcomes:
+        parts[s].append(cols)
+        found[s].update((lo + i, message) for i, message in errors.items())
+    stable, max_real_part, e_n = map(np.concatenate, zip(*parts[0]))
+    failures = found[0]
+    baseline_e_n = np.empty((n, 0))
+    if base_pairs:
+        order = [requested.index(tag) for tag in base_pairs]
+        baseline_e_n = np.concatenate([cols[2] for cols in parts[1]])[:, order]
+        for i, message in found[1].items():
+            failures.setdefault(i, _ATOM_FREE_TAG + message)
+        failures = dict(sorted(failures.items()))
+    if failures:
+        failed = list(failures)
+        stable[failed] = False
+        for column in (max_real_part, e_n, baseline_e_n):
+            column[failed] = np.nan
+    return stable, max_real_part, e_n, baseline_e_n, failures
 
 
 def _atom_free(params: model.SystemParameters) -> model.SystemParameters:
@@ -305,184 +340,130 @@ def _atom_free(params: model.SystemParameters) -> model.SystemParameters:
     fields with no atoms (g = r_a = 0), and atomic modes that hold the vacuum
     (kappa_a = omega_m, no detuning, population or coherence). In units of
     omega_m their corner is -I (drift) and I (diffusion), and their other
-    entries are zeros, so no atomic field of params reaches its problem."""
+    entries are zeros, so no atomic field of params reaches its problem:
+    its bosonic blocks are those of the atom-free system, and the corner,
+    solved by I/2, decides no gate, condition estimate or residual bound.
+    A sweep's baseline is the second point set that this gives (_evaluate);
+    along an atomic field that set holds one point, as floats."""
     return replace(params, g=0.0, r_a=0.0, kappa_a=params.omega_m, delta_a1=0.0,
                    delta_a2=0.0, rho_aa0=0.0, rho_cc0=0.0, rho_ca0=0.0)
 
 
 @dataclass(frozen=True, eq=False)
 class _ModelStage:
-    """The model stage of consecutive points of a sweep: everything that the
-    points' problems need before the Lyapunov solve.
+    """The model stage of consecutive points of a point set: everything that
+    their problems need before the Lyapunov solve."""
 
-    Problem variants: the main problem and, when the sweep reports a
-    baseline, the problem at the points' atom-free point (_atom_free). There
-    the atomic modes decouple, so its bosonic blocks are those of the
-    atom-free system, and its atomic corner, -I (drift) and I (diffusion),
-    is solved by I/2: no atomic rate decides its gate, condition estimate or
-    residual bound.
-    """
-
-    omega_m: np.ndarray        # (n,) omega_m at each point
-    temperature: np.ndarray    # (n,) the bath temperature at each point
-    q_s: np.ndarray            # (n,) main working point: NaN at a pole, inf out of range
-    templates: list            # (drift, diffusion) dynamics._Template per variant
-    # (2, variants, n) the largest |entry| of each problem's drift, then of
-    # its diffusion, as solve_lyapunov_batch's maxima; not finite where an
-    # entry is not
+    omega_m: np.ndarray                # (n,) omega_m at each point
+    temperature: np.ndarray            # (n,) the bath temperature at each point
+    q_s: np.ndarray                    # (n,) working point: NaN at a pole, inf out of range
+    drift: dynamics._Template
+    diffusion: dynamics._Template
+    # (2, n) the largest |entry| of each point's drift, then of its
+    # diffusion, as solve_lyapunov_batch's maxima; not finite where an entry
+    # is not
     maxima: np.ndarray
 
     @classmethod
-    def of(cls, base: model.SystemParameters, varied: str, column: np.ndarray,
-           baseline: bool) -> "_ModelStage":
-        """One working point and one pair of templates per variant, each
-        computed once for all of the column's points. Arithmetic that leaves
-        floating-point range does not warn: the working point marks it, and
-        the solve fails a problem with a non-finite entry."""
-        block = model.parameter_block(base, varied, column)
-        n = len(column)
+    def of(cls, points: model.ParameterBlock, lo: int, hi: int) -> "_ModelStage":
+        """The working point and the templates of points lo to hi - 1 of a
+        ParameterBlock, each computed once for all of them. Arithmetic that
+        leaves floating-point range does not warn: the working point marks
+        it, and the solve fails a problem with a non-finite entry."""
+        block = replace(points, **{name: value[lo:hi] for name, value in vars(points).items()
+                                   if value.__class__ is np.ndarray})
+        n = hi - lo
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             working = model.solve_steady_state(block)
-            templates = [dynamics._templates(block, working)]
-            if baseline:
-                atom_free = _atom_free(block)
-                templates.append(dynamics._templates(
-                    atom_free, model.solve_steady_state(atom_free)))
-            maxima = np.array([[template.abs_max(n) for template in variant]
-                               for variant in zip(*templates)])
+            drift, diffusion = dynamics._templates(block, working)
+            maxima = np.array([drift.abs_max(n), diffusion.abs_max(n)])
         # a float where no column reaches
-        return cls(*(np.full(column.shape, value) for value in (
-            block.omega_m, block.temperature, working.q_s)), templates, maxima)
+        return cls(*(np.full(n, value) for value in (
+            block.omega_m, block.temperature, working.q_s)), drift, diffusion, maxima)
 
     def drift_key(self, block: slice) -> tuple:
         """What decides the drift stack of a block of the points: the
-        block's length and, per variant, the drift template's fixed entries,
-        varying slots and slice of values. Equal keys, equal stacks."""
-        key = [len(self.q_s[block])]
-        for drift, _ in self.templates:
-            key += [drift.fixed.tobytes(), drift.slots.tobytes()]
-            if drift.slots.size:
-                key.append(drift.values[:, block].tobytes())
-        return tuple(key)
+        block's length and the drift template's fixed entries, varying slots
+        and slice of values. Equal keys, equal stacks."""
+        drift = self.drift
+        key = (len(self.q_s[block]), drift.fixed.tobytes(), drift.slots.tobytes())
+        if drift.slots.size:
+            key += (drift.values[:, block].tobytes(),)
+        return key
 
     def stacks(self, block: slice) -> tuple[np.ndarray, np.ndarray]:
-        """The drift and diffusion stacks of a block of the points: problem k
-        is the block's point k's main problem, m + k its atom-free one."""
-        shape = (len(self.templates), len(self.q_s[block]), 100)
+        """The drift and diffusion stacks of a block of the points."""
+        shape = (len(self.q_s[block]), 100)
         a, d = np.empty(shape), np.empty(shape)
-        for (drift, diffusion), a_variant, d_variant in zip(self.templates, a, d):
-            drift.fill(a_variant, block)
-            diffusion.fill(d_variant, block)
+        self.drift.fill(a, block)
+        self.diffusion.fill(d, block)
         return a.reshape(-1, 10, 10), d.reshape(-1, 10, 10)
-
-    def block_maxima(self, block: slice) -> tuple[np.ndarray, np.ndarray]:
-        """The maxima of the problems of a block of the points, in the
-        order of stacks."""
-        a_max, d_max = self.maxima[:, :, block].reshape(2, -1)
-        return a_max, d_max
 
 
 @cache
-def _pair_columns(pairs: tuple[str, ...], base_pairs: tuple[str, ...]
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where a block's log-negativities come from and go: the flat indices
-    into a 10x10 covariance of the 4x4 blocks of the pairs, in their order,
-    for a main problem; the same for the baseline pairs, taken in the order
-    of pairs, for an atom-free problem; and the permutation that puts the
-    latter's values in the order of base_pairs, the CSV's."""
-    def columns(tags):
-        return np.array([10 * i + j for tag in tags
-                         for i in gaussian.BIPARTITE_PAIRS[tag].indices
-                         for j in gaussian.BIPARTITE_PAIRS[tag].indices], dtype=np.intp)
-
-    requested = [tag for tag in pairs if tag in base_pairs]
-    order = np.array([requested.index(tag) for tag in base_pairs], dtype=np.intp)
-    shared = columns(pairs), columns(requested), order
-    for array in shared:  # every block of every sweep of these pairs reads them
-        array.flags.writeable = False
-    return shared
+def _pair_columns(pairs: tuple[str, ...]) -> np.ndarray:
+    """The flat indices into a 10x10 covariance of the 4x4 blocks of the
+    pairs, in their order: where a block's log-negativities come from."""
+    columns = np.array([10 * i + j for tag in pairs
+                        for i in gaussian.BIPARTITE_PAIRS[tag].indices
+                        for j in gaussian.BIPARTITE_PAIRS[tag].indices], dtype=np.intp)
+    columns.flags.writeable = False  # every block of every sweep of these pairs reads it
+    return columns
 
 
 def _evaluate_block(stage: _ModelStage, block: slice,
                     decompose: Callable[[np.ndarray], dynamics._Eigenbasis],
-                    pairs: tuple[str, ...], base_pairs: tuple[str, ...]
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-                               dict[int, str]]:
+                    pairs: tuple[str, ...]
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, str]]:
     """The pipeline on a block of a model stage's points, with one batched
     Lyapunov solve and one batched log-negativity; decompose gives the
     drift half of the solve for the block's drift stack.
 
-    Each point poses its stage's problem variants. A problem has at most one
-    error: its solve error (a main working point at a pole or out of range
-    reads as one, and a non-finite diffusion's error gains the bath
-    temperature), or else its first pair error in the requested order. A
-    point reports its main problem's error before its baseline's. Returns
-    the columns of SweepResult for the block: stable, max_real_part, e_n,
-    baseline_e_n and failures. The stage gives the solve each problem's
-    maxima, and a block with no error skips the error mapping.
+    A point has at most one error: its solve error (a working point at a
+    pole or out of range reads as one, and a non-finite diffusion's error
+    gains the bath temperature), or else its first pair error in the order
+    of pairs. Returns stable, max_real_part and e_n for the block's points,
+    as the solve left them, and the errors by point. The stage gives the
+    solve each problem's maxima, and a block with no error skips the error
+    mapping.
     """
     a, d = stage.stacks(block)
-    m = len(a) // len(stage.templates)
-    sol = dynamics.solve_lyapunov_batch(a, d, decompose(a), stage.block_maxima(block))
+    m = len(a)
+    sol = dynamics.solve_lyapunov_batch(a, d, decompose(a), stage.maxima[:, block])
     solved = sol.stable
     if sol.errors:
         solved = solved.copy()
         solved[list(sol.errors)] = False
-    # one stack of the 4x4 blocks of every solved (problem, requested pair):
-    # the main problems' pairs in pair order, then the atom-free ones'
-    main_cols, base_cols, base_order = _pair_columns(pairs, base_pairs)
-    v = sol.v.reshape(len(a), 100)
-    main_rows = np.flatnonzero(solved[:m])
-    states = v.take(main_rows, axis=0).take(main_cols, axis=1)
-    if base_pairs:
-        base_rows = np.flatnonzero(solved[m:])
-        states = np.concatenate(
-            (states, v.take(m + base_rows, axis=0).take(base_cols, axis=1)), axis=None)
+    # one stack of the 4x4 blocks of every solved (point, requested pair)
+    rows = np.flatnonzero(solved)
+    states = sol.v.reshape(m, 100).take(rows, axis=0).take(_pair_columns(pairs), axis=1)
     values, _, pair_errors = gaussian.log_negativities(states.reshape(-1, 4, 4))
-    main_values = values[:main_rows.size * len(pairs)].reshape(main_rows.size, len(pairs))
-    if main_rows.size == m:
-        e_n = main_values
+    values = values.reshape(rows.size, len(pairs))
+    if rows.size == m:
+        e_n = values
     else:
         e_n = np.full((m, len(pairs)), np.nan)
-        e_n[main_rows] = main_values
-    baseline_e_n = np.full((m, len(base_pairs)), np.nan)
-    if base_pairs:
-        baseline_e_n[base_rows] = values[main_values.size:].reshape(
-            base_rows.size, len(base_pairs))[:, base_order]
-    stable = sol.stable[:m]
-    max_real_part = sol.max_real_part[:m] * stage.omega_m[block]
+        e_n[rows] = values
+    max_real_part = sol.max_real_part * stage.omega_m[block]
     if not (sol.errors or pair_errors):
-        return stable, max_real_part, e_n, baseline_e_n, {}
-    # a working point at a pole or out of range makes the main drift
-    # non-finite, so the solve has already failed that problem
+        return sol.stable, max_real_part, e_n, {}
+    # a working point at a pole or out of range makes the drift non-finite,
+    # so the solve has already failed that problem
     q_s = stage.q_s[block]
-    temperature = stage.temperature[block]
     errors = {}
     for k, exc in sol.errors.items():
-        if k < m and np.isnan(q_s[k]):
+        if np.isnan(q_s[k]):
             errors[k] = model.POLE_MESSAGE
-        elif k < m and np.isinf(q_s[k]):
+        elif np.isinf(q_s[k]):
             errors[k] = model.RANGE_MESSAGE
         elif isinstance(exc, dynamics._NonFiniteDiffusion):
-            errors[k] = f"{exc}; at bath temperature {temperature[k % m].item()!r} K"
+            temperature = stage.temperature[block][k].item()
+            errors[k] = f"{exc}; at bath temperature {temperature!r} K"
         else:
             errors[k] = str(exc)
-    for j, exc in sorted(pair_errors.items()):  # a problem's pairs in order
-        if j < main_values.size:
-            k = main_rows[j // len(pairs)]
-        else:
-            k = m + base_rows[(j - main_values.size) // len(base_pairs)]
-        errors.setdefault(int(k), str(exc))
-    failures: dict[int, str] = {}
-    for k in sorted(errors):
-        failures.setdefault(k % m, errors[k])
-    failed = list(failures)
-    stable = stable.copy()
-    stable[failed] = False
-    max_real_part[failed] = np.nan
-    e_n[failed] = np.nan
-    baseline_e_n[failed] = np.nan
-    return stable, max_real_part, e_n, baseline_e_n, dict(sorted(failures.items()))
+    for j, exc in sorted(pair_errors.items()):  # a point's pairs in order
+        errors.setdefault(int(rows[j // len(pairs)]), str(exc))
+    return sol.stable, max_real_part, e_n, dict(sorted(errors.items()))
 
 
 class _DriftMemo:
@@ -495,12 +476,12 @@ class _DriftMemo:
 
     A sweep of one stage (every preset) first drops every key that its
     blocks do not pose, then stores every block's eigenbasis: along
-    temperature, which the drift does not see, all its full blocks share one,
-    and fig6b and fig6c pose fig6a's. A longer sweep empties the memo and
-    decomposes every block itself, and a single point (evaluate_point)
-    decomposes its own and leaves the memo as it was. So the memo holds at
-    most one stage per sweep that runs at a time. The pool's threads share
-    it, under a lock.
+    temperature, which the drift does not see, all the full blocks of a
+    point set share one, and fig6b and fig6c pose fig6a's. A longer sweep
+    empties the memo and decomposes every block itself, and a single point
+    (evaluate_point) decomposes its own and leaves the memo as it was. So
+    the memo holds at most one stage of each point set per sweep that runs
+    at a time. The pool's threads share it, under a lock.
     """
 
     def __init__(self) -> None:

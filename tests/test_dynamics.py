@@ -542,11 +542,13 @@ class TestBatchedLyapunovSolver:
             "real = dynamics._kronecker_lyapunov\n"
             "dynamics._kronecker_lyapunov = lambda a, d: calls.append(len(a)) or real(a, d)\n"
             f"code = cli.main(['sweep', '--preset', 'fig3', '--out', {str(tmp_path / 'fig3.csv')!r}])\n"
-            "print(code, calls, 'scipy' in sys.modules)\n")
+            "print(code, *calls, 'scipy' in sys.modules)\n")
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        # fig3's two fallback problems, x = 0 with and without atoms, in one call
-        assert proc.stdout.split() == ["0", "[2]", "False"]
+        # fig3's two fallback problems, x = 0 with and without atoms, one
+        # call each: the first in a block of the points, the second in a
+        # block of their atom-free points
+        assert proc.stdout.split() == ["0", "1", "1", "False"]
 
 
 def lapack_versions():
@@ -622,9 +624,12 @@ class TestSpectraWithoutEigenvectors:
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_every_preset_block(self, name, monkeypatch):
-        stacks = sweep_stacks(monkeypatch, preset(name))
-        assert len(stacks) == -(-preset(name).count // BLOCK_POINTS)
-        for k, (a, _) in enumerate(stacks):  # main problems, then atom-free ones
+        spec = preset(name)
+        stacks = sweep_stacks(monkeypatch, spec)
+        # the blocks of the points, then those of their atom-free points
+        sets = 1 + bool(spec.baseline_pairs)
+        assert len(stacks) == sets * -(-spec.count // BLOCK_POINTS)
+        for k, (a, _) in enumerate(stacks):
             self.assert_same_spectra(a, f"{name} block {k}")
 
     @pytest.mark.parametrize("name", _sweep_tests.FIELD_NAMES)
@@ -632,9 +637,11 @@ class TestSpectraWithoutEigenvectors:
         start, stop, scale = _sweep_tests.field_grid(name)
         spec = _sweep_tests.narrowed(preset("fig6a"), start, stop, BLOCK_POINTS,
                                      varied=name, axis_scale=scale)
-        ((a, _),) = sweep_stacks(monkeypatch, spec)
-        assert len(a) == 2 * BLOCK_POINTS
-        self.assert_same_spectra(a, f"the fig6a grid along {name}")
+        stacks = sweep_stacks(monkeypatch, spec)
+        # one block of the points and one of their atom-free points
+        assert [len(a) for a, _ in stacks] == [BLOCK_POINTS, BLOCK_POINTS]
+        for (a, _), points in zip(stacks, ("", "atom-free ")):
+            self.assert_same_spectra(a, f"the fig6a grid of {points}points along {name}")
 
     def test_defective_problem_inside_a_stack(self, monkeypatch):
         a, _ = sweep_stacks(monkeypatch, preset("fig3"))[3]
@@ -745,20 +752,25 @@ class TestSolveRoutes:
         assert not sol.stable.any()
         assert np.isnan(sol.max_real_part).all() and np.isnan(sol.v).all()
 
-    # fig3 calls eig four times: on the whole stacks of three blocks, then
-    # on the stable problems of its last block, whose ends are unstable
-    @pytest.mark.parametrize("call", [3, 4], ids=["stack_eig", "stable_problems_eig"])
+    # fig3 calls eig four times per point set: on the whole stacks of three
+    # blocks, then on the stable problems of its last block, whose ends are
+    # unstable; first for the points, then for their atom-free points
+    @pytest.mark.parametrize("call", [3, 4, 7, 8], ids=[
+        "stack_eig", "stable_problems_eig", "atom_free_stack_eig",
+        "atom_free_stable_problems_eig"])
     def test_eigensolver_failure_fails_its_block_of_a_sweep(self, call, monkeypatch):
         spec = preset("fig3")
         clean = run_sweep(spec)
         sweep._DRIFT_MEMO.clear()  # else the clean run's eigenbases serve the next
         sizes = lapack_fails(monkeypatch, "eig", call)
         result = run_sweep(spec)
-        assert len(sizes) == 4
+        assert len(sizes) == 8
         lo = min(result.failures)
         block = np.arange(lo, min(lo + BLOCK_POINTS, spec.count))
         assert lo % BLOCK_POINTS == 0 and clean.failures == {}
-        assert result.failures == {int(i): LAPACK_FAILURE for i in block}
+        # a failure in a block of atom-free points is theirs, and says so
+        message = (sweep._ATOM_FREE_TAG if call > 4 else "") + LAPACK_FAILURE
+        assert result.failures == {int(i): message for i in block}
         rest = np.ones(spec.count, dtype=bool)
         rest[block] = False
         for column in ("stable", "max_real_part", "e_n", "baseline_e_n"):
@@ -769,23 +781,27 @@ class TestSolveRoutes:
             assert np.isnan(getattr(result, column)[block]).all(), column
 
     def test_calls_per_presets_pass(self, decompositions):
-        # 35 of the 49 blocks are decomposed: fig6b and fig6c pose fig6a's
-        # drifts (temperature enters the diffusion alone), so their 14
-        # blocks reuse fig6a's eigenbases. 14 of the 35 have unstable ends:
-        # eigvals on 2 probe problems per block and on the 1792 problems of
-        # those 14; eig on the 1817 problems of the other 21 blocks and on
-        # the 7 stable problems that 2 of the 14 hold. Decomposing every
-        # block took eigvals 71 times on 2914 problems and eig 31 times on 2412.
+        # 91 blocks: 49 of the points and 42 of their atom-free points. 63
+        # are decomposed: fig6b and fig6c pose fig6a's drifts (temperature
+        # enters the diffusion alone), so their 28 blocks reuse fig6a's
+        # eigenbases. Every decomposed block probes its 2 end problems with
+        # eigvals; the blocks with unstable ends then take eigvals on their
+        # whole stack and eig on their stable problems, the others eig on
+        # their whole stack. Decomposing every block took eigvals 134 times
+        # on 2934 problems and eig 55 times on 2474. With the atom-free
+        # problems as a second half of each block of points, a pass took
+        # eigvals 49 times on 1862 problems and eig 23 times on 1824.
         for name in PRESET_NAMES:
             run_sweep(preset(name))
-        assert decompositions == {"eigvals": 49, "eigvals problems": 1862,
-                                  "eig": 23, "eig problems": 1824}
+        assert decompositions == {"eigvals": 90, "eigvals problems": 1854,
+                                  "eig": 39, "eig problems": 1886}
 
     @pytest.mark.parametrize("baseline", [False, True])
     def test_single_point_takes_one_eig(self, baseline, decompositions):
+        # one eig per point set: the point, and its atom-free point
         spec = preset("fig6a")
         evaluate_point(spec.base, spec.pairs, baseline=baseline)
-        assert decompositions == {"eig": 1, "eig problems": 1 + baseline}
+        assert decompositions == {"eig": 1 + baseline, "eig problems": 1 + baseline}
         decompositions.clear()
         solve_lyapunov(*preset_point("fig6a", 1.0))
         assert decompositions == {"eig": 1, "eig problems": 1}
@@ -867,9 +883,9 @@ class TestBlockForm:
     @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SystemParameters)])
     def test_block_equals_scalar_along_every_field(self, name, variant):
         # which stages a field reaches decides which of a block's values are
-        # columns and which floats; a block along g or r_a whose atom-free
-        # variant replaces its only column by the sweep's 0.0 holds floats
-        # alone, and its templates still fill every point
+        # columns and which floats; the atom-free point set of a block along
+        # g or r_a, which replaces its only column by the sweep's 0.0, holds
+        # floats alone, and its templates still fill every point
         base = preset("fig6a").base
         self.assert_block_equals_scalar(
             base, name, np.array(self.field_values(base, name)), variant != "main",

@@ -109,6 +109,20 @@ def corrupt_pair(v, tag, scale):
     return str(err.value)
 
 
+def model_stages(base, varied, column):
+    """The model stages of the points of a column along a field, and of
+    their atom-free points, as a sweep with a baseline builds them."""
+    points = model.parameter_block(base, varied, column)
+    return tuple(sweep._ModelStage.of(p, 0, len(column))
+                 for p in (points, sweep._atom_free(points)))
+
+
+def atom_free_stack(a):
+    """Whether a block's drift stack is of atom-free points, whose atomic
+    corner is -I."""
+    return bool((a[:, 6:, 6:] == -np.eye(4)).all())
+
+
 class TestPresets:
     def test_names_complete(self):
         assert PRESET_NAMES == ("fig2", "fig3", "fig4", "fig5",
@@ -351,22 +365,58 @@ class TestAtomFreeProblem:
                             or real(a, d, *basis))
         spec = narrowed(preset("fig6a"), -2.0, 2.0, 9)
         run_sweep(spec)
-        ((a, d),) = stacks
-        m = spec.count  # one block: problem k is point k, m + k its baseline
+        # one block of the points, then one of their atom-free points
+        (main, _), (a, d) = stacks
         base = spec.base
-        assert np.all(a[:m, 6, 7] == base.delta_a1 / base.omega_m)
-        assert (a[m:, 6:, 6:] == -np.eye(4)).all() and (d[m:, 6:, 6:] == np.eye(4)).all()
-        assert not a[m:, 6:, :6].any() and not a[m:, :6, 6:].any()
-        assert not d[m:, 6:, :6].any() and not d[m:, :6, 6:].any()
+        assert np.all(main[:, 6, 7] == base.delta_a1 / base.omega_m)
+        assert (a[:, 6:, 6:] == -np.eye(4)).all() and (d[:, 6:, 6:] == np.eye(4)).all()
+        assert not a[:, 6:, :6].any() and not a[:, :6, 6:].any()
+        assert not d[:, 6:, :6].any() and not d[:, :6, 6:].any()
         # the largest atom-free drift entry is a bosonic one, not delta_a1/omega_m
-        assert np.array_equal(np.abs(a[m:]).max(axis=(1, 2)),
-                              np.abs(a[m:, :6, :6]).max(axis=(1, 2)))
-        assert np.abs(a[m:]).max() < 1e-2 * base.delta_a1 / base.omega_m
+        assert np.array_equal(np.abs(a).max(axis=(1, 2)),
+                              np.abs(a[:, :6, :6]).max(axis=(1, 2)))
+        assert np.abs(a).max() < 1e-2 * base.delta_a1 / base.omega_m
         for k, x in enumerate(spec.grid().tolist()):
             point = base.replace(delta_c=x * spec.axis_scale)
             problem = atom_free_problem(point)
-            assert np.array_equal(a[m + k], problem[0])
-            assert np.array_equal(d[m + k], problem[1])
+            assert np.array_equal(a[k], problem[0])
+            assert np.array_equal(d[k], problem[1])
+
+    def test_failure_only_at_the_atom_free_point_says_so(self):
+        # the point's own problem is unstable, with no error, while its
+        # atom-free point sits at a pole of the optical response
+        params = preset("fig6a").base.replace(kappa_c=1e-31, delta_c=0.0)
+        alone = evaluate_point(params, gaussian.BOSONIC_PAIRS)
+        assert alone.stable is False and alone.error is None
+        with pytest.raises(SingularityError, match="pole"):
+            solve_steady_state(sweep._atom_free(params))
+        message = sweep._ATOM_FREE_TAG + model.POLE_MESSAGE
+        assert message == "atom-free point: optical response has a pole at these parameters"
+        rec = evaluate_point(params, gaussian.BOSONIC_PAIRS, baseline=True)
+        assert rec == PointRecord(x=0.0, stable=None, max_real_part=None, error=message)
+        # a sweep through that point fails it alone, with the same message
+        result = run_sweep(narrowed(preset("fig6a"), -2.0, 2.0, 401, base=params))
+        (zero,) = np.flatnonzero(result.x == 0.0)
+        assert result.failures == {zero: message}
+        assert not result.stable[zero] and np.isnan(result.max_real_part[zero])
+
+    def test_unphysical_atom_free_pair_says_so(self, monkeypatch):
+        spec = preset("fig6a")
+        messages = []
+        real = dynamics.solve_lyapunov_batch
+
+        def corrupted(a, d, *basis):
+            sol = real(a, d, *basis)
+            if atom_free_stack(a):
+                messages.append(corrupt_pair(sol.v[0], "mr_mc", 1e3))
+            return sol
+
+        clean = evaluate_point(spec.base, ("oc_mc", "mr_mc"), baseline=True)
+        assert clean.error is None and clean.baseline_e_n
+        monkeypatch.setattr(dynamics, "solve_lyapunov_batch", corrupted)
+        rec = evaluate_point(spec.base, ("oc_mc", "mr_mc"), baseline=True)
+        assert rec == PointRecord(x=clean.x, stable=None, max_real_part=None,
+                                  error=sweep._ATOM_FREE_TAG + messages[0])
 
     @staticmethod
     def atom_free(params):
@@ -632,9 +682,10 @@ class TestBlockEngine:
         real = gaussian.log_negativities
         monkeypatch.setattr(gaussian, "log_negativities",
                             lambda cm: stacks.append(len(cm)) or real(cm))
-        spec = narrowed(preset("fig6a"), -2.0, 2.0, 150)  # blocks of 64, 64, 22
+        # blocks of 64, 64 and 22 points, and of their atom-free points
+        spec = narrowed(preset("fig6a"), -2.0, 2.0, 150)
         result = run_sweep(spec)
-        assert len(stacks) == 3
+        assert len(stacks) == 6
         assert sum(stacks) == (np.count_nonzero(~np.isnan(result.e_n))
                                + np.count_nonzero(~np.isnan(result.baseline_e_n)))
         # each value equals a single call on that point's own covariance
@@ -671,20 +722,20 @@ class TestBlockEngine:
         # fails its point, and every other point keeps its bits
         spec = narrowed(preset("fig6a"), 0.5, 1.5, 9, pairs=("oc_mc", "mr_oc", "mr_mc"))
         clean = run_sweep(spec)
-        m = spec.count  # one block: problem k is point k, m + k its baseline
         messages = []
         real = dynamics.solve_lyapunov_batch
 
         def corrupted(a, d, *basis):
             sol = real(a, d, *basis)
             assert not sol.errors
-            messages.append(corrupt_pair(sol.v[m + 4], "mr_oc", 1e3))
+            if atom_free_stack(a):  # the one block of atom-free points
+                messages.append(corrupt_pair(sol.v[4], "mr_oc", 1e3))
             return sol
 
         monkeypatch.setattr(dynamics, "solve_lyapunov_batch", corrupted)
         result = run_sweep(spec)
-        assert result.failures == {4: messages[0]}
-        rest = np.arange(m) != 4
+        assert result.failures == {4: sweep._ATOM_FREE_TAG + messages[0]}
+        rest = np.arange(spec.count) != 4
         for column in ("stable", "max_real_part", "e_n", "baseline_e_n"):
             assert (getattr(result, column)[rest].tobytes()
                     == getattr(clean, column)[rest].tobytes()), column
@@ -694,36 +745,42 @@ class TestBlockEngine:
         spec = narrowed(preset("fig6a"), 0.5, 1.5, 9,
                         pairs=("oc_mc", "mr_oc", "mr_mc"))
         clean = run_sweep(spec).records
-        m = spec.count  # one block: problem k is point k, m + k its baseline
-        # corrupted (problem, pair) cross blocks and failed solves, and whose
-        # error each point reports: its main problem's error, else its
-        # baseline's, where a problem's error is its solve error, else its
-        # first pair error in the requested order
-        scales = {(3, "mr_oc"): 1e3,
-                  (4, "mr_mc"): 1e3, (m + 4, "oc_mc"): 2e3,
-                  (5, "mr_mc"): 1e3, (5, "mr_oc"): 2e3,
-                  (m + 6, "mr_oc"): 1e3, (m + 6, "oc_mc"): 2e3,
-                  (m + 7, "mr_oc"): 3e3,
-                  (8, "mr_mc"): 3e3}
-        messages = {7: "main solve failed", m + 8: "baseline solve failed"}
-        reported = {3: (3, "mr_oc"), 4: (4, "mr_mc"), 5: (5, "mr_oc"),
-                    6: (m + 6, "oc_mc"), 7: 7, 8: (8, "mr_mc")}
+        # corrupted (point, pair) cross blocks and failed solves, in the one
+        # block of the points (own) and the one of their atom-free points
+        # (free), and whose error each point reports: its own error, else
+        # its atom-free point's, where a point's error is its solve error,
+        # else its first pair error in the requested order
+        own, free = False, True  # what atom_free_stack says of each block
+        scales = {(own, 3, "mr_oc"): 1e3,
+                  (own, 4, "mr_mc"): 1e3, (free, 4, "oc_mc"): 2e3,
+                  (own, 5, "mr_mc"): 1e3, (own, 5, "mr_oc"): 2e3,
+                  (free, 6, "mr_oc"): 1e3, (free, 6, "oc_mc"): 2e3,
+                  (free, 7, "mr_oc"): 3e3,
+                  (own, 8, "mr_mc"): 3e3}
+        messages = {(own, 7): "main solve failed", (free, 8): "baseline solve failed"}
+        reported = {3: (own, 3, "mr_oc"), 4: (own, 4, "mr_mc"),
+                    5: (own, 5, "mr_oc"), 6: (free, 6, "oc_mc"),
+                    7: (own, 7), 8: (own, 8, "mr_mc")}
         assert all(clean[i].e_n and clean[i].baseline_e_n for i in reported)
         real = dynamics.solve_lyapunov_batch
 
         def corrupted(a, d, *basis):
             sol = real(a, d, *basis)
-            for (k, tag), scale in scales.items():
-                messages[k, tag] = corrupt_pair(sol.v[k], tag, scale)
-            sol.errors.update({k: SimulationError(messages[k]) for k in (7, m + 8)})
+            here = atom_free_stack(a)
+            for (stack, k, tag), scale in scales.items():
+                if stack == here:
+                    messages[stack, k, tag] = corrupt_pair(sol.v[k], tag, scale)
+            sol.errors.update({k: SimulationError(messages[stack, k])
+                               for stack, k in ((not free, 7), (free, 8)) if stack == here})
             return sol
 
         monkeypatch.setattr(dynamics, "solve_lyapunov_batch", corrupted)
         result = run_sweep(spec)
         expected = list(clean)
         for i, key in reported.items():
+            error = (sweep._ATOM_FREE_TAG if key[0] else "") + messages[key]
             expected[i] = PointRecord(x=clean[i].x, stable=None,
-                                      max_real_part=None, error=messages[key])
+                                      max_real_part=None, error=error)
         assert result.records == tuple(expected)
         assert len(set(messages.values())) == len(messages)  # order is visible
         failed = sorted(reported)
@@ -758,22 +815,23 @@ class TestBlockEngine:
     def test_reported_error_does_not_depend_on_map_order(self, monkeypatch):
         spec = narrowed(preset("fig6a"), 0.5, 1.5, 9,
                         pairs=("oc_mc", "mr_oc", "mr_mc"))
-        m = spec.count  # one block: problem k is point k, m + k its baseline
-        # point 2: both solves fail; 3: two main pairs; 5: a main and a
-        # baseline pair. Each map is handed over in the reverse of its
-        # order, the baseline's errors before the main problem's.
-        scales = {(m + 5, "oc_mc"): 3e3, (5, "mr_mc"): 2e3,
-                  (3, "mr_mc"): 2e3, (3, "oc_mc"): 1e3}
+        # point 2: both solves fail; 3: two of the point's pairs; 5: a pair
+        # of the point and one of its atom-free point. Each pair error map is
+        # handed over in the reverse of its order.
+        scales = {(True, 5, "oc_mc"): 3e3, (False, 5, "mr_mc"): 2e3,
+                  (False, 3, "mr_mc"): 2e3, (False, 3, "oc_mc"): 1e3}
         messages = {}
         real_batch = dynamics.solve_lyapunov_batch
         real_negativities = gaussian.log_negativities
 
         def batch(a, d, *basis):
             sol = real_batch(a, d, *basis)
-            for (k, tag), scale in scales.items():
-                messages[k, tag] = corrupt_pair(sol.v[k], tag, scale)
-            sol.errors.update({m + 2: SimulationError("baseline solve failed"),
-                               2: SimulationError("main solve failed")})
+            here = atom_free_stack(a)
+            for (stack, k, tag), scale in scales.items():
+                if stack == here:
+                    messages[k, tag] = corrupt_pair(sol.v[k], tag, scale)
+            sol.errors.update({2: SimulationError(
+                "baseline solve failed" if here else "main solve failed")})
             return sol
 
         def negativities(cm):
@@ -791,20 +849,22 @@ class TestBlockEngine:
     def test_pole_is_reported_while_its_baseline_solves(self, monkeypatch):
         spec = self.mixed_spec()
         assert spec.baseline
-        solutions = []
+        solutions = {False: [], True: []}  # the points' blocks, the atom-free ones'
         real = dynamics.solve_lyapunov_batch
-        monkeypatch.setattr(dynamics, "solve_lyapunov_batch",
-                            lambda a, d, *basis: solutions.append(real(a, d, *basis))
-                            or solutions[-1])
+
+        def batch(a, d, *basis):
+            solutions[atom_free_stack(a)].append(real(a, d, *basis))
+            return solutions[atom_free_stack(a)][-1]
+
+        monkeypatch.setattr(dynamics, "solve_lyapunov_batch", batch)
         result = run_sweep(spec)
         (pole,) = np.flatnonzero(result.x == 1.0)
         assert result.failures[pole] == model.POLE_MESSAGE
-        sol = solutions[pole // BLOCK_POINTS]
-        m = len(sol.stable) // 2
+        sol, free = (solutions[stack][pole // BLOCK_POINTS] for stack in (False, True))
         k = pole % BLOCK_POINTS
         assert "non-finite" in str(sol.errors[k])  # the pole's NaN drift
-        assert m + k not in sol.errors and sol.stable[m + k]
-        assert not np.isnan(sol.v[m + k]).any()
+        assert k not in free.errors and free.stable[k]
+        assert not np.isnan(free.v[k]).any()
         single = evaluate_point(spec.base.replace(delta_c=spec.axis_scale),
                                 spec.pairs, baseline=True)
         assert single.error == model.POLE_MESSAGE
@@ -830,8 +890,10 @@ class TestBlockEngine:
         blocks = -(-spec.count // BLOCK_POINTS)
         stages = -(-spec.count // sweep._STAGE_POINTS)
         assert 1 < stages and 8 * stages <= blocks  # many blocks per stage
-        # a main and an atom-free working point per stage, not per block
-        assert calls == {"solve_steady_state": 2 * stages, "solve_lyapunov_batch": blocks}
+        # a working point per stage for the points and one for their
+        # atom-free points, not one per block; a solve per block of each
+        assert calls == {"solve_steady_state": 2 * stages,
+                         "solve_lyapunov_batch": 2 * blocks}
 
     def test_model_stage_sorts_entries_by_kind(self):
         # an entry that no column reaches is held once, as a float
@@ -839,27 +901,26 @@ class TestBlockEngine:
         columns = {"temperature": np.array([0.0, 1e-3, 0.3]),
                    "omega_m": np.array([0.8, 1.0, 1.2]) * base.omega_m,
                    "delta_c": np.array([-1.0, 0.0, 1.0]) * base.delta_c}
-        along = {name: sweep._ModelStage.of(base, name, column, baseline=True)
-                 for name, column in columns.items()}
-        for drift, diffusion in along["temperature"].templates:
-            assert drift.slots.size == 0  # the drift does not depend on temperature
-            assert sorted(diffusion.slots.tolist()) == [11, 44, 55]  # the thermal factors
-        (drift, diffusion), _ = along["omega_m"].templates
-        assert drift.slots.size == 31 and diffusion.slots.size == 9
+        along = {name: model_stages(base, name, column) for name, column in columns.items()}
+        for stage in along["temperature"]:
+            assert stage.drift.slots.size == 0  # the drift does not depend on temperature
+            # the thermal factors
+            assert sorted(stage.diffusion.slots.tolist()) == [11, 44, 55]
+        stage, _ = along["omega_m"]
+        assert stage.drift.slots.size == 31 and stage.diffusion.slots.size == 9
         # at every point the atom-free atomic modes hold the vacuum: -I
         # (drift) and I (diffusion) in their corner, and zeros in their rows
         # and columns outside it, even where every entry is a column
-        for stage in along.values():
-            a, d = stage.stacks(slice(0, 3))
-            free_a, free_d = a[3:], d[3:]
+        for _, free in along.values():
+            free_a, free_d = free.stacks(slice(0, 3))
             assert (free_a[:, 6:, 6:] == -np.eye(4)).all()
             assert (free_d[:, 6:, 6:] == np.eye(4)).all()
             assert not free_a[:, 6:, :6].any() and not free_a[:, :6, 6:].any()
             assert not free_d[:, 6:, :6].any() and not free_d[:, :6, 6:].any()
         # delta_c reaches its own two entries and the optomechanical coupling
-        for drift, diffusion in along["delta_c"].templates:
-            assert sorted(drift.slots.tolist()) == [12, 23, 30, 32]
-            assert diffusion.slots.size == 0
+        for stage in along["delta_c"]:
+            assert sorted(stage.drift.slots.tolist()) == [12, 23, 30, 32]
+            assert stage.diffusion.slots.size == 0
 
     @pytest.mark.parametrize("name", ["g", "r_a", "kappa_a", "rho_aa0", "rho_cc0",
                                       "rho_ca0", "delta_a1", "delta_a2"])
@@ -868,10 +929,9 @@ class TestBlockEngine:
         # nothing outside the atomic modes, which hold the vacuum placeholders
         start, stop, scale = field_grid(name)
         column = np.linspace(start, stop, 5) * scale
-        stage = sweep._ModelStage.of(preset("fig6a").base, name, column, baseline=True)
-        (drift, _), (free_drift, free_diffusion) = stage.templates
-        assert drift.slots.size > 0
-        assert free_drift.slots.size == 0 and free_diffusion.slots.size == 0
+        stage, free = model_stages(preset("fig6a").base, name, column)
+        assert stage.drift.slots.size > 0
+        assert free.drift.slots.size == 0 and free.diffusion.slots.size == 0
 
     @pytest.mark.parametrize("name", FIELD_NAMES + ("pole", "hot"))
     def test_model_stage_maxima_are_those_of_the_stacks(self, name):
@@ -884,15 +944,16 @@ class TestBlockEngine:
         if spec is None:
             start, stop, scale = field_grid(name)
             spec = narrowed(preset("fig6a"), start, stop, 9, varied=name, axis_scale=scale)
-        stage = sweep._ModelStage.of(spec.base, spec.varied, spec.grid() * spec.axis_scale,
-                                     baseline=True)
-        for block in (slice(0, 4), slice(4, None)):
-            a, d = stage.stacks(block)
-            a_max, d_max = stage.block_maxima(block)
-            assert np.array_equal(a_max, np.abs(a).max(axis=(1, 2)), equal_nan=True)
-            assert np.array_equal(d_max, np.abs(d).max(axis=(1, 2)), equal_nan=True)
+        stages = model_stages(spec.base, spec.varied, spec.grid() * spec.axis_scale)
+        for stage in stages:  # the points', then their atom-free points'
+            for block in (slice(0, 4), slice(4, None)):
+                a, d = stage.stacks(block)
+                a_max, d_max = stage.maxima[:, block]
+                assert np.array_equal(a_max, np.abs(a).max(axis=(1, 2)), equal_nan=True)
+                assert np.array_equal(d_max, np.abs(d).max(axis=(1, 2)), equal_nan=True)
         # the pole's drift holds NaN, the hot points' diffusions inf
-        assert np.isfinite(stage.maxima).all() == (name not in ("pole", "hot"))
+        finite = all(np.isfinite(stage.maxima).all() for stage in stages)
+        assert finite == (name not in ("pole", "hot"))
 
     def test_long_sweep_holds_one_model_stage_at_a_time(self):
         # along omega_m every drift and diffusion entry varies; one model
@@ -1042,10 +1103,11 @@ class TestThreadedSweep:
                 pass
 
         monkeypatch.setattr(futures, "ThreadPoolExecutor", SerialPool)
-        spec = narrowed(preset("fig6a"), -2.0, 2.0, 2 * BLOCK_POINTS + 1)  # 3 blocks
+        # 3 blocks of points and 3 of their atom-free points
+        spec = narrowed(preset("fig6a"), -2.0, 2.0, 2 * BLOCK_POINTS + 1)
         serial = run_sweep(spec, jobs=1)
         assert sizes == []
-        for cpus, size in ((4, 3), (2, 2)):
+        for cpus, size in ((8, 6), (4, 4), (2, 2)):
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
             pooled = run_sweep(spec, jobs=10_000)
             assert sizes.pop() == size
@@ -1054,7 +1116,10 @@ class TestThreadedSweep:
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
             run_sweep(spec, jobs=10_000)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        run_sweep(narrowed(spec, -2.0, 2.0, BLOCK_POINTS), jobs=4)  # one block
+        one = narrowed(spec, -2.0, 2.0, BLOCK_POINTS)
+        run_sweep(one, jobs=4)  # one block of points and one of atom-free points
+        assert sizes.pop() == 2
+        run_sweep(dataclasses.replace(one, baseline=False), jobs=4)  # one block
         assert sizes == []
 
     def test_failing_block_propagates_and_cancels_the_rest(self, monkeypatch):
@@ -1090,8 +1155,10 @@ class TestThreadedSweep:
 
     def test_stages_equal_serial_and_stay_few(self, monkeypatch):
         # blocks of eight points and stages of two blocks: the pool solves
-        # the blocks of at most two stages while the calling thread computes
-        # the next one, however many stages the grid has
+        # the blocks of at most two ranges of stages while the calling
+        # thread computes the next one, however many stages the grid has;
+        # each range is a stage of the points and one of their atom-free
+        # points
         monkeypatch.setattr(sweep, "BLOCK_POINTS", 8)
         monkeypatch.setattr(sweep, "_STAGE_POINTS", 16)
         self.injected_errors(monkeypatch)
@@ -1111,9 +1178,9 @@ class TestThreadedSweep:
 
         monkeypatch.setattr(sweep._ModelStage, "of", of)
         monkeypatch.setattr(sweep, "_evaluate_block", block)
-        spec = narrowed(preset("fig6a"), -2.0, 2.0, 161)  # 11 stages
+        spec = narrowed(preset("fig6a"), -2.0, 2.0, 161)  # 11 ranges
         results = {jobs: run_sweep(spec, jobs=jobs) for jobs in (1, 2, 3)}
-        assert max(counts) <= 3
+        assert max(counts) <= 3 * 2
         serial = results[1]
         assert serial.error_count() > 1
         for result in results.values():
@@ -1212,13 +1279,14 @@ class TestDriftMemo:
             assert (calls.total() > 0) == (name == "fig6a"), name
 
     def test_temperature_sweep_decomposes_two_blocks(self, decomposed):
-        # one stage, one drift: the first full block and the short last
-        # block are decomposed, and the memo ends with their two keys
+        # one stage, one drift per point set: the first full block and the
+        # short last block of the points and of their atom-free points are
+        # decomposed, and the memo ends with their four keys
         spec = along_temperature(preset("fig6a"), 1001)
         assert spec.count <= sweep._STAGE_POINTS and spec.count % BLOCK_POINTS
         result = run_sweep(spec)
-        assert decomposed == [2 * BLOCK_POINTS, 2 * (spec.count % BLOCK_POINTS)]
-        assert len(sweep._DRIFT_MEMO._held) == 2
+        assert decomposed == 2 * [BLOCK_POINTS, spec.count % BLOCK_POINTS]
+        assert len(sweep._DRIFT_MEMO._held) == 4
         for rec in result.records:
             single = evaluate_point(spec.base.replace(temperature=rec.x),
                                     spec.pairs, baseline=True)
@@ -1250,25 +1318,27 @@ class TestDriftMemo:
         if name == "unstable_drift":
             assert not cold.stable.any() and not cold.failures
         elif name == "fallback":
-            assert cold_fallbacks == [2] and not cold.failures
+            # x = 0's problem and its atom-free one, one per point set
+            assert cold_fallbacks == [1, 1] and not cold.failures
         else:
             assert cold.failures == dict.fromkeys(range(spec.count), model.POLE_MESSAGE)
 
     def test_long_sweep_of_distinct_drifts_keeps_nothing(self, decomposed):
-        run_sweep(preset("fig6a"))  # one stage: its seven blocks are kept
-        assert len(sweep._DRIFT_MEMO._held) == len(decomposed) == 7
+        # one stage: its seven blocks, and their atom-free points' seven, are kept
+        run_sweep(preset("fig6a"))
+        assert len(sweep._DRIFT_MEMO._held) == len(decomposed) == 2 * 7
         decomposed.clear()
         spec = narrowed(preset("fig6a"), -2.0, 2.0, 2 * sweep._STAGE_POINTS + 1)
         run_sweep(spec)
-        assert len(decomposed) == -(-spec.count // BLOCK_POINTS)
+        assert len(decomposed) == 2 * -(-spec.count // BLOCK_POINTS)
         assert sweep._DRIFT_MEMO._held == {}
 
     def test_sweep_of_one_stage_drops_the_drifts_it_does_not_pose(self, decomposed):
         run_sweep(preset("fig6a"))
         run_sweep(preset("fig6b"))  # fig6a's drifts: nothing decomposed, all kept
-        assert len(sweep._DRIFT_MEMO._held) == len(decomposed) == 7
+        assert len(sweep._DRIFT_MEMO._held) == len(decomposed) == 2 * 7
         run_sweep(preset("fig2"))
-        assert len(sweep._DRIFT_MEMO._held) == len(decomposed) - 7 > 0
+        assert len(sweep._DRIFT_MEMO._held) == len(decomposed) - 2 * 7 > 0
 
     def test_single_point_leaves_the_memo_alone(self, decomposed):
         # a point between fig6a and fig6b neither prunes fig6a's drifts from
@@ -1286,8 +1356,9 @@ class TestDriftMemo:
 
     def test_threads_share_the_memo(self, monkeypatch, decomposed):
         # more threads than CPUs and a short switch interval, over 25 blocks
-        # that pose one drift: whatever the interleaving, the results equal
-        # the serial run's and the memo holds one key
+        # of points that pose one drift and 25 of their atom-free points that
+        # pose another: whatever the interleaving, the results equal the
+        # serial run's and the memo holds one key per point set
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setattr(sweep, "BLOCK_POINTS", 8)
         spec = along_temperature(preset("fig6a"), 200)
@@ -1298,7 +1369,7 @@ class TestDriftMemo:
             for _ in range(5):
                 sweep._DRIFT_MEMO.clear()
                 assert_same_bits(run_sweep(spec, jobs=8), serial)
-                assert len(sweep._DRIFT_MEMO._held) == 1
+                assert len(sweep._DRIFT_MEMO._held) == 2
         finally:
             sys.setswitchinterval(interval)
 
