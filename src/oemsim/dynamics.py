@@ -130,12 +130,13 @@ def build_diffusion(params: SystemParameters) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Template:
-    """The 10x10 matrices of a ParameterBlock's points as what they share
+    """The n x n matrices of a ParameterBlock's points as what they share
     and what varies: `fixed` holds every entry / omega_m that is a float (0
     off the entry slots), and values[i] holds, one per point, the entry at
-    flat slot slots[i]."""
+    flat slot slots[i]. A model's templates are 10x10; restrict gives a mode
+    group's."""
 
-    fixed: np.ndarray    # (100,)
+    fixed: np.ndarray    # (n * n,)
     slots: np.ndarray    # (k,)
     values: np.ndarray   # (k, m)
 
@@ -156,10 +157,18 @@ class _Template:
                 fixed[slot] = value
         return cls(fixed, np.array(varying, dtype=np.intp), np.array(columns))
 
+    def restrict(self, modes: slice) -> "_Template":
+        """The template of the 10x10 matrices' block of rows and columns
+        `modes`, a slice of the quadratures."""
+        flat, local = _restriction(modes.start, modes.stop)
+        slots = local[self.slots]
+        inside = slots >= 0
+        return _Template(self.fixed[flat], slots[inside], self.values[inside])
+
     def fill(self, out: np.ndarray, block: slice) -> None:
         """Write the flattened matrices of a block of the points into out, an
-        (m, 100) array: the same bits that build_drift or build_diffusion
-        give at those points."""
+        (m, n * n) array: the same bits that build_drift or build_diffusion
+        give at those points (or their block of a mode group)."""
         out[...] = self.fixed
         if self.slots.size:
             out[:, self.slots] = self.values[:, block].T
@@ -173,6 +182,21 @@ class _Template:
         return np.full(m, fixed)
 
 
+@cache
+def _restriction(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """For the block of rows and columns start to stop - 1 of a 10x10
+    matrix: the flat index in the matrix of each of the block's entries, in
+    the block's flat order, and the flat index in the block of each entry of
+    the matrix, -1 outside it."""
+    inside = np.arange(start, stop)
+    flat = (10 * inside[:, None] + inside).ravel()
+    local = np.full(100, -1, dtype=np.intp)
+    local[flat] = np.arange(flat.size)
+    for table in (flat, local):  # shared by every restricted template
+        table.flags.writeable = False
+    return flat, local
+
+
 def _templates(params: SystemParameters, ss: SteadyState) -> tuple[_Template, _Template]:
     """The drift and the diffusion of a ParameterBlock and its SteadyState,
     as _Templates: the entries of build_drift and build_diffusion, computed
@@ -180,6 +204,39 @@ def _templates(params: SystemParameters, ss: SteadyState) -> tuple[_Template, _T
     om = params.omega_m
     return (_Template.split(_DRIFT_SLOTS, _drift_entries(params, ss), om),
             _Template.split(_DIFFUSION_SLOTS, _diffusion_entries(params), om))
+
+
+#: the quadratures of the bosonic modes (resonator, optical and microwave
+#: cavity) and of the atomic quasi-modes, and of all ten
+_GROUPS = (slice(0, 6), slice(6, 10))
+_ALL_MODES = slice(0, 10)
+# the entries of a flattened 10x10 matrix that link a bosonic quadrature
+# with an atomic one
+_LINKS = np.not_equal.outer(np.arange(10) < 6, np.arange(10) < 6).ravel()
+_NO_SLOTS = np.empty(0, dtype=np.intp)
+
+
+def _decoupled(*templates: _Template, m: int = 1) -> np.ndarray:
+    """(m,) whether each of m 10x10 problems, whose matrices the templates
+    hold, has 0 at every entry that links the bosonic modes with the atomic
+    ones, as where g = 0. Such a problem is solved as its two mode groups
+    (_GROUPS), each a Lyapunov problem of its own, and its V is 0 at those
+    entries too. solve_lyapunov and a sweep's model stage split by this
+    rule, so a point's covariance is the same bits on either route."""
+    split = np.ones(m, dtype=bool)
+    for template in templates:
+        if template.fixed[_LINKS].any():
+            return ~split
+        linked = _LINKS[template.slots]
+        if linked.any():
+            split &= ~template.values[linked].any(axis=0)
+    return split
+
+
+def _splits(a: np.ndarray, d: np.ndarray) -> bool:
+    """Whether one problem is solved as its mode groups (_decoupled)."""
+    return a.shape == d.shape == (10, 10) and bool(_decoupled(
+        *(_Template(x.ravel(), _NO_SLOTS, _NO_SLOTS) for x in (a, d)))[0])
 
 
 def is_stable(a: np.ndarray) -> StabilityReport:
@@ -201,10 +258,17 @@ def is_stable(a: np.ndarray) -> StabilityReport:
 def solve_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Steady-state covariance V solving a V + V a^T = -d for Hurwitz-stable a.
 
-    A stack of one through solve_lyapunov_batch. Raises the problem's
-    SimulationError, or StabilityError if a is not Hurwitz stable.
+    A stack of one through solve_lyapunov_batch, per mode group where a
+    10x10 problem splits (_decoupled), as a sweep solves it. Raises the
+    problem's SimulationError, or StabilityError if a is not Hurwitz stable.
     """
-    sol = solve_lyapunov_batch(a[None], d[None])
+    groups = _GROUPS if _splits(a, d) else (slice(0, len(a)),)
+    parts = []
+    for modes in groups:  # a loop, not a comprehension: the warnings' stacklevel
+        parts.append((modes, None, solve_lyapunov_batch(
+            np.ascontiguousarray(a[modes, modes])[None],
+            np.ascontiguousarray(d[modes, modes])[None])))
+    sol = _join(parts, 1)
     if sol.errors:
         raise sol.errors[0]
     if not sol.stable[0]:
@@ -287,9 +351,20 @@ def _residual_and_bound(a: np.ndarray, d: np.ndarray, v: np.ndarray,
 
 
 class _NonFiniteDiffusion(SimulationError):
-    """A problem's diffusion has non-finite entries where its drift has none,
-    as where a thermal factor overflows. A sweep adds the point's bath
-    temperature to the message."""
+    """A problem's diffusion has non-finite entries, as (i, j, value), where
+    its drift has none, as where a thermal factor overflows. A sweep adds
+    the point's bath temperature to the message."""
+
+    def __init__(self, entries: list[tuple[int, int, float]]) -> None:
+        self.entries = entries
+        super().__init__("diffusion matrix contains non-finite entries: " + ", ".join(
+            f"({i}, {j}) = {value}" for i, j, value in entries))
+
+    def shifted(self, first: int) -> "_NonFiniteDiffusion":
+        """The error of a mode group whose first quadrature is `first`, with
+        the whole problem's indices."""
+        return _NonFiniteDiffusion([(i + first, j + first, value)
+                                    for i, j, value in self.entries])
 
 
 @dataclass(frozen=True)
@@ -445,15 +520,17 @@ def solve_lyapunov_batch(a: np.ndarray, d: np.ndarray,
     values but turn some exact zeros of V into -0.0.
     The pair sums lam_i + lam_j, nonzero where stable, are the eigenvalues of
     the vectorized Lyapunov operator; their extreme moduli's ratio estimates
-    its condition. LAPACK's balancing sets aside rows and columns with no
-    off-diagonal entry, as the vacuum atomic modes of an atom-free point
-    (sweep._atom_free), which a sweep's baseline solves in stacks of their
-    own.
+    its condition. A 10x10 problem whose bosonic and atomic modes no entry
+    links (_decoupled), as an atom-free point's (sweep._atom_free), comes
+    here as two problems, one per mode group, in stacks of their own
+    (solve_lyapunov, sweep._ModelStage), and _join puts them together; the
+    condition estimate and the residual bound are then each group's.
     That solve is inaccurate where S is ill-conditioned (near-defective
     drifts), so every point's residual is checked against RESIDUAL_TOL. The
     points that fail it are solved again together, directly: one batched LU
-    solve of their Lyapunov operators on the 55 unknowns of a symmetric
-    10 x 10 solution (_kronecker_lyapunov), checked against the same bound.
+    solve of their Lyapunov operators on the n(n+1)/2 unknowns of a
+    symmetric n x n solution (_kronecker_lyapunov), checked against the
+    same bound.
     A point whose operator is singular to working precision fails. A stable
     point whose condition estimate exceeds CONDITION_WARN warns. Per-point
     failures come back in `errors` instead of being raised; where LAPACK
@@ -474,10 +551,8 @@ def solve_lyapunov_batch(a: np.ndarray, d: np.ndarray,
     if noisy.any():
         # a non-finite drift keeps its own error
         for k in np.flatnonzero(noisy & np.isfinite(a_max)).tolist():
-            entries = ", ".join(f"({i}, {j}) = {d[k, i, j]}"
-                                for i, j in np.argwhere(~np.isfinite(d[k])).tolist())
             errors[k] = _NonFiniteDiffusion(
-                f"diffusion matrix contains non-finite entries: {entries}")
+                [(i, j, d[k, i, j]) for i, j in np.argwhere(~np.isfinite(d[k])).tolist()])
         abscissa[noisy] = np.nan
         stable[noisy] = False
     count = np.count_nonzero(stable)
@@ -521,4 +596,38 @@ def solve_lyapunov_batch(a: np.ndarray, d: np.ndarray,
         warnings.warn(
             f"Lyapunov system is ill-conditioned (estimate {estimate:.2e}); "
             "covariance entries may lose precision", RuntimeWarning, stacklevel=3)
+    return CovarianceBatch(abscissa, stable, v, errors)
+
+
+def _join(parts: list[tuple[slice, np.ndarray | None, CovarianceBatch]],
+          m: int) -> CovarianceBatch:
+    """The batch of m 10x10 problems from the batches of their mode groups,
+    as (modes, rows, batch): the group's quadratures, the problems it holds
+    (None: all) and its batch, where a batch of one, a group solved once,
+    stands for each of them. Every problem is in one group of all ten modes
+    or in both groups of _GROUPS. A problem is stable where each of its
+    groups is; its abscissa is the groups' largest, NaN where one has none;
+    its V is block-diagonal, NaN unless stable and solved; and its error is
+    its first failed group's, with the problem's indices. A lone group of
+    all problems gives its batch as it is."""
+    if len(parts) == 1 and parts[0][1] is None and len(parts[0][2].stable) == m:
+        return parts[0][2]
+    stable = np.ones(m, dtype=bool)
+    abscissa = np.full(m, -np.inf)
+    v = np.zeros((m, 10, 10))
+    errors = {}
+    for modes, rows, batch in parts:
+        at = slice(None) if rows is None else rows
+        stable[at] &= batch.stable
+        abscissa[at] = np.maximum(abscissa[at], batch.max_real_part)  # NaN wins
+        v[at, modes, modes] = batch.v
+        points = range(m) if rows is None else rows.tolist()
+        for k, exc in batch.errors.items():
+            if modes.start and isinstance(exc, _NonFiniteDiffusion):
+                exc = exc.shifted(modes.start)
+            for point in points if len(batch.stable) < len(points) else (points[k],):
+                errors.setdefault(point, exc)
+    v[~stable] = np.nan
+    if errors:
+        v[list(errors)] = np.nan
     return CovarianceBatch(abscissa, stable, v, errors)

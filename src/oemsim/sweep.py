@@ -7,15 +7,23 @@ model stage runs once per _STAGE_POINTS points, which bounds the memory it
 holds: it gives the points' working point (model.solve_steady_state) and
 the entries of build_drift and build_diffusion, each computed once. An entry
 that no column reaches is a float and goes into a 10x10 template; the rest
-stay columns, one value per point (dynamics._Template); the templates also
-give each point's largest drift and diffusion entry, which the solve's
-finite check and residual bound read. The stage's points are then evaluated
-in blocks of BLOCK_POINTS: a block copies the templates into its drift and
-diffusion stacks and writes in only its slice of the varying entries, and
-reads where its working point failed (a pole of the optical response, or
-arithmetic out of floating-point range) from the stage's q_s column. One
-batched solve per block then gives the stability gate and the steady-state
-covariance (dynamics.solve_lyapunov_batch): one batched eigendecomposition,
+stay columns, one value per point (dynamics._Template). A point whose
+entries that link the bosonic modes with the atomic ones are all 0 (every
+atom-free point, and any point at g = 0) poses two Lyapunov problems, one
+per mode group, 6x6 and 4x4 (dynamics._decoupled); every other point poses
+one 10x10 problem. The stage restricts the templates to each group
+(_ModeGroup); a group with no varying entry, as the atom-free atomic
+corner, is solved once for all of the stage's points, and the templates of
+the rest give each point's largest drift and diffusion entry, which the
+solve's finite check and residual bound read. The stage's points are then
+evaluated in blocks of BLOCK_POINTS: a block copies each remaining group's
+templates into its drift and diffusion stacks and writes in only its slice
+of the varying entries, and reads where its working point failed (a pole of
+the optical response, or arithmetic out of floating-point range) from the
+stage's q_s column. One batched solve per group and block then gives the
+stability gate and the steady-state covariance
+(dynamics.solve_lyapunov_batch), and dynamics._join puts the groups
+together into 10x10 covariances: one batched eigendecomposition,
 or, where the block's end problems are unstable, batched spectra without
 eigenvectors and an eigendecomposition of its stable problems alone, with
 the same bits either way. That half of the solve depends on the drifts
@@ -31,10 +39,12 @@ log-negativity over one gathered stack of 4x4 blocks.
 The optional atom-free baseline, evaluated only when a bosonic pair is
 requested, is a second point set: each point's atom-free point (_atom_free),
 with the requested bosonic pairs, run through the same stages in the same
-call. One merge then puts its values into the baseline columns, in CSV
-order, and its errors, tagged _ATOM_FREE_TAG, behind the point's own; the
-independent 6-mode route that checks it lives in verify. evaluate_point is
-a sweep of one point.
+call; its problems split, so a block of it solves a 6x6 stack, and along an
+atomic field, where every atom-free point is the same point, its model
+stage solves both of its groups once. One merge then puts its values into
+the baseline columns, in CSV order, and its errors, tagged _ATOM_FREE_TAG,
+behind the point's own; the independent 6-mode route that checks it lives
+in verify. evaluate_point is a sweep of one point.
 
 Blocks are independent, and their work is batched numpy and LAPACK calls that
 release the interpreter lock, so run_sweep(spec, jobs) with jobs > 1 evaluates
@@ -54,7 +64,7 @@ import numbers
 import os
 import stat
 import threading
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, fields, replace
 from functools import cache, cached_property, partial
 
@@ -248,9 +258,9 @@ def _evaluate(points: model.ParameterBlock, n: int, pairs: tuple[str, ...],
     that are in base_pairs, in the requested order. Each set's model stage
     runs once per _STAGE_POINTS points (_ModelStage), and then each of its
     blocks once (_evaluate_block). In a sweep of one stage the drift half of
-    a block's solve comes from _DRIFT_MEMO where a block before it posed the
-    same drift stack. A single point neither reads nor prunes the memo: it
-    has no second block to share a drift with. With a pool, the calling
+    each of a block's solves comes from _DRIFT_MEMO where a block before it
+    posed the same drift stack. A single point neither reads nor prunes the
+    memo: it has no second block to share a drift with. With a pool, the calling
     thread runs the model stages of the next _STAGE_POINTS points while the
     pool solves the blocks of the last ones; it waits for the blocks of the
     range before that first, so at most three ranges are held at a time.
@@ -276,13 +286,13 @@ def _evaluate(points: model.ParameterBlock, n: int, pairs: tuple[str, ...],
             work = [(s, lo + b, stage, slice(b, b + BLOCK_POINTS))
                     for s, stage in enumerate(stages)
                     for b in range(0, hi - lo, BLOCK_POINTS)]
-            if memo:
-                keys = [stage.drift_key(block) for _, _, stage, block in work]
-                _DRIFT_MEMO.keep(keys)
-                yield [(*args, partial(_DRIFT_MEMO.lookup, key))
-                       for args, key in zip(work, keys)]
-            else:
-                yield [(*args, dynamics._decompose) for args in work]
+            if not memo:
+                yield [(*args, ()) for args in work]
+                continue
+            keys = [stage.drift_keys(block) for _, _, stage, block in work]
+            _DRIFT_MEMO.keep(key for block_keys in keys for key in block_keys)
+            yield [(*args, [partial(_DRIFT_MEMO.lookup, key) for key in block_keys])
+                   for args, block_keys in zip(work, keys)]
 
     def evaluate(s: int, lo: int, stage: _ModelStage, block: slice, decompose):
         # a frame in this module: the Lyapunov solve's warnings name it
@@ -341,12 +351,52 @@ def _atom_free(params: model.SystemParameters) -> model.SystemParameters:
     (kappa_a = omega_m, no detuning, population or coherence). In units of
     omega_m their corner is -I (drift) and I (diffusion), and their other
     entries are zeros, so no atomic field of params reaches its problem:
-    its bosonic blocks are those of the atom-free system, and the corner,
-    solved by I/2, decides no gate, condition estimate or residual bound.
-    A sweep's baseline is the second point set that this gives (_evaluate);
-    along an atomic field that set holds one point, as floats."""
+    it splits into the bosonic problem of the atom-free system and the
+    corner, a problem of its own solved by I/2, which decides no gate,
+    condition estimate or residual bound of the bosonic one. A sweep's
+    baseline is the second point set that this gives (_evaluate); along an
+    atomic field that set holds one point, as floats."""
     return replace(params, g=0.0, r_a=0.0, kappa_a=params.omega_m, delta_a1=0.0,
                    delta_a2=0.0, rho_aa0=0.0, rho_cc0=0.0, rho_ca0=0.0)
+
+
+@dataclass(frozen=True, eq=False)
+class _ModeGroup:
+    """A mode group of some of a model stage's problems (all ten modes, or
+    one group of dynamics._GROUPS where a problem splits), solved as
+    Lyapunov problems of its own: its block of the drift and diffusion
+    templates, and either each point's largest |entry| of each, or, where
+    no entry of the group varies, its one problem solved once for every
+    point."""
+
+    modes: slice                               # the group's quadratures
+    points: np.ndarray | None                  # (n,) bool: its points; None: all
+    drift: dynamics._Template
+    diffusion: dynamics._Template
+    # (2, n) the largest |entry| of each point's drift, then of its
+    # diffusion, as solve_lyapunov_batch's maxima; not finite where an entry
+    # is not. None where solved
+    maxima: np.ndarray | None
+    solved: dynamics.CovarianceBatch | None    # a batch of one, or None
+
+    @classmethod
+    def of(cls, drift: dynamics._Template, diffusion: dynamics._Template,
+           modes: slice, points: np.ndarray | None, n: int) -> "_ModeGroup":
+        """The group of modes of n points' problems, whose 10x10 templates
+        are drift and diffusion."""
+        if modes != dynamics._ALL_MODES:
+            drift, diffusion = drift.restrict(modes), diffusion.restrict(modes)
+        if drift.slots.size or diffusion.slots.size:
+            maxima = np.array([drift.abs_max(n), diffusion.abs_max(n)])
+            return cls(modes, points, drift, diffusion, maxima, None)
+        size = modes.stop - modes.start
+        return cls(modes, points, drift, diffusion, None, dynamics.solve_lyapunov_batch(
+            drift.fixed.reshape(1, size, size), diffusion.fixed.reshape(1, size, size)))
+
+    def rows(self, block: slice) -> np.ndarray | None:
+        """The indices in a block of the points of the group's points; None:
+        all of them."""
+        return None if self.points is None else np.flatnonzero(self.points[block])
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,47 +407,64 @@ class _ModelStage:
     omega_m: np.ndarray                # (n,) omega_m at each point
     temperature: np.ndarray            # (n,) the bath temperature at each point
     q_s: np.ndarray                    # (n,) working point: NaN at a pole, inf out of range
-    drift: dynamics._Template
-    diffusion: dynamics._Template
-    # (2, n) the largest |entry| of each point's drift, then of its
-    # diffusion, as solve_lyapunov_batch's maxima; not finite where an entry
-    # is not
-    maxima: np.ndarray
+    drift: dynamics._Template          # 10x10
+    diffusion: dynamics._Template      # 10x10
+    groups: tuple[_ModeGroup, ...]
 
     @classmethod
     def of(cls, points: model.ParameterBlock, lo: int, hi: int) -> "_ModelStage":
-        """The working point and the templates of points lo to hi - 1 of a
-        ParameterBlock, each computed once for all of them. Arithmetic that
-        leaves floating-point range does not warn: the working point marks
-        it, and the solve fails a problem with a non-finite entry."""
-        block = replace(points, **{name: value[lo:hi] for name, value in vars(points).items()
-                                   if value.__class__ is np.ndarray})
+        """The working point, the templates and the mode groups of points lo
+        to hi - 1 of a ParameterBlock, each computed once for all of them:
+        the whole problems of the points that do not split
+        (dynamics._decoupled), and the two groups of those that do.
+        Arithmetic that leaves floating-point range does not warn: the
+        working point marks it, and the solve fails a problem with a
+        non-finite entry."""
+        columns = {name: value[lo:hi] for name, value in vars(points).items()
+                   if value.__class__ is np.ndarray and (lo or hi < len(value))}
+        block = replace(points, **columns) if columns else points
         n = hi - lo
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             working = model.solve_steady_state(block)
             drift, diffusion = dynamics._templates(block, working)
-            maxima = np.array([drift.abs_max(n), diffusion.abs_max(n)])
+        split = dynamics._decoupled(drift, diffusion, m=n)
+        groups = tuple(_ModeGroup.of(drift, diffusion, modes, None if held.all() else held, n)
+                       for route, held in (((dynamics._ALL_MODES,), ~split),
+                                           (dynamics._GROUPS, split))
+                       if held.any() for modes in route)
         # a float where no column reaches
         return cls(*(np.full(n, value) for value in (
-            block.omega_m, block.temperature, working.q_s)), drift, diffusion, maxima)
+            block.omega_m, block.temperature, working.q_s)), drift, diffusion, groups)
 
-    def drift_key(self, block: slice) -> tuple:
-        """What decides the drift stack of a block of the points: the
-        block's length and the drift template's fixed entries, varying slots
-        and slice of values. Equal keys, equal stacks."""
-        drift = self.drift
-        key = (len(self.q_s[block]), drift.fixed.tobytes(), drift.slots.tobytes())
-        if drift.slots.size:
-            key += (drift.values[:, block].tobytes(),)
-        return key
+    def drift_keys(self, block: slice) -> list[tuple]:
+        """What decides the drift stack of a block of the points, for each
+        mode group that the block solves: the block's length, the group's
+        drift template's fixed entries, varying slots and slice of values,
+        and which of the block's points the group holds. Equal keys, equal
+        stacks."""
+        m = len(self.q_s[block])
+        keys = []
+        for group in self.groups:
+            rows = group.rows(block)
+            if group.solved is None and (rows is None or rows.size):
+                drift = group.drift
+                key = (m, drift.fixed.tobytes(), drift.slots.tobytes())
+                if drift.slots.size:
+                    key += (drift.values[:, block].tobytes(),)
+                if rows is not None:
+                    key += (rows.tobytes(),)
+                keys.append(key)
+        return keys
 
-    def stacks(self, block: slice) -> tuple[np.ndarray, np.ndarray]:
-        """The drift and diffusion stacks of a block of the points."""
-        shape = (len(self.q_s[block]), 100)
+    def stacks(self, block: slice, group: _ModeGroup) -> tuple[np.ndarray, np.ndarray]:
+        """The drift and diffusion stacks of a mode group's problems at a
+        block of the points, at every point of the block."""
+        size = group.modes.stop - group.modes.start
+        shape = (len(self.q_s[block]), size * size)
         a, d = np.empty(shape), np.empty(shape)
-        self.drift.fill(a, block)
-        self.diffusion.fill(d, block)
-        return a.reshape(-1, 10, 10), d.reshape(-1, 10, 10)
+        group.drift.fill(a, block)
+        group.diffusion.fill(d, block)
+        return a.reshape(-1, size, size), d.reshape(-1, size, size)
 
 
 @cache
@@ -412,12 +479,16 @@ def _pair_columns(pairs: tuple[str, ...]) -> np.ndarray:
 
 
 def _evaluate_block(stage: _ModelStage, block: slice,
-                    decompose: Callable[[np.ndarray], dynamics._Eigenbasis],
+                    decompose: Sequence[Callable[[np.ndarray], dynamics._Eigenbasis]],
                     pairs: tuple[str, ...]
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, str]]:
     """The pipeline on a block of a model stage's points, with one batched
-    Lyapunov solve and one batched log-negativity; decompose gives the
-    drift half of the solve for the block's drift stack.
+    Lyapunov solve per mode group that holds some of the block's points and
+    varies (a group solved once for the stage serves every block), and one
+    batched log-negativity. decompose gives the drift half of each of those
+    solves in turn, in the order of _ModelStage.drift_keys; where it is
+    empty, each solve decomposes its own. The groups' batches are joined
+    into one of 10x10 problems (dynamics._join).
 
     A point has at most one error: its solve error (a working point at a
     pole or out of range reads as one, and a non-finite diffusion's error
@@ -427,9 +498,23 @@ def _evaluate_block(stage: _ModelStage, block: slice,
     solve each problem's maxima, and a block with no error skips the error
     mapping.
     """
-    a, d = stage.stacks(block)
-    m = len(a)
-    sol = dynamics.solve_lyapunov_batch(a, d, decompose(a), stage.maxima[:, block])
+    m = len(stage.q_s[block])
+    decompose = iter(decompose)
+    parts = []
+    for group in stage.groups:
+        rows = group.rows(block)
+        if rows is not None and not rows.size:
+            continue
+        sol = group.solved
+        if sol is None:
+            a, d = stage.stacks(block, group)
+            maxima = group.maxima[:, block]
+            if rows is not None:
+                a, d, maxima = a[rows], d[rows], maxima[:, rows]
+            sol = dynamics.solve_lyapunov_batch(
+                a, d, next(decompose, dynamics._decompose)(a), maxima)
+        parts.append((group.modes, rows, sol))
+    sol = dynamics._join(parts, m)
     solved = sol.stable
     if sol.errors:
         solved = solved.copy()
@@ -467,9 +552,9 @@ def _evaluate_block(stage: _ModelStage, block: slice,
 
 
 class _DriftMemo:
-    """The drift halves of the Lyapunov solve (dynamics._Eigenbasis) of the
+    """The drift halves of the Lyapunov solves (dynamics._Eigenbasis) of the
     blocks of a sweep of one model stage, by drift key
-    (_ModelStage.drift_key), so that a block whose drift stack was already
+    (_ModelStage.drift_keys), so that a block whose drift stack was already
     decomposed, in its sweep or in the sweep before, runs only the diffusion
     half. Results never depend on it: an eigenbasis is the same bits whoever
     computes it.
@@ -481,7 +566,8 @@ class _DriftMemo:
     empties the memo and decomposes every block itself, and a single point
     (evaluate_point) decomposes its own and leaves the memo as it was. So
     the memo holds at most one stage of each point set per sweep that runs
-    at a time. The pool's threads share it, under a lock.
+    at a time. A mode group solved once per model stage takes no key. The
+    pool's threads share it, under a lock.
     """
 
     def __init__(self) -> None:

@@ -35,7 +35,7 @@ from oemsim import (
     solve_steady_state,
     thermal_occupation,
 )
-from oemsim import dynamics, sweep
+from oemsim import BIPARTITE_PAIRS, dynamics, extract_bipartite, log_negativity, sweep, verify
 from oemsim.model import parameter_block
 from oemsim.sweep import BLOCK_POINTS
 
@@ -579,12 +579,15 @@ def sweep_stacks(monkeypatch, spec):
 
 @pytest.fixture
 def decompositions(monkeypatch):
-    """Counts the calls of np.linalg.eig and eigvals and the problems they get."""
+    """Counts the calls of np.linalg.eig and eigvals, the problems they get,
+    and those problems by size ("eig 6x6")."""
     counts = Counter()
     for name in ("eig", "eigvals"):
         def counted(a, name=name, real=getattr(np.linalg, name)):
+            problems = len(a) if a.ndim == 3 else 1
             counts[name] += 1
-            counts[f"{name} problems"] += len(a) if a.ndim == 3 else 1
+            counts[f"{name} problems"] += problems
+            counts[f"{name} {a.shape[-1]}x{a.shape[-1]}"] += problems
             return real(a)
         monkeypatch.setattr(np.linalg, name, counted)
     return counts
@@ -626,11 +629,32 @@ class TestSpectraWithoutEigenvectors:
     def test_every_preset_block(self, name, monkeypatch):
         spec = preset(name)
         stacks = sweep_stacks(monkeypatch, spec)
-        # the blocks of the points, then those of their atom-free points
-        sets = 1 + bool(spec.baseline_pairs)
-        assert len(stacks) == sets * -(-spec.count // BLOCK_POINTS)
+        # the atom-free points' atomic corner, solved once for the sweep's
+        # one model stage; the blocks of the points; then the 6x6 bosonic
+        # blocks of their atom-free points
+        blocks = -(-spec.count // BLOCK_POINTS)
+        shapes = [a.shape[:2] for a, _ in stacks]
+        if spec.baseline_pairs:
+            assert shapes[0] == (1, 4) and shapes.count((1, 4)) == 1
+            assert [n for _, n in shapes[1:]] == blocks * [10] + blocks * [6]
+        else:
+            assert [n for _, n in shapes] == blocks * [10]
         for k, (a, _) in enumerate(stacks):
             self.assert_same_spectra(a, f"{name} block {k}")
+
+    #: the (problems, size) of each stack that a 64-point grid along a
+    #: field poses, where it is not the points' one 10x10 stack, their
+    #: atom-free points' 6x6 one, and the atom-free atomic corner once
+    GRID_STACKS = {
+        # along g from 0: the point at g = 0 splits too, one of its groups
+        # a row of the points' stage, the other solved once
+        "g": [(1, 4), (1, 6), (1, 4), (63, 10), (1, 6)],
+        # the atom-free points are all the same point: each group once
+        **dict.fromkeys(["r_a", "kappa_a", "rho_aa0", "rho_cc0", "rho_ca0",
+                         "delta_a1", "delta_a2"], [(1, 6), (1, 4), (64, 10)]),
+        # kappa_a = omega_m is a column, so the atomic corner is too
+        "omega_m": [(64, 10), (64, 6), (64, 4)],
+    }
 
     @pytest.mark.parametrize("name", _sweep_tests.FIELD_NAMES)
     def test_grid_along_every_field(self, name, monkeypatch):
@@ -638,10 +662,10 @@ class TestSpectraWithoutEigenvectors:
         spec = _sweep_tests.narrowed(preset("fig6a"), start, stop, BLOCK_POINTS,
                                      varied=name, axis_scale=scale)
         stacks = sweep_stacks(monkeypatch, spec)
-        # one block of the points and one of their atom-free points
-        assert [len(a) for a, _ in stacks] == [BLOCK_POINTS, BLOCK_POINTS]
-        for (a, _), points in zip(stacks, ("", "atom-free ")):
-            self.assert_same_spectra(a, f"the fig6a grid of {points}points along {name}")
+        assert [a.shape[:2] for a, _ in stacks] == self.GRID_STACKS.get(
+            name, [(1, 4), (BLOCK_POINTS, 10), (BLOCK_POINTS, 6)])
+        for k, (a, _) in enumerate(stacks):
+            self.assert_same_spectra(a, f"stack {k} of the fig6a grid along {name}")
 
     def test_defective_problem_inside_a_stack(self, monkeypatch):
         a, _ = sweep_stacks(monkeypatch, preset("fig3"))[3]
@@ -752,10 +776,11 @@ class TestSolveRoutes:
         assert not sol.stable.any()
         assert np.isnan(sol.max_real_part).all() and np.isnan(sol.v).all()
 
-    # fig3 calls eig four times per point set: on the whole stacks of three
+    # fig3 calls eig first on the atom-free atomic corner, once for the
+    # sweep, then four times per point set: on the whole stacks of three
     # blocks, then on the stable problems of its last block, whose ends are
     # unstable; first for the points, then for their atom-free points
-    @pytest.mark.parametrize("call", [3, 4, 7, 8], ids=[
+    @pytest.mark.parametrize("call", [4, 5, 8, 9], ids=[
         "stack_eig", "stable_problems_eig", "atom_free_stack_eig",
         "atom_free_stable_problems_eig"])
     def test_eigensolver_failure_fails_its_block_of_a_sweep(self, call, monkeypatch):
@@ -764,12 +789,12 @@ class TestSolveRoutes:
         sweep._DRIFT_MEMO.clear()  # else the clean run's eigenbases serve the next
         sizes = lapack_fails(monkeypatch, "eig", call)
         result = run_sweep(spec)
-        assert len(sizes) == 8
+        assert len(sizes) == 9 and sizes[0] == 1
         lo = min(result.failures)
         block = np.arange(lo, min(lo + BLOCK_POINTS, spec.count))
         assert lo % BLOCK_POINTS == 0 and clean.failures == {}
         # a failure in a block of atom-free points is theirs, and says so
-        message = (sweep._ATOM_FREE_TAG if call > 4 else "") + LAPACK_FAILURE
+        message = (sweep._ATOM_FREE_TAG if call > 5 else "") + LAPACK_FAILURE
         assert result.failures == {int(i): message for i in block}
         rest = np.ones(spec.count, dtype=bool)
         rest[block] = False
@@ -781,30 +806,140 @@ class TestSolveRoutes:
             assert np.isnan(getattr(result, column)[block]).all(), column
 
     def test_calls_per_presets_pass(self, decompositions):
-        # 91 blocks: 49 of the points and 42 of their atom-free points. 63
-        # are decomposed: fig6b and fig6c pose fig6a's drifts (temperature
-        # enters the diffusion alone), so their 28 blocks reuse fig6a's
-        # eigenbases. Every decomposed block probes its 2 end problems with
-        # eigvals; the blocks with unstable ends then take eigvals on their
-        # whole stack and eig on their stable problems, the others eig on
-        # their whole stack. Decomposing every block took eigvals 134 times
-        # on 2934 problems and eig 55 times on 2474. With the atom-free
-        # problems as a second half of each block of points, a pass took
-        # eigvals 49 times on 1862 problems and eig 23 times on 1824.
+        # 91 blocks: 49 of the points, 10x10, and 42 of the 6x6 bosonic
+        # problems of their atom-free points, whose atomic corner is solved
+        # once per sweep, a 4x4 problem. 63 blocks are decomposed: fig6b
+        # and fig6c pose fig6a's drifts (temperature enters the diffusion
+        # alone), so their 28 blocks reuse fig6a's eigenbases. Every
+        # decomposed block probes its 2 end problems with eigvals; the
+        # blocks with unstable ends then take eigvals on their whole stack
+        # and eig on their stable problems, the others eig on their whole
+        # stack. Decomposing every block took eigvals 134 times on 2934
+        # problems and eig 55 times on 2474. With the atom-free problems as
+        # a second half of each block of points, a pass took eigvals 49
+        # times on 1862 problems and eig 23 times on 1824; as 10x10 blocks
+        # of their own, eigvals 90 times on 1854 and eig 39 times on 1886.
         for name in PRESET_NAMES:
             run_sweep(preset(name))
-        assert decompositions == {"eigvals": 90, "eigvals problems": 1854,
-                                  "eig": 39, "eig problems": 1886}
+        assert decompositions == {
+            "eigvals": 90, "eigvals problems": 1854,
+            "eigvals 10x10": 902, "eigvals 6x6": 952,
+            "eig": 45, "eig problems": 1892,
+            "eig 10x10": 1175, "eig 6x6": 711, "eig 4x4": 6}
 
     @pytest.mark.parametrize("baseline", [False, True])
     def test_single_point_takes_one_eig(self, baseline, decompositions):
-        # one eig per point set: the point, and its atom-free point
+        # one eig per mode group: the point's ten modes, and its atom-free
+        # point's bosonic modes and atomic corner
         spec = preset("fig6a")
         evaluate_point(spec.base, spec.pairs, baseline=baseline)
-        assert decompositions == {"eig": 1 + baseline, "eig problems": 1 + baseline}
+        assert decompositions == (
+            {"eig": 3, "eig problems": 3, "eig 10x10": 1, "eig 6x6": 1, "eig 4x4": 1}
+            if baseline else {"eig": 1, "eig problems": 1, "eig 10x10": 1})
         decompositions.clear()
         solve_lyapunov(*preset_point("fig6a", 1.0))
-        assert decompositions == {"eig": 1, "eig problems": 1}
+        assert decompositions == {"eig": 1, "eig problems": 1, "eig 10x10": 1}
+
+    def test_decoupled_stage_solves_its_mode_groups(self, decompositions, monkeypatch):
+        # at g = 0 no entry links the bosonic modes with the atomic ones:
+        # a sweep along delta_c solves a 6x6 stack per block, and its atomic
+        # modes, which delta_c does not reach, once per model stage
+        spec = _sweep_tests.narrowed(preset("fig6a"), -2.0, 2.0, 1500, baseline=False,
+                                     base=preset("fig6a").base.replace(g=0.0))
+        stacks = sweep_stacks(monkeypatch, spec)
+        stages = -(-spec.count // sweep._STAGE_POINTS)
+        blocks = [len(range(lo, min(lo + sweep._STAGE_POINTS, spec.count), BLOCK_POINTS))
+                  for lo in range(0, spec.count, sweep._STAGE_POINTS)]
+        assert stages == 2 and blocks == [16, 8]
+        assert [a.shape[:2] for a, _ in stacks] == [
+            (1, 4), *[(BLOCK_POINTS, 6)] * 16, (1, 4), *[(BLOCK_POINTS, 6)] * 7, (28, 6)]
+        assert decompositions["eig 4x4"] == stages
+        assert not decompositions["eig 10x10"] and not decompositions["eigvals 10x10"]
+        assert decompositions["eig 6x6"] + decompositions["eigvals 6x6"] >= spec.count
+
+    def test_atom_free_set_along_g_decomposes_one_problem(self, decompositions):
+        # the atom-free point of every point along g is the same point: a
+        # sweep of one stage decomposes its bosonic problem and its atomic
+        # corner once each, however many blocks it has, while its points
+        # take a 10x10 eig on every one of theirs
+        base = preset("fig6a").base
+        spec = _sweep_tests.narrowed(preset("fig6a"), 0.5, 2.0, 1000, varied="g",
+                                     axis_scale=base.g)
+        result = run_sweep(spec)
+        assert spec.baseline and not result.failures
+        assert not np.isnan(result.baseline_e_n).any()
+        assert decompositions["eig 6x6"] == decompositions["eig 4x4"] == 1
+        assert not decompositions["eigvals 6x6"] and not decompositions["eigvals 4x4"]
+        assert decompositions["eig 10x10"] == spec.count
+
+
+class TestUncoupledAtoms:
+    """At g = 0 the atoms couple to no bosonic mode, so each problem is
+    solved as its two mode groups: outside the atom-free points, the one
+    input that splits."""
+
+    def test_sweep_point_and_oracles_agree(self):
+        fig2 = preset("fig2")
+        base = fig2.base.replace(g=0.0)
+        spec = _sweep_tests.narrowed(fig2, fig2.start, fig2.stop, fig2.count, base=base,
+                                     pairs=tuple(BIPARTITE_PAIRS))
+        result = run_sweep(spec)
+        assert result.stable_count() > 0 and not result.failures
+        for rec in result.records:
+            single = evaluate_point(base.replace(delta_c=rec.x * spec.axis_scale),
+                                    spec.pairs, baseline=True)
+            assert dataclasses.replace(single, x=rec.x) == rec
+            assert repr(dataclasses.replace(single, x=rec.x)) == repr(rec)
+        # the base point, x = 1, through solve_lyapunov and the oracles
+        (k,) = np.flatnonzero(result.x == base.delta_c / base.omega_m)
+        a, d = drift_at(base), build_diffusion(base)
+        assert dynamics._splits(a, d) and result.stable[k]
+        v = solve_lyapunov(a, d)
+        assert not v[:6, 6:].any() and not v[6:, :6].any()
+        for tag, value in zip(spec.pairs, result.e_n[k].tolist()):
+            assert log_negativity(extract_bipartite(v, BIPARTITE_PAIRS[tag])).e_n == value
+        scale = float(np.max(np.abs(v)))
+        assert np.max(np.abs(verify.lyapunov_bruteforce(a, d) - v)) <= 1e-9 * scale
+        stable, abscissa = verify.is_stable(a)
+        assert stable
+        spectral_radius = float(np.abs(np.linalg.eigvals(a)).max())
+        assert (abs(result.max_real_part[k] - abscissa * base.omega_m)
+                <= 1e-12 * spectral_radius * base.omega_m)
+
+    def test_joined_groups_give_each_problem_its_whole_outcome(self):
+        # a stack's 6x6 and 4x4 batches, joined, hold what its 10x10 batch
+        # holds, to rounding: gate, abscissa (NaN where a group fails), V
+        # (NaN unless solved) and errors
+        fig6a = preset("fig6a")
+        problems = [atom_free_problem(fig6a.base.replace(delta_c=x * fig6a.axis_scale))
+                    for x in (-1.0, 1.0, 1.0)]
+        a = np.array([a for a, _ in problems])
+        d = np.array([d for _, d in problems])
+        a[2, 0, 1] = np.nan  # fails its bosonic group
+        whole = dynamics.solve_lyapunov_batch(a, d)
+        joined = dynamics._join([(modes, None, dynamics.solve_lyapunov_batch(
+            a[:, modes, modes].copy(), d[:, modes, modes].copy()))
+            for modes in dynamics._GROUPS], len(a))
+        assert joined.stable.tolist() == whole.stable.tolist() == [False, True, False]
+        assert {k: str(exc) for k, exc in joined.errors.items()} == {
+            k: str(exc) for k, exc in whole.errors.items()} == {
+            2: "drift matrix contains non-finite entries"}
+        assert np.isnan(joined.max_real_part[2]) and np.isnan(whole.max_real_part[2])
+        assert np.allclose(joined.max_real_part[:2], whole.max_real_part[:2], rtol=1e-12)
+        assert np.isnan(joined.v[[0, 2]]).all()
+        assert np.allclose(joined.v[1], whole.v[1], rtol=0,
+                           atol=1e-12 * np.abs(whole.v[1]).max())
+
+    def test_group_error_names_the_problems_entries(self):
+        # an atomic diffusion entry is the atomic group's (0, 0), and the
+        # problem's (6, 6); the bosonic group's error comes first
+        a, d = atom_free_problem(preset("fig6a").base)
+        d[6, 6] = np.inf
+        with pytest.raises(SimulationError, match=r"entries: \(6, 6\) = inf$"):
+            solve_lyapunov(a, d)
+        d[4, 4] = np.nan
+        with pytest.raises(SimulationError, match=r"entries: \(4, 4\) = nan$"):
+            solve_lyapunov(a, d)
 
 
 class TestBlockForm:

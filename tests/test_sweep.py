@@ -117,10 +117,24 @@ def model_stages(base, varied, column):
                  for p in (points, sweep._atom_free(points)))
 
 
+def full_stacks(stage, block=slice(None)):
+    """The 10x10 drift and diffusion stacks of a block of a model stage's
+    points, filled from the stage's templates."""
+    m = len(stage.q_s[block])
+    stacks = []
+    for template in (stage.drift, stage.diffusion):
+        stack = np.empty((m, 100))
+        template.fill(stack, block)
+        stacks.append(stack.reshape(m, 10, 10))
+    return stacks
+
+
 def atom_free_stack(a):
-    """Whether a block's drift stack is of atom-free points, whose atomic
-    corner is -I."""
-    return bool((a[:, 6:, 6:] == -np.eye(4)).all())
+    """Whether a drift stack that a sweep solves is a block of atom-free
+    points, which split: the 6x6 stack of their bosonic modes (True), or the
+    10x10 one of the points (False); None for an atomic corner, a 4x4
+    problem solved once per model stage."""
+    return {10: False, 6: True}.get(a.shape[1])
 
 
 class TestPresets:
@@ -357,30 +371,32 @@ class TestAtomFreeProblem:
             rec = evaluate_point(self.fig6a_point(0.01), spec.pairs, baseline=True)
         assert rec.baseline_e_n
 
-    def test_block_stack_carries_the_vacuum_corner(self, monkeypatch):
-        stacks = []
-        real = dynamics.solve_lyapunov_batch
-        monkeypatch.setattr(dynamics, "solve_lyapunov_batch",
-                            lambda a, d, *basis: stacks.append((a.copy(), d.copy()))
-                            or real(a, d, *basis))
+    def test_block_stack_carries_the_vacuum_corner(self):
         spec = narrowed(preset("fig6a"), -2.0, 2.0, 9)
-        run_sweep(spec)
-        # one block of the points, then one of their atom-free points
-        (main, _), (a, d) = stacks
+        main, free = model_stages(spec.base, spec.varied, spec.grid() * spec.axis_scale)
         base = spec.base
-        assert np.all(main[:, 6, 7] == base.delta_a1 / base.omega_m)
+        assert np.all(full_stacks(main)[0][:, 6, 7] == base.delta_a1 / base.omega_m)
+        a, d = full_stacks(free)
         assert (a[:, 6:, 6:] == -np.eye(4)).all() and (d[:, 6:, 6:] == np.eye(4)).all()
         assert not a[:, 6:, :6].any() and not a[:, :6, 6:].any()
         assert not d[:, 6:, :6].any() and not d[:, :6, 6:].any()
+        # so the atom-free problems split: a 6x6 stack of their bosonic
+        # modes, and the corner, which no point varies, solved once by I/2
+        bosonic, corner = free.groups
+        assert (bosonic.modes, corner.modes) == dynamics._GROUPS
+        assert corner.solved.stable.tolist() == [True]
+        assert np.array_equal(corner.solved.v[0], 0.5 * np.eye(4))
         # the largest atom-free drift entry is a bosonic one, not delta_a1/omega_m
-        assert np.array_equal(np.abs(a).max(axis=(1, 2)),
-                              np.abs(a[:, :6, :6]).max(axis=(1, 2)))
+        assert np.array_equal(bosonic.maxima[0], np.abs(a).max(axis=(1, 2)))
         assert np.abs(a).max() < 1e-2 * base.delta_a1 / base.omega_m
+        a6, d6 = free.stacks(slice(None), bosonic)
         for k, x in enumerate(spec.grid().tolist()):
             point = base.replace(delta_c=x * spec.axis_scale)
             problem = atom_free_problem(point)
             assert np.array_equal(a[k], problem[0])
             assert np.array_equal(d[k], problem[1])
+            assert np.array_equal(a6[k], problem[0][:6, :6])
+            assert np.array_equal(d6[k], problem[1][:6, :6])
 
     def test_failure_only_at_the_atom_free_point_says_so(self):
         # the point's own problem is unstable, with no error, while its
@@ -827,6 +843,8 @@ class TestBlockEngine:
         def batch(a, d, *basis):
             sol = real_batch(a, d, *basis)
             here = atom_free_stack(a)
+            if here is None:  # an atomic corner
+                return sol
             for (stack, k, tag), scale in scales.items():
                 if stack == here:
                     messages[k, tag] = corrupt_pair(sol.v[k], tag, scale)
@@ -849,7 +867,8 @@ class TestBlockEngine:
     def test_pole_is_reported_while_its_baseline_solves(self, monkeypatch):
         spec = self.mixed_spec()
         assert spec.baseline
-        solutions = {False: [], True: []}  # the points' blocks, the atom-free ones'
+        # the points' blocks, the atom-free ones', their atomic corner
+        solutions = {False: [], True: [], None: []}
         real = dynamics.solve_lyapunov_batch
 
         def batch(a, d, *basis):
@@ -891,9 +910,10 @@ class TestBlockEngine:
         stages = -(-spec.count // sweep._STAGE_POINTS)
         assert 1 < stages and 8 * stages <= blocks  # many blocks per stage
         # a working point per stage for the points and one for their
-        # atom-free points, not one per block; a solve per block of each
+        # atom-free points, not one per block; a solve per block of each,
+        # and one per stage of the atom-free atomic corner
         assert calls == {"solve_steady_state": 2 * stages,
-                         "solve_lyapunov_batch": 2 * blocks}
+                         "solve_lyapunov_batch": 2 * blocks + stages}
 
     def test_model_stage_sorts_entries_by_kind(self):
         # an entry that no column reaches is held once, as a float
@@ -910,13 +930,18 @@ class TestBlockEngine:
         assert stage.drift.slots.size == 31 and stage.diffusion.slots.size == 9
         # at every point the atom-free atomic modes hold the vacuum: -I
         # (drift) and I (diffusion) in their corner, and zeros in their rows
-        # and columns outside it, even where every entry is a column
-        for _, free in along.values():
-            free_a, free_d = free.stacks(slice(0, 3))
+        # and columns outside it, even where every entry is a column; so
+        # every atom-free problem splits, and its corner is solved once
+        # where no column reaches it, and per block along omega_m, where
+        # kappa_a = omega_m is a column
+        for name, (_, free) in along.items():
+            free_a, free_d = full_stacks(free, slice(0, 3))
             assert (free_a[:, 6:, 6:] == -np.eye(4)).all()
             assert (free_d[:, 6:, 6:] == np.eye(4)).all()
             assert not free_a[:, 6:, :6].any() and not free_a[:, :6, 6:].any()
             assert not free_d[:, 6:, :6].any() and not free_d[:, :6, 6:].any()
+            assert [group.modes for group in free.groups] == list(dynamics._GROUPS)
+            assert (free.groups[1].solved is None) == (name == "omega_m")
         # delta_c reaches its own two entries and the optomechanical coupling
         for stage in along["delta_c"]:
             assert sorted(stage.drift.slots.tolist()) == [12, 23, 30, 32]
@@ -945,14 +970,21 @@ class TestBlockEngine:
             start, stop, scale = field_grid(name)
             spec = narrowed(preset("fig6a"), start, stop, 9, varied=name, axis_scale=scale)
         stages = model_stages(spec.base, spec.varied, spec.grid() * spec.axis_scale)
-        for stage in stages:  # the points', then their atom-free points'
+        # the points' groups, then their atom-free points': a group solved
+        # once has no maxima, its solve takes those of its one problem
+        groups = [(stage, group) for stage in stages for group in stage.groups
+                  if group.solved is None]
+        assert groups
+        for stage, group in groups:
             for block in (slice(0, 4), slice(4, None)):
-                a, d = stage.stacks(block)
-                a_max, d_max = stage.maxima[:, block]
+                a, d = stage.stacks(block, group)
+                a_max, d_max = group.maxima[:, block]
                 assert np.array_equal(a_max, np.abs(a).max(axis=(1, 2)), equal_nan=True)
                 assert np.array_equal(d_max, np.abs(d).max(axis=(1, 2)), equal_nan=True)
+        assert all(group.maxima is None for stage in stages for group in stage.groups
+                   if group.solved is not None)
         # the pole's drift holds NaN, the hot points' diffusions inf
-        finite = all(np.isfinite(stage.maxima).all() for stage in stages)
+        finite = all(np.isfinite(group.maxima).all() for _, group in groups)
         assert finite == (name not in ("pole", "hot"))
 
     def test_long_sweep_holds_one_model_stage_at_a_time(self):
@@ -1261,31 +1293,35 @@ class TestDriftMemo:
 
     def test_fig6_presets_decompose_one_set_of_drifts(self, monkeypatch):
         # fig6a to fig6c differ only in temperature, which the drift does
-        # not see: fig6b and fig6c make no eigen call
+        # not see: fig6b and fig6c make no eigen call but the one on the
+        # atom-free atomic corner, which each sweep solves once
         names = ("fig6a", "fig6b", "fig6c")
         cold = {}
         for name in names:
             sweep._DRIFT_MEMO.clear()
             cold[name] = run_sweep(preset(name))
         sweep._DRIFT_MEMO.clear()
-        calls = Counter()
+        calls = Counter()  # the problems that eig and eigvals get, by size
         for routine in ("eig", "eigvals"):
             real = getattr(np.linalg, routine)
             monkeypatch.setattr(np.linalg, routine,
-                                lambda a, real=real: calls.update([1]) or real(a))
+                                lambda a, real=real: calls.update([a.shape[-1]] * len(a))
+                                or real(a))
         for name in names:
             calls.clear()
             assert_same_bits(run_sweep(preset(name)), cold[name])
-            assert (calls.total() > 0) == (name == "fig6a"), name
+            assert (set(calls) == {4, 6, 10}) == (name == "fig6a"), name
+            assert calls[4] == 1
 
     def test_temperature_sweep_decomposes_two_blocks(self, decomposed):
         # one stage, one drift per point set: the first full block and the
         # short last block of the points and of their atom-free points are
-        # decomposed, and the memo ends with their four keys
+        # decomposed, and the memo ends with their four keys; before them,
+        # the stage's atom-free atomic corner, solved once
         spec = along_temperature(preset("fig6a"), 1001)
         assert spec.count <= sweep._STAGE_POINTS and spec.count % BLOCK_POINTS
         result = run_sweep(spec)
-        assert decomposed == 2 * [BLOCK_POINTS, spec.count % BLOCK_POINTS]
+        assert decomposed == [1] + 2 * [BLOCK_POINTS, spec.count % BLOCK_POINTS]
         assert len(sweep._DRIFT_MEMO._held) == 4
         for rec in result.records:
             single = evaluate_point(spec.base.replace(temperature=rec.x),
@@ -1311,7 +1347,9 @@ class TestDriftMemo:
         cold = run_sweep(spec)
         blocks, cold_fallbacks = len(decomposed), list(fallbacks)
         warm = run_sweep(spec)
-        assert len(decomposed) == blocks  # the warm run decomposes nothing
+        # the warm run decomposes nothing but the atom-free atomic corner,
+        # which each sweep solves once
+        assert decomposed[blocks:] == [1]
         assert fallbacks == 2 * cold_fallbacks
         assert_same_bits(warm, cold)
         assert warm.records == cold.records
@@ -1324,21 +1362,25 @@ class TestDriftMemo:
             assert cold.failures == dict.fromkeys(range(spec.count), model.POLE_MESSAGE)
 
     def test_long_sweep_of_distinct_drifts_keeps_nothing(self, decomposed):
-        # one stage: its seven blocks, and their atom-free points' seven, are kept
+        # one stage: its seven blocks, and their atom-free points' seven, are
+        # kept; the atom-free atomic corner, solved once per stage, is not
         run_sweep(preset("fig6a"))
-        assert len(sweep._DRIFT_MEMO._held) == len(decomposed) == 2 * 7
+        assert len(sweep._DRIFT_MEMO._held) == len(decomposed) - 1 == 2 * 7
         decomposed.clear()
         spec = narrowed(preset("fig6a"), -2.0, 2.0, 2 * sweep._STAGE_POINTS + 1)
         run_sweep(spec)
-        assert len(decomposed) == 2 * -(-spec.count // BLOCK_POINTS)
+        stages = -(-spec.count // sweep._STAGE_POINTS)
+        assert len(decomposed) == 2 * -(-spec.count // BLOCK_POINTS) + stages
         assert sweep._DRIFT_MEMO._held == {}
 
     def test_sweep_of_one_stage_drops_the_drifts_it_does_not_pose(self, decomposed):
+        # each sweep also solves its atom-free atomic corner, a problem of
+        # one, outside the memo
         run_sweep(preset("fig6a"))
         run_sweep(preset("fig6b"))  # fig6a's drifts: nothing decomposed, all kept
-        assert len(sweep._DRIFT_MEMO._held) == len(decomposed) == 2 * 7
+        assert len(sweep._DRIFT_MEMO._held) == len(decomposed) - 2 == 2 * 7
         run_sweep(preset("fig2"))
-        assert len(sweep._DRIFT_MEMO._held) == len(decomposed) - 2 * 7 > 0
+        assert len(sweep._DRIFT_MEMO._held) == len(decomposed) - 3 - 2 * 7 > 0
 
     def test_single_point_leaves_the_memo_alone(self, decomposed):
         # a point between fig6a and fig6b neither prunes fig6a's drifts from
@@ -1352,7 +1394,7 @@ class TestDriftMemo:
         assert all(after[key] is held[key] for key in held)
         decomposed.clear()
         run_sweep(preset("fig6b"))
-        assert decomposed == []
+        assert decomposed == [1]  # the atom-free atomic corner, outside the memo
 
     def test_threads_share_the_memo(self, monkeypatch, decomposed):
         # more threads than CPUs and a short switch interval, over 25 blocks
