@@ -399,12 +399,22 @@ class _Eigenbasis:
                 value.flags.writeable = False
 
 
-def _decompose(a: np.ndarray) -> _Eigenbasis:
+#: numpy runs eigvals on a stack without the interpreter lock only where the
+#: stack's length times its matrix order exceeds this (measured; eig, which
+#: also returns the eigenvectors, releases it on a full block's 6x6 stack)
+_LOCK_FREE_SIZE = 500
+
+
+def _decompose(a: np.ndarray, pooled: bool = False) -> _Eigenbasis:
     """The finite check, gate and eigenbasis of a stack of drifts a; see
     solve_lyapunov_batch. A stack of more than two finite drifts first takes
     the spectra of its first and last one with eigvals: if neither is
     stable, every spectrum comes from eigvals and eig runs on the stable
-    drifts alone, else eig runs on the whole stack."""
+    drifts alone, else eig runs on the whole stack. On a thread pool
+    (pooled), a stack too small for eigvals to release the interpreter lock
+    (_LOCK_FREE_SIZE; a block's 6x6 stack of 64 problems is 384) takes eig
+    on the whole stack instead, which releases it, so that it does not hold
+    up the pool's other threads. The bits are the same on every route."""
     m, n, _ = a.shape
     if np.isfinite(a).all():  # the usual stack, taken as it is
         ok, a_ok, errors = slice(None), a, {}
@@ -415,7 +425,8 @@ def _decompose(a: np.ndarray) -> _Eigenbasis:
         errors = dict.fromkeys(np.flatnonzero(~finite).tolist(),
                                "drift matrix contains non-finite entries")
     try:
-        if len(a_ok) > 2 and not _has_stable(np.linalg.eigvals(a_ok[[0, -1]])):
+        probe = len(a_ok) > 2 and (not pooled or len(a_ok) * n > _LOCK_FREE_SIZE)
+        if probe and not _has_stable(np.linalg.eigvals(a_ok[[0, -1]])):
             # neither end of the stack has a steady state, so most of it
             # likely has none: spectra without eigenvectors, then eig on the
             # stable problems alone
@@ -507,13 +518,14 @@ def solve_lyapunov_batch(a: np.ndarray, d: np.ndarray,
     first takes the spectra of its first and last one with eigvals; if
     neither is stable (a sweep block's ends, on the unstable part of a
     grid), the whole stack takes its spectra from eigvals, and eig runs on
-    its stable problems alone, or not at all. LAPACK's dgeev runs the same
-    balancing, Hessenberg reduction and QR iterations with and without
-    eigenvectors, so both routes give the same spectra, gate and solutions
-    bit for bit; the probe only decides which driver runs. A stack with no
-    stable problem returns after the gate. A problem whose diffusion is
-    non-finite fails before the solve, with no abscissa, and its error names
-    the non-finite entries.
+    its stable problems alone, or not at all; a sweep's thread pool skips
+    that probe where eigvals would hold the interpreter lock (_decompose).
+    LAPACK's dgeev runs the same balancing, Hessenberg reduction and QR
+    iterations with and without eigenvectors, so both routes give the same
+    spectra, gate and solutions bit for bit; the probe only decides which
+    driver runs. A stack with no stable problem returns after the gate. A
+    problem whose diffusion is non-finite fails before the solve, with no
+    abscissa, and its error names the non-finite entries.
     C turns into W in place, negated and then divided by the pair sums, and
     S W and V go into spent stacks (_eigenbasis_lyapunov). Folding the sign
     into the symmetrization instead, V = -(Y + Y^T)/2, would give the same

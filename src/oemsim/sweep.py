@@ -49,9 +49,11 @@ in verify. evaluate_point is a sweep of one point.
 Blocks are independent, and their work is batched numpy and LAPACK calls that
 release the interpreter lock, so run_sweep(spec, jobs) with jobs > 1 evaluates
 them on a pool of min(jobs, blocks, CPUs) threads, while the calling thread
-runs the model stages of the next _STAGE_POINTS points. Results are assembled
-in block order: the columns, the failures map and the CSV bytes are the same
-at every jobs value.
+runs the model stages of the next _STAGE_POINTS points. eigvals on a small
+stack would hold the lock, so on the pool such a stack skips the probe for
+eig on the whole stack (dynamics._decompose), with the same bits. Results
+are assembled in block order: the columns, the failures map and the CSV
+bytes are the same at every jobs value.
 
 A SweepResult holds columns, one entry per grid point, and the CSV is
 written from them; per-point PointRecords are derived only when asked for.
@@ -64,9 +66,10 @@ import numbers
 import os
 import stat
 import threading
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, fields, replace
 from functools import cache, cached_property, partial
+from itertools import repeat
 
 import numpy as np
 
@@ -277,6 +280,11 @@ def _evaluate(points: model.ParameterBlock, n: int, pairs: tuple[str, ...],
     memo = 2 <= n <= _STAGE_POINTS  # sweeps of one stage and two points or more
     if n > _STAGE_POINTS:
         _DRIFT_MEMO.clear()
+    workers = 1
+    if jobs > 1:  # os.cpu_count reads the system's CPU list: only a pool needs it
+        workers = min(jobs, len(sets) * -(-n // BLOCK_POINTS), os.cpu_count() or 1)
+    decompose = (partial(dynamics._decompose, pooled=True) if workers > 1
+                 else dynamics._decompose)
 
     def blocks():
         """Per range of _STAGE_POINTS points, each set's blocks of it."""
@@ -287,20 +295,18 @@ def _evaluate(points: model.ParameterBlock, n: int, pairs: tuple[str, ...],
                     for s, stage in enumerate(stages)
                     for b in range(0, hi - lo, BLOCK_POINTS)]
             if not memo:
-                yield [(*args, ()) for args in work]
+                yield [(*args, repeat(decompose)) for args in work]
                 continue
             keys = [stage.drift_keys(block) for _, _, stage, block in work]
             _DRIFT_MEMO.keep(key for block_keys in keys for key in block_keys)
-            yield [(*args, [partial(_DRIFT_MEMO.lookup, key) for key in block_keys])
+            yield [(*args, [partial(_DRIFT_MEMO.lookup, key, decompose)
+                            for key in block_keys])
                    for args, block_keys in zip(work, keys)]
 
     def evaluate(s: int, lo: int, stage: _ModelStage, block: slice, decompose):
         # a frame in this module: the Lyapunov solve's warnings name it
         return s, lo, _evaluate_block(stage, block, decompose, sets[s][1])
 
-    workers = 1
-    if jobs > 1:  # os.cpu_count reads the system's CPU list: only a pool needs it
-        workers = min(jobs, len(sets) * -(-n // BLOCK_POINTS), os.cpu_count() or 1)
     if workers > 1:
         # imported here: it costs milliseconds and pulls in logging, which
         # `import oemsim` and a serial sweep never need
@@ -479,16 +485,15 @@ def _pair_columns(pairs: tuple[str, ...]) -> np.ndarray:
 
 
 def _evaluate_block(stage: _ModelStage, block: slice,
-                    decompose: Sequence[Callable[[np.ndarray], dynamics._Eigenbasis]],
+                    decompose: Iterable[Callable[[np.ndarray], dynamics._Eigenbasis]],
                     pairs: tuple[str, ...]
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, str]]:
     """The pipeline on a block of a model stage's points, with one batched
     Lyapunov solve per mode group that holds some of the block's points and
     varies (a group solved once for the stage serves every block), and one
     batched log-negativity. decompose gives the drift half of each of those
-    solves in turn, in the order of _ModelStage.drift_keys; where it is
-    empty, each solve decomposes its own. The groups' batches are joined
-    into one of 10x10 problems (dynamics._join).
+    solves in turn, in the order of _ModelStage.drift_keys. The groups'
+    batches are joined into one of 10x10 problems (dynamics._join).
 
     A point has at most one error: its solve error (a working point at a
     pole or out of range reads as one, and a non-finite diffusion's error
@@ -512,7 +517,7 @@ def _evaluate_block(stage: _ModelStage, block: slice,
             if rows is not None:
                 a, d, maxima = a[rows], d[rows], maxima[:, rows]
             sol = dynamics.solve_lyapunov_batch(
-                a, d, next(decompose, dynamics._decompose)(a), maxima)
+                a, d, next(decompose)(a), maxima)
         parts.append((group.modes, rows, sol))
     sol = dynamics._join(parts, m)
     solved = sol.stable
@@ -583,12 +588,14 @@ class _DriftMemo:
         with self._lock:
             self._held = {key: held for key, held in self._held.items() if key in keys}
 
-    def lookup(self, key: tuple, a: np.ndarray) -> dynamics._Eigenbasis:
-        """The eigenbasis of the drift stack a, whose drift key is key."""
+    def lookup(self, key: tuple, decompose: Callable[[np.ndarray], dynamics._Eigenbasis],
+               a: np.ndarray) -> dynamics._Eigenbasis:
+        """The eigenbasis of the drift stack a, whose drift key is key;
+        decompose computes it where none is held."""
         with self._lock:
             held = self._held.get(key)
         if held is None:
-            held = dynamics._decompose(a)
+            held = decompose(a)
             with self._lock:
                 self._held[key] = held
         return held

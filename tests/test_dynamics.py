@@ -840,6 +840,45 @@ class TestSolveRoutes:
         solve_lyapunov(*preset_point("fig6a", 1.0))
         assert decompositions == {"eig": 1, "eig problems": 1, "eig 10x10": 1}
 
+    @pytest.mark.parametrize("order", [6, 10])
+    def test_pool_probes_only_where_eigvals_frees_the_lock(self, order, decompositions):
+        # a block's stack whose end problems are unstable: serially the probe
+        # route, eigvals then eig on the stable problems; on a pool, a 6x6
+        # stack of 64 (384 <= 500) takes eig on the whole stack instead, a
+        # 10x10 one (640) keeps the probe; the eigenbasis is the same bits
+        spec = preset("fig6a")
+        points = parameter_block(spec.base, "delta_c", spec.grid() * spec.axis_scale)
+        stage = sweep._ModelStage.of(sweep._atom_free(points) if order == 6 else points,
+                                     0, spec.count)
+        (group,) = [g for g in stage.groups if g.modes.stop - g.modes.start == order]
+        a, _ = stage.stacks(slice(3 * BLOCK_POINTS, 4 * BLOCK_POINTS), group)
+        decompositions.clear()  # the stage's atom-free corner
+        serial = dynamics._decompose(a)
+        assert decompositions["eigvals problems"] == 2 + BLOCK_POINTS
+        assert 0 < decompositions["eig problems"] == serial.stable.sum() < BLOCK_POINTS
+        decompositions.clear()
+        pooled = dynamics._decompose(a, pooled=True)
+        if order == 6:
+            assert decompositions == {"eig": 1, "eig problems": BLOCK_POINTS,
+                                      "eig 6x6": BLOCK_POINTS}
+        else:
+            assert decompositions["eigvals problems"] == 2 + BLOCK_POINTS
+        for name in ("max_real_part", "stable", "lam", "s", "s_inv"):
+            assert getattr(pooled, name).tobytes() == getattr(serial, name).tobytes(), name
+
+    def test_pooled_sweep_takes_no_spectra_of_6x6_stacks(self, decompositions, monkeypatch):
+        # fig6a at --jobs 2: the atom-free blocks' 6x6 stacks skip the probe,
+        # the points' 10x10 ones keep it, and the columns are the serial bits
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+        serial = run_sweep(preset("fig6a"))
+        assert decompositions["eigvals 6x6"] > 0
+        sweep._DRIFT_MEMO.clear()
+        decompositions.clear()
+        pooled = run_sweep(preset("fig6a"), jobs=2)
+        assert not decompositions["eigvals 6x6"] and decompositions["eigvals 10x10"] > 0
+        for column in ("stable", "max_real_part", "e_n", "baseline_e_n"):
+            assert getattr(pooled, column).tobytes() == getattr(serial, column).tobytes()
+
     def test_decoupled_stage_solves_its_mode_groups(self, decompositions, monkeypatch):
         # at g = 0 no entry links the bosonic modes with the atomic ones:
         # a sweep along delta_c solves a 6x6 stack per block, and its atomic

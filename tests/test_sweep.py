@@ -1288,7 +1288,7 @@ class TestDriftMemo:
         sizes = []
         real = dynamics._decompose
         monkeypatch.setattr(dynamics, "_decompose",
-                            lambda a: sizes.append(len(a)) or real(a))
+                            lambda a, **route: sizes.append(len(a)) or real(a, **route))
         return sizes
 
     def test_fig6_presets_decompose_one_set_of_drifts(self, monkeypatch):
