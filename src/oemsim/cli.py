@@ -132,7 +132,7 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--baseline", action="store_true",
                          help="force the atom-free comparison on")
     p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="threads that evaluate the grid's 64-point blocks "
+                         help="threads that evaluate the grid's blocks "
                               "(>= 1; capped at the block and CPU counts); the "
                               "output is byte-identical at every value")
     p_sweep.add_argument("--grid", nargs=3, type=float, default=None,

@@ -399,22 +399,14 @@ class _Eigenbasis:
                 value.flags.writeable = False
 
 
-#: numpy runs eigvals on a stack without the interpreter lock only where the
-#: stack's length times its matrix order exceeds this (measured; eig, which
-#: also returns the eigenvectors, releases it on a full block's 6x6 stack)
-_LOCK_FREE_SIZE = 500
-
-
-def _decompose(a: np.ndarray, pooled: bool = False) -> _Eigenbasis:
+def _decompose(a: np.ndarray) -> _Eigenbasis:
     """The finite check, gate and eigenbasis of a stack of drifts a; see
     solve_lyapunov_batch. A stack of more than two finite drifts first takes
     the spectra of its first and last one with eigvals: if neither is
     stable, every spectrum comes from eigvals and eig runs on the stable
-    drifts alone, else eig runs on the whole stack. On a thread pool
-    (pooled), a stack too small for eigvals to release the interpreter lock
-    (_LOCK_FREE_SIZE; a block's 6x6 stack of 64 problems is 384) takes eig
-    on the whole stack instead, which releases it, so that it does not hold
-    up the pool's other threads. The bits are the same on every route."""
+    drifts alone, else eig runs on the whole stack, with the same bits.
+    eigvals frees the interpreter lock where length x order > 500 (measured),
+    as on the largest stack of a block of a sweep stage of 84 points or more."""
     m, n, _ = a.shape
     if np.isfinite(a).all():  # the usual stack, taken as it is
         ok, a_ok, errors = slice(None), a, {}
@@ -425,8 +417,7 @@ def _decompose(a: np.ndarray, pooled: bool = False) -> _Eigenbasis:
         errors = dict.fromkeys(np.flatnonzero(~finite).tolist(),
                                "drift matrix contains non-finite entries")
     try:
-        probe = len(a_ok) > 2 and (not pooled or len(a_ok) * n > _LOCK_FREE_SIZE)
-        if probe and not _has_stable(np.linalg.eigvals(a_ok[[0, -1]])):
+        if len(a_ok) > 2 and not _has_stable(np.linalg.eigvals(a_ok[[0, -1]])):
             # neither end of the stack has a steady state, so most of it
             # likely has none: spectra without eigenvectors, then eig on the
             # stable problems alone
@@ -518,8 +509,7 @@ def solve_lyapunov_batch(a: np.ndarray, d: np.ndarray,
     first takes the spectra of its first and last one with eigvals; if
     neither is stable (a sweep block's ends, on the unstable part of a
     grid), the whole stack takes its spectra from eigvals, and eig runs on
-    its stable problems alone, or not at all; a sweep's thread pool skips
-    that probe where eigvals would hold the interpreter lock (_decompose).
+    its stable problems alone, or not at all.
     LAPACK's dgeev runs the same balancing, Hessenberg reduction and QR
     iterations with and without eigenvectors, so both routes give the same
     spectra, gate and solutions bit for bit; the probe only decides which

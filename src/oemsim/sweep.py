@@ -16,25 +16,26 @@ one 10x10 problem. The stage restricts the templates to each group
 corner, is solved once for all of the stage's points, and the templates of
 the rest give each point's largest drift and diffusion entry, which the
 solve's finite check and residual bound read. The stage's points are then
-evaluated in blocks of BLOCK_POINTS: a block copies each remaining group's
-templates into its drift and diffusion stacks and writes in only its slice
-of the varying entries, and reads where its working point failed (a pole of
-the optical response, or arithmetic out of floating-point range) from the
-stage's q_s column. One batched solve per group and block then gives the
-stability gate and the steady-state covariance
-(dynamics.solve_lyapunov_batch), and dynamics._join puts the groups
-together into 10x10 covariances: one batched eigendecomposition,
-or, where the block's end problems are unstable, batched spectra without
-eigenvectors and an eigendecomposition of its stable problems alone, with
-the same bits either way. That half of the solve depends on the drifts
-alone, so in a sweep of one model stage a block whose drift stack an
-earlier block posed (along temperature, which reaches only the diffusion,
-or fig6b after fig6a) takes it from a memo (_DriftMemo) and solves only the
-diffusion half. The block's points that fail its residual check are solved
-again together, directly, by one batched LU solve of their Lyapunov
-operators on the 55 unknowns of a symmetric covariance. The entanglement of
-every (point, requested mode pair) of the block comes from one batched
-log-negativity over one gathered stack of 4x4 blocks.
+evaluated in equal blocks, as few as fit a budget of matrix entries
+(_blocks): a block copies each remaining group's templates into its drift
+and diffusion stacks and writes in only its slice of the varying entries,
+and reads where its working point failed (a pole of the optical response,
+or arithmetic out of floating-point range) from the stage's q_s column.
+One batched solve per group and block then gives the stability gate and
+the steady-state covariance (dynamics.solve_lyapunov_batch), and
+dynamics._join puts the groups together into 10x10 covariances: one
+batched eigendecomposition, or, where the block's end problems are
+unstable, batched spectra without eigenvectors and an eigendecomposition
+of its stable problems alone, with the same bits either way. That half of
+the solve depends on the drifts alone, so in a sweep of one model stage a
+block whose drift stack an earlier block posed (along temperature, which
+reaches only the diffusion, or fig6b after fig6a) takes it from a memo
+(_DriftMemo) and solves only the diffusion half. The block's points that
+fail its residual check are solved again together, directly, by one
+batched LU solve of their Lyapunov operators on the 55 unknowns of a
+symmetric covariance. The entanglement of every (point, requested mode
+pair) of the block comes from one batched log-negativity over one gathered
+stack of 4x4 blocks.
 
 The optional atom-free baseline, evaluated only when a bosonic pair is
 requested, is a second point set: each point's atom-free point (_atom_free),
@@ -48,12 +49,10 @@ in verify. evaluate_point is a sweep of one point.
 
 Blocks are independent, and their work is batched numpy and LAPACK calls that
 release the interpreter lock, so run_sweep(spec, jobs) with jobs > 1 evaluates
-them on a pool of min(jobs, blocks, CPUs) threads, while the calling thread
-runs the model stages of the next _STAGE_POINTS points. eigvals on a small
-stack would hold the lock, so on the pool such a stack skips the probe for
-eig on the whole stack (dynamics._decompose), with the same bits. Results
-are assembled in block order: the columns, the failures map and the CSV
-bytes are the same at every jobs value.
+them on a pool of at most jobs threads, CPUs and blocks of the first
+_STAGE_POINTS points, while the calling thread runs the model stages of the
+next _STAGE_POINTS points. Results are assembled in block order: the
+columns, the failures map and the CSV bytes are the same at every jobs value.
 
 A SweepResult holds columns, one entry per grid point, and the CSV is
 written from them; per-point PointRecords are derived only when asked for.
@@ -173,13 +172,20 @@ class SweepResult:
         return len(self.failures)
 
 
-#: grid points per batched eigendecomposition; bounds the engine's working
-#: memory (one batch over a whole 8001-point grid more than doubles peak RSS)
-BLOCK_POINTS = 64
-#: grid points per model stage, a whole number of blocks: the working points
-#: and the varying drift and diffusion entries of a long grid are held for
-#: this many points at a time, not for the whole grid
-_STAGE_POINTS = 16 * BLOCK_POINTS
+#: a block's budget of matrix entries, in 10x10 problems (_blocks): 128
+#: problems at 10x10, 355 at 6x6; it bounds the engine's working memory
+BLOCK_POINTS = 128
+#: grid points per model stage: the working points and the varying drift
+#: and diffusion entries of a long grid are held this many points at a time
+_STAGE_POINTS = 1024
+
+
+def _blocks(n: int, order: int) -> list[slice]:
+    """n consecutive points in the fewest blocks, of sizes that differ by at
+    most one, whose order x order stacks hold BLOCK_POINTS * 100 entries."""
+    count = -(-n // (BLOCK_POINTS * 100 // order**2))
+    edges = [k * n // count for k in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
 def evaluate_point(params: model.SystemParameters, pairs: tuple[str, ...],
@@ -200,13 +206,13 @@ def evaluate_point(params: model.SystemParameters, pairs: tuple[str, ...],
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
-    """Evaluate the pipeline over the grid, BLOCK_POINTS points at a time.
+    """Evaluate the pipeline over the grid, a block of points at a time.
 
     Every record equals what evaluate_point gives at that grid point. With
-    jobs > 1 the blocks run on a pool of min(jobs, blocks, CPUs) threads
-    (numpy and LAPACK release the interpreter lock); the result is assembled
-    in block order, so it does not depend on jobs. An exception in a block
-    propagates, and blocks not yet started are cancelled.
+    jobs > 1 the blocks run on a pool of threads (numpy and LAPACK release
+    the interpreter lock); the result is assembled in block order, so it
+    does not depend on jobs. An exception in a block propagates, and blocks
+    not yet started are cancelled.
     """
     if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral):
         raise ParameterError(f"jobs must be an integer, got {jobs!r}")
@@ -260,13 +266,15 @@ def _evaluate(points: model.ParameterBlock, n: int, pairs: tuple[str, ...],
     empty, their atom-free points (_atom_free) with the requested pairs
     that are in base_pairs, in the requested order. Each set's model stage
     runs once per _STAGE_POINTS points (_ModelStage), and then each of its
-    blocks once (_evaluate_block). In a sweep of one stage the drift half of
-    each of a block's solves comes from _DRIFT_MEMO where a block before it
-    posed the same drift stack. A single point neither reads nor prunes the
-    memo: it has no second block to share a drift with. With a pool, the calling
-    thread runs the model stages of the next _STAGE_POINTS points while the
-    pool solves the blocks of the last ones; it waits for the blocks of the
-    range before that first, so at most three ranges are held at a time.
+    blocks once (_ModelStage.blocks, _evaluate_block). In a sweep of one
+    stage the drift half of each of a block's solves comes from _DRIFT_MEMO
+    where a block before it posed the same drift stack. A single point
+    neither reads nor prunes the memo: it has no second block to share a
+    drift with. A pool has at most as many threads as the first range has
+    blocks. With a pool, the calling thread runs the model stages of the
+    next _STAGE_POINTS points while the pool solves the blocks of the last
+    ones; it waits for the blocks of the range before that first, so at
+    most three ranges are held at a time.
 
     Then one merge: the atom-free values become baseline_e_n, in the order
     of base_pairs; a point's own error comes before its atom-free point's,
@@ -280,28 +288,25 @@ def _evaluate(points: model.ParameterBlock, n: int, pairs: tuple[str, ...],
     memo = 2 <= n <= _STAGE_POINTS  # sweeps of one stage and two points or more
     if n > _STAGE_POINTS:
         _DRIFT_MEMO.clear()
+
+    def blocks(lo: int) -> list[tuple]:
+        """Each set's blocks of the range of _STAGE_POINTS points from lo."""
+        hi = min(lo + _STAGE_POINTS, n)
+        stages = [_ModelStage.of(set_points, lo, hi) for set_points, _ in sets]
+        work = [(s, lo + block.start, stage, block)
+                for s, stage in enumerate(stages) for block in stage.blocks()]
+        if not memo:
+            return [(*args, repeat(dynamics._decompose)) for args in work]
+        keys = [stage.drift_keys(block) for _, _, stage, block in work]
+        _DRIFT_MEMO.keep(key for block_keys in keys for key in block_keys)
+        return [(*args, [partial(_DRIFT_MEMO.lookup, key) for key in block_keys])
+                for args, block_keys in zip(work, keys)]
+
+    first = [blocks(0)]  # popped when its turn comes, so that it is not held after
     workers = 1
     if jobs > 1:  # os.cpu_count reads the system's CPU list: only a pool needs it
-        workers = min(jobs, len(sets) * -(-n // BLOCK_POINTS), os.cpu_count() or 1)
-    decompose = (partial(dynamics._decompose, pooled=True) if workers > 1
-                 else dynamics._decompose)
-
-    def blocks():
-        """Per range of _STAGE_POINTS points, each set's blocks of it."""
-        for lo in range(0, n, _STAGE_POINTS):
-            hi = min(lo + _STAGE_POINTS, n)
-            stages = [_ModelStage.of(set_points, lo, hi) for set_points, _ in sets]
-            work = [(s, lo + b, stage, slice(b, b + BLOCK_POINTS))
-                    for s, stage in enumerate(stages)
-                    for b in range(0, hi - lo, BLOCK_POINTS)]
-            if not memo:
-                yield [(*args, repeat(decompose)) for args in work]
-                continue
-            keys = [stage.drift_keys(block) for _, _, stage, block in work]
-            _DRIFT_MEMO.keep(key for block_keys in keys for key in block_keys)
-            yield [(*args, [partial(_DRIFT_MEMO.lookup, key, decompose)
-                            for key in block_keys])
-                   for args, block_keys in zip(work, keys)]
+        workers = min(jobs, len(first[0]), os.cpu_count() or 1)
+    ranges = (blocks(lo) if lo else first.pop() for lo in range(0, n, _STAGE_POINTS))
 
     def evaluate(s: int, lo: int, stage: _ModelStage, block: slice, decompose):
         # a frame in this module: the Lyapunov solve's warnings name it
@@ -314,7 +319,7 @@ def _evaluate(points: model.ParameterBlock, n: int, pairs: tuple[str, ...],
         pool = futures.ThreadPoolExecutor(workers)
         submitted, window = [], []
         try:
-            for range_blocks in blocks():
+            for range_blocks in ranges:
                 window.append([pool.submit(evaluate, *args) for args in range_blocks])
                 submitted += window[-1]
                 if len(window) == 2:
@@ -328,7 +333,7 @@ def _evaluate(points: model.ParameterBlock, n: int, pairs: tuple[str, ...],
         # blocks start in order, so none before a failed one was cancelled
         outcomes = [future.result() for future in submitted]
     else:
-        outcomes = (evaluate(*args) for range_blocks in blocks() for args in range_blocks)
+        outcomes = (evaluate(*args) for range_blocks in ranges for args in range_blocks)
     parts = [[] for _ in sets]
     found = [{} for _ in sets]
     for s, lo, (*cols, errors) in outcomes:
@@ -441,6 +446,12 @@ class _ModelStage:
         # a float where no column reaches
         return cls(*(np.full(n, value) for value in (
             block.omega_m, block.temperature, working.q_s)), drift, diffusion, groups)
+
+    def blocks(self) -> list[slice]:
+        """The stage's points in blocks sized by its largest varying group."""
+        order = max((group.modes.stop - group.modes.start for group in self.groups
+                     if group.solved is None), default=10)
+        return _blocks(len(self.q_s), order)
 
     def drift_keys(self, block: slice) -> list[tuple]:
         """What decides the drift stack of a block of the points, for each
@@ -588,14 +599,13 @@ class _DriftMemo:
         with self._lock:
             self._held = {key: held for key, held in self._held.items() if key in keys}
 
-    def lookup(self, key: tuple, decompose: Callable[[np.ndarray], dynamics._Eigenbasis],
-               a: np.ndarray) -> dynamics._Eigenbasis:
+    def lookup(self, key: tuple, a: np.ndarray) -> dynamics._Eigenbasis:
         """The eigenbasis of the drift stack a, whose drift key is key;
-        decompose computes it where none is held."""
+        dynamics._decompose computes it where none is held."""
         with self._lock:
             held = self._held.get(key)
         if held is None:
-            held = decompose(a)
+            held = dynamics._decompose(a)
             with self._lock:
                 self._held[key] = held
         return held

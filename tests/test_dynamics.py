@@ -37,7 +37,6 @@ from oemsim import (
 )
 from oemsim import BIPARTITE_PAIRS, dynamics, extract_bipartite, log_negativity, sweep, verify
 from oemsim.model import parameter_block
-from oemsim.sweep import BLOCK_POINTS
 
 
 def drift_at(params):
@@ -630,18 +629,19 @@ class TestSpectraWithoutEigenvectors:
         spec = preset(name)
         stacks = sweep_stacks(monkeypatch, spec)
         # the atom-free points' atomic corner, solved once for the sweep's
-        # one model stage; the blocks of the points; then the 6x6 bosonic
-        # blocks of their atom-free points
-        blocks = -(-spec.count // BLOCK_POINTS)
+        # one model stage; the 401 points in four 10x10 blocks of at most
+        # 128; then their atom-free points in two 6x6 blocks of at most 355
+        points = [(100, 10)] * 3 + [(101, 10)]
         shapes = [a.shape[:2] for a, _ in stacks]
         if spec.baseline_pairs:
-            assert shapes[0] == (1, 4) and shapes.count((1, 4)) == 1
-            assert [n for _, n in shapes[1:]] == blocks * [10] + blocks * [6]
+            assert shapes == [(1, 4), *points, (200, 6), (201, 6)]
         else:
-            assert [n for _, n in shapes] == blocks * [10]
+            assert shapes == points
         for k, (a, _) in enumerate(stacks):
             self.assert_same_spectra(a, f"{name} block {k}")
 
+    #: the points of the grid along each field: one block of each point set
+    GRID_POINTS = 64
     #: the (problems, size) of each stack that a 64-point grid along a
     #: field poses, where it is not the points' one 10x10 stack, their
     #: atom-free points' 6x6 one, and the atom-free atomic corner once
@@ -659,11 +659,11 @@ class TestSpectraWithoutEigenvectors:
     @pytest.mark.parametrize("name", _sweep_tests.FIELD_NAMES)
     def test_grid_along_every_field(self, name, monkeypatch):
         start, stop, scale = _sweep_tests.field_grid(name)
-        spec = _sweep_tests.narrowed(preset("fig6a"), start, stop, BLOCK_POINTS,
+        spec = _sweep_tests.narrowed(preset("fig6a"), start, stop, self.GRID_POINTS,
                                      varied=name, axis_scale=scale)
         stacks = sweep_stacks(monkeypatch, spec)
         assert [a.shape[:2] for a, _ in stacks] == self.GRID_STACKS.get(
-            name, [(1, 4), (BLOCK_POINTS, 10), (BLOCK_POINTS, 6)])
+            name, [(1, 4), (self.GRID_POINTS, 10), (self.GRID_POINTS, 6)])
         for k, (a, _) in enumerate(stacks):
             self.assert_same_spectra(a, f"stack {k} of the fig6a grid along {name}")
 
@@ -776,25 +776,28 @@ class TestSolveRoutes:
         assert not sol.stable.any()
         assert np.isnan(sol.max_real_part).all() and np.isnan(sol.v).all()
 
-    # fig3 calls eig first on the atom-free atomic corner, once for the
-    # sweep, then four times per point set: on the whole stacks of three
-    # blocks, then on the stable problems of its last block, whose ends are
-    # unstable; first for the points, then for their atom-free points
-    @pytest.mark.parametrize("call", [4, 5, 8, 9], ids=[
+    # fig3 from x = -1.5 to 2.5 at 401 points is stable at x = 0 and from
+    # x = 0.52. Its eig calls: the atom-free atomic corner, once for the
+    # sweep; the points' blocks [100, 200), on its stable problem x = 0
+    # alone (the block's ends are unstable), [200, 300) and [300, 401), on
+    # their whole stacks ([0, 100) has no stable problem); then their
+    # atom-free points' blocks [0, 200) and [200, 401) alike
+    @pytest.mark.parametrize("call, lo, hi", [(3, 200, 300), (2, 100, 200),
+                                              (6, 200, 401), (5, 0, 200)], ids=[
         "stack_eig", "stable_problems_eig", "atom_free_stack_eig",
         "atom_free_stable_problems_eig"])
-    def test_eigensolver_failure_fails_its_block_of_a_sweep(self, call, monkeypatch):
-        spec = preset("fig3")
+    def test_eigensolver_failure_fails_its_block_of_a_sweep(self, call, lo, hi,
+                                                            monkeypatch):
+        spec = _sweep_tests.narrowed(preset("fig3"), -1.5, 2.5, 401)
         clean = run_sweep(spec)
         sweep._DRIFT_MEMO.clear()  # else the clean run's eigenbases serve the next
         sizes = lapack_fails(monkeypatch, "eig", call)
         result = run_sweep(spec)
-        assert len(sizes) == 9 and sizes[0] == 1
-        lo = min(result.failures)
-        block = np.arange(lo, min(lo + BLOCK_POINTS, spec.count))
-        assert lo % BLOCK_POINTS == 0 and clean.failures == {}
+        assert sizes == [1, 1, 100, 101, 1, 201]
+        block = np.arange(lo, hi)
+        assert clean.failures == {} and clean.x[150] == 0.0 and clean.stable[150]
         # a failure in a block of atom-free points is theirs, and says so
-        message = (sweep._ATOM_FREE_TAG if call > 5 else "") + LAPACK_FAILURE
+        message = (sweep._ATOM_FREE_TAG if call > 4 else "") + LAPACK_FAILURE
         assert result.failures == {int(i): message for i in block}
         rest = np.ones(spec.count, dtype=bool)
         rest[block] = False
@@ -806,26 +809,30 @@ class TestSolveRoutes:
             assert np.isnan(getattr(result, column)[block]).all(), column
 
     def test_calls_per_presets_pass(self, decompositions):
-        # 91 blocks: 49 of the points, 10x10, and 42 of the 6x6 bosonic
-        # problems of their atom-free points, whose atomic corner is solved
-        # once per sweep, a 4x4 problem. 63 blocks are decomposed: fig6b
-        # and fig6c pose fig6a's drifts (temperature enters the diffusion
-        # alone), so their 28 blocks reuse fig6a's eigenbases. Every
-        # decomposed block probes its 2 end problems with eigvals; the
-        # blocks with unstable ends then take eigvals on their whole stack
-        # and eig on their stable problems, the others eig on their whole
+        # 40 blocks: 28 of the points, four 10x10 blocks per preset, and 12
+        # of the 6x6 bosonic problems of their atom-free points, two per
+        # preset, whose atomic corner is solved once per sweep, a 4x4
+        # problem. 28 blocks are decomposed: fig6b and fig6c pose fig6a's
+        # drifts (temperature enters the diffusion alone), so their 12
+        # blocks reuse fig6a's eigenbases. Every decomposed block probes its
+        # 2 end problems with eigvals; the blocks with unstable ends then
+        # take eigvals on their whole stack and eig on their stable
+        # problems (here none has any), the others eig on their whole
         # stack. Decomposing every block took eigvals 134 times on 2934
         # problems and eig 55 times on 2474. With the atom-free problems as
         # a second half of each block of points, a pass took eigvals 49
         # times on 1862 problems and eig 23 times on 1824; as 10x10 blocks
-        # of their own, eigvals 90 times on 1854 and eig 39 times on 1886.
+        # of their own, eigvals 90 times on 1854 and eig 39 times on 1886;
+        # as 6x6 blocks of 64 points, eigvals 90 times on 1854 and eig 45
+        # times on 1892. Larger blocks that mix stable and unstable
+        # problems take eig on more unstable ones.
         for name in PRESET_NAMES:
             run_sweep(preset(name))
         assert decompositions == {
-            "eigvals": 90, "eigvals problems": 1854,
-            "eigvals 10x10": 902, "eigvals 6x6": 952,
-            "eig": 45, "eig problems": 1892,
-            "eig 10x10": 1175, "eig 6x6": 711, "eig 4x4": 6}
+            "eigvals": 40, "eigvals problems": 1656,
+            "eigvals 10x10": 840, "eigvals 6x6": 816,
+            "eig": 22, "eig problems": 2015,
+            "eig 10x10": 1205, "eig 6x6": 804, "eig 4x4": 6}
 
     @pytest.mark.parametrize("baseline", [False, True])
     def test_single_point_takes_one_eig(self, baseline, decompositions):
@@ -840,42 +847,31 @@ class TestSolveRoutes:
         solve_lyapunov(*preset_point("fig6a", 1.0))
         assert decompositions == {"eig": 1, "eig problems": 1, "eig 10x10": 1}
 
-    @pytest.mark.parametrize("order", [6, 10])
-    def test_pool_probes_only_where_eigvals_frees_the_lock(self, order, decompositions):
-        # a block's stack whose end problems are unstable: serially the probe
-        # route, eigvals then eig on the stable problems; on a pool, a 6x6
-        # stack of 64 (384 <= 500) takes eig on the whole stack instead, a
-        # 10x10 one (640) keeps the probe; the eigenbasis is the same bits
-        spec = preset("fig6a")
-        points = parameter_block(spec.base, "delta_c", spec.grid() * spec.axis_scale)
-        stage = sweep._ModelStage.of(sweep._atom_free(points) if order == 6 else points,
-                                     0, spec.count)
-        (group,) = [g for g in stage.groups if g.modes.stop - g.modes.start == order]
-        a, _ = stage.stacks(slice(3 * BLOCK_POINTS, 4 * BLOCK_POINTS), group)
-        decompositions.clear()  # the stage's atom-free corner
-        serial = dynamics._decompose(a)
-        assert decompositions["eigvals problems"] == 2 + BLOCK_POINTS
-        assert 0 < decompositions["eig problems"] == serial.stable.sum() < BLOCK_POINTS
-        decompositions.clear()
-        pooled = dynamics._decompose(a, pooled=True)
-        if order == 6:
-            assert decompositions == {"eig": 1, "eig problems": BLOCK_POINTS,
-                                      "eig 6x6": BLOCK_POINTS}
-        else:
-            assert decompositions["eigvals problems"] == 2 + BLOCK_POINTS
-        for name in ("max_real_part", "stable", "lam", "s", "s_inv"):
-            assert getattr(pooled, name).tobytes() == getattr(serial, name).tobytes(), name
+    @pytest.mark.parametrize("order", [4, 6, 10])
+    def test_blocks_keep_stacks_where_eigvals_frees_the_lock(self, order):
+        # numpy runs eigvals on a stack without the interpreter lock only
+        # where its length times its matrix order exceeds 500 (measured). A
+        # stage cut into blocks has more points than one block holds, and
+        # its blocks differ by at most one point, so none is below half
+        # that: a stage whose stack of its largest varying group is above
+        # the size as a whole is above it in every block. At 6x6 and 10x10
+        # that is every stage of 84 points or more
+        for n in range(1, sweep._STAGE_POINTS + 1):
+            shortest = min(block.stop - block.start for block in sweep._blocks(n, order))
+            assert (shortest * order > 500) == (n * order > 500), n
+            if order > 4 and n >= 84:
+                assert shortest * order > 500, n
 
-    def test_pooled_sweep_takes_no_spectra_of_6x6_stacks(self, decompositions, monkeypatch):
-        # fig6a at --jobs 2: the atom-free blocks' 6x6 stacks skip the probe,
-        # the points' 10x10 ones keep it, and the columns are the serial bits
+    def test_pooled_sweep_equals_serial(self, decompositions, monkeypatch):
+        # fig6a at --jobs 2: two threads probe the blocks' 6x6 and 10x10
+        # stacks, and the columns are the serial bits
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
         serial = run_sweep(preset("fig6a"))
-        assert decompositions["eigvals 6x6"] > 0
+        assert decompositions["eigvals 6x6"] > 0 and decompositions["eigvals 10x10"] > 0
         sweep._DRIFT_MEMO.clear()
         decompositions.clear()
         pooled = run_sweep(preset("fig6a"), jobs=2)
-        assert not decompositions["eigvals 6x6"] and decompositions["eigvals 10x10"] > 0
+        assert decompositions["eigvals 6x6"] > 0 and decompositions["eigvals 10x10"] > 0
         for column in ("stable", "max_real_part", "e_n", "baseline_e_n"):
             assert getattr(pooled, column).tobytes() == getattr(serial, column).tobytes()
 
@@ -887,11 +883,11 @@ class TestSolveRoutes:
                                      base=preset("fig6a").base.replace(g=0.0))
         stacks = sweep_stacks(monkeypatch, spec)
         stages = -(-spec.count // sweep._STAGE_POINTS)
-        blocks = [len(range(lo, min(lo + sweep._STAGE_POINTS, spec.count), BLOCK_POINTS))
-                  for lo in range(0, spec.count, sweep._STAGE_POINTS)]
-        assert stages == 2 and blocks == [16, 8]
+        # stages of 1024 and 476 points, whose largest varying groups are
+        # 6x6: blocks of at most 355 points
+        assert stages == 2
         assert [a.shape[:2] for a, _ in stacks] == [
-            (1, 4), *[(BLOCK_POINTS, 6)] * 16, (1, 4), *[(BLOCK_POINTS, 6)] * 7, (28, 6)]
+            (1, 4), (341, 6), (341, 6), (342, 6), (1, 4), (238, 6), (238, 6)]
         assert decompositions["eig 4x4"] == stages
         assert not decompositions["eig 10x10"] and not decompositions["eigvals 10x10"]
         assert decompositions["eig 6x6"] + decompositions["eigvals 6x6"] >= spec.count

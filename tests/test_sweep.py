@@ -693,15 +693,47 @@ class TestBlockEngine:
             errors.append(str(err.value))
         assert failed.error == errors[0] != errors[1]
 
+    @pytest.mark.parametrize("order, most", [(10, 128), (6, 355), (4, 800)])
+    def test_blocks_are_the_fewest_within_the_budget_and_balanced(self, order, most):
+        # a stage's points in order, in blocks whose order x order stacks
+        # hold at most BLOCK_POINTS * 100 entries, that differ by at most
+        # one point, and no more of them than the budget needs
+        assert BLOCK_POINTS * 100 // order**2 == most
+        for n in range(1, 2 * sweep._STAGE_POINTS + 1):
+            blocks = sweep._blocks(n, order)
+            assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+            assert blocks[-1].stop == n and len(blocks) == -(-n // most)
+            sizes = [b.stop - b.start for b in blocks]
+            assert max(sizes) - min(sizes) <= 1 and max(sizes) <= most, n
+
+    def test_stage_blocks_are_sized_by_its_largest_varying_group(self):
+        # 1000 points: 8 blocks at 10x10 and 3 at 6x6
+        base = preset("fig6a").base
+        along_delta_c = model_stages(base, "delta_c", np.linspace(-2, 2, 1000) * base.delta_c)
+        along_g = model_stages(base, "g", np.linspace(0.5, 2, 1000) * base.g)
+        along_omega_m = model_stages(base, "omega_m", np.linspace(0.5, 2, 1000) * base.omega_m)
+        for stage, order in ((along_delta_c[0], 10), (along_delta_c[1], 6),
+                             # every atom-free point is the same point: both
+                             # groups are solved once, and the stage sized as
+                             # 10x10
+                             (along_g[1], 10),
+                             # both atom-free groups vary: the 6x6 one sizes
+                             (along_omega_m[1], 6)):
+            assert stage.blocks() == sweep._blocks(1000, order)
+        assert all(group.solved is not None for group in along_g[1].groups)
+        assert [group.modes for group in along_omega_m[1].groups
+                if group.solved is None] == list(dynamics._GROUPS)
+        assert [len(sweep._blocks(1000, order)) for order in (10, 6)] == [8, 3]
+
     def test_one_log_negativity_call_per_block(self, monkeypatch):
         stacks = []
         real = gaussian.log_negativities
         monkeypatch.setattr(gaussian, "log_negativities",
                             lambda cm: stacks.append(len(cm)) or real(cm))
-        # blocks of 64, 64 and 22 points, and of their atom-free points
+        # two blocks of 75 points, and one of their 150 atom-free points
         spec = narrowed(preset("fig6a"), -2.0, 2.0, 150)
         result = run_sweep(spec)
-        assert len(stacks) == 6
+        assert len(stacks) == 3
         assert sum(stacks) == (np.count_nonzero(~np.isnan(result.e_n))
                                + np.count_nonzero(~np.isnan(result.baseline_e_n)))
         # each value equals a single call on that point's own covariance
@@ -818,9 +850,8 @@ class TestBlockEngine:
         for baseline in (False, True):
             sizes.clear()
             result = run_sweep(dataclasses.replace(spec, baseline=baseline))
-            blocks = [len(result.x[lo:lo + BLOCK_POINTS])
-                      for lo in range(0, spec.count, BLOCK_POINTS)]
-            assert sizes == blocks and sum(sizes) == spec.count
+            # the points' four blocks alone
+            assert sizes == [100, 100, 100, 101] and sum(sizes) == spec.count
             write_csv(result, tmp_path / f"{baseline}.csv")
             csv.append((tmp_path / f"{baseline}.csv").read_bytes())
         assert csv[0] == csv[1]
@@ -879,11 +910,11 @@ class TestBlockEngine:
         result = run_sweep(spec)
         (pole,) = np.flatnonzero(result.x == 1.0)
         assert result.failures[pole] == model.POLE_MESSAGE
-        sol, free = (solutions[stack][pole // BLOCK_POINTS] for stack in (False, True))
-        k = pole % BLOCK_POINTS
-        assert "non-finite" in str(sol.errors[k])  # the pole's NaN drift
-        assert k not in free.errors and free.stable[k]
-        assert not np.isnan(free.v[k]).any()
+        # 91 points: one block of them, and one of their atom-free points
+        (sol,), (free,) = solutions[False], solutions[True]
+        assert "non-finite" in str(sol.errors[pole])  # the pole's NaN drift
+        assert pole not in free.errors and free.stable[pole]
+        assert not np.isnan(free.v[pole]).any()
         single = evaluate_point(spec.base.replace(delta_c=spec.axis_scale),
                                 spec.pairs, baseline=True)
         assert single.error == model.POLE_MESSAGE
@@ -906,14 +937,16 @@ class TestBlockEngine:
         spec = narrowed(preset("fig6a"), -2.0, 2.0, 2049)
         assert spec.baseline
         run_sweep(spec, jobs=1)
-        blocks = -(-spec.count // BLOCK_POINTS)
         stages = -(-spec.count // sweep._STAGE_POINTS)
-        assert 1 < stages and 8 * stages <= blocks  # many blocks per stage
+        # stages of 1024, 1024 and 1 points: 8, 8 and 1 blocks of the
+        # points (10x10), and 3, 3 and 1 of their atom-free points (6x6)
+        blocks = 17 + 7
+        assert stages == 3
         # a working point per stage for the points and one for their
         # atom-free points, not one per block; a solve per block of each,
         # and one per stage of the atom-free atomic corner
         assert calls == {"solve_steady_state": 2 * stages,
-                         "solve_lyapunov_batch": 2 * blocks + stages}
+                         "solve_lyapunov_batch": blocks + stages}
 
     def test_model_stage_sorts_entries_by_kind(self):
         # an entry that no column reaches is held once, as a float
@@ -1068,9 +1101,14 @@ class TestThreadedSweep:
             assert ((tmp_path / f"{jobs}.csv").read_bytes()
                     == (tmp_path / "1.csv").read_bytes())
         if name == "mixed":
-            assert spec.count > 2 * BLOCK_POINTS
             assert serial.failures[np.flatnonzero(serial.x == 1.0)[0]] == model.POLE_MESSAGE
-            assert len({i // BLOCK_POINTS for i in serial.failures}) == 3
+            # injected errors in each of the three blocks: the points' two,
+            # of 90 and 91 points, and their atom-free points' one
+            injected = {i for i, message in serial.failures.items()
+                        if message.startswith("injected")}
+            assert min(injected) < 90 <= max(injected)
+            assert any(message.startswith(sweep._ATOM_FREE_TAG + "injected")
+                       for message in serial.failures.values())
             assert 0 < serial.stable_count()
             assert np.count_nonzero(~serial.stable) > serial.error_count()  # unstable
             # x = 0's atom-free problem needs the fallback, once per jobs value
@@ -1079,12 +1117,14 @@ class TestThreadedSweep:
             assert not np.isnan(serial.baseline_e_n[zero]).any()
             assert len(fallbacks) == 3
 
-    @pytest.mark.parametrize("name", ["fig3", "fig6a", "fig5_all_pairs",
+    @pytest.mark.parametrize("name", ["fig3", "fig6a", "fig6a_g", "fig5_all_pairs",
                                       "fig2_temperature"])
     def test_columns_and_failures_do_not_depend_on_block_size(self, name, monkeypatch):
-        # cut into blocks of 1, 7 and 128 points (model stages of 16 blocks),
-        # on one thread and on two, a sweep gives the bits of its 64-point
-        # blocks: fig3 has a fallback problem, fig6a a baseline, fig5 all
+        # with a budget of 1, 7 and 64 10x10 problems a block (so 2, 19 and
+        # 177 6x6 ones), in model stages of 16 times that many points, on
+        # one thread and on two, a sweep gives the bits of its default
+        # blocks: fig3 has a fallback problem, fig6a a baseline, fig6a along
+        # g from 0 a first point that splits beside 10x10 ones, fig5 all
         # five pairs, and the temperature sweep overflows at all but T = 0
         fallbacks = []
         real = dynamics._kronecker_lyapunov
@@ -1093,6 +1133,8 @@ class TestThreadedSweep:
         spec = {
             "fig3": preset("fig3"),
             "fig6a": narrowed(preset("fig6a"), -2.0, 2.0, 150),
+            "fig6a_g": narrowed(preset("fig6a"), 0.0, 2.0, 150, varied="g",
+                                axis_scale=preset("fig6a").base.g),
             "fig5_all_pairs": narrowed(preset("fig5"), 0.0, 100.0, 150,
                                        pairs=tuple(BIPARTITE_PAIRS)),
             "fig2_temperature": narrowed(preset("fig2"), 0.0, 1e305, 97,
@@ -1103,7 +1145,7 @@ class TestThreadedSweep:
         assert fallbacks or name != "fig3"
         assert spec.baseline == (name != "fig5_all_pairs")
         assert reference.error_count() == (96 if name == "fig2_temperature" else 0)
-        for points in (1, 7, 128):
+        for points in (1, 7, 64):
             monkeypatch.setattr(sweep, "BLOCK_POINTS", points)
             monkeypatch.setattr(sweep, "_STAGE_POINTS", 16 * points)
             for jobs in (1, 2):
@@ -1135,11 +1177,11 @@ class TestThreadedSweep:
                 pass
 
         monkeypatch.setattr(futures, "ThreadPoolExecutor", SerialPool)
-        # 3 blocks of points and 3 of their atom-free points
+        # 3 blocks of points (10x10) and 1 of their atom-free points (6x6)
         spec = narrowed(preset("fig6a"), -2.0, 2.0, 2 * BLOCK_POINTS + 1)
         serial = run_sweep(spec, jobs=1)
         assert sizes == []
-        for cpus, size in ((8, 6), (4, 4), (2, 2)):
+        for cpus, size in ((8, 4), (3, 3), (2, 2)):
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
             pooled = run_sweep(spec, jobs=10_000)
             assert sizes.pop() == size
@@ -1153,6 +1195,12 @@ class TestThreadedSweep:
         assert sizes.pop() == 2
         run_sweep(dataclasses.replace(one, baseline=False), jobs=4)  # one block
         assert sizes == []
+        # past one model stage, the blocks of the first stage count: its
+        # 1024 points make 8 blocks, the next stage's one point a ninth
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        longer = narrowed(one, -2.0, 2.0, sweep._STAGE_POINTS + 1, baseline=False)
+        run_sweep(longer, jobs=10_000)
+        assert sizes.pop() == 8
 
     def test_failing_block_propagates_and_cancels_the_rest(self, monkeypatch):
         released = threading.Event()
@@ -1165,12 +1213,14 @@ class TestThreadedSweep:
                 released.set()
                 super().shutdown(wait=wait)
 
-        spec = narrowed(preset("fig3"), -0.5, 1.5, 6 * BLOCK_POINTS)  # one stage
+        # one stage: six blocks of 128 points, and three of 256 of their
+        # atom-free points, which count as blocks 0, 2 and 4 here
+        spec = narrowed(preset("fig3"), -0.5, 1.5, 768)
         started = []
         real = sweep._evaluate_block
 
         def evaluate(stage, block, *rest):
-            k = block.start // BLOCK_POINTS
+            k = block.start // 128
             started.append(k)
             if k == 1:
                 raise SimulationError("block 1 failed")
@@ -1186,11 +1236,11 @@ class TestThreadedSweep:
         assert {0, 1} <= set(started) <= {0, 1, 2}
 
     def test_stages_equal_serial_and_stay_few(self, monkeypatch):
-        # blocks of eight points and stages of two blocks: the pool solves
-        # the blocks of at most two ranges of stages while the calling
-        # thread computes the next one, however many stages the grid has;
-        # each range is a stage of the points and one of their atom-free
-        # points
+        # stages of 16 points, in two blocks of 8 points and one block of
+        # their atom-free points: the pool solves the blocks of at most two
+        # ranges of stages while the calling thread computes the next one,
+        # however many stages the grid has; each range is a stage of the
+        # points and one of their atom-free points
         monkeypatch.setattr(sweep, "BLOCK_POINTS", 8)
         monkeypatch.setattr(sweep, "_STAGE_POINTS", 16)
         self.injected_errors(monkeypatch)
@@ -1234,7 +1284,7 @@ class TestThreadedSweep:
             return real(*args)
 
         monkeypatch.setattr(sweep, "_evaluate_block", evaluate)
-        spec = narrowed(preset("fig6a"), -2.0, 2.0, 161)  # 21 blocks
+        spec = narrowed(preset("fig6a"), -2.0, 2.0, 161)  # 21 blocks of points
         with pytest.raises(SimulationError, match="fifth block failed"):
             run_sweep(spec, jobs=2)
         assert len(started) < 21
@@ -1314,14 +1364,15 @@ class TestDriftMemo:
             assert calls[4] == 1
 
     def test_temperature_sweep_decomposes_two_blocks(self, decomposed):
-        # one stage, one drift per point set: the first full block and the
-        # short last block of the points and of their atom-free points are
-        # decomposed, and the memo ends with their four keys; before them,
-        # the stage's atom-free atomic corner, solved once
+        # one stage, one drift per point set: the points' eight blocks are
+        # seven of 125 points and one of 126, their atom-free points' three
+        # one of 333 and two of 334, and the first block of each length is
+        # decomposed, so the memo ends with four keys; before them, the
+        # stage's atom-free atomic corner, solved once
         spec = along_temperature(preset("fig6a"), 1001)
-        assert spec.count <= sweep._STAGE_POINTS and spec.count % BLOCK_POINTS
+        assert spec.count <= sweep._STAGE_POINTS
         result = run_sweep(spec)
-        assert decomposed == [1] + 2 * [BLOCK_POINTS, spec.count % BLOCK_POINTS]
+        assert decomposed == [1, 125, 126, 333, 334]
         assert len(sweep._DRIFT_MEMO._held) == 4
         for rec in result.records:
             single = evaluate_point(spec.base.replace(temperature=rec.x),
@@ -1362,15 +1413,17 @@ class TestDriftMemo:
             assert cold.failures == dict.fromkeys(range(spec.count), model.POLE_MESSAGE)
 
     def test_long_sweep_of_distinct_drifts_keeps_nothing(self, decomposed):
-        # one stage: its seven blocks, and their atom-free points' seven, are
+        # one stage: its four blocks, and their atom-free points' two, are
         # kept; the atom-free atomic corner, solved once per stage, is not
         run_sweep(preset("fig6a"))
-        assert len(sweep._DRIFT_MEMO._held) == len(decomposed) - 1 == 2 * 7
+        assert len(sweep._DRIFT_MEMO._held) == len(decomposed) - 1 == 4 + 2
         decomposed.clear()
         spec = narrowed(preset("fig6a"), -2.0, 2.0, 2 * sweep._STAGE_POINTS + 1)
         run_sweep(spec)
         stages = -(-spec.count // sweep._STAGE_POINTS)
-        assert len(decomposed) == 2 * -(-spec.count // BLOCK_POINTS) + stages
+        # stages of 1024, 1024 and 1 points: 8, 8 and 1 blocks of the
+        # points, and 3, 3 and 1 of their atom-free points
+        assert len(decomposed) == 17 + 7 + stages
         assert sweep._DRIFT_MEMO._held == {}
 
     def test_sweep_of_one_stage_drops_the_drifts_it_does_not_pose(self, decomposed):
@@ -1378,9 +1431,9 @@ class TestDriftMemo:
         # one, outside the memo
         run_sweep(preset("fig6a"))
         run_sweep(preset("fig6b"))  # fig6a's drifts: nothing decomposed, all kept
-        assert len(sweep._DRIFT_MEMO._held) == len(decomposed) - 2 == 2 * 7
+        assert len(sweep._DRIFT_MEMO._held) == len(decomposed) - 2 == 4 + 2
         run_sweep(preset("fig2"))
-        assert len(sweep._DRIFT_MEMO._held) == len(decomposed) - 3 - 2 * 7 > 0
+        assert len(sweep._DRIFT_MEMO._held) == len(decomposed) - 3 - (4 + 2) > 0
 
     def test_single_point_leaves_the_memo_alone(self, decomposed):
         # a point between fig6a and fig6b neither prunes fig6a's drifts from
@@ -1398,9 +1451,10 @@ class TestDriftMemo:
 
     def test_threads_share_the_memo(self, monkeypatch, decomposed):
         # more threads than CPUs and a short switch interval, over 25 blocks
-        # of points that pose one drift and 25 of their atom-free points that
-        # pose another: whatever the interleaving, the results equal the
-        # serial run's and the memo holds one key per point set
+        # of 8 points that pose one drift and 10 blocks of 20 of their
+        # atom-free points that pose another: whatever the interleaving, the
+        # results equal the serial run's and the memo holds one key per
+        # point set
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setattr(sweep, "BLOCK_POINTS", 8)
         spec = along_temperature(preset("fig6a"), 200)
