@@ -345,7 +345,10 @@ def _residual_and_bound(a: np.ndarray, d: np.ndarray, v: np.ndarray,
     """Residual max|a v + v a^T + d| of each symmetric v of a stack, and its
     bound; a_max and d_max are _abs_max of a and d."""
     av = a @ v
-    residual = _abs_max(av + np.swapaxes(av, -1, -2) + d)
+    # += of the transpose would overlap av, which numpy buffers with a copy
+    sym = av + np.swapaxes(av, -1, -2)
+    sym += d
+    residual = _abs_max(sym)
     bound = RESIDUAL_TOL * np.maximum(a_max * _abs_max(v), d_max)
     return residual, bound
 
@@ -457,19 +460,20 @@ def _eigenbasis_lyapunov(lam: np.ndarray, s: np.ndarray, s_inv: np.ndarray,
     a = s diag(lam) s^-1 in complex arithmetic, and the pair-sum condition
     estimate of each.
 
-    C = s^-1 d s^-T becomes W = -C / (lam_i + lam_j) in place, and the
-    products s W and (s W) s^T, and the solution, go into the stacks of the
-    pair sums, of C and of the pair sums' moduli, which the solve no longer
-    needs. The operations, and so the bits, are those of fresh arrays. lam,
-    s and s^-1 are only read.
+    C = s^-1 d s^-T becomes W = -C / (lam_i + lam_j) in place, divided by
+    the negated pair sums, and the products s W and (s W) s^T, and the
+    solution, go into the stacks of the pair sums, of C and of the pair
+    sums' moduli, which the solve no longer needs. The operations, and so
+    the bits, are those of fresh arrays. lam, s and s^-1 are only read.
     """
     c = s_inv @ d @ np.swapaxes(s_inv, 1, 2)
-    # filled in two steps: lam[:, :, None] + lam[:, None, :] buffers both
-    # broadcast operands, a stack each
-    pair_sums = np.empty_like(c)
-    pair_sums[...] = lam[:, :, None]
-    pair_sums += lam[:, None, :]
-    np.negative(c, out=c)
+    # the negated pair sums, filled in two steps: -lam[:, :, None] -
+    # lam[:, None, :] buffers both broadcast operands, a stack each.
+    # (-lam_i) - lam_j is -(lam_i + lam_j) to the bit but for the sign of a
+    # zero imaginary part, so C divided by it is -C / (lam_i + lam_j) with
+    # no pass to negate C
+    pair_sums = np.negative(lam[:, :, None], out=np.empty_like(c))
+    pair_sums -= lam[:, None, :]
     c /= pair_sums
     moduli = np.abs(pair_sums)
     cond = moduli.max(axis=(1, 2)) / moduli.min(axis=(1, 2))
@@ -516,10 +520,10 @@ def solve_lyapunov_batch(a: np.ndarray, d: np.ndarray,
     driver runs. A stack with no stable problem returns after the gate. A
     problem whose diffusion is non-finite fails before the solve, with no
     abscissa, and its error names the non-finite entries.
-    C turns into W in place, negated and then divided by the pair sums, and
-    S W and V go into spent stacks (_eigenbasis_lyapunov). Folding the sign
-    into the symmetrization instead, V = -(Y + Y^T)/2, would give the same
-    values but turn some exact zeros of V into -0.0.
+    C turns into W in place, divided by the negated pair sums, and S W and V
+    go into spent stacks (_eigenbasis_lyapunov). Folding the sign into the
+    symmetrization instead, V = -(Y + Y^T)/2, would give the same values but
+    turn some exact zeros of V into -0.0.
     The pair sums lam_i + lam_j, nonzero where stable, are the eigenvalues of
     the vectorized Lyapunov operator; their extreme moduli's ratio estimates
     its condition. A 10x10 problem whose bosonic and atomic modes no entry

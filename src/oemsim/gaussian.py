@@ -61,6 +61,12 @@ def extract_bipartite(v: np.ndarray, pair: BipartitePair) -> np.ndarray:
     return v[np.ix_(idx, idx)].copy()
 
 
+#: the column pairs (j, k), j < k, of a 4x4 matrix's 2x2 minors, as the
+#: arrays of j and of k, ordered so that the pair at 5 - i holds the other
+#: two columns of the pair at i
+_MINOR_COLUMNS = (np.array([0, 0, 0, 1, 1, 2]), np.array([1, 2, 3, 2, 3, 3]))
+
+
 @dataclass(frozen=True)
 class LogNegativity:
     e_n: float         # entanglement measure, >= 0
@@ -87,22 +93,17 @@ def log_negativities(cm: np.ndarray) -> tuple[
 
     Uses the partial-transpose invariant sigma = det v1 + det v2 - 2 det vc,
     eta_minus = sqrt((sigma - sqrt(sigma^2 - 4 det cm)) / 2), and
-    e_n = max(0, -ln(2 eta_minus)). A discriminant within -DISCRIMINANT_TOL of
-    zero is clamped to zero (roundoff at degenerate symplectic spectra); beyond
-    that the state is rejected as unphysical, and so is a state with a NaN or
-    infinite entry. Returns (e_n, eta_minus, errors), where errors maps the
-    index of each rejected state to its error and the two arrays hold NaN
-    there.
+    e_n = max(0, -ln(2 eta_minus)), with sigma and det cm in closed form
+    (_invariants), not from LAPACK. A discriminant within -DISCRIMINANT_TOL
+    of zero is clamped to zero (roundoff at degenerate symplectic spectra);
+    beyond that the state is rejected as unphysical, and so is a state with
+    a NaN or infinite entry. Returns (e_n, eta_minus, errors), where errors
+    maps the index of each rejected state to its error and the two arrays
+    hold NaN there.
     """
-    # the determinants of the 2x2 blocks v1, vc (and vc^T) and v2 in one
-    # pass: blocks[:, i, :, j, :] is the block in block row i, block column j
-    blocks = cm.reshape(-1, 2, 2, 2, 2)
     # a non-finite member gives NaN or inf along the way, and fails below
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        dets = (blocks[:, :, 0, :, 0] * blocks[:, :, 1, :, 1]
-                - blocks[:, :, 0, :, 1] * blocks[:, :, 1, :, 0])
-        sigma = dets[:, 0, 0] + dets[:, 1, 1] - 2.0 * dets[:, 0, 1]
-        det_cm = np.linalg.det(cm)
+        sigma, det_cm = _invariants(cm)
         disc = sigma * sigma - 4.0 * det_cm
         # clamps every negative discriminant: those below -DISCRIMINANT_TOL
         # fail below, whatever eta_sq they give; sigma * sigma is never
@@ -137,3 +138,21 @@ def log_negativities(cm: np.ndarray) -> tuple[
         errors[int(k)] = UnphysicalCovarianceError(msg)
     return e_n, eta_minus, errors
 
+
+def _invariants(cm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sigma = det v1 + det v2 - 2 det vc and det cm of each state of a
+    (m, 4, 4) stack, in closed form from the 2x2 minors of rows 0-1 and of
+    rows 2-3: det v1, det vc and det v2 are three of them, and det cm is
+    their Laplace expansion along rows 0-1, the six products of a minor and
+    its complementary minor added elementwise in one fixed order. So a
+    state's values do not depend on the rest of its stack, as with a
+    matrix product's summation order they could."""
+    # minors[:, r, i]: rows 2r and 2r + 1 at the column pair i of
+    # _MINOR_COLUMNS, whose complement is the pair 5 - i
+    left, right = cm[:, :, _MINOR_COLUMNS[0]], cm[:, :, _MINOR_COLUMNS[1]]
+    minors = left[:, 0::2] * right[:, 1::2] - right[:, 0::2] * left[:, 1::2]
+    top, bottom = minors[:, 0], minors[:, 1]
+    sigma = top[:, 0] + bottom[:, 5] - 2.0 * top[:, 5]
+    terms = top * bottom[:, ::-1]
+    det = terms[:, 0] - terms[:, 1] + terms[:, 2] + terms[:, 3] - terms[:, 4] + terms[:, 5]
+    return sigma, det

@@ -418,19 +418,17 @@ class _ModelStage:
     omega_m: np.ndarray                # (n,) omega_m at each point
     temperature: np.ndarray            # (n,) the bath temperature at each point
     q_s: np.ndarray                    # (n,) working point: NaN at a pole, inf out of range
-    drift: dynamics._Template          # 10x10
-    diffusion: dynamics._Template      # 10x10
     groups: tuple[_ModeGroup, ...]
 
     @classmethod
     def of(cls, points: model.ParameterBlock, lo: int, hi: int) -> "_ModelStage":
-        """The working point, the templates and the mode groups of points lo
-        to hi - 1 of a ParameterBlock, each computed once for all of them:
-        the whole problems of the points that do not split
-        (dynamics._decoupled), and the two groups of those that do.
-        Arithmetic that leaves floating-point range does not warn: the
-        working point marks it, and the solve fails a problem with a
-        non-finite entry."""
+        """The working point and the mode groups of points lo to hi - 1 of a
+        ParameterBlock, each computed once for all of them: the whole
+        problems of the points that do not split (dynamics._decoupled), and
+        the two groups of those that do. Only the groups keep the 10x10
+        templates, each restricted to its modes. Arithmetic that leaves
+        floating-point range does not warn: the working point marks it, and
+        the solve fails a problem with a non-finite entry."""
         columns = {name: value[lo:hi] for name, value in vars(points).items()
                    if value.__class__ is np.ndarray and (lo or hi < len(value))}
         block = replace(points, **columns) if columns else points
@@ -445,7 +443,7 @@ class _ModelStage:
                        if held.any() for modes in route)
         # a float where no column reaches
         return cls(*(np.full(n, value) for value in (
-            block.omega_m, block.temperature, working.q_s)), drift, diffusion, groups)
+            block.omega_m, block.temperature, working.q_s)), groups)
 
     def blocks(self) -> list[slice]:
         """The stage's points in blocks sized by its largest varying group."""
@@ -537,7 +535,10 @@ def _evaluate_block(stage: _ModelStage, block: slice,
         solved[list(sol.errors)] = False
     # one stack of the 4x4 blocks of every solved (point, requested pair)
     rows = np.flatnonzero(solved)
-    states = sol.v.reshape(m, 100).take(rows, axis=0).take(_pair_columns(pairs), axis=1)
+    states = sol.v.reshape(m, 100)
+    if rows.size < m:
+        states = states.take(rows, axis=0)
+    states = states.take(_pair_columns(pairs), axis=1)
     values, _, pair_errors = gaussian.log_negativities(states.reshape(-1, 4, 4))
     values = values.reshape(rows.size, len(pairs))
     if rows.size == m:

@@ -1,6 +1,9 @@
 """Bipartite extraction and logarithmic negativity."""
 
+import itertools
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +18,9 @@ from oemsim import (
     log_negativity,
     normalize_pair_tag,
 )
-from oemsim.gaussian import log_negativities
+from oemsim import gaussian
+from oemsim.gaussian import _invariants, log_negativities
+from oemsim.sweep import PRESET_NAMES, preset, run_sweep
 from oemsim.verify import make_tmsv
 
 
@@ -143,6 +148,16 @@ class TestLogNegativityRejections:
         with pytest.raises(UnphysicalCovarianceError, match="discriminant"):
             log_negativity(cm)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry(self, value):
+        # whatever the minors make of it, a non-finite entry is named
+        for i, j in itertools.product(range(4), repeat=2):
+            cm = make_tmsv(1.0)
+            cm[i, j] = value
+            with pytest.raises(UnphysicalCovarianceError) as err:
+                log_negativity(cm)
+            assert str(err.value) == f"covariance has non-finite entries: ({i}, {j}) = {value}"
+
     def test_collapsed_symplectic_eigenvalue(self):
         cm = np.diag([1e-3, 1e-3, 1e-3, -1e-3])  # det ~ -1e-12, inside clamp
         with pytest.raises(UnphysicalCovarianceError, match="non-positive"):
@@ -176,3 +191,119 @@ class TestBatchedLogNegativity:
         for cm, value, eta in zip(stack, e_n, eta_minus):
             single = log_negativity(cm)
             assert (single.e_n, single.eta_minus) == (value, eta)
+
+
+def exact_det_and_permanent(cm):
+    """det cm and the permanent of |cm|, exact in the float entries, each a
+    sum over the 24 permutations (Leibniz), independent of the expansion
+    under test."""
+    entries = [[Fraction(x) for x in row] for row in cm.tolist()]
+    det = perm = Fraction(0)
+    for sigma in itertools.permutations(range(4)):
+        product = math.prod(entries[i][sigma[i]] for i in range(4))
+        inversions = sum(sigma[i] > sigma[j] for i, j in itertools.combinations(range(4), 2))
+        det += -product if inversions % 2 else product
+        perm += abs(product)
+    return det, perm
+
+
+#: the forward error bound of _invariants' det: each of the 24 products of
+#: the Leibniz sum is rounded at most 8 times on its way (twice in its 2x2
+#: minor, once in the product of the two minors, at most five times in the
+#: sum of the six products), so |error| <= gamma_8 * permanent(|cm|), with
+#: gamma_k = k u / (1 - k u) and u the unit roundoff
+UNIT_ROUNDOFF = Fraction(2) ** -53
+GAMMA_8 = 8 * UNIT_ROUNDOFF / (1 - 8 * UNIT_ROUNDOFF)
+
+
+def preset_pair_states():
+    """Every 4x4 state that a sweep of fig2, fig5 and fig6a hands to
+    log_negativities: their requested pairs and baseline pairs at every
+    solved point."""
+    stacks = []
+    real = gaussian.log_negativities
+
+    def recording(cm):
+        stacks.append(cm.copy())
+        return real(cm)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gaussian, "log_negativities", recording)
+        for name in ("fig2", "fig5", "fig6a"):
+            run_sweep(preset(name))
+    return np.concatenate(stacks)
+
+
+class TestClosedFormDeterminant:
+    """det cm comes from the 2x2 minors of rows 0-1 and 2-3 (_invariants),
+    not from LAPACK's LU."""
+
+    def test_sweeps_call_no_lapack_determinant(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.det called")
+
+        monkeypatch.setattr(np.linalg, "det", refuse)
+        results = [run_sweep(preset(name)) for name in PRESET_NAMES]
+        results.append(run_sweep(replace(preset("fig5"), start=0.0, stop=100.0, count=8001,
+                                         pairs=tuple(BIPARTITE_PAIRS))))
+        for result in results:
+            assert not result.failures
+            assert result.stable.any() and not np.isnan(result.e_n[result.stable]).any()
+
+    def test_preset_states(self):
+        # 1723 states. Their perm(|cm|) / |det cm| reaches 5.6e5, at fig2's
+        # strongly correlated mr_oc states, so the bound below allows a
+        # relative error of 5.0e-10 there; the closed form's worst is
+        # 8.1e-13 (LU's, 2.6e-14). A relative error delta of det cm moves
+        # E_N by delta / (2 (1 - eta_minus^2 / eta_plus^2)), about delta / 2
+        # where eta_minus is well below eta_plus, so 1e-12 keeps the
+        # determinant's share of an E_N cell three orders inside the
+        # goldens' 1e-9 rule
+        states = preset_pair_states()
+        assert len(states) == 1723
+        _, det = _invariants(states)
+        worst = Fraction(0)
+        for k, cm in enumerate(states):
+            exact, perm = exact_det_and_permanent(cm)
+            error = abs(Fraction(det[k]) - exact)
+            assert error <= GAMMA_8 * perm, k
+            worst = max(worst, error / abs(exact))
+        assert worst <= Fraction(1, 10**12)
+
+    @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("n_th", [0.0, 1.0, 10.0])
+    def test_two_mode_squeezed_states(self, r, n_th):
+        # at r = 3 and n_th = 0, perm(|cm|) / det cm is 6.6e9, and the
+        # closed form's relative error 2.4e-7 (LU's 4.2e-13). E_N loses as
+        # much already in sigma - sqrt(sigma^2 - 4 det cm), which cancels
+        # terms of size sigma ~ e^{4r} / 2: with LU's determinant in its
+        # place, E_N of all 15 states is the same bits
+        cm = make_tmsv(r, n_th)
+        exact, perm = exact_det_and_permanent(cm)
+        error = abs(Fraction(_invariants(cm[None])[1][0]) - exact)
+        assert error <= GAMMA_8 * perm
+
+    def test_near_singular_state(self):
+        # a rank-3 product, whose determinant is the rounding of its
+        # entries, and the same plus 1e-8 I: no relative accuracy is
+        # possible, and the error stays within the forward bound
+        u = np.random.default_rng(0).standard_normal((4, 3))
+        singular = u @ u.T
+        for cm in (singular, singular + 1e-8 * np.eye(4)):
+            exact, perm = exact_det_and_permanent(cm)
+            assert abs(exact) < 1e-8 * perm
+            error = abs(Fraction(_invariants(cm[None])[1][0]) - exact)
+            assert error <= GAMMA_8 * perm
+
+    def test_invariants_are_the_block_determinants(self):
+        # sigma from the 2x2 blocks' determinants, each the same bits as
+        # the minor it is
+        rng = np.random.default_rng(5)
+        stack = rng.standard_normal((50, 4, 4))
+        sigma, _ = _invariants(stack)
+        def block_det(cm, i, j):
+            b = cm[2 * i:2 * i + 2, 2 * j:2 * j + 2]
+            return b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
+        expected = [block_det(cm, 0, 0) + block_det(cm, 1, 1) - 2.0 * block_det(cm, 0, 1)
+                    for cm in stack]
+        assert sigma.tolist() == expected

@@ -117,14 +117,25 @@ def model_stages(base, varied, column):
                  for p in (points, sweep._atom_free(points)))
 
 
-def full_stacks(stage, block=slice(None)):
-    """The 10x10 drift and diffusion stacks of a block of a model stage's
-    points, filled from the stage's templates."""
-    m = len(stage.q_s[block])
+def model_templates(base, varied, column):
+    """The 10x10 drift and diffusion templates (dynamics._templates) of the
+    points of a column along a field, and of their atom-free points: those
+    that each model stage of model_stages restricts to its mode groups."""
+    points = model.parameter_block(base, varied, column)
+    out = []
+    for p in (points, sweep._atom_free(points)):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            out.append(dynamics._templates(p, model.solve_steady_state(p)))
+    return tuple(out)
+
+
+def full_stacks(templates, m):
+    """The 10x10 drift and diffusion stacks of m points, filled from their
+    templates (model_templates)."""
     stacks = []
-    for template in (stage.drift, stage.diffusion):
+    for template in templates:
         stack = np.empty((m, 100))
-        template.fill(stack, block)
+        template.fill(stack, slice(0, m))
         stacks.append(stack.reshape(m, 10, 10))
     return stacks
 
@@ -373,10 +384,13 @@ class TestAtomFreeProblem:
 
     def test_block_stack_carries_the_vacuum_corner(self):
         spec = narrowed(preset("fig6a"), -2.0, 2.0, 9)
-        main, free = model_stages(spec.base, spec.varied, spec.grid() * spec.axis_scale)
+        column = spec.grid() * spec.axis_scale
+        _, free = model_stages(spec.base, spec.varied, column)
+        main_templates, free_templates = model_templates(spec.base, spec.varied, column)
         base = spec.base
-        assert np.all(full_stacks(main)[0][:, 6, 7] == base.delta_a1 / base.omega_m)
-        a, d = full_stacks(free)
+        assert np.all(full_stacks(main_templates, 9)[0][:, 6, 7]
+                      == base.delta_a1 / base.omega_m)
+        a, d = full_stacks(free_templates, 9)
         assert (a[:, 6:, 6:] == -np.eye(4)).all() and (d[:, 6:, 6:] == np.eye(4)).all()
         assert not a[:, 6:, :6].any() and not a[:, :6, 6:].any()
         assert not d[:, 6:, :6].any() and not d[:, :6, 6:].any()
@@ -955,12 +969,14 @@ class TestBlockEngine:
                    "omega_m": np.array([0.8, 1.0, 1.2]) * base.omega_m,
                    "delta_c": np.array([-1.0, 0.0, 1.0]) * base.delta_c}
         along = {name: model_stages(base, name, column) for name, column in columns.items()}
-        for stage in along["temperature"]:
-            assert stage.drift.slots.size == 0  # the drift does not depend on temperature
+        templates = {name: model_templates(base, name, column)
+                     for name, column in columns.items()}
+        for drift, diffusion in templates["temperature"]:
+            assert drift.slots.size == 0  # the drift does not depend on temperature
             # the thermal factors
-            assert sorted(stage.diffusion.slots.tolist()) == [11, 44, 55]
-        stage, _ = along["omega_m"]
-        assert stage.drift.slots.size == 31 and stage.diffusion.slots.size == 9
+            assert sorted(diffusion.slots.tolist()) == [11, 44, 55]
+        (drift, diffusion), _ = templates["omega_m"]
+        assert drift.slots.size == 31 and diffusion.slots.size == 9
         # at every point the atom-free atomic modes hold the vacuum: -I
         # (drift) and I (diffusion) in their corner, and zeros in their rows
         # and columns outside it, even where every entry is a column; so
@@ -968,7 +984,7 @@ class TestBlockEngine:
         # where no column reaches it, and per block along omega_m, where
         # kappa_a = omega_m is a column
         for name, (_, free) in along.items():
-            free_a, free_d = full_stacks(free, slice(0, 3))
+            free_a, free_d = full_stacks(templates[name][1], 3)
             assert (free_a[:, 6:, 6:] == -np.eye(4)).all()
             assert (free_d[:, 6:, 6:] == np.eye(4)).all()
             assert not free_a[:, 6:, :6].any() and not free_a[:, :6, 6:].any()
@@ -976,9 +992,9 @@ class TestBlockEngine:
             assert [group.modes for group in free.groups] == list(dynamics._GROUPS)
             assert (free.groups[1].solved is None) == (name == "omega_m")
         # delta_c reaches its own two entries and the optomechanical coupling
-        for stage in along["delta_c"]:
-            assert sorted(stage.drift.slots.tolist()) == [12, 23, 30, 32]
-            assert stage.diffusion.slots.size == 0
+        for drift, diffusion in templates["delta_c"]:
+            assert sorted(drift.slots.tolist()) == [12, 23, 30, 32]
+            assert diffusion.slots.size == 0
 
     @pytest.mark.parametrize("name", ["g", "r_a", "kappa_a", "rho_aa0", "rho_cc0",
                                       "rho_ca0", "delta_a1", "delta_a2"])
@@ -987,9 +1003,10 @@ class TestBlockEngine:
         # nothing outside the atomic modes, which hold the vacuum placeholders
         start, stop, scale = field_grid(name)
         column = np.linspace(start, stop, 5) * scale
-        stage, free = model_stages(preset("fig6a").base, name, column)
-        assert stage.drift.slots.size > 0
-        assert free.drift.slots.size == 0 and free.diffusion.slots.size == 0
+        (drift, _), (free_drift, free_diffusion) = model_templates(
+            preset("fig6a").base, name, column)
+        assert drift.slots.size > 0
+        assert free_drift.slots.size == 0 and free_diffusion.slots.size == 0
 
     @pytest.mark.parametrize("name", FIELD_NAMES + ("pole", "hot"))
     def test_model_stage_maxima_are_those_of_the_stacks(self, name):
