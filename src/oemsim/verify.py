@@ -1,10 +1,11 @@
 """Independent oracles used by the test suite.
 
 Four routes to cross-check the production pipeline: a fixed-step time-domain
-integration of the covariance flow, a brute-force vectorized Lyapunov solve,
-analytic two-mode Gaussian states with known entanglement, and a separate
-6-mode model of the atom-free system. They have their own Hurwitz gate and
-logarithmic negativity, and import nothing from dynamics or gaussian.
+integration of the covariance flow and a brute-force vectorized Lyapunov
+solve, both on the n(n+1)/2 unknowns of a symmetric covariance; analytic
+two-mode Gaussian states with known entanglement; and a separate 6-mode model
+of the atom-free system. They have their own Hurwitz gate and logarithmic
+negativity, and import nothing from dynamics or gaussian.
 """
 
 from __future__ import annotations
@@ -30,29 +31,37 @@ def is_stable(a: np.ndarray) -> tuple[bool, float]:
     return abscissa < -1e-12, abscissa
 
 
-def _lyapunov_operator(a: np.ndarray, what: str) -> np.ndarray:
-    """I (x) a + a (x) I, the vectorized Lyapunov operator of a stable drift."""
+def _check_inputs(a: np.ndarray, d: np.ndarray, what: str) -> None:
+    """Raise StabilityError, naming the abscissa, unless a passes is_stable;
+    then SimulationError, naming the entries, if d has a non-finite one."""
     stable, abscissa = is_stable(a)
     if not stable:
         raise StabilityError(
             f"{what} requires a stable drift (spectral abscissa {abscissa:.3e})")
-    n = a.shape[0]
-    eye = np.eye(n)
-    # entry (i n + k, j n + l) is eye[i, j] a[k, l] + a[i, j] eye[k, l]: the
-    # products and sum of np.kron(eye, a) + np.kron(a, eye), bit for bit,
-    # without np.kron's shape bookkeeping, which cost more than the products
-    op = (eye[:, None, :, None] * a[None, :, None, :]
-          + a[:, None, :, None] * eye[None, :, None, :])
-    return op.reshape(n * n, n * n)
-
-
-def _check_diffusion(d: np.ndarray) -> None:
-    """Raise SimulationError, naming the entries, if d has a non-finite one."""
     finite = np.isfinite(d)
     if not finite.all():
         entries = ", ".join(f"({i}, {j}) = {d[i, j]}"
                             for i, j in np.argwhere(~finite).tolist())
         raise SimulationError(f"diffusion matrix contains non-finite entries: {entries}")
+
+
+def _lyapunov_operator(a: np.ndarray) -> tuple[np.ndarray, tuple, np.ndarray]:
+    """(op, upper, index): V -> a V + V a^T on the unknowns v_pq, p <= q, of a
+    symmetric V, where vech(X) = X[upper] and v[index] is V.
+
+    Row (i, j), i <= j, holds the coefficients of sum_k a_ik v_kj + v_ik a_jk,
+    with v_qp read as v_pq: at most two nonzero terms per entry, added onto
+    +0.0, so no entry is a negative zero. Ungated: a singular op is the caller's.
+    """
+    n = a.shape[0]
+    rows, cols = np.nonzero(~np.tri(n, k=-1, dtype=bool))  # np.triu_indices(n)
+    index = np.empty((n, n), dtype=np.intp)
+    index[rows, cols] = index[cols, rows] = np.arange(rows.size)
+    op = np.zeros((rows.size, rows.size))
+    row = np.arange(rows.size)[:, None]
+    op[row, index[:, cols].T] += a[rows]  # a_ik at the unknown of v_kj
+    op[row, index[rows]] += a[cols]  # a_jk at the unknown of v_ik
+    return op, (rows, cols), index
 
 
 @dataclass(frozen=True)
@@ -81,10 +90,9 @@ def integrate_covariance(a: np.ndarray, d: np.ndarray,
     unknowns v_pq, p <= q, of the symmetric covariance: v = vech(V). The flow
     maps symmetric matrices to symmetric matrices, so their space is invariant
     under it, under the RK4 step and under every power of the step, and the
-    reduction is exact. On vec(V) the flow is L = I (x) a + a (x) I; on v it
-    is E L D, where the duplication matrix D spreads v over vec(V) and the
-    elimination rows E keep the entries p <= q. d is read through its
-    symmetric part (d + d^T)/2; its antisymmetric part would only drive an
+    reduction is exact. On v the flow is L v = vech(a V + V a^T), the
+    operator that _lyapunov_operator builds. d is read through its symmetric
+    part (d + d^T)/2; its antisymmetric part would only drive an
     antisymmetric component, which a covariance does not have.
 
     The flow is linear in v, so one RK4 step is a fixed affine map
@@ -109,31 +117,22 @@ def integrate_covariance(a: np.ndarray, d: np.ndarray,
     decays monotonically this is the decision of testing every step.
     """
     cfg = cfg or IntegrationConfig()
-    n = a.shape[0]
-    rows, cols = np.nonzero(~np.tri(n, k=-1, dtype=bool))  # np.triu_indices(n)
-    upper = rows * n + cols  # vec index of each unknown v_pq, p <= q
-    k = np.arange(upper.size)
-    dup = np.zeros((n * n, upper.size))  # D: vec(V) = D v
-    dup[upper, k] = dup[cols * n + rows, k] = 1.0
-    lyap_op = _lyapunov_operator(a, "covariance flow")[upper] @ dup
-    _check_diffusion(d)
-    d_vec = (0.5 * (d + d.T))[rows, cols]
+    _check_inputs(a, d, "covariance flow")
+    lyap_op, upper, index = _lyapunov_operator(a)
+    d_vec = (0.5 * (d + d.T))[upper]
     hk = cfg.dt * lyap_op
     hk2 = hk @ hk
     hk3 = hk2 @ hk
     # RK4 one-step map v -> step_op v + gain d_vec
-    eye = np.eye(upper.size)
+    eye = np.eye(d_vec.size)
     step_op = eye + hk + hk2 / 2.0 + hk3 / 6.0 + (hk2 @ hk2) / 24.0
     gain = cfg.dt * (eye + hk / 2.0 + hk2 / 6.0 + hk3 / 24.0)
-    v = (0.5 * np.eye(n))[rows, cols]
-
-    def result(v: np.ndarray) -> np.ndarray:
-        return (dup @ v).reshape(n, n)
+    v = (0.5 * np.eye(a.shape[0]))[upper]
 
     last = int(math.ceil(cfg.t_max / cfg.dt)) - 1
     deriv = lyap_op @ v + d_vec
     if np.abs(deriv).max() < cfg.tol:
-        return result(v)
+        return v[index]
     gains = [gain]  # gains[j] advances 2^j steps
     power = step_op  # M_j for the newest gain
     k, jump = 0, 1
@@ -142,7 +141,7 @@ def integrate_covariance(a: np.ndarray, d: np.ndarray,
         k += jump
         deriv = lyap_op @ v + d_vec
         if np.abs(deriv).max() < cfg.tol:
-            return result(v)
+            return v[index]
         jump *= 2
         if k + jump <= last:
             gain = power @ gains[-1]
@@ -154,7 +153,7 @@ def integrate_covariance(a: np.ndarray, d: np.ndarray,
         if remaining >> j & 1:
             v += g @ (lyap_op @ v + d_vec)
     if np.abs(lyap_op @ v + d_vec).max() < cfg.tol:
-        return result(v)
+        return v[index]
     raise ConvergenceError(
         f"covariance flow not stationary within t_max = {cfg.t_max} "
         f"(tol = {cfg.tol})")
@@ -190,23 +189,22 @@ def make_tmsv(r: float, n_th: float = 0.0) -> np.ndarray:
 
 
 def lyapunov_bruteforce(a: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Reference Lyapunov solve by Kronecker vectorization.
+    """Reference Lyapunov solve by vectorization and a dense LU.
 
-    Stacks a V + V a^T = -d into an n^2 x n^2 dense linear system
-    (I (x) a + a (x) I) vec(V) = -vec(d) and eliminates directly. Exact up to
-    roundoff at this problem size; used as the independent reference against
-    the production solver.
+    a V + V a^T = -(d + d^T)/2 on the n(n+1)/2 unknowns of the symmetric V
+    (_lyapunov_operator), eliminated directly: in exact arithmetic, the solve
+    on all n^2 entries, symmetrized afterwards. Exact up to roundoff at this
+    size; the independent reference against the production solver.
     """
-    op = _lyapunov_operator(a, "reference Lyapunov solve")
-    _check_diffusion(d)
+    _check_inputs(a, d, "reference Lyapunov solve")
+    op, upper, index = _lyapunov_operator(a)
     try:
-        vec = np.linalg.solve(op, -d.reshape(-1))
+        v = np.linalg.solve(op, -(0.5 * (d + d.T))[upper])
     except np.linalg.LinAlgError as exc:
         raise StabilityError(
             f"vectorized Lyapunov system is singular (marginal stability): {exc}"
         ) from exc
-    v = vec.reshape(a.shape)
-    return 0.5 * (v + v.T)
+    return v[index]
 
 
 def symplectic_log_negativity(cm: np.ndarray) -> float:

@@ -322,13 +322,18 @@ class TestSweepCommand:
         (["--preset", "fig3", "--grid", "-0.5", "1.5", "21"], ("1", "3", "3")),
         # x = 0 fails the eigenbasis residual check: a direct fallback block
         (["--preset", "fig5"], ("1", "2")),
+        # a model stage of two balanced blocks
+        (["--preset", "fig6a", "--grid", "-2", "2", "129"], ("1", "2")),
         # 16 blocks in one model stage, then 63 blocks in four stages
         (["--preset", "fig6a", "--grid", "-2", "2", "1001"], ("1", "2")),
+        # a last model stage of one point
+        (["--preset", "fig6a", "--grid", "-2", "2", "1025"], ("1", "2")),
         (["--preset", "fig6a", "--grid", "-2", "2", "4001"], ("1", "2")),
         # the dense atomic traffic: all-stable blocks that are solved whole
         (["--preset", "fig5", "--grid", "0", "100", "8001",
           "--pairs", "mr_oc,mr_mc,oc_mc,oc_sba,oc_scb"], ("1", "2")),
-    ], ids=["fig3", "fig5", "fig6a-1001", "fig6a-4001", "fig5-dense"])
+    ], ids=["fig3", "fig5", "fig6a-129", "fig6a-1001", "fig6a-1025", "fig6a-4001",
+            "fig5-dense"])
     def test_repeat_runs_identical_at_any_parallelism(self, tmp_path, args, jobs):
         outs = []
         for k, j in enumerate(jobs):

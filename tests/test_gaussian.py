@@ -3,6 +3,7 @@
 import itertools
 import math
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -307,3 +308,108 @@ class TestClosedFormDeterminant:
         expected = [block_det(cm, 0, 0) + block_det(cm, 1, 1) - 2.0 * block_det(cm, 0, 1)
                     for cm in stack]
         assert sigma.tolist() == expected
+
+
+def exact_float_log_negativity(cm):
+    """E_N of the float entries of cm in exact arithmetic, up to 60 digits:
+    the limit set by rounding the state itself. sigma and det cm are exact
+    fractions; eta_minus^2 = det cm / eta_plus^2 in 60-digit decimals."""
+    det, _ = exact_det_and_permanent(cm)
+    e = [[Fraction(x) for x in row] for row in cm.tolist()]
+
+    def minor(r, c):
+        return e[r][c] * e[r + 1][c + 1] - e[r][c + 1] * e[r + 1][c]
+
+    sigma = minor(0, 0) + minor(2, 2) - 2 * minor(0, 2)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        dec = lambda f: Decimal(f.numerator) / Decimal(f.denominator)  # noqa: E731
+        eta_plus_sq = (dec(sigma) + dec(sigma * sigma - 4 * det).sqrt()) / 2
+        eta_sq = dec(det) / eta_plus_sq
+        return float(max(Decimal(0), -(2 * eta_sq.sqrt()).ln()))
+
+
+def exact_cofactor_condition(cm):
+    """(det cm, sum_ij |cm_ij C_ij|), exact in the float entries: the
+    determinant's own condition number times |det cm|, with C the
+    cofactors."""
+    e = [[Fraction(x) for x in row] for row in cm.tolist()]
+
+    def det(m):
+        if len(m) == 1:
+            return m[0][0]
+        return sum((-1) ** j * m[0][j] * det([row[:j] + row[j + 1:] for row in m[1:]])
+                   for j in range(len(m)))
+
+    cond = sum(abs(e[i][j] * det([row[:j] + row[j + 1:] for k, row in enumerate(e) if k != i]))
+               for i in range(4) for j in range(4))
+    return det(e), cond
+
+
+class TestLogNegativityAccuracy:
+    """E_N is as accurate as the state's own rounding allows: eta_minus^2 =
+    det cm / eta_plus^2 does not cancel, and det cm comes from the closed
+    form only where a per-state bound certifies it (_determinants)."""
+
+    @pytest.mark.parametrize("n_th", [0.0, 0.1, 1.0, 10.0])
+    def test_two_mode_squeezed_states_up_to_r7(self, n_th):
+        # make_tmsv(r, n_th) is the pure state scaled by 2 n_th + 1, so E_N
+        # is exactly max(0, 2r - ln(2 n_th + 1)). Rounding the entries of
+        # the state alone moves it by up to 1.6e-4 at r = 7; the bound is 3
+        # times that, plus 1e-11 for the roundoff of the evaluation itself
+        # where the state's rounding happens to cost nothing. The closed-form
+        # determinant with (sigma - sqrt(sigma^2 - 4 det cm)) / 2 erred by
+        # 6.9e-8 at r = 3 and 6.9e-4 at r = 4, rejected r = 5 and 6.5, and
+        # gave 4.51 for 14.0 at r = 7
+        for r in np.arange(0.0, 7.01, 0.25):
+            cm = make_tmsv(float(r), n_th)
+            exact = max(0.0, 2.0 * r - math.log(2.0 * n_th + 1.0))
+            limit = abs(exact_float_log_negativity(cm) - exact)
+            e_n = log_negativity(cm).e_n  # a physical state is never rejected
+            assert abs(e_n - exact) <= 3.0 * limit + 1e-11, r
+
+    def test_elimination_follows_the_condition_number(self):
+        # the pivoted elimination is backward stable: its error stays within
+        # a few u sum_ij |cm_ij C_ij| (1.12 at worst on these states), where
+        # the closed form's grows with perm(|cm|)
+        rng = np.random.default_rng(7)
+        states = [make_tmsv(r, n_th) for r in (0.0, 1.0, 3.0, 5.0, 7.0, 8.0)
+                  for n_th in (0.0, 1.0)]
+        # rank 3, with a zero pivot in the second column: det 0, not NaN
+        states.append([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0],
+                       [0.0, 0.0, 2.0, 0.5], [0.0, 0.0, 0.5, 1.0]])
+        for _ in range(40):
+            m = rng.standard_normal((4, 4)) * np.exp(rng.uniform(-5.0, 5.0, 4))
+            states += [m @ m.T, rng.standard_normal((4, 4))]
+        states = np.array(states)
+        det = gaussian._eliminated_det(states)
+        for k, cm in enumerate(states):
+            exact, cond = exact_cofactor_condition(cm)
+            assert abs(Fraction(det[k]) - exact) <= 4 * UNIT_ROUNDOFF * cond, k
+
+    def test_each_state_takes_its_own_route(self, monkeypatch):
+        # certified states keep the closed form's bits, the others take the
+        # elimination's; a state's bits, and its route, do not depend on its
+        # stack, so a stack equals its members one by one
+        states = np.array([make_tmsv(r, n_th) for r in np.arange(0.0, 7.01, 0.5)
+                           for n_th in (0.0, 0.1, 1.0, 10.0)])
+        routed = []
+        real = gaussian._eliminated_det
+
+        def recording(cm):
+            routed.append(cm.copy())
+            return real(cm)
+
+        monkeypatch.setattr(gaussian, "_eliminated_det", recording)
+        e_n, eta_minus, errors = log_negativities(states)
+        assert errors == {}
+        eliminated = np.concatenate(routed)
+        assert 0 < len(eliminated) < len(states)
+        closed = _invariants(states)[1]
+        det = gaussian._determinants(states, closed)
+        elim = {cm.tobytes() for cm in eliminated}
+        for k, cm in enumerate(states):
+            expected = real(cm[None])[0] if cm.tobytes() in elim else closed[k]
+            assert det[k] == expected, k
+            single = log_negativity(cm)
+            assert (single.e_n, single.eta_minus) == (e_n[k], eta_minus[k]), k

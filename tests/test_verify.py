@@ -40,6 +40,16 @@ def random_stable(rng, n, margin=0.5):
     return m - shift * np.eye(n)
 
 
+def full_space_solve(a, d):
+    """The Lyapunov solve on all n^2 entries of V, assuming no symmetry:
+    (I (x) a + a (x) I) vec(V) = -vec(d), symmetrized afterwards."""
+    n = a.shape[0]
+    eye = np.eye(n)
+    vec = np.linalg.solve(np.kron(eye, a) + np.kron(a, eye), -d.reshape(-1))
+    v = vec.reshape(n, n)
+    return 0.5 * (v + v.T)
+
+
 def point_matrices(params):
     ss = solve_steady_state(params)
     return build_drift(params, ss), build_diffusion(params)
@@ -123,18 +133,21 @@ class TestIntegrateCovariance:
 
     @pytest.mark.parametrize("n", [2, 4, 6, 10])
     def test_reduction_agrees_with_full_space_solve(self, n):
-        # lyapunov_bruteforce solves on all n^2 entries and assumes no
-        # symmetry, so it checks the flow's reduction to n(n+1)/2 unknowns
+        # both oracles solve on the n(n+1)/2 unknowns of a symmetric V; the
+        # reference solves on all n^2 entries, assumes no symmetry, and reads
+        # an asymmetric d whole
         rng = np.random.default_rng(20 + n)
         m = rng.normal(size=(n, n)) + 4.0 * np.triu(rng.normal(size=(n, n)), 1)
         a = m - (np.max(np.linalg.eigvals(m).real) + 0.5) * np.eye(n)
         departure = np.linalg.norm(a @ a.T - a.T @ a) / np.linalg.norm(a) ** 2
         assert departure > 0.3  # far from normal
         r = rng.normal(size=(n, n))
-        d = r @ r.T + np.eye(n)
-        v_ref = lyapunov_bruteforce(a, d)
-        v_int = integrate_covariance(a, d)
-        assert np.max(np.abs(v_int - v_ref)) <= 1e-10 * np.max(np.abs(v_ref))
+        d = r @ r.T + np.eye(n) + rng.normal(size=(n, n))
+        assert symmetry_defect(d) > 0.1
+        v_ref = full_space_solve(a, d)
+        scale = np.max(np.abs(v_ref))
+        assert np.max(np.abs(integrate_covariance(a, d) - v_ref)) <= 1e-10 * scale
+        assert np.max(np.abs(lyapunov_bruteforce(a, d) - v_ref)) <= 1e-12 * scale
 
     def test_reads_the_symmetric_part_of_the_diffusion(self):
         rng = np.random.default_rng(4)
@@ -144,7 +157,7 @@ class TestIntegrateCovariance:
         v = integrate_covariance(a, d)
         assert np.array_equal(v, integrate_covariance(a, sym))
         # the full-space solve with the asymmetric d, then symmetrized
-        v_ref = lyapunov_bruteforce(a, d)
+        v_ref = full_space_solve(a, d)
         assert np.max(np.abs(v - v_ref)) <= 1e-10 * np.max(np.abs(v_ref))
 
     def test_matches_solver_on_preset_point(self):
@@ -215,16 +228,30 @@ class TestMakeTmsv:
 
 class TestLyapunovOperator:
     @pytest.mark.parametrize("n", [2, 6, 10])
-    def test_is_the_kronecker_sum_bit_for_bit(self, n):
+    def test_is_the_kronecker_sum_on_the_symmetric_unknowns(self, n):
         rng = np.random.default_rng(40 + n)
         a = random_stable(rng, n)
         a[0, -1] = -0.0  # a signed zero of the drift's own
+        op, upper, index = verify._lyapunov_operator(a)
+        rows, cols = np.triu_indices(n)
+        assert np.array_equal(upper[0], rows) and np.array_equal(upper[1], cols)
+        assert np.array_equal(index[upper], np.arange(rows.size))
+        assert np.array_equal(index, index.T)
+        # E (I (x) a + a (x) I) D: the rows E of the entries p <= q, and the
+        # duplication matrix D that spreads v_pq over V's (p, q) and (q, p)
         eye = np.eye(n)
-        ref = np.kron(eye, a) + np.kron(a, eye)
-        op = verify._lyapunov_operator(a, "test")
-        assert op.shape == ref.shape
-        assert op.tobytes() == ref.tobytes()  # signed zeros included
-        assert np.signbit(ref[ref == 0.0]).any()
+        kron = np.kron(eye, a) + np.kron(a, eye)
+        dup = np.zeros((n * n, rows.size))
+        dup[rows * n + cols, np.arange(rows.size)] = 1.0
+        dup[cols * n + rows, np.arange(rows.size)] = 1.0
+        ref = kron[rows * n + cols] @ dup
+        assert op.shape == ref.shape == (rows.size, rows.size)
+        assert np.array_equal(op, ref)  # value for value: at most two terms each
+        # signed zeros: the Kronecker sum holds negative zeros, the drift's
+        # own among them; the operator adds every term onto +0.0, so it
+        # holds none, and compares equal to them as values only
+        assert np.signbit(kron[kron == 0.0]).any()
+        assert not np.signbit(op[op == 0.0]).any()
 
 
 class TestLyapunovBruteforce:
