@@ -10,13 +10,14 @@ two atomic transition coherences.
 from __future__ import annotations
 
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
 from .errors import SimulationError, StabilityError
-from .model import (SteadyState, SystemParameters, _occupation,
+from .model import (ParameterBlock, SteadyState, SystemParameters, _occupation,
                     effective_atom_number)
 
 #: strict-negativity guard on the spectral abscissa, relative to the rate scale
@@ -52,6 +53,7 @@ _DRIFT_SLOTS = _slots(
 )
 # the diagonal but (0, 0), where the resonator position has no noise
 _DIFFUSION_SLOTS = _slots(*((k, k) for k in range(1, 10)))
+_NO_ERRSTATE = nullcontext()
 
 
 def _assemble(slots: np.ndarray, entries: list, omega_m: float) -> np.ndarray:
@@ -91,8 +93,11 @@ def _diffusion_entries(params: SystemParameters) -> list:
     p = params
     temperature = p.temperature
     # a temperature that validation accepts can overflow a thermal factor to
-    # inf; the solve reports that problem's non-finite entries instead
-    with np.errstate(over="ignore"):
+    # inf; the solve reports that problem's non-finite entries instead. A
+    # single point's factors are floats, which overflow without a warning
+    # (_occupation); numpy's errstate, which a block's columns need, costs
+    # more than the rest of a single point's entries.
+    with np.errstate(over="ignore") if p.__class__ is ParameterBlock else _NO_ERRSTATE:
         mechanical = p.gamma_m * (2.0 * _occupation(p.omega_m, temperature) + 1.0)
         microwave = p.kappa_w * (2.0 * _occupation(p.omega_w, temperature) + 1.0)
     kappa_c, kappa_a = p.kappa_c, p.kappa_a
@@ -245,13 +250,13 @@ def is_stable(a: np.ndarray) -> StabilityReport:
     Marginal spectra (abscissa within STABILITY_TOL of zero) are reported
     unstable: the steady-state covariance is meaningless there.
     """
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise SimulationError("drift matrix contains non-finite entries")
     try:
         eigvals = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise SimulationError(f"eigensolver failed on drift matrix: {exc}") from exc
-    abscissa = float(np.max(eigvals.real))
+    abscissa = float(eigvals.real.max())
     return StabilityReport(stable=abscissa < -STABILITY_TOL, max_real_part=abscissa)
 
 

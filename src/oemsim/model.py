@@ -31,6 +31,21 @@ _POSITIVE = (
 # may take any sign
 _ANY_SIGN = ("delta_a1", "delta_a2", "delta_c", "delta_w")
 
+#: SystemParameters' rule for each field, in the order of its checks: the
+#: field must hold a finite int or float (not a bool) in [low, high], and
+#: else fails with the message. 5e-324 is the smallest positive float, so
+#: low = 5e-324 accepts an int or a float exactly where it is > 0.
+_RULES = (
+    *((name, 5e-324, math.inf, f"{name} must be strictly positive") for name in _POSITIVE),
+    *((name, 0.0, math.inf, f"{name} must be nonnegative") for name in _NONNEGATIVE),
+    *((name, -math.inf, math.inf, None) for name in _ANY_SIGN),
+    ("temperature", 0.0, math.inf, "temperature must be nonnegative"),
+    ("rho_aa0", 0.0, 1.0, "rho_aa0 must lie in [0, 1]"),
+    ("rho_cc0", 0.0, 1.0, "rho_cc0 must lie in [0, 1]"),
+    ("rho_ca0", -math.inf, math.inf, None),
+)
+_PLAIN_REALS = (float, int)  # pass the type check without isinstance
+
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -75,24 +90,24 @@ class SystemParameters:
     delta_w: float          # effective microwave detuning
 
     def __post_init__(self) -> None:
-        for name in _POSITIVE + _NONNEGATIVE + _ANY_SIGN + (
-                "temperature", "rho_aa0", "rho_cc0", "rho_ca0"):
+        # One pass over _RULES. A field that is not a real number or not
+        # finite fails at once; an out-of-range field fails only after every
+        # field has passed those two checks, and then the first one does.
+        # getattr, not self.__dict__: CPython 3.11 reads the attributes of an
+        # instance whose __dict__ was asked for about three times as slowly.
+        out_of_range = None
+        isfinite = math.isfinite  # one lookup, not one per field
+        for name, low, high, message in _RULES:
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
+            if value.__class__ not in _PLAIN_REALS and (
+                    not isinstance(value, (int, float)) or isinstance(value, bool)):
                 raise ParameterError(f"{name} must be a real number, got {value!r}")
-            if not math.isfinite(value):
+            if not isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value!r}")
-        for name in _POSITIVE:
-            if getattr(self, name) <= 0:
-                raise ParameterError(f"{name} must be strictly positive")
-        for name in _NONNEGATIVE:
-            if getattr(self, name) < 0:
-                raise ParameterError(f"{name} must be nonnegative")
-        if self.temperature < 0:
-            raise ParameterError("temperature must be nonnegative")
-        for name in ("rho_aa0", "rho_cc0"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ParameterError(f"{name} must lie in [0, 1]")
+            if not low <= value <= high and out_of_range is None:
+                out_of_range = message
+        if out_of_range is not None:
+            raise ParameterError(out_of_range)
         # coherence bound; the common 0.5/0.5/0.5 operating point saturates it
         bound = math.sqrt(self.rho_aa0 * self.rho_cc0) + 1e-12
         if abs(self.rho_ca0) > bound:
@@ -100,7 +115,21 @@ class SystemParameters:
                 "rho_ca0 violates the coherence bound |rho_ca0| <= sqrt(rho_aa0*rho_cc0)")
 
     def replace(self, **changes) -> "SystemParameters":
-        return dataclasses.replace(self, **changes)
+        """A copy with the named fields changed, validated as a new instance.
+        The values are taken as they are (an int stays an int), as by
+        dataclasses.replace; an unknown field name is a TypeError."""
+        # a new dict, not a .copy(), which would keep the key-sharing form
+        # that the slow reads above come with
+        values = dict(self.__dict__)
+        values.update(changes)
+        if len(values) != len(self.__dict__):
+            unknown = next(name for name in changes if name not in self.__dict__)
+            raise TypeError(f"{type(self).__name__}.replace() got an unexpected "
+                            f"keyword argument {unknown!r}")
+        new = object.__new__(self.__class__)
+        object.__setattr__(new, "__dict__", values)  # frozen: no own __setattr__
+        new.__post_init__()
+        return new
 
 
 _FIELD_NAMES = tuple(f.name for f in dataclasses.fields(SystemParameters))
@@ -171,14 +200,19 @@ def thermal_occupation(omega: float | np.ndarray,
 
 def _occupation(omega: float | np.ndarray,
                 temperature: float | np.ndarray) -> float | np.ndarray:
-    """thermal_occupation without the domain checks, for validated parameters."""
+    """thermal_occupation without the domain checks, for validated parameters.
+    Floats give a float, taken in float arithmetic: where n overflows, as at
+    a huge temperature, it is inf without a warning."""
     # The smallest positive float added to kT leaves it unchanged for any
     # T above 1e-284 K; at T = 0 it keeps x finite, and huge enough to give 0.
     minus_x = -HBAR * omega / (K_B * temperature + 5e-324)
     # 1/(e^x - 1) as e^-x / (1 - e^-x), which is e^-x to double precision
     # beyond x ~ 38 and cannot overflow. numpy's exp and expm1 round a float
     # and a column alike; math's differ from them in the last bit.
-    return np.exp(minus_x) / -np.expm1(minus_x)
+    if minus_x.__class__ is np.ndarray:
+        return np.exp(minus_x) / -np.expm1(minus_x)
+    denominator = -float(np.expm1(minus_x))  # 0 only where x underflows to 0
+    return float(np.exp(minus_x)) / denominator if denominator else math.inf
 
 
 def _sqrt(x: float | np.ndarray) -> float | np.ndarray:
@@ -202,6 +236,11 @@ def derive(params: SystemParameters) -> DerivedQuantities:
     correction is far below the other tolerances). A ParameterBlock gives a
     column for each quantity that its column reaches and a float for the rest.
     """
+    return DerivedQuantities(*_derived(params))
+
+
+def _derived(params: SystemParameters) -> tuple:
+    """derive's quantities, in DerivedQuantities' order, as a plain tuple."""
     p = params
     omega_oc = 2.0 * math.pi * C_LIGHT / p.lambda_oc
     zpf = _sqrt(HBAR / (p.mass * p.omega_m))
@@ -209,7 +248,7 @@ def derive(params: SystemParameters) -> DerivedQuantities:
     g_ow_bare = (p.mu * p.omega_w / (2.0 * p.plate_gap)) * zpf
     e_c = _sqrt(2.0 * p.power_c * p.kappa_c / (HBAR * omega_oc))
     e_w = _sqrt(2.0 * p.power_w * p.kappa_w / (HBAR * p.omega_w))
-    return DerivedQuantities(omega_oc, g_oc_bare, g_ow_bare, e_c, e_w)
+    return omega_oc, g_oc_bare, g_ow_bare, e_c, e_w
 
 
 def _coherence_coefficients(params: SystemParameters) -> tuple[complex, complex]:
@@ -262,7 +301,7 @@ def solve_steady_state(params: SystemParameters) -> SteadyState:
     complex division and multiplication differently.
     """
     p = params
-    der = derive(p)
+    _, g_oc_bare, g_ow_bare, e_c, e_w = _derived(p)
     a_coef, b_coef = _coherence_coefficients(p)
     a_r, a_i, b_r, b_i = a_coef.real, a_coef.imag, b_coef.real, b_coef.imag
     # the optical denominator d_r + i d_i
@@ -280,7 +319,6 @@ def solve_steady_state(params: SystemParameters) -> SteadyState:
                 raise SingularityError(RANGE_MESSAGE if lost else POLE_MESSAGE)
             d_sq = math.nan  # at every point of the block
     # alpha_s = u - i v, and beta_s = e_w / (kappa_w + i delta_w)
-    e_c, e_w = der.e_c, der.e_w
     scale = e_c / d_sq
     u = scale * d_r
     v = scale * d_i
@@ -289,8 +327,8 @@ def solve_steady_state(params: SystemParameters) -> SteadyState:
     w_scale = e_w / w_sq
     alpha_abs = e_c / _sqrt(d_sq)
     beta_abs = e_w / _sqrt(w_sq)
-    q_s = (der.g_oc_bare * alpha_abs * alpha_abs
-           + der.g_ow_bare * beta_abs * beta_abs) / p.omega_m
+    q_s = (g_oc_bare * alpha_abs * alpha_abs
+           + g_ow_bare * beta_abs * beta_abs) / p.omega_m
     if q_s.__class__ is np.ndarray:
         q_s[lost] = math.inf  # a bool lost indexes every point or none
     elif lost:
@@ -300,8 +338,8 @@ def solve_steady_state(params: SystemParameters) -> SteadyState:
     beta_s = w_scale * kappa_w - 1j * (w_scale * delta_w)
     sigma_ba_s = (a_r * u + a_i * v) + 1j * (a_i * u - a_r * v)
     sigma_cb_s = (b_r * u + b_i * v) + 1j * (b_i * u - b_r * v)
-    g_c = _SQRT2 * der.g_oc_bare * alpha_abs
-    g_w = _SQRT2 * der.g_ow_bare * beta_abs
+    g_c = _SQRT2 * g_oc_bare * alpha_abs
+    g_w = _SQRT2 * g_ow_bare * beta_abs
     values = (q_s, p_s, alpha_s, beta_s, sigma_ba_s, sigma_cb_s, g_c, g_w)
     if p.__class__ is not ParameterBlock and not all(map(cmath.isfinite, values)):
         raise SingularityError(RANGE_MESSAGE)

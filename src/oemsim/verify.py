@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -53,15 +54,27 @@ def _lyapunov_operator(a: np.ndarray) -> tuple[np.ndarray, tuple, np.ndarray]:
     with v_qp read as v_pq: at most two nonzero terms per entry, added onto
     +0.0, so no entry is a negative zero. Ungated: a singular op is the caller's.
     """
-    n = a.shape[0]
+    rows, cols, index, row, at_kj, at_ik = _operator_maps(a.shape[0])
+    op = np.zeros((rows.size, rows.size))
+    op[row, at_kj] += a[rows]  # a_ik at the unknown of v_kj
+    op[row, at_ik] += a[cols]  # a_jk at the unknown of v_ik
+    return op, (rows, cols), index
+
+
+@cache
+def _operator_maps(n: int) -> tuple[np.ndarray, ...]:
+    """What _lyapunov_operator takes from n alone: the (i, j) of each
+    unknown and equation, i <= j; the unknown of each entry of V; each
+    equation's row of op, as a column; and the unknowns of v_kj and of v_ik,
+    k = 0 ... n - 1, in each equation's row."""
     rows, cols = np.nonzero(~np.tri(n, k=-1, dtype=bool))  # np.triu_indices(n)
     index = np.empty((n, n), dtype=np.intp)
     index[rows, cols] = index[cols, rows] = np.arange(rows.size)
-    op = np.zeros((rows.size, rows.size))
-    row = np.arange(rows.size)[:, None]
-    op[row, index[:, cols].T] += a[rows]  # a_ik at the unknown of v_kj
-    op[row, index[rows]] += a[cols]  # a_jk at the unknown of v_ik
-    return op, (rows, cols), index
+    maps = (rows, cols, index, np.arange(rows.size)[:, None], index[:, cols].T,
+            index[rows])
+    for table in maps:  # shared by every oracle call at this n
+        table.flags.writeable = False
+    return maps
 
 
 @dataclass(frozen=True)
@@ -134,7 +147,7 @@ def integrate_covariance(a: np.ndarray, d: np.ndarray,
     if np.abs(deriv).max() < cfg.tol:
         return v[index]
     gains = [gain]  # gains[j] advances 2^j steps
-    power = step_op  # M_j for the newest gain
+    power = step_op  # M_0, squared to M_j when the doubling of gains[j] needs it
     k, jump = 0, 1
     while k + jump <= last:
         v += gains[-1] @ deriv
@@ -144,10 +157,11 @@ def integrate_covariance(a: np.ndarray, d: np.ndarray,
             return v[index]
         jump *= 2
         if k + jump <= last:
+            if len(gains) > 1:
+                power = power @ power
             gain = power @ gains[-1]
             gain += gains[-1]
             gains.append(gain)
-            power = power @ power
     remaining = last - k  # < jump, so every set bit has a stored gain
     for j, g in enumerate(gains):
         if remaining >> j & 1:

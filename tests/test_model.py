@@ -1,5 +1,6 @@
 """Parameters, derived quantities, and the classical working point."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,11 +12,14 @@ from _support import OMEGA_M, TWO_PI, base_params
 from oemsim import (
     ParameterError,
     SingularityError,
+    SystemParameters,
     derive,
     effective_atom_number,
+    preset,
     solve_steady_state,
     thermal_occupation,
 )
+from oemsim.sweep import PRESET_NAMES
 from oemsim.model import _coherence_coefficients
 
 # high-precision references, computed with 40-digit arithmetic from the
@@ -217,3 +221,143 @@ class TestParameterValidation:
         changed = base_params().replace(delta_c=-OMEGA_M)
         assert changed.delta_c == -OMEGA_M
         assert changed.kappa_c == base_params().kappa_c
+
+
+# each field's range, written out here rather than read from oemsim: every
+# field of SystemParameters is in exactly one of them
+STRICTLY_POSITIVE = ("omega_m", "omega_w", "lambda_oc", "cavity_length", "plate_gap",
+                     "mu", "mass", "gamma_m", "kappa_c", "kappa_w", "kappa_a")
+NONNEGATIVE = ("power_c", "power_w", "g", "r_a", "temperature")
+UNIT_INTERVAL = ("rho_aa0", "rho_cc0")
+ANY_SIGN = ("delta_a1", "delta_a2", "delta_c", "delta_w", "rho_ca0")
+FIELDS = STRICTLY_POSITIVE + NONNEGATIVE + UNIT_INTERVAL + ANY_SIGN
+
+
+def _construct(**changes):
+    return base_params(**changes)
+
+
+def _replace(**changes):
+    return base_params().replace(**changes)
+
+
+def _message(make, **changes) -> str:
+    with pytest.raises(ParameterError) as info:
+        make(**changes)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("make", [_construct, _replace], ids=["constructor", "replace"])
+class TestValidationMessages:
+    """The exact ParameterError of every field and rule, by either route."""
+
+    def test_the_tables_cover_every_field_once(self, make):
+        assert sorted(FIELDS) == sorted(f.name for f in dataclasses.fields(SystemParameters))
+
+    def test_not_a_real_number(self, make):
+        for field in FIELDS:
+            for value in ["1.0", None, True, False, 1j, [1.0]]:
+                assert _message(make, **{field: value}) == (
+                    f"{field} must be a real number, got {value!r}")
+
+    def test_not_finite(self, make):
+        for field in FIELDS:
+            for value in [math.nan, math.inf, -math.inf]:
+                assert _message(make, **{field: value}) == (
+                    f"{field} must be finite, got {value!r}")
+
+    @pytest.mark.parametrize("fields,values,rule", [
+        (STRICTLY_POSITIVE, [0.0, -0.0, 0, -5e-324, -1.0], "must be strictly positive"),
+        (NONNEGATIVE, [-5e-324, -1, -1e300], "must be nonnegative"),
+        (UNIT_INTERVAL, [-5e-324, -1, 1.0000000000000002, 2], "must lie in [0, 1]"),
+    ], ids=["strictly_positive", "nonnegative", "unit_interval"])
+    def test_out_of_range(self, make, fields, values, rule):
+        for field in fields:
+            for value in values:
+                assert _message(make, **{field: value}) == f"{field} {rule}"
+
+    @pytest.mark.parametrize("changes", [
+        {"rho_ca0": 0.5 + 2e-12},
+        {"rho_ca0": -0.6},
+        {"rho_aa0": 0.1, "rho_cc0": 0.1},
+        {"rho_aa0": 0.0, "rho_cc0": 1.0},
+    ])
+    def test_coherence_bound(self, make, changes):
+        assert _message(make, **changes) == (
+            "rho_ca0 violates the coherence bound |rho_ca0| <= sqrt(rho_aa0*rho_cc0)")
+
+    @pytest.mark.parametrize("changes", [
+        {f: 5e-324 for f in STRICTLY_POSITIVE},
+        {f: 0 for f in NONNEGATIVE},
+        {f: -0.0 for f in NONNEGATIVE},
+        {"rho_aa0": 0.0, "rho_cc0": 1, "rho_ca0": 0.0},
+        {"rho_aa0": 1, "rho_cc0": 0.0, "rho_ca0": -0.0},
+        {"rho_aa0": 1.0, "rho_cc0": 1.0, "rho_ca0": -1.0},
+        {f: -1e300 for f in ANY_SIGN if f != "rho_ca0"},
+        {"omega_m": 10**300, "delta_c": -(10**300), "power_c": 3},
+        {"omega_m": np.float64(1.5e7)},  # a float subclass
+    ])
+    def test_edges_that_pass(self, make, changes):
+        params = make(**changes)
+        for name, value in changes.items():
+            assert getattr(params, name) is value
+
+    @pytest.mark.parametrize("changes,message", [
+        # a value that is not a real number or not finite outranks every
+        # range error, even one in a field checked before it
+        ({"omega_m": -1.0, "delta_c": math.nan}, "delta_c must be finite, got nan"),
+        ({"mass": 0.0, "rho_ca0": "x"}, "rho_ca0 must be a real number, got 'x'"),
+        ({"rho_aa0": 2.0, "temperature": math.inf}, "temperature must be finite, got inf"),
+        # among those, the positive fields, then the nonnegative ones, then
+        # the detunings, then temperature and the atomic state
+        ({"temperature": math.nan, "gamma_m": math.nan}, "gamma_m must be finite, got nan"),
+        ({"kappa_a": None, "omega_w": math.nan}, "omega_w must be finite, got nan"),
+        ({"delta_a1": math.inf, "r_a": "1"}, "r_a must be a real number, got '1'"),
+        ({"rho_ca0": math.nan, "delta_w": True}, "delta_w must be a real number, got True"),
+        # among range errors, the same order
+        ({"mass": -1.0, "omega_m": 0.0}, "omega_m must be strictly positive"),
+        ({"temperature": -1.0, "g": -1.0}, "g must be nonnegative"),
+        ({"rho_cc0": 2.0, "kappa_a": 0.0}, "kappa_a must be strictly positive"),
+        ({"rho_cc0": 2.0, "rho_aa0": -1.0}, "rho_aa0 must lie in [0, 1]"),
+        ({"rho_aa0": 2.0, "temperature": -1.0}, "temperature must be nonnegative"),
+        # a range error outranks the coherence bound
+        ({"rho_aa0": 1.5, "rho_ca0": 0.9}, "rho_aa0 must lie in [0, 1]"),
+    ])
+    def test_first_failure_of_several(self, make, changes, message):
+        assert _message(make, **changes) == message
+
+
+class TestReplace:
+    def test_unknown_name_is_a_type_error(self):
+        params = base_params()
+        with pytest.raises(TypeError, match="'omega'"):
+            params.replace(omega=1.0)
+        # before any value is validated
+        with pytest.raises(TypeError, match="'bogus'"):
+            params.replace(mass=-1.0, bogus=1)
+
+    def test_result_is_a_new_frozen_instance(self):
+        params = base_params()
+        copy = params.replace()
+        assert copy == params and copy is not params
+        assert hash(copy) == hash(params)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            copy.g = 0.0
+        # the original is untouched by a change to the copy's fields
+        assert params.replace(g=0.0).g == 0.0 and params.g == base_params().g
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_matches_dataclasses_replace_on_every_preset_base(self, name):
+        base = preset(name).base
+        changes = [{}, {"temperature": 0}, {"g": 0, "r_a": 0}, {"power_c": 1},
+                   {"delta_c": -3}, {"rho_aa0": 1, "rho_cc0": 0, "rho_ca0": 0},
+                   {"delta_c": np.float64(0.25)}]
+        changes += [{field: getattr(base, field)} for field in FIELDS]
+        for change in changes:
+            ours = base.replace(**change)
+            reference = dataclasses.replace(base, **change)
+            assert ours == reference
+            assert type(ours) is SystemParameters
+            # the same fields, in the same order, holding the same objects
+            assert [(k, type(v), v) for k, v in vars(ours).items()] == [
+                (k, type(v), v) for k, v in vars(reference).items()]
