@@ -93,11 +93,13 @@ def _diffusion_entries(params: SystemParameters) -> list:
     p = params
     temperature = p.temperature
     # a temperature that validation accepts can overflow a thermal factor to
-    # inf; the solve reports that problem's non-finite entries instead. A
-    # single point's factors are floats, which overflow without a warning
-    # (_occupation); numpy's errstate, which a block's columns need, costs
-    # more than the rest of a single point's entries.
-    with np.errstate(over="ignore") if p.__class__ is ParameterBlock else _NO_ERRSTATE:
+    # inf, or, with a tiny mode frequency, underflow its exponent to 0 and
+    # divide by 0; the solve reports that problem's non-finite entries
+    # instead. A single point's factors are floats, which do neither with a
+    # warning (_occupation); numpy's errstate, which a block's columns need,
+    # costs more than the rest of a single point's entries.
+    with (np.errstate(over="ignore", divide="ignore") if p.__class__ is ParameterBlock
+          else _NO_ERRSTATE):
         mechanical = p.gamma_m * (2.0 * _occupation(p.omega_m, temperature) + 1.0)
         microwave = p.kappa_w * (2.0 * _occupation(p.omega_w, temperature) + 1.0)
     kappa_c, kappa_a = p.kappa_c, p.kappa_a
@@ -285,13 +287,14 @@ def solve_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solutions x of a x = b for a stack of matrices a and right-hand sides b
-    of the same number of dimensions. An exactly singular member gets NaN
-    (which fails the residual check) without failing the rest of the stack."""
+    of the same number of dimensions, b a stack of one where every member
+    shares it. An exactly singular member gets NaN (which fails the residual
+    check) without failing the rest of the stack."""
     try:
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
-        out = np.full(b.shape, np.nan, dtype=np.result_type(a, b))
-        for k, (a_k, b_k) in enumerate(zip(a, b)):
+        out = np.full((len(a), *b.shape[1:]), np.nan, dtype=np.result_type(a, b))
+        for k, (a_k, b_k) in enumerate(zip(a, np.broadcast_to(b, out.shape))):
             try:
                 out[k] = np.linalg.solve(a_k, b_k)
             except np.linalg.LinAlgError:
@@ -351,7 +354,7 @@ def _residual_and_bound(a: np.ndarray, d: np.ndarray, v: np.ndarray,
     bound; a_max and d_max are _abs_max of a and d."""
     av = a @ v
     # += of the transpose would overlap av, which numpy buffers with a copy
-    sym = av + np.swapaxes(av, -1, -2)
+    sym = av + av.transpose(0, 2, 1)
     sym += d
     residual = _abs_max(sym)
     bound = RESIDUAL_TOL * np.maximum(a_max * _abs_max(v), d_max)
@@ -432,8 +435,10 @@ def _decompose(a: np.ndarray) -> _Eigenbasis:
             spectra, s = np.linalg.eigvals(a_ok), None
         else:
             spectra, s = np.linalg.eig(a_ok)
-        abscissa = np.full(m, np.nan)
-        abscissa[ok] = spectra.real.max(axis=1)
+        abscissa = spectra.real.max(axis=1)
+        if errors:  # NaN at the non-finite drifts
+            found, abscissa = abscissa, np.full(m, np.nan)
+            abscissa[ok] = found
         stable = abscissa < -STABILITY_TOL  # False where NaN
         count = np.count_nonzero(stable)
         if not count:
@@ -453,8 +458,9 @@ def _decompose(a: np.ndarray) -> _Eigenbasis:
     # complex arithmetic throughout, whether or not eig returned real arrays,
     # so a problem's result does not depend on the rest of its stack
     s = s.astype(complex, copy=False)
-    # a complex identity, so that solve needs no cast copy of it
-    s_inv = _solve(s, np.broadcast_to(np.eye(n, dtype=complex), s.shape))
+    # a complex identity, so that solve needs no cast copy of it, and a
+    # stack of one, which solve broadcasts over the stack
+    s_inv = _solve(s, np.eye(n, dtype=complex)[None])
     return _Eigenbasis(abscissa, stable, errors, lam.astype(complex, copy=False),
                        s, s_inv)
 
@@ -471,7 +477,7 @@ def _eigenbasis_lyapunov(lam: np.ndarray, s: np.ndarray, s_inv: np.ndarray,
     sums' moduli, which the solve no longer needs. The operations, and so
     the bits, are those of fresh arrays. lam, s and s^-1 are only read.
     """
-    c = s_inv @ d @ np.swapaxes(s_inv, 1, 2)
+    c = s_inv @ d @ s_inv.transpose(0, 2, 1)
     # the negated pair sums, filled in two steps: -lam[:, :, None] -
     # lam[:, None, :] buffers both broadcast operands, a stack each.
     # (-lam_i) - lam_j is -(lam_i + lam_j) to the bit but for the sign of a
@@ -482,8 +488,8 @@ def _eigenbasis_lyapunov(lam: np.ndarray, s: np.ndarray, s_inv: np.ndarray,
     c /= pair_sums
     moduli = np.abs(pair_sums)
     cond = moduli.max(axis=(1, 2)) / moduli.min(axis=(1, 2))
-    y = np.matmul(np.matmul(s, c, out=pair_sums), np.swapaxes(s, 1, 2), out=c).real
-    x = np.add(y, np.swapaxes(y, 1, 2), out=moduli)
+    y = np.matmul(np.matmul(s, c, out=pair_sums), s.transpose(0, 2, 1), out=c).real
+    x = np.add(y, y.transpose(0, 2, 1), out=moduli)
     x *= 0.5
     return x, cond
 
@@ -612,20 +618,23 @@ def solve_lyapunov_batch(a: np.ndarray, d: np.ndarray,
 
 def _join(parts: list[tuple[slice, np.ndarray | None, CovarianceBatch]],
           m: int) -> CovarianceBatch:
-    """The batch of m 10x10 problems from the batches of their mode groups,
-    as (modes, rows, batch): the group's quadratures, the problems it holds
+    """The batch of m problems from the batches of their mode groups, as
+    (modes, rows, batch): the group's quadratures, the problems it holds
     (None: all) and its batch, where a batch of one, a group solved once,
     stands for each of them. Every problem is in one group of all ten modes
-    or in both groups of _GROUPS. A problem is stable where each of its
-    groups is; its abscissa is the groups' largest, NaN where one has none;
-    its V is block-diagonal, NaN unless stable and solved; and its error is
-    its first failed group's, with the problem's indices. A lone group of
-    all problems gives its batch as it is."""
+    or in both groups of _GROUPS, and is 10x10; or, as atom-free points
+    (sweep._atom_free), in the bosonic group alone, and is 6x6. A problem
+    is stable where each of its groups is; its abscissa is the groups'
+    largest, NaN where one has none; its V is block-diagonal, NaN unless
+    stable and solved; and its error is its first failed group's, with the
+    problem's indices. A lone group of all problems gives its batch as it
+    is."""
     if len(parts) == 1 and parts[0][1] is None and len(parts[0][2].stable) == m:
         return parts[0][2]
     stable = np.ones(m, dtype=bool)
     abscissa = np.full(m, -np.inf)
-    v = np.zeros((m, 10, 10))
+    order = max(modes.stop for modes, _, _ in parts)
+    v = np.zeros((m, order, order))
     errors = {}
     for modes, rows, batch in parts:
         at = slice(None) if rows is None else rows

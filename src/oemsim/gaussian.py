@@ -124,7 +124,9 @@ def log_negativities(cm: np.ndarray) -> tuple[
         eta_minus = np.sqrt(eta_sq)
         neg_log = -np.log(2.0 * eta_minus)
     e_n = np.where(neg_log > 0.0, neg_log, 0.0)
-    bad = (det_cm < -DISCRIMINANT_TOL) | (disc < -DISCRIMINANT_TOL) | ~(eta_sq > 0.0)
+    # a determinant below -DISCRIMINANT_TOL gives eta_sq < 0 (or -0.0), so
+    # the last test also catches it
+    bad = (disc < -DISCRIMINANT_TOL) | ~(eta_sq > 0.0)
     finite = np.isfinite(cm)
     if not finite.all():
         bad |= ~finite.reshape(-1, 16).all(axis=1)

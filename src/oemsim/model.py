@@ -148,12 +148,14 @@ ParameterBlock = dataclasses.make_dataclass(
     namespace={"__module__": __name__})
 
 
-def parameter_block(base: SystemParameters, varied: str,
-                    column: np.ndarray | list[float]) -> ParameterBlock:
+def parameter_block(base: SystemParameters, varied: str | None = None,
+                    column: np.ndarray | list[float] = ()) -> ParameterBlock:
     """The points of `column` along field `varied`; every other field holds
     base's value as a float. The column is not validated (run_sweep checks
-    its extremes)."""
-    column = np.asarray(column, dtype=float)
+    its extremes). With no varied field, the one point base, every field a
+    float (evaluate_point)."""
+    if varied is not None:
+        column = np.asarray(column, dtype=float)
     return ParameterBlock(**{
         name: column if name == varied else float(getattr(base, name))
         for name in _FIELD_NAMES})
@@ -235,19 +237,26 @@ def derive(params: SystemParameters) -> DerivedQuantities:
     omega_w that omega_w is used inside the square root (the detuning
     correction is far below the other tolerances). A ParameterBlock gives a
     column for each quantity that its column reaches and a float for the rest.
+    Raises SingularityError (RANGE_MESSAGE) where a float product under a
+    division underflows to 0.
     """
     return DerivedQuantities(*_derived(params))
 
 
 def _derived(params: SystemParameters) -> tuple:
-    """derive's quantities, in DerivedQuantities' order, as a plain tuple."""
+    """derive's quantities, in DerivedQuantities' order, as a plain tuple.
+    Raises SingularityError where a float product under HBAR or the mass
+    underflows to 0 (a tiny frequency or mass): a column gives inf there."""
     p = params
     omega_oc = 2.0 * math.pi * C_LIGHT / p.lambda_oc
-    zpf = _sqrt(HBAR / (p.mass * p.omega_m))
+    try:
+        zpf = _sqrt(HBAR / (p.mass * p.omega_m))
+        e_c = _sqrt(2.0 * p.power_c * p.kappa_c / (HBAR * omega_oc))
+        e_w = _sqrt(2.0 * p.power_w * p.kappa_w / (HBAR * p.omega_w))
+    except ZeroDivisionError:
+        raise SingularityError(RANGE_MESSAGE) from None
     g_oc_bare = (omega_oc / p.cavity_length) * zpf
     g_ow_bare = (p.mu * p.omega_w / (2.0 * p.plate_gap)) * zpf
-    e_c = _sqrt(2.0 * p.power_c * p.kappa_c / (HBAR * omega_oc))
-    e_w = _sqrt(2.0 * p.power_w * p.kappa_w / (HBAR * p.omega_w))
     return omega_oc, g_oc_bare, g_ow_bare, e_c, e_w
 
 
@@ -289,19 +298,28 @@ def solve_steady_state(params: SystemParameters) -> SteadyState:
     is not finite: an atomic coefficient or the square overflows, or
     kappa_a**2 + delta_a**2 underflows to 0 (tiny kappa_a and detuning). A
     SystemParameters also raises it where any field of the working point is
-    not finite (a drive amplitude that overflows gives inf in q_s). A
+    not finite (a drive amplitude that overflows gives inf in q_s), and
+    where derive's float arithmetic divides by an underflowed 0. A
     ParameterBlock gives a SteadyState whose fields are columns, one entry
     per point, where the block's column reaches them, and floats elsewhere.
     A point at such a pole carries NaN in q_s, alpha_s, sigma_ba_s,
     sigma_cb_s and g_c; a point out of range carries the same NaNs but inf
     in q_s. Where no column reaches the denominator, the NaNs are floats.
+    Where derive's float arithmetic underflows, every point is out of range,
+    with NaN in each field but q_s and p_s.
 
     Complex quotients and products are written in real arithmetic (+ - * /
     sqrt), which rounds a float and a column alike; CPython and numpy round
     complex division and multiplication differently.
     """
     p = params
-    _, g_oc_bare, g_ow_bare, e_c, e_w = _derived(p)
+    try:
+        _, g_oc_bare, g_ow_bare, e_c, e_w = _derived(p)
+    except SingularityError:
+        if p.__class__ is not ParameterBlock:
+            raise
+        nan = complex(math.nan, math.nan)
+        return SteadyState(math.inf, 0.0 * p.omega_m, nan, nan, nan, nan, math.nan, math.nan)
     a_coef, b_coef = _coherence_coefficients(p)
     a_r, a_i, b_r, b_i = a_coef.real, a_coef.imag, b_coef.real, b_coef.imag
     # the optical denominator d_r + i d_i

@@ -12,10 +12,10 @@ entries that link the bosonic modes with the atomic ones are all 0 (every
 atom-free point, and any point at g = 0) poses two Lyapunov problems, one
 per mode group, 6x6 and 4x4 (dynamics._decoupled); every other point poses
 one 10x10 problem. The stage restricts the templates to each group
-(_ModeGroup); a group with no varying entry, as the atom-free atomic
-corner, is solved once for all of the stage's points, and the templates of
-the rest give each point's largest drift and diffusion entry, which the
-solve's finite check and residual bound read. The stage's points are then
+(_ModeGroup); a group with no varying entry (every group of a single point)
+is solved once for all of the stage's points, and the templates of the rest
+give each point's largest drift and diffusion entry, which the solve's
+finite check and residual bound read. The stage's points are then
 evaluated in equal blocks, as few as fit a budget of matrix entries
 (_blocks): a block copies each remaining group's templates into its drift
 and diffusion stacks and writes in only its slice of the varying entries,
@@ -40,12 +40,13 @@ stack of 4x4 blocks.
 The optional atom-free baseline, evaluated only when a bosonic pair is
 requested, is a second point set: each point's atom-free point (_atom_free),
 with the requested bosonic pairs, run through the same stages in the same
-call; its problems split, so a block of it solves a 6x6 stack, and along an
-atomic field, where every atom-free point is the same point, its model
-stage solves both of its groups once. One merge then puts its values into
-the baseline columns, in CSV order, and its errors, tagged _ATOM_FREE_TAG,
-behind the point's own; the independent 6-mode route that checks it lives
-in verify. evaluate_point is a sweep of one point.
+call; its problems split, and only their bosonic group is solved, so a
+block of it solves a 6x6 stack, and along an atomic field, where every
+atom-free point is the same point, its model stage solves that group once.
+One merge then puts its values into the baseline columns, in CSV order, and
+its errors, tagged _ATOM_FREE_TAG, behind the point's own; the independent
+6-mode route that checks it lives in verify. evaluate_point is a point set
+of one, every field a float, so its model stage solves each of its groups.
 
 Blocks are independent, and their work is batched numpy and LAPACK calls that
 release the interpreter lock, so run_sweep(spec, jobs) with jobs > 1 evaluates
@@ -195,12 +196,12 @@ def evaluate_point(params: model.SystemParameters, pairs: tuple[str, ...],
     Never raises for per-point numerical trouble: instability comes back as a
     flagged record and solver failures as an error record, so grid scans keep
     going. The record's x is delta_c / omega_m, the default sweep axis. The
-    point is a sweep of one point along delta_c.
+    point is a point set of one, with no column: every value of its model
+    stage is a float, and the stage solves each of its mode groups.
     """
     pairs = _pair_tags(pairs)
     base_pairs = _baseline_pairs(pairs) if baseline else ()
-    points = model.parameter_block(params, "delta_c", [params.delta_c])
-    columns = _evaluate(points, 1, pairs, base_pairs, jobs=1)
+    columns = _evaluate(model.parameter_block(params), 1, pairs, base_pairs, jobs=1)
     return _records(np.array([params.delta_c / params.omega_m]), pairs, base_pairs,
                     *columns)[0]
 
@@ -263,10 +264,10 @@ def _evaluate(points: model.ParameterBlock, n: int, pairs: tuple[str, ...],
     stable, max_real_part, e_n, baseline_e_n and failures.
 
     The point sets: the points with pairs and, when base_pairs is not
-    empty, their atom-free points (_atom_free) with the requested pairs
-    that are in base_pairs, in the requested order. Each set's model stage
-    runs once per _STAGE_POINTS points (_ModelStage), and then each of its
-    blocks once (_ModelStage.blocks, _evaluate_block). In a sweep of one
+    empty, their atom-free points (_atom_free) on their bosonic modes, with
+    the requested pairs that are in base_pairs, in the requested order. Each
+    set's model stage runs once per _STAGE_POINTS points (_ModelStage), and
+    then each of its blocks once (_ModelStage.blocks, _evaluate_block). In a sweep of one
     stage the drift half of each of a block's solves comes from _DRIFT_MEMO
     where a block before it posed the same drift stack. A single point
     neither reads nor prunes the memo: it has no second block to share a
@@ -281,10 +282,10 @@ def _evaluate(points: model.ParameterBlock, n: int, pairs: tuple[str, ...],
     which is tagged _ATOM_FREE_TAG; and every column of a failed point is
     absent.
     """
-    sets = [(points, pairs)]
+    sets = [(points, pairs, dynamics._ALL_MODES)]
     if base_pairs:
         requested = tuple(tag for tag in pairs if tag in base_pairs)
-        sets.append((_atom_free(points), requested))
+        sets.append((_atom_free(points), requested, dynamics._GROUPS[0]))
     memo = 2 <= n <= _STAGE_POINTS  # sweeps of one stage and two points or more
     if n > _STAGE_POINTS:
         _DRIFT_MEMO.clear()
@@ -292,7 +293,7 @@ def _evaluate(points: model.ParameterBlock, n: int, pairs: tuple[str, ...],
     def blocks(lo: int) -> list[tuple]:
         """Each set's blocks of the range of _STAGE_POINTS points from lo."""
         hi = min(lo + _STAGE_POINTS, n)
-        stages = [_ModelStage.of(set_points, lo, hi) for set_points, _ in sets]
+        stages = [_ModelStage.of(set_points, lo, hi, modes) for set_points, _, modes in sets]
         work = [(s, lo + block.start, stage, block)
                 for s, stage in enumerate(stages) for block in stage.blocks()]
         if not memo:
@@ -364,9 +365,10 @@ def _atom_free(params: model.SystemParameters) -> model.SystemParameters:
     entries are zeros, so no atomic field of params reaches its problem:
     it splits into the bosonic problem of the atom-free system and the
     corner, a problem of its own solved by I/2, which decides no gate,
-    condition estimate or residual bound of the bosonic one. A sweep's
-    baseline is the second point set that this gives (_evaluate); along an
-    atomic field that set holds one point, as floats."""
+    condition estimate or residual bound of the bosonic one, and holds no
+    bosonic pair. So a sweep's baseline, the second point set that this
+    gives (_evaluate), poses the bosonic problems alone (_ModelStage.of);
+    along an atomic field that set holds one point, as floats."""
     return replace(params, g=0.0, r_a=0.0, kappa_a=params.omega_m, delta_a1=0.0,
                    delta_a2=0.0, rho_aa0=0.0, rho_cc0=0.0, rho_ca0=0.0)
 
@@ -413,22 +415,27 @@ class _ModeGroup:
 @dataclass(frozen=True, eq=False)
 class _ModelStage:
     """The model stage of consecutive points of a point set: everything that
-    their problems need before the Lyapunov solve."""
+    their problems need before the Lyapunov solve. A value that no column
+    reaches is a float (_at reads both)."""
 
-    omega_m: np.ndarray                # (n,) omega_m at each point
-    temperature: np.ndarray            # (n,) the bath temperature at each point
-    q_s: np.ndarray                    # (n,) working point: NaN at a pole, inf out of range
+    n: int                             # the number of points
+    omega_m: float | np.ndarray        # (n,) or a float: omega_m
+    temperature: float | np.ndarray    # (n,) or a float: the bath temperature
+    q_s: float | np.ndarray            # (n,) or a float: working point, NaN at a pole, inf out of range
     groups: tuple[_ModeGroup, ...]
 
     @classmethod
-    def of(cls, points: model.ParameterBlock, lo: int, hi: int) -> "_ModelStage":
+    def of(cls, points: model.ParameterBlock, lo: int, hi: int,
+           modes: slice) -> "_ModelStage":
         """The working point and the mode groups of points lo to hi - 1 of a
-        ParameterBlock, each computed once for all of them: the whole
-        problems of the points that do not split (dynamics._decoupled), and
-        the two groups of those that do. Only the groups keep the 10x10
-        templates, each restricted to its modes. Arithmetic that leaves
-        floating-point range does not warn: the working point marks it, and
-        the solve fails a problem with a non-finite entry."""
+        ParameterBlock, each computed once for all of them. Where modes is
+        all ten: the whole problems of the points that do not split
+        (dynamics._decoupled), and the two groups of those that do; where it
+        is the bosonic group, for atom-free points (_atom_free), which all
+        split, that group alone. Only the groups keep the 10x10 templates,
+        each restricted to its modes. Arithmetic that leaves floating-point
+        range does not warn: the working point marks it, and the solve fails
+        a problem with a non-finite entry."""
         columns = {name: value[lo:hi] for name, value in vars(points).items()
                    if value.__class__ is np.ndarray and (lo or hi < len(value))}
         block = replace(points, **columns) if columns else points
@@ -436,20 +443,21 @@ class _ModelStage:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             working = model.solve_steady_state(block)
             drift, diffusion = dynamics._templates(block, working)
-        split = dynamics._decoupled(drift, diffusion, m=n)
-        groups = tuple(_ModeGroup.of(drift, diffusion, modes, None if held.all() else held, n)
-                       for route, held in (((dynamics._ALL_MODES,), ~split),
-                                           (dynamics._GROUPS, split))
-                       if held.any() for modes in route)
-        # a float where no column reaches
-        return cls(*(np.full(n, value) for value in (
-            block.omega_m, block.temperature, working.q_s)), groups)
+        if modes != dynamics._ALL_MODES:
+            groups = (_ModeGroup.of(drift, diffusion, modes, None, n),)
+        else:
+            split = dynamics._decoupled(drift, diffusion, m=n)
+            groups = tuple(_ModeGroup.of(drift, diffusion, group, None if held.all() else held, n)
+                           for route, held in (((dynamics._ALL_MODES,), ~split),
+                                               (dynamics._GROUPS, split))
+                           if held.any() for group in route)
+        return cls(n, block.omega_m, block.temperature, working.q_s, groups)
 
     def blocks(self) -> list[slice]:
         """The stage's points in blocks sized by its largest varying group."""
         order = max((group.modes.stop - group.modes.start for group in self.groups
                      if group.solved is None), default=10)
-        return _blocks(len(self.q_s), order)
+        return _blocks(self.n, order)
 
     def drift_keys(self, block: slice) -> list[tuple]:
         """What decides the drift stack of a block of the points, for each
@@ -457,7 +465,7 @@ class _ModelStage:
         drift template's fixed entries, varying slots and slice of values,
         and which of the block's points the group holds. Equal keys, equal
         stacks."""
-        m = len(self.q_s[block])
+        m = len(range(self.n)[block])
         keys = []
         for group in self.groups:
             rows = group.rows(block)
@@ -475,18 +483,25 @@ class _ModelStage:
         """The drift and diffusion stacks of a mode group's problems at a
         block of the points, at every point of the block."""
         size = group.modes.stop - group.modes.start
-        shape = (len(self.q_s[block]), size * size)
+        shape = (len(range(self.n)[block]), size * size)
         a, d = np.empty(shape), np.empty(shape)
         group.drift.fill(a, block)
         group.diffusion.fill(d, block)
         return a.reshape(-1, size, size), d.reshape(-1, size, size)
 
 
+def _at(value: float | np.ndarray, index: slice | int) -> float | np.ndarray:
+    """A model stage's column at index, or its float, which stands for
+    every point."""
+    return value[index] if value.__class__ is np.ndarray else value
+
+
 @cache
-def _pair_columns(pairs: tuple[str, ...]) -> np.ndarray:
-    """The flat indices into a 10x10 covariance of the 4x4 blocks of the
-    pairs, in their order: where a block's log-negativities come from."""
-    columns = np.array([10 * i + j for tag in pairs
+def _pair_columns(pairs: tuple[str, ...], order: int) -> np.ndarray:
+    """The flat indices into an order x order covariance of the 4x4 blocks
+    of the pairs, in their order: where a block's log-negativities come
+    from."""
+    columns = np.array([order * i + j for tag in pairs
                         for i in gaussian.BIPARTITE_PAIRS[tag].indices
                         for j in gaussian.BIPARTITE_PAIRS[tag].indices], dtype=np.intp)
     columns.flags.writeable = False  # every block of every sweep of these pairs reads it
@@ -502,7 +517,8 @@ def _evaluate_block(stage: _ModelStage, block: slice,
     varies (a group solved once for the stage serves every block), and one
     batched log-negativity. decompose gives the drift half of each of those
     solves in turn, in the order of _ModelStage.drift_keys. The groups'
-    batches are joined into one of 10x10 problems (dynamics._join).
+    batches are joined (dynamics._join): into one of 10x10 problems, or,
+    for atom-free points, the batch of their bosonic group as it is.
 
     A point has at most one error: its solve error (a working point at a
     pole or out of range reads as one, and a non-finite diffusion's error
@@ -512,7 +528,7 @@ def _evaluate_block(stage: _ModelStage, block: slice,
     solve each problem's maxima, and a block with no error skips the error
     mapping.
     """
-    m = len(stage.q_s[block])
+    m = len(range(stage.n)[block])
     decompose = iter(decompose)
     parts = []
     for group in stage.groups:
@@ -535,10 +551,11 @@ def _evaluate_block(stage: _ModelStage, block: slice,
         solved[list(sol.errors)] = False
     # one stack of the 4x4 blocks of every solved (point, requested pair)
     rows = np.flatnonzero(solved)
-    states = sol.v.reshape(m, 100)
+    order = sol.v.shape[-1]
+    states = sol.v.reshape(m, order * order)
     if rows.size < m:
         states = states.take(rows, axis=0)
-    states = states.take(_pair_columns(pairs), axis=1)
+    states = states.take(_pair_columns(pairs, order), axis=1)
     values, _, pair_errors = gaussian.log_negativities(states.reshape(-1, 4, 4))
     values = values.reshape(rows.size, len(pairs))
     if rows.size == m:
@@ -546,20 +563,20 @@ def _evaluate_block(stage: _ModelStage, block: slice,
     else:
         e_n = np.full((m, len(pairs)), np.nan)
         e_n[rows] = values
-    max_real_part = sol.max_real_part * stage.omega_m[block]
+    max_real_part = sol.max_real_part * _at(stage.omega_m, block)
     if not (sol.errors or pair_errors):
         return sol.stable, max_real_part, e_n, {}
     # a working point at a pole or out of range makes the drift non-finite,
     # so the solve has already failed that problem
-    q_s = stage.q_s[block]
+    q_s, temperatures = _at(stage.q_s, block), _at(stage.temperature, block)
     errors = {}
     for k, exc in sol.errors.items():
-        if np.isnan(q_s[k]):
+        if math.isnan(_at(q_s, k)):
             errors[k] = model.POLE_MESSAGE
-        elif np.isinf(q_s[k]):
+        elif math.isinf(_at(q_s, k)):
             errors[k] = model.RANGE_MESSAGE
         elif isinstance(exc, dynamics._NonFiniteDiffusion):
-            temperature = stage.temperature[block][k].item()
+            temperature = float(_at(temperatures, k))
             errors[k] = f"{exc}; at bath temperature {temperature!r} K"
         else:
             errors[k] = str(exc)

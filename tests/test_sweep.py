@@ -111,10 +111,12 @@ def corrupt_pair(v, tag, scale):
 
 def model_stages(base, varied, column):
     """The model stages of the points of a column along a field, and of
-    their atom-free points, as a sweep with a baseline builds them."""
+    their atom-free points, on their bosonic modes, as a sweep with a
+    baseline builds them."""
     points = model.parameter_block(base, varied, column)
-    return tuple(sweep._ModelStage.of(p, 0, len(column))
-                 for p in (points, sweep._atom_free(points)))
+    return (sweep._ModelStage.of(points, 0, len(column), dynamics._ALL_MODES),
+            sweep._ModelStage.of(sweep._atom_free(points), 0, len(column),
+                                 dynamics._GROUPS[0]))
 
 
 def model_templates(base, varied, column):
@@ -395,11 +397,11 @@ class TestAtomFreeProblem:
         assert not a[:, 6:, :6].any() and not a[:, :6, 6:].any()
         assert not d[:, 6:, :6].any() and not d[:, :6, 6:].any()
         # so the atom-free problems split: a 6x6 stack of their bosonic
-        # modes, and the corner, which no point varies, solved once by I/2
-        bosonic, corner = free.groups
-        assert (bosonic.modes, corner.modes) == dynamics._GROUPS
-        assert corner.solved.stable.tolist() == [True]
-        assert np.array_equal(corner.solved.v[0], 0.5 * np.eye(4))
+        # modes, the one group their stage poses, and the corner, whose
+        # solution is I/2 and holds no bosonic pair
+        (bosonic,) = free.groups
+        assert bosonic.modes == dynamics._GROUPS[0]
+        assert np.array_equal(solve_lyapunov(-np.eye(4), np.eye(4)), 0.5 * np.eye(4))
         # the largest atom-free drift entry is a bosonic one, not delta_a1/omega_m
         assert np.array_equal(bosonic.maxima[0], np.abs(a).max(axis=(1, 2)))
         assert np.abs(a).max() < 1e-2 * base.delta_a1 / base.omega_m
@@ -560,6 +562,31 @@ class TestWorkingPointRange:
                 solve_steady_state(base)
         assert result.failures == dict.fromkeys(range(5), model.RANGE_MESSAGE)
         assert rec.error == model.RANGE_MESSAGE == str(info.value)
+
+    # a float product that derive divides by underflows to 0: hbar times a
+    # tiny microwave frequency, hbar times the optical drive frequency of a
+    # huge wavelength, and a tiny mass times a tiny mechanical frequency
+    @pytest.mark.parametrize("changes", [{"omega_w": 1e-300}, {"lambda_oc": 1e300},
+                                         {"mass": 1e-30, "omega_m": 1e-300}],
+                             ids=["omega_w", "lambda_oc", "mass"])
+    def test_underflowed_product_in_derive(self, changes):
+        base = preset("fig5").base.replace(**changes)
+        spec = SweepSpec(name="u", base=base, varied="temperature", start=0.01,
+                         stop=0.05, count=5, axis="temperature_k", axis_scale=1.0,
+                         pairs=("mr_oc", "oc_sba"), baseline=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_sweep(spec)
+            rec = evaluate_point(base, spec.pairs, baseline=True)
+            with pytest.raises(SingularityError) as info:
+                solve_steady_state(base)
+            with pytest.raises(SingularityError, match="floating-point range"):
+                model.derive(base)
+        assert result.failures == dict.fromkeys(range(5), model.RANGE_MESSAGE)
+        assert not result.stable.any() and np.isnan(result.baseline_e_n).all()
+        assert rec == PointRecord(x=base.delta_c / base.omega_m, stable=None,
+                                  max_real_part=None, error=model.RANGE_MESSAGE)
+        assert str(info.value) == model.RANGE_MESSAGE
 
 
 class TestRunSweep:
@@ -727,16 +754,16 @@ class TestBlockEngine:
         along_g = model_stages(base, "g", np.linspace(0.5, 2, 1000) * base.g)
         along_omega_m = model_stages(base, "omega_m", np.linspace(0.5, 2, 1000) * base.omega_m)
         for stage, order in ((along_delta_c[0], 10), (along_delta_c[1], 6),
-                             # every atom-free point is the same point: both
-                             # groups are solved once, and the stage sized as
-                             # 10x10
+                             # every atom-free point is the same point: its
+                             # bosonic group is solved once, and the stage
+                             # sized as 10x10
                              (along_g[1], 10),
-                             # both atom-free groups vary: the 6x6 one sizes
+                             # the atom-free bosonic group varies
                              (along_omega_m[1], 6)):
             assert stage.blocks() == sweep._blocks(1000, order)
         assert all(group.solved is not None for group in along_g[1].groups)
         assert [group.modes for group in along_omega_m[1].groups
-                if group.solved is None] == list(dynamics._GROUPS)
+                if group.solved is None] == [dynamics._GROUPS[0]]
         assert [len(sweep._blocks(1000, order)) for order in (10, 6)] == [8, 3]
 
     def test_one_log_negativity_call_per_block(self, monkeypatch):
@@ -958,9 +985,9 @@ class TestBlockEngine:
         assert stages == 3
         # a working point per stage for the points and one for their
         # atom-free points, not one per block; a solve per block of each,
-        # and one per stage of the atom-free atomic corner
+        # and none of the atom-free atomic corner, which is not posed
         assert calls == {"solve_steady_state": 2 * stages,
-                         "solve_lyapunov_batch": blocks + stages}
+                         "solve_lyapunov_batch": blocks}
 
     def test_model_stage_sorts_entries_by_kind(self):
         # an entry that no column reaches is held once, as a float
@@ -979,18 +1006,17 @@ class TestBlockEngine:
         assert drift.slots.size == 31 and diffusion.slots.size == 9
         # at every point the atom-free atomic modes hold the vacuum: -I
         # (drift) and I (diffusion) in their corner, and zeros in their rows
-        # and columns outside it, even where every entry is a column; so
-        # every atom-free problem splits, and its corner is solved once
-        # where no column reaches it, and per block along omega_m, where
-        # kappa_a = omega_m is a column
+        # and columns outside it, even where every entry is a column
+        # (kappa_a = omega_m along omega_m); so every atom-free problem
+        # splits, and its stage poses the bosonic group alone
         for name, (_, free) in along.items():
             free_a, free_d = full_stacks(templates[name][1], 3)
             assert (free_a[:, 6:, 6:] == -np.eye(4)).all()
             assert (free_d[:, 6:, 6:] == np.eye(4)).all()
             assert not free_a[:, 6:, :6].any() and not free_a[:, :6, 6:].any()
             assert not free_d[:, 6:, :6].any() and not free_d[:, :6, 6:].any()
-            assert [group.modes for group in free.groups] == list(dynamics._GROUPS)
-            assert (free.groups[1].solved is None) == (name == "omega_m")
+            assert dynamics._decoupled(*templates[name][1], m=3).all()
+            assert [group.modes for group in free.groups] == [dynamics._GROUPS[0]]
         # delta_c reaches its own two entries and the optomechanical coupling
         for drift, diffusion in templates["delta_c"]:
             assert sorted(drift.slots.tolist()) == [12, 23, 30, 32]
@@ -1360,8 +1386,7 @@ class TestDriftMemo:
 
     def test_fig6_presets_decompose_one_set_of_drifts(self, monkeypatch):
         # fig6a to fig6c differ only in temperature, which the drift does
-        # not see: fig6b and fig6c make no eigen call but the one on the
-        # atom-free atomic corner, which each sweep solves once
+        # not see: fig6b and fig6c make no eigen call
         names = ("fig6a", "fig6b", "fig6c")
         cold = {}
         for name in names:
@@ -1377,19 +1402,17 @@ class TestDriftMemo:
         for name in names:
             calls.clear()
             assert_same_bits(run_sweep(preset(name)), cold[name])
-            assert (set(calls) == {4, 6, 10}) == (name == "fig6a"), name
-            assert calls[4] == 1
+            assert set(calls) == ({6, 10} if name == "fig6a" else set()), name
 
     def test_temperature_sweep_decomposes_two_blocks(self, decomposed):
         # one stage, one drift per point set: the points' eight blocks are
         # seven of 125 points and one of 126, their atom-free points' three
         # one of 333 and two of 334, and the first block of each length is
-        # decomposed, so the memo ends with four keys; before them, the
-        # stage's atom-free atomic corner, solved once
+        # decomposed, so the memo ends with four keys
         spec = along_temperature(preset("fig6a"), 1001)
         assert spec.count <= sweep._STAGE_POINTS
         result = run_sweep(spec)
-        assert decomposed == [1, 125, 126, 333, 334]
+        assert decomposed == [125, 126, 333, 334]
         assert len(sweep._DRIFT_MEMO._held) == 4
         for rec in result.records:
             single = evaluate_point(spec.base.replace(temperature=rec.x),
@@ -1415,9 +1438,8 @@ class TestDriftMemo:
         cold = run_sweep(spec)
         blocks, cold_fallbacks = len(decomposed), list(fallbacks)
         warm = run_sweep(spec)
-        # the warm run decomposes nothing but the atom-free atomic corner,
-        # which each sweep solves once
-        assert decomposed[blocks:] == [1]
+        # the warm run decomposes nothing
+        assert decomposed[blocks:] == []
         assert fallbacks == 2 * cold_fallbacks
         assert_same_bits(warm, cold)
         assert warm.records == cold.records
@@ -1431,26 +1453,24 @@ class TestDriftMemo:
 
     def test_long_sweep_of_distinct_drifts_keeps_nothing(self, decomposed):
         # one stage: its four blocks, and their atom-free points' two, are
-        # kept; the atom-free atomic corner, solved once per stage, is not
+        # kept
         run_sweep(preset("fig6a"))
-        assert len(sweep._DRIFT_MEMO._held) == len(decomposed) - 1 == 4 + 2
+        assert len(sweep._DRIFT_MEMO._held) == len(decomposed) == 4 + 2
         decomposed.clear()
         spec = narrowed(preset("fig6a"), -2.0, 2.0, 2 * sweep._STAGE_POINTS + 1)
         run_sweep(spec)
         stages = -(-spec.count // sweep._STAGE_POINTS)
         # stages of 1024, 1024 and 1 points: 8, 8 and 1 blocks of the
         # points, and 3, 3 and 1 of their atom-free points
-        assert len(decomposed) == 17 + 7 + stages
+        assert stages == 3 and len(decomposed) == 17 + 7
         assert sweep._DRIFT_MEMO._held == {}
 
     def test_sweep_of_one_stage_drops_the_drifts_it_does_not_pose(self, decomposed):
-        # each sweep also solves its atom-free atomic corner, a problem of
-        # one, outside the memo
         run_sweep(preset("fig6a"))
         run_sweep(preset("fig6b"))  # fig6a's drifts: nothing decomposed, all kept
-        assert len(sweep._DRIFT_MEMO._held) == len(decomposed) - 2 == 4 + 2
+        assert len(sweep._DRIFT_MEMO._held) == len(decomposed) == 4 + 2
         run_sweep(preset("fig2"))
-        assert len(sweep._DRIFT_MEMO._held) == len(decomposed) - 3 - (4 + 2) > 0
+        assert len(sweep._DRIFT_MEMO._held) == len(decomposed) - (4 + 2) > 0
 
     def test_single_point_leaves_the_memo_alone(self, decomposed):
         # a point between fig6a and fig6b neither prunes fig6a's drifts from
@@ -1464,7 +1484,7 @@ class TestDriftMemo:
         assert all(after[key] is held[key] for key in held)
         decomposed.clear()
         run_sweep(preset("fig6b"))
-        assert decomposed == [1]  # the atom-free atomic corner, outside the memo
+        assert decomposed == []
 
     def test_threads_share_the_memo(self, monkeypatch, decomposed):
         # more threads than CPUs and a short switch interval, over 25 blocks
