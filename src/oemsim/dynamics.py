@@ -313,34 +313,41 @@ def _kronecker_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     keeps each system at 55 unknowns for n = 10: a 100 x 100 system is past
     the size from which OpenBLAS threads its LU, and is many times slower.
     """
-    k, n, _ = a.shape
-    rows, cols, ij, ip, jq, iq, jp, e_jq, e_ip, off, e_jp, e_iq = _operator_terms(n)
-    a = a.reshape(k, n * n)
-    op = a[:, ip] * e_jq + e_ip * a[:, jq] + off * (a[:, iq] * e_jp + e_iq * a[:, jp])
+    rows, cols, index, _, _, _ = _operator_maps(a.shape[-1])
     # a (k, 55, 1) right-hand side reads as a stack of columns in every numpy
-    x = _solve(op, -d.reshape(k, n * n)[:, ij, None])[..., 0]
-    v = np.empty_like(d)
-    v[:, rows, cols] = x
-    v[:, cols, rows] = x
-    return v
+    x = _solve(_lyapunov_operators(a), -d[:, rows, cols, None])[..., 0]
+    return x[:, index]
+
+
+def _lyapunov_operators(a: np.ndarray) -> np.ndarray:
+    """The Lyapunov operators of a stack of drifts a on the unknowns v_pq,
+    p <= q: row (i, j), i <= j, holds the coefficients of
+    sum_k a_ik v_kj + v_ik a_jk, with v_qp read as v_pq. Two scatter-adds
+    onto zeros place each a_ik and a_jk at its unknown; an entry gets at
+    most two nonzero terms, so no entry is a negative zero."""
+    k, n, _ = a.shape
+    rows, cols, _, row, at_kj, at_ik = _operator_maps(n)
+    op = np.zeros((k, rows.size, rows.size))
+    op[:, row, at_kj] += a[:, rows]  # a_ik at the unknown of v_kj
+    op[:, row, at_ik] += a[:, cols]  # a_jk at the unknown of v_ik
+    return op
 
 
 @cache
-def _operator_terms(n: int) -> tuple[np.ndarray, ...]:
-    """What _kronecker_lyapunov's operator takes from n alone: the (p, q)
-    of each unknown, p <= q; the flat index into an n x n matrix of each
-    equation (i, j); of a_ip, a_jq, a_iq and a_jp at each (equation,
-    unknown); and the factors delta_jq, delta_ip, [p != q], delta_jp and
-    delta_iq there."""
+def _operator_maps(n: int) -> tuple[np.ndarray, ...]:
+    """What _lyapunov_operators takes from n alone: the (i, j) of each
+    unknown and equation, i <= j; the unknown of each entry of an n x n
+    symmetric matrix; each equation's row of the operator, as a column; and
+    the unknowns of v_kj and of v_ik, k = 0 ... n - 1, in each equation's
+    row."""
     rows, cols = np.triu_indices(n)
-    i, j = rows[:, None], cols[:, None]  # the equation of each row
-    p, q = rows, cols  # the unknown of each column
-    eye = np.eye(n)
-    terms = (rows, cols, n * rows + cols, n * i + p, n * j + q, n * i + q, n * j + p,
-             eye[j, q], eye[i, p], p != q, eye[j, p], eye[i, q])
-    for term in terms:  # shared by every fallback solve
-        term.flags.writeable = False
-    return terms
+    index = np.empty((n, n), dtype=np.intp)
+    index[rows, cols] = index[cols, rows] = np.arange(rows.size)
+    maps = (rows, cols, index, np.arange(rows.size)[:, None], index[:, cols].T,
+            index[rows])
+    for table in maps:  # shared by every fallback solve
+        table.flags.writeable = False
+    return maps
 
 
 def _abs_max(x: np.ndarray) -> np.ndarray:
@@ -414,8 +421,11 @@ def _decompose(a: np.ndarray) -> _Eigenbasis:
     """The finite check, gate and eigenbasis of a stack of drifts a; see
     solve_lyapunov_batch. A stack of more than two finite drifts first takes
     the spectra of its first and last one with eigvals: if neither is
-    stable, every spectrum comes from eigvals and eig runs on the stable
-    drifts alone, else eig runs on the whole stack, with the same bits.
+    stable, they are kept, the other spectra come from eigvals on the
+    stack's interior, and eig runs on the stable drifts alone; else eig runs
+    on the whole stack. The bits are the same either way: the spectra go
+    into one complex stack, as numpy's eigvals holds them before it takes
+    an all-real result's real part, so the abscissa reduces the same view.
     eigvals frees the interpreter lock where length x order > 500 (measured),
     as on the largest stack of a block of a sweep stage of 84 points or more."""
     m, n, _ = a.shape
@@ -428,11 +438,14 @@ def _decompose(a: np.ndarray) -> _Eigenbasis:
         errors = dict.fromkeys(np.flatnonzero(~finite).tolist(),
                                "drift matrix contains non-finite entries")
     try:
-        if len(a_ok) > 2 and not _has_stable(np.linalg.eigvals(a_ok[[0, -1]])):
+        ends = np.linalg.eigvals(a_ok[[0, -1]]) if len(a_ok) > 2 else None
+        if ends is not None and not _has_stable(ends):
             # neither end of the stack has a steady state, so most of it
-            # likely has none: spectra without eigenvectors, then eig on the
-            # stable problems alone
-            spectra, s = np.linalg.eigvals(a_ok), None
+            # likely has none: spectra without eigenvectors, the ends' from
+            # the probe, then eig on the stable problems alone
+            spectra, s = np.empty((len(a_ok), n), dtype=complex), None
+            spectra[1:-1] = np.linalg.eigvals(a_ok[1:-1])
+            spectra[[0, -1]] = ends
         else:
             spectra, s = np.linalg.eig(a_ok)
         abscissa = spectra.real.max(axis=1)
@@ -523,8 +536,8 @@ def solve_lyapunov_batch(a: np.ndarray, d: np.ndarray,
     Only stable problems need S. A stack of more than two finite problems
     first takes the spectra of its first and last one with eigvals; if
     neither is stable (a sweep block's ends, on the unstable part of a
-    grid), the whole stack takes its spectra from eigvals, and eig runs on
-    its stable problems alone, or not at all.
+    grid), it keeps their spectra, takes the others from eigvals, and eig
+    runs on its stable problems alone, or not at all.
     LAPACK's dgeev runs the same balancing, Hessenberg reduction and QR
     iterations with and without eigenvectors, so both routes give the same
     spectra, gate and solutions bit for bit; the probe only decides which
@@ -632,14 +645,12 @@ def _join(parts: list[tuple[slice, np.ndarray | None, CovarianceBatch]],
     if len(parts) == 1 and parts[0][1] is None and len(parts[0][2].stable) == m:
         return parts[0][2]
     stable = np.ones(m, dtype=bool)
-    abscissa = np.full(m, -np.inf)
     order = max(modes.stop for modes, _, _ in parts)
     v = np.zeros((m, order, order))
     errors = {}
     for modes, rows, batch in parts:
         at = slice(None) if rows is None else rows
         stable[at] &= batch.stable
-        abscissa[at] = np.maximum(abscissa[at], batch.max_real_part)  # NaN wins
         v[at, modes, modes] = batch.v
         points = range(m) if rows is None else rows.tolist()
         for k, exc in batch.errors.items():
@@ -650,4 +661,17 @@ def _join(parts: list[tuple[slice, np.ndarray | None, CovarianceBatch]],
     v[~stable] = np.nan
     if errors:
         v[list(errors)] = np.nan
-    return CovarianceBatch(abscissa, stable, v, errors)
+    return CovarianceBatch(_joined_abscissa(parts, m), stable, v, errors)
+
+
+def _joined_abscissa(parts: list[tuple[slice, np.ndarray | None,
+                                        CovarianceBatch | _Eigenbasis]],
+                     m: int) -> np.ndarray:
+    """The abscissa of m problems from the gates of their mode groups, as
+    _join takes them (a group's gate is its batch or its _Eigenbasis): each
+    problem's groups' largest, NaN where one has none."""
+    abscissa = np.full(m, -np.inf)
+    for _, rows, gate in parts:
+        at = slice(None) if rows is None else rows
+        abscissa[at] = np.maximum(abscissa[at], gate.max_real_part)  # NaN wins
+    return abscissa

@@ -21,21 +21,25 @@ evaluated in equal blocks, as few as fit a budget of matrix entries
 and diffusion stacks and writes in only its slice of the varying entries,
 and reads where its working point failed (a pole of the optical response,
 or arithmetic out of floating-point range) from the stage's q_s column.
-One batched solve per group and block then gives the stability gate and
-the steady-state covariance (dynamics.solve_lyapunov_batch), and
-dynamics._join puts the groups together into 10x10 covariances: one
-batched eigendecomposition, or, where the block's end problems are
-unstable, batched spectra without eigenvectors and an eigendecomposition
-of its stable problems alone, with the same bits either way. That half of
-the solve depends on the drifts alone, so in a sweep of one model stage a
+Each group's drift stack first gives the stability gate (dynamics._decompose):
+one batched eigendecomposition, or, where the block's end problems are
+unstable, their spectra kept from that probe, batched spectra without
+eigenvectors of the other problems, and an eigendecomposition of the
+stable problems alone, with the same bits either way. That half of the
+solve depends on the drifts alone, so in a sweep of one model stage a
 block whose drift stack an earlier block posed (along temperature, which
 reaches only the diffusion, or fig6b after fig6a) takes it from a memo
-(_DriftMemo) and solves only the diffusion half. The block's points that
-fail its residual check are solved again together, directly, by one
-batched LU solve of their Lyapunov operators on the 55 unknowns of a
-symmetric covariance. The entanglement of every (point, requested mode
-pair) of the block comes from one batched log-negativity over one gathered
-stack of 4x4 blocks.
+(_DriftMemo). A block in which no problem passes the gate, no drift is
+non-finite and every diffusion is finite ends there: its points are
+unstable, with their abscissa, and there is no covariance to compute.
+Otherwise one batched solve per group and block gives the steady-state
+covariance (dynamics.solve_lyapunov_batch), and dynamics._join puts the
+groups together into 10x10 covariances. The block's points that fail its
+residual check are solved again together, directly, by one batched LU
+solve of their Lyapunov operators on the 55 unknowns of a symmetric
+covariance. The entanglement of every (point, requested mode pair) of the
+block comes from one batched log-negativity over one gathered stack of
+4x4 blocks, where the block has a solved point.
 
 The optional atom-free baseline, evaluated only when a bosonic pair is
 requested, is a second point set: each point's atom-free point (_atom_free),
@@ -515,10 +519,15 @@ def _evaluate_block(stage: _ModelStage, block: slice,
     """The pipeline on a block of a model stage's points, with one batched
     Lyapunov solve per mode group that holds some of the block's points and
     varies (a group solved once for the stage serves every block), and one
-    batched log-negativity. decompose gives the drift half of each of those
-    solves in turn, in the order of _ModelStage.drift_keys. The groups'
-    batches are joined (dynamics._join): into one of 10x10 problems, or,
-    for atom-free points, the batch of their bosonic group as it is.
+    batched log-negativity of its solved points, if it has any. decompose
+    gives the drift half of each of those solves in turn, in the order of
+    _ModelStage.drift_keys, and every group's gate is read before any solve:
+    where no problem of any group is stable, no drift failed and every
+    diffusion is finite, the block ends at its gate, with the columns that
+    the solve would give (no point stable, the joined abscissa, no E_N, no
+    error). Else the groups' batches are joined (dynamics._join): into one
+    of 10x10 problems, or, for atom-free points, the batch of their bosonic
+    group as it is.
 
     A point has at most one error: its solve error (a working point at a
     pole or out of range reads as one, and a non-finite diffusion's error
@@ -529,41 +538,57 @@ def _evaluate_block(stage: _ModelStage, block: slice,
     mapping.
     """
     m = len(range(stage.n)[block])
+    omega_m = _at(stage.omega_m, block)
     decompose = iter(decompose)
-    parts = []
+    gates, problems = [], []
     for group in stage.groups:
         rows = group.rows(block)
         if rows is not None and not rows.size:
             continue
-        sol = group.solved
-        if sol is None:
+        gate, problem = group.solved, None
+        if gate is None:
             a, d = stage.stacks(block, group)
             maxima = group.maxima[:, block]
             if rows is not None:
                 a, d, maxima = a[rows], d[rows], maxima[:, rows]
-            sol = dynamics.solve_lyapunov_batch(
-                a, d, next(decompose)(a), maxima)
-        parts.append((group.modes, rows, sol))
+            gate, problem = next(decompose)(a), (a, d, maxima)
+        gates.append((group.modes, rows, gate))
+        problems.append(problem)
+    # problem[2][1]: each problem's largest |entry| of its diffusion
+    if not any(gate.stable.any() or gate.errors for _, _, gate in gates) and all(
+            problem is None or np.isfinite(problem[2][1]).all() for problem in problems):
+        # no problem has a steady state and none fails: the gate's columns
+        abscissa = dynamics._joined_abscissa(gates, m)
+        return (np.zeros(m, dtype=bool), abscissa * omega_m,
+                np.full((m, len(pairs)), np.nan), {})
+    parts = []
+    for (modes, rows, gate), problem in zip(gates, problems):
+        if problem is not None:
+            a, d, maxima = problem
+            gate = dynamics.solve_lyapunov_batch(a, d, gate, maxima)
+        parts.append((modes, rows, gate))
     sol = dynamics._join(parts, m)
     solved = sol.stable
     if sol.errors:
         solved = solved.copy()
         solved[list(sol.errors)] = False
-    # one stack of the 4x4 blocks of every solved (point, requested pair)
     rows = np.flatnonzero(solved)
-    order = sol.v.shape[-1]
-    states = sol.v.reshape(m, order * order)
-    if rows.size < m:
-        states = states.take(rows, axis=0)
-    states = states.take(_pair_columns(pairs, order), axis=1)
-    values, _, pair_errors = gaussian.log_negativities(states.reshape(-1, 4, 4))
-    values = values.reshape(rows.size, len(pairs))
-    if rows.size == m:
-        e_n = values
-    else:
-        e_n = np.full((m, len(pairs)), np.nan)
-        e_n[rows] = values
-    max_real_part = sol.max_real_part * _at(stage.omega_m, block)
+    e_n = np.full((m, len(pairs)), np.nan) if rows.size < m else None
+    pair_errors = {}
+    if rows.size:
+        # one stack of the 4x4 blocks of every solved (point, requested pair)
+        order = sol.v.shape[-1]
+        states = sol.v.reshape(m, order * order)
+        if e_n is not None:
+            states = states.take(rows, axis=0)
+        states = states.take(_pair_columns(pairs, order), axis=1)
+        values, _, pair_errors = gaussian.log_negativities(states.reshape(-1, 4, 4))
+        values = values.reshape(rows.size, len(pairs))
+        if e_n is None:
+            e_n = values
+        else:
+            e_n[rows] = values
+    max_real_part = sol.max_real_part * omega_m
     if not (sol.errors or pair_errors):
         return sol.stable, max_real_part, e_n, {}
     # a working point at a pole or out of range makes the drift non-finite,

@@ -304,6 +304,37 @@ FALLBACK_CASES = {
 }
 
 
+class TestLyapunovOperator:
+    """The fallback's operators on the unknowns of a symmetric solution are
+    the oracle's, entry for entry and bit for bit, built from their own maps:
+    production imports nothing from verify."""
+
+    @staticmethod
+    def assert_oracle_operators(a):
+        ops = dynamics._lyapunov_operators(a)
+        assert ops.shape == (len(a), *(2 * (a.shape[-1] * (a.shape[-1] + 1) // 2,)))
+        for k, (a_k, op) in enumerate(zip(a, ops)):
+            want, _, _ = verify._lyapunov_operator(a_k)
+            assert op.tobytes() == want.tobytes(), k
+
+    @pytest.mark.parametrize("n", [4, 6, 10])
+    def test_random_drifts(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((5, n, n))
+        a[0] = 0.0  # an all-zero drift gives an all-+0.0 operator
+        a[1, 0, 1] = -0.0
+        self.assert_oracle_operators(a)
+
+    def test_preset_fallback_problems(self, fallback_calls):
+        for name in PRESET_NAMES:
+            run_sweep(preset(name))
+        # five problems in five calls: atom-free ones of fig2, fig3 and
+        # fig4, and one with atoms of fig3 and of fig5
+        assert sorted(a.shape for a in fallback_calls) == [(1, 6, 6)] * 3 + [(1, 10, 10)] * 2
+        for a in fallback_calls:
+            self.assert_oracle_operators(a)
+
+
 class TestBatchedLyapunovSolver:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_agrees_with_bartels_stewart_on_every_stable_preset_point(self, name):
@@ -589,14 +620,13 @@ def lapack_versions():
     return f"numpy {np.__version__}; {libs}"
 
 
-def sweep_stacks(monkeypatch, spec):
-    """The (drift, diffusion) stack of each block of a sweep, as it is solved."""
+def sweep_drifts(monkeypatch, spec):
+    """The drift stack of each block of a sweep, as its gate decomposes it:
+    also a block that ends at its gate, which poses no Lyapunov solve."""
     stacks = []
-    real = dynamics.solve_lyapunov_batch
+    real = dynamics._decompose
     with monkeypatch.context() as patch:
-        patch.setattr(dynamics, "solve_lyapunov_batch",
-                      lambda a, d, *basis: stacks.append((a.copy(), d.copy()))
-                      or real(a, d, *basis))
+        patch.setattr(dynamics, "_decompose", lambda a: stacks.append(a.copy()) or real(a))
         run_sweep(spec)
     return stacks
 
@@ -652,16 +682,16 @@ class TestSpectraWithoutEigenvectors:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_every_preset_block(self, name, monkeypatch):
         spec = preset(name)
-        stacks = sweep_stacks(monkeypatch, spec)
+        stacks = sweep_drifts(monkeypatch, spec)
         # the 401 points in four 10x10 blocks of at most 128; then their
         # atom-free points' bosonic modes in two 6x6 blocks of at most 355
         points = [(100, 10)] * 3 + [(101, 10)]
-        shapes = [a.shape[:2] for a, _ in stacks]
+        shapes = [a.shape[:2] for a in stacks]
         if spec.baseline_pairs:
             assert shapes == [*points, (200, 6), (201, 6)]
         else:
             assert shapes == points
-        for k, (a, _) in enumerate(stacks):
+        for k, a in enumerate(stacks):
             self.assert_same_spectra(a, f"{name} block {k}")
 
     #: the points of the grid along each field: one block of each point set
@@ -684,14 +714,14 @@ class TestSpectraWithoutEigenvectors:
         start, stop, scale = _sweep_tests.field_grid(name)
         spec = _sweep_tests.narrowed(preset("fig6a"), start, stop, self.GRID_POINTS,
                                      varied=name, axis_scale=scale)
-        stacks = sweep_stacks(monkeypatch, spec)
-        assert [a.shape[:2] for a, _ in stacks] == self.GRID_STACKS.get(
+        stacks = sweep_drifts(monkeypatch, spec)
+        assert [a.shape[:2] for a in stacks] == self.GRID_STACKS.get(
             name, [(self.GRID_POINTS, 10), (self.GRID_POINTS, 6)])
-        for k, (a, _) in enumerate(stacks):
+        for k, a in enumerate(stacks):
             self.assert_same_spectra(a, f"stack {k} of the fig6a grid along {name}")
 
     def test_defective_problem_inside_a_stack(self, monkeypatch):
-        a, _ = sweep_stacks(monkeypatch, preset("fig3"))[3]
+        a = sweep_drifts(monkeypatch, preset("fig3"))[3]
         a = np.insert(a, len(a) // 2, FALLBACK_CASES["jordan"]()[0], axis=0)
         self.assert_same_spectra(a, "fig3's block 3 with the Jordan problem")
 
@@ -765,13 +795,14 @@ class TestSolveRoutes:
         spectra = route == "spectra" or (route == "as_found" and name not in (
             "all_stable", "stable_end", "non_finite_ends"))
         # the two probe problems, then the spectra of the finite drifts
-        assert decompositions["eigvals problems"] == 2 + spectra * finite
+        # between them: the probed ends keep theirs
+        assert decompositions["eigvals problems"] == 2 + spectra * (finite - 2)
         assert decompositions["eig problems"] == (stable if spectra else finite)
         assert decompositions["eig"] == (stable > 0 or not spectra)
 
     @pytest.mark.parametrize("name, routine, call, size", [
         ("all_unstable", "eigvals", 1, 2),
-        ("stable_island", "eigvals", 2, 6),
+        ("stable_island", "eigvals", 2, 4),
         ("stable_end", "eig", 1, 4),
         ("all_stable", "eig", 1, 4),
         ("stable_island", "eig", 1, 3),
@@ -838,11 +869,13 @@ class TestSolveRoutes:
         # decomposed: fig6b and fig6c pose fig6a's
         # drifts (temperature enters the diffusion alone), so their 12
         # blocks reuse fig6a's eigenbases. Every decomposed block probes its
-        # 2 end problems with eigvals; the blocks with unstable ends then
-        # take eigvals on their whole stack and eig on their stable
-        # problems (here none has any), the others eig on their whole
-        # stack. Decomposing every block took eigvals 134 times on 2934
-        # problems and eig 55 times on 2474. With the atom-free problems as
+        # 2 end problems with eigvals; the 12 blocks with unstable ends
+        # then keep those spectra, take eigvals on the rest of their stack
+        # and eig on their stable problems (here none has any), the others
+        # eig on their whole stack. Taking eigvals on the whole stack of
+        # those 12 blocks, ends again, a pass took it on 1656 problems
+        # (840 10x10, 816 6x6). Decomposing every block took eigvals 134
+        # times on 2934 problems and eig 55 times on 2474. With the atom-free problems as
         # a second half of each block of points, a pass took eigvals 49
         # times on 1862 problems and eig 23 times on 1824; as 10x10 blocks
         # of their own, eigvals 90 times on 1854 and eig 39 times on 1886;
@@ -852,8 +885,8 @@ class TestSolveRoutes:
         for name in PRESET_NAMES:
             run_sweep(preset(name))
         assert decompositions == {
-            "eigvals": 40, "eigvals problems": 1656,
-            "eigvals 10x10": 840, "eigvals 6x6": 816,
+            "eigvals": 40, "eigvals problems": 1632,
+            "eigvals 10x10": 824, "eigvals 6x6": 808,
             "eig": 16, "eig problems": 2009,
             "eig 10x10": 1205, "eig 6x6": 804}
 
@@ -904,12 +937,12 @@ class TestSolveRoutes:
         # modes, which delta_c does not reach, once per model stage
         spec = _sweep_tests.narrowed(preset("fig6a"), -2.0, 2.0, 1500, baseline=False,
                                      base=preset("fig6a").base.replace(g=0.0))
-        stacks = sweep_stacks(monkeypatch, spec)
+        stacks = sweep_drifts(monkeypatch, spec)
         stages = -(-spec.count // sweep._STAGE_POINTS)
         # stages of 1024 and 476 points, whose largest varying groups are
         # 6x6: blocks of at most 355 points
         assert stages == 2
-        assert [a.shape[:2] for a, _ in stacks] == [
+        assert [a.shape[:2] for a in stacks] == [
             (1, 4), (341, 6), (341, 6), (342, 6), (1, 4), (238, 6), (238, 6)]
         assert decompositions["eig 4x4"] == stages
         assert not decompositions["eig 10x10"] and not decompositions["eigvals 10x10"]

@@ -771,10 +771,13 @@ class TestBlockEngine:
         real = gaussian.log_negativities
         monkeypatch.setattr(gaussian, "log_negativities",
                             lambda cm: stacks.append(len(cm)) or real(cm))
-        # two blocks of 75 points, and one of their 150 atom-free points
+        # two blocks of 75 points, and one of their 150 atom-free points;
+        # the first block of the points has no stable point and makes no call
         spec = narrowed(preset("fig6a"), -2.0, 2.0, 150)
         result = run_sweep(spec)
-        assert len(stacks) == 3
+        assert not result.stable[:75].any() and result.stable[75:].any()
+        assert not result.failures
+        assert len(stacks) == 2 and all(stacks)
         assert sum(stacks) == (np.count_nonzero(~np.isnan(result.e_n))
                                + np.count_nonzero(~np.isnan(result.baseline_e_n)))
         # each value equals a single call on that point's own covariance
@@ -974,20 +977,27 @@ class TestBlockEngine:
         counted(model, "solve_steady_state")
         counted(dynamics, "build_drift")
         counted(dynamics, "build_diffusion")
+        counted(dynamics, "_decompose")
         counted(dynamics, "solve_lyapunov_batch")
         spec = narrowed(preset("fig6a"), -2.0, 2.0, 2049)
         assert spec.baseline
-        run_sweep(spec, jobs=1)
+        result = run_sweep(spec, jobs=1)
         stages = -(-spec.count // sweep._STAGE_POINTS)
         # stages of 1024, 1024 and 1 points: 8, 8 and 1 blocks of the
         # points (10x10), and 3, 3 and 1 of their atom-free points (6x6)
         blocks = 17 + 7
         assert stages == 3
+        # the first stage has no stable point: its 11 blocks end at their
+        # gate. The second has a stable point in 6 blocks of the points
+        # and in all 3 of their atom-free points, the third in both
+        assert not result.stable[:1024].any() and not result.failures
+        solved = 6 + 3 + 2
         # a working point per stage for the points and one for their
-        # atom-free points, not one per block; a solve per block of each,
-        # and none of the atom-free atomic corner, which is not posed
-        assert calls == {"solve_steady_state": 2 * stages,
-                         "solve_lyapunov_batch": blocks}
+        # atom-free points, not one per block; a gate per block of each, a
+        # solve per block with a stable problem, and none of the atom-free
+        # atomic corner, which is not posed
+        assert calls == {"solve_steady_state": 2 * stages, "_decompose": blocks,
+                         "solve_lyapunov_batch": solved}
 
     def test_model_stage_sorts_entries_by_kind(self):
         # an entry that no column reaches is held once, as a float
@@ -1097,6 +1107,80 @@ class TestBlockEngine:
             assert single.error == model.POLE_MESSAGE
 
 
+class TestGateStop:
+    """A block in which no problem passes the Hurwitz gate, no drift failed
+    and every diffusion is finite ends at its gate: no Lyapunov solve, no
+    covariance and no log-negativity, and the columns the solve would give."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        """Counts the calls of the Lyapunov solve and of the log-negativity,
+        and the states that each log-negativity call gets."""
+        calls = Counter()
+        real_solve, real_negativities = (dynamics.solve_lyapunov_batch,
+                                         gaussian.log_negativities)
+        monkeypatch.setattr(dynamics, "solve_lyapunov_batch",
+                            lambda a, d, *basis: calls.update(["solve"])
+                            or real_solve(a, d, *basis))
+        monkeypatch.setattr(gaussian, "log_negativities",
+                            lambda cm: calls.update(["negativities", f"states {len(cm)}"])
+                            or real_negativities(cm))
+        return calls
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unstable_range_solves_nothing(self, jobs, monkeypatch):
+        # fig6a from x = -2 to -0.5: three blocks of 100 points and one of
+        # their 300 atom-free points, none of them stable
+        spec = narrowed(preset("fig6a"), -2.0, -0.5, 300)
+        calls = self.counted(monkeypatch)
+        result = run_sweep(spec, jobs=jobs)
+        assert not calls
+        assert not result.stable.any() and not result.failures
+        assert np.isfinite(result.max_real_part).all()
+        assert np.isnan(result.e_n).all() and np.isnan(result.baseline_e_n).all()
+        # a single point solves its groups once, in its model stage, and
+        # takes no log-negativity where it has no solved point
+        for rec in result.records:
+            single = evaluate_point(spec.base.replace(delta_c=rec.x * spec.axis_scale),
+                                    spec.pairs, baseline=spec.baseline)
+            assert dataclasses.replace(single, x=rec.x) == rec
+            assert repr(dataclasses.replace(single, x=rec.x)) == repr(rec)
+        assert calls == {"solve": 2 * spec.count}
+
+    def test_non_finite_diffusion_is_still_reported(self, monkeypatch):
+        # fig6a at x = -1.5, unstable, along temperature: from T = 0 the
+        # thermal factors overflow, which fails the point with the
+        # temperature where its block has no stable problem either
+        base = preset("fig6a").base
+        spec = narrowed(preset("fig6a"), 0.0, 1e305, 9, varied="temperature",
+                        axis="temperature_k", axis_scale=1.0,
+                        base=base.replace(delta_c=-1.5 * base.omega_m))
+        calls = self.counted(monkeypatch)
+        result = run_sweep(spec)
+        assert calls == {"solve": 2}  # the points' block and their atom-free points'
+        assert not result.stable.any() and list(result.failures) == list(range(1, 9))
+        assert np.isfinite(result.max_real_part[0])
+        for i, temperature in enumerate(result.x.tolist()[1:], 1):
+            assert result.failures[i] == (
+                "diffusion matrix contains non-finite entries: (1, 1) = inf, "
+                f"(4, 4) = inf, (5, 5) = inf; at bath temperature {temperature!r} K")
+        for rec in result.records:
+            single = evaluate_point(spec.base.replace(temperature=rec.x), spec.pairs,
+                                    baseline=spec.baseline)
+            assert dataclasses.replace(single, x=rec.x) == rec
+
+    def test_presets_pass_takes_log_negativities_of_solved_blocks_alone(self, monkeypatch):
+        # 40 blocks, 18 of them with no stable problem: 22 calls, none on
+        # an empty stack (each of the 18 made one before their gate stop)
+        for name in PRESET_NAMES:
+            run_sweep(preset(name))
+        calls = self.counted(monkeypatch)
+        for name in PRESET_NAMES:
+            run_sweep(preset(name))
+        assert calls["negativities"] == calls["solve"] == 22
+        assert "states 0" not in calls
+
+
 class TestThreadedSweep:
     """jobs > 1 runs the blocks on threads; the result may not depend on it."""
 
@@ -1145,13 +1229,16 @@ class TestThreadedSweep:
                     == (tmp_path / "1.csv").read_bytes())
         if name == "mixed":
             assert serial.failures[np.flatnonzero(serial.x == 1.0)[0]] == model.POLE_MESSAGE
-            # injected errors in each of the three blocks: the points' two,
-            # of 90 and 91 points, and their atom-free points' one
+            # injected errors in each block that is solved: the points'
+            # second, of 91 points, and their atom-free points' one, whose
+            # errors fall on both sides of it. The points' first block, of
+            # 90, has no stable problem: it ends at its gate, with no solve
             injected = {i for i, message in serial.failures.items()
                         if message.startswith("injected")}
-            assert min(injected) < 90 <= max(injected)
-            assert any(message.startswith(sweep._ATOM_FREE_TAG + "injected")
-                       for message in serial.failures.values())
+            assert not serial.stable[:90].any() and min(injected) >= 90
+            free = {i for i, message in serial.failures.items()
+                    if message.startswith(sweep._ATOM_FREE_TAG + "injected")}
+            assert min(free) < 90 < max(free)
             assert 0 < serial.stable_count()
             assert np.count_nonzero(~serial.stable) > serial.error_count()  # unstable
             # x = 0's atom-free problem needs the fallback, once per jobs value

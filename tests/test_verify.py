@@ -405,17 +405,21 @@ class TestIndependence:
         def broken(*args, **kwargs):
             raise RuntimeError("production code called")
 
-        # _kronecker_lyapunov is production's own operator on the unknowns
-        # of a symmetric covariance; the flow builds its reduction itself
+        # _kronecker_lyapunov and _lyapunov_operators are production's own
+        # operator on the unknowns of a symmetric covariance, built like the
+        # oracle's from maps of its own; the flow builds its reduction itself
         monkeypatch.setattr(dynamics, "STABILITY_TOL", math.inf)
         monkeypatch.setattr(gaussian, "log_negativities", broken)
         monkeypatch.setattr(dynamics, "_kronecker_lyapunov", broken)
-        # all three patches are live
+        monkeypatch.setattr(dynamics, "_lyapunov_operators", broken)
+        # all four patches are live
         assert not dynamics.is_stable(a).stable
         with pytest.raises(RuntimeError, match="production"):
             log_negativity(make_tmsv(1.0))
         with pytest.raises(RuntimeError, match="production"):
             dynamics._kronecker_lyapunov(a[None], d[None])
+        with pytest.raises(RuntimeError, match="production"):
+            dynamics._lyapunov_operators(a[None])
         patched = run()
         assert np.array_equal(patched[0], brute)
         assert np.array_equal(patched[1], flow)
