@@ -18,9 +18,10 @@ give each point's largest drift and diffusion entry, which the solve's
 finite check and residual bound read. The stage's points are then
 evaluated in equal blocks, as few as fit a budget of matrix entries
 (_blocks): a block copies each remaining group's templates into its drift
-and diffusion stacks and writes in only its slice of the varying entries,
-and reads where its working point failed (a pole of the optical response,
-or arithmetic out of floating-point range) from the stage's q_s column.
+(and, if it goes on to a solve, diffusion) stacks and writes in only its
+slice of the varying entries, and reads where its working point failed (a
+pole of the optical response, or arithmetic out of floating-point range)
+from the stage's q_s column.
 Each group's drift stack first gives the stability gate (dynamics._decompose):
 one batched eigendecomposition, or, where the block's end problems are
 unstable, their spectra kept from that probe, batched spectra without
@@ -31,7 +32,8 @@ block whose drift stack an earlier block posed (along temperature, which
 reaches only the diffusion, or fig6b after fig6a) takes it from a memo
 (_DriftMemo). A block in which no problem passes the gate, no drift is
 non-finite and every diffusion is finite ends there: its points are
-unstable, with their abscissa, and there is no covariance to compute.
+unstable, with their abscissa, and there is no covariance to compute (nor
+a diffusion stack to fill: the finite check reads the templates' maxima).
 Otherwise one batched solve per group and block gives the steady-state
 covariance (dynamics.solve_lyapunov_batch), and dynamics._join puts the
 groups together into 10x10 covariances. The block's points that fail its
@@ -483,15 +485,14 @@ class _ModelStage:
                 keys.append(key)
         return keys
 
-    def stacks(self, block: slice, group: _ModeGroup) -> tuple[np.ndarray, np.ndarray]:
-        """The drift and diffusion stacks of a mode group's problems at a
+    def stack(self, block: slice, group: _ModeGroup,
+              template: dynamics._Template) -> np.ndarray:
+        """The stack of a mode group's drift or diffusion (template) at a
         block of the points, at every point of the block."""
         size = group.modes.stop - group.modes.start
-        shape = (len(range(self.n)[block]), size * size)
-        a, d = np.empty(shape), np.empty(shape)
-        group.drift.fill(a, block)
-        group.diffusion.fill(d, block)
-        return a.reshape(-1, size, size), d.reshape(-1, size, size)
+        out = np.empty((len(range(self.n)[block]), size * size))
+        template.fill(out, block)
+        return out.reshape(-1, size, size)
 
 
 def _at(value: float | np.ndarray, index: slice | int) -> float | np.ndarray:
@@ -525,9 +526,9 @@ def _evaluate_block(stage: _ModelStage, block: slice,
     where no problem of any group is stable, no drift failed and every
     diffusion is finite, the block ends at its gate, with the columns that
     the solve would give (no point stable, the joined abscissa, no E_N, no
-    error). Else the groups' batches are joined (dynamics._join): into one
-    of 10x10 problems, or, for atom-free points, the batch of their bosonic
-    group as it is.
+    error), and fills no diffusion stack. Else the groups' batches are
+    joined (dynamics._join): into one of 10x10 problems, or, for atom-free
+    points, the batch of their bosonic group as it is.
 
     A point has at most one error: its solve error (a working point at a
     pole or out of range reads as one, and a non-finite diffusion's error
@@ -547,11 +548,11 @@ def _evaluate_block(stage: _ModelStage, block: slice,
             continue
         gate, problem = group.solved, None
         if gate is None:
-            a, d = stage.stacks(block, group)
+            a = stage.stack(block, group, group.drift)
             maxima = group.maxima[:, block]
             if rows is not None:
-                a, d, maxima = a[rows], d[rows], maxima[:, rows]
-            gate, problem = next(decompose)(a), (a, d, maxima)
+                a, maxima = a[rows], maxima[:, rows]
+            gate, problem = next(decompose)(a), (group, a, maxima)
         gates.append((group.modes, rows, gate))
         problems.append(problem)
     # problem[2][1]: each problem's largest |entry| of its diffusion
@@ -563,8 +564,11 @@ def _evaluate_block(stage: _ModelStage, block: slice,
                 np.full((m, len(pairs)), np.nan), {})
     parts = []
     for (modes, rows, gate), problem in zip(gates, problems):
-        if problem is not None:
-            a, d, maxima = problem
+        if problem is not None:  # the diffusion stack, which only the solve reads
+            group, a, maxima = problem
+            d = stage.stack(block, group, group.diffusion)
+            if rows is not None:
+                d = d[rows]
             gate = dynamics.solve_lyapunov_batch(a, d, gate, maxima)
         parts.append((modes, rows, gate))
     sol = dynamics._join(parts, m)

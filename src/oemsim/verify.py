@@ -52,26 +52,30 @@ def _lyapunov_operator(a: np.ndarray) -> tuple[np.ndarray, tuple, np.ndarray]:
 
     Row (i, j), i <= j, holds the coefficients of sum_k a_ik v_kj + v_ik a_jk,
     with v_qp read as v_pq: at most two nonzero terms per entry, added onto
-    +0.0, so no entry is a negative zero. Ungated: a singular op is the caller's.
+    +0.0 by two scatters into the flat op, so no entry is a negative zero.
+    Ungated: a singular op is the caller's.
     """
-    rows, cols, index, row, at_kj, at_ik = _operator_maps(a.shape[0])
-    op = np.zeros((rows.size, rows.size))
-    op[row, at_kj] += a[rows]  # a_ik at the unknown of v_kj
-    op[row, at_ik] += a[cols]  # a_jk at the unknown of v_ik
-    return op, (rows, cols), index
+    rows, cols, index, at_kj, at_ik = _operator_maps(a.shape[0])
+    size = rows.size
+    op = np.zeros(size * size)
+    op[at_kj] += a.take(rows, axis=0).ravel()  # a_ik at the unknown of v_kj
+    op[at_ik] += a.take(cols, axis=0).ravel()  # a_jk at the unknown of v_ik
+    return op.reshape(size, size), (rows, cols), index
 
 
 @cache
 def _operator_maps(n: int) -> tuple[np.ndarray, ...]:
     """What _lyapunov_operator takes from n alone: the (i, j) of each
-    unknown and equation, i <= j; the unknown of each entry of V; each
-    equation's row of op, as a column; and the unknowns of v_kj and of v_ik,
-    k = 0 ... n - 1, in each equation's row."""
+    unknown and equation, i <= j; the unknown of each entry of V; and the
+    flat indices into op (row * unknowns + unknown) of the unknowns of v_kj
+    and of v_ik, k = 0 ... n - 1, equation by equation, in the order of
+    a[i, k] and a[j, k]."""
     rows, cols = np.nonzero(~np.tri(n, k=-1, dtype=bool))  # np.triu_indices(n)
     index = np.empty((n, n), dtype=np.intp)
     index[rows, cols] = index[cols, rows] = np.arange(rows.size)
-    maps = (rows, cols, index, np.arange(rows.size)[:, None], index[:, cols].T,
-            index[rows])
+    start = rows.size * np.arange(rows.size)[:, None]  # each equation's row of op
+    maps = (rows, cols, index, (start + index[:, cols].T).ravel(),
+            (start + index[rows]).ravel())
     for table in maps:  # shared by every oracle call at this n
         table.flags.writeable = False
     return maps
@@ -109,9 +113,13 @@ def integrate_covariance(a: np.ndarray, d: np.ndarray,
     antisymmetric component, which a covariance does not have.
 
     The flow is linear in v, so one RK4 step is a fixed affine map
-    v -> M v + G d = v + G (L v + d), where L v + d is dV/dt. The stationary
-    point of the exact flow is also the exact fixed point of the discrete map,
-    so the step size only has to keep the iteration stable, not accurate.
+    v -> M v + G d = v + G (L v + d), where L v + d is dV/dt. With h = dt,
+    both come from one polynomial in hL, built in Horner form from three
+    products: p = I + hL/2 (I + hL/3 (I + hL/4)), M = I + hL p and G = h p,
+    the truncated Taylor series of exp(hL) and of its integral that classical
+    RK4 gives. M - I = L G holds whatever p is, so the stationary point of
+    the exact flow is also the exact fixed point of the discrete map, and the
+    step size only has to keep the iteration stable, not accurate.
 
     The map is advanced by the squared Smith iteration (R. A. Smith, SIAM J.
     Appl. Math. 16, 198 (1968)): with M_j = M^(2^j), 2^j steps at once are
@@ -133,13 +141,19 @@ def integrate_covariance(a: np.ndarray, d: np.ndarray,
     _check_inputs(a, d, "covariance flow")
     lyap_op, upper, index = _lyapunov_operator(a)
     d_vec = (0.5 * (d + d.T))[upper]
+    # RK4 one-step map v -> step_op v + gain d_vec, p in Horner form,
+    # updated in place so that each Horner step allocates only its product
     hk = cfg.dt * lyap_op
-    hk2 = hk @ hk
-    hk3 = hk2 @ hk
-    # RK4 one-step map v -> step_op v + gain d_vec
     eye = np.eye(d_vec.size)
-    step_op = eye + hk + hk2 / 2.0 + hk3 / 6.0 + (hk2 @ hk2) / 24.0
-    gain = cfg.dt * (eye + hk / 2.0 + hk2 / 6.0 + hk3 / 24.0)
+    p = hk / 4.0
+    p += eye
+    for divisor in (3.0, 2.0):
+        p = hk @ p
+        p /= divisor
+        p += eye
+    step_op = hk @ p
+    step_op += eye
+    gain = cfg.dt * p
     v = (0.5 * np.eye(a.shape[0]))[upper]
 
     last = int(math.ceil(cfg.t_max / cfg.dt)) - 1

@@ -405,7 +405,8 @@ class TestAtomFreeProblem:
         # the largest atom-free drift entry is a bosonic one, not delta_a1/omega_m
         assert np.array_equal(bosonic.maxima[0], np.abs(a).max(axis=(1, 2)))
         assert np.abs(a).max() < 1e-2 * base.delta_a1 / base.omega_m
-        a6, d6 = free.stacks(slice(None), bosonic)
+        a6, d6 = (free.stack(slice(None), bosonic, template)
+                  for template in (bosonic.drift, bosonic.diffusion))
         for k, x in enumerate(spec.grid().tolist()):
             point = base.replace(delta_c=x * spec.axis_scale)
             problem = atom_free_problem(point)
@@ -1063,7 +1064,8 @@ class TestBlockEngine:
         assert groups
         for stage, group in groups:
             for block in (slice(0, 4), slice(4, None)):
-                a, d = stage.stacks(block, group)
+                a, d = (stage.stack(block, group, template)
+                        for template in (group.drift, group.diffusion))
                 a_max, d_max = group.maxima[:, block]
                 assert np.array_equal(a_max, np.abs(a).max(axis=(1, 2)), equal_nan=True)
                 assert np.array_equal(d_max, np.abs(d).max(axis=(1, 2)), equal_nan=True)
@@ -1115,10 +1117,15 @@ class TestGateStop:
     @staticmethod
     def counted(monkeypatch):
         """Counts the calls of the Lyapunov solve and of the log-negativity,
-        and the states that each log-negativity call gets."""
+        the states that each log-negativity call gets, and the diffusion
+        stacks that blocks fill."""
         calls = Counter()
-        real_solve, real_negativities = (dynamics.solve_lyapunov_batch,
-                                         gaussian.log_negativities)
+        real_solve, real_negativities, real_stack = (
+            dynamics.solve_lyapunov_batch, gaussian.log_negativities, sweep._ModelStage.stack)
+        monkeypatch.setattr(sweep._ModelStage, "stack",
+                            lambda stage, block, group, template:
+                            calls.update(["diffusion"] * (template is group.diffusion))
+                            or real_stack(stage, block, group, template))
         monkeypatch.setattr(dynamics, "solve_lyapunov_batch",
                             lambda a, d, *basis: calls.update(["solve"])
                             or real_solve(a, d, *basis))
@@ -1130,7 +1137,8 @@ class TestGateStop:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_unstable_range_solves_nothing(self, jobs, monkeypatch):
         # fig6a from x = -2 to -0.5: three blocks of 100 points and one of
-        # their 300 atom-free points, none of them stable
+        # their 300 atom-free points, none of them stable, so none fills
+        # its diffusion stack either
         spec = narrowed(preset("fig6a"), -2.0, -0.5, 300)
         calls = self.counted(monkeypatch)
         result = run_sweep(spec, jobs=jobs)
@@ -1157,7 +1165,8 @@ class TestGateStop:
                         base=base.replace(delta_c=-1.5 * base.omega_m))
         calls = self.counted(monkeypatch)
         result = run_sweep(spec)
-        assert calls == {"solve": 2}  # the points' block and their atom-free points'
+        # the points' block and their atom-free points', each with its diffusion
+        assert calls == {"solve": 2, "diffusion": 2}
         assert not result.stable.any() and list(result.failures) == list(range(1, 9))
         assert np.isfinite(result.max_real_part[0])
         for i, temperature in enumerate(result.x.tolist()[1:], 1):
@@ -1171,13 +1180,14 @@ class TestGateStop:
 
     def test_presets_pass_takes_log_negativities_of_solved_blocks_alone(self, monkeypatch):
         # 40 blocks, 18 of them with no stable problem: 22 calls, none on
-        # an empty stack (each of the 18 made one before their gate stop)
+        # an empty stack (each of the 18 made one before their gate stop),
+        # and 22 diffusion stacks (each of the 18 filled one)
         for name in PRESET_NAMES:
             run_sweep(preset(name))
         calls = self.counted(monkeypatch)
         for name in PRESET_NAMES:
             run_sweep(preset(name))
-        assert calls["negativities"] == calls["solve"] == 22
+        assert calls["negativities"] == calls["solve"] == calls["diffusion"] == 22
         assert "states 0" not in calls
 
 

@@ -98,6 +98,35 @@ class TestIntegrateCovariance:
             integrate_covariance(a, np.eye(4),
                                  IntegrationConfig(dt=0.1, t_max=50.0))
 
+    def test_one_step_is_classical_rk4(self):
+        # the fixed point is exact whatever the step map's coefficients are,
+        # so a wrong one would only slow convergence: compare one step with
+        # k1 ... k4 on the matrix V, from V_0 = I/2. tol lies between the
+        # residuals at steps 0 and 1, so the oracle returns after one step
+        n, dt = 10, 0.05
+        rng = np.random.default_rng(1)
+        m = rng.normal(size=(n, n)) + 2.0 * np.triu(rng.normal(size=(n, n)), 1)
+        a = m - (np.max(np.linalg.eigvals(m).real) + 1.0) * np.eye(n)
+        departure = np.linalg.norm(a @ a.T - a.T @ a) / np.linalg.norm(a) ** 2
+        assert departure > 0.3  # far from normal
+        r = rng.normal(size=(n, n))
+        d = r @ r.T + np.eye(n)
+
+        def flow(v):
+            return a @ v + v @ a.T + d
+
+        v0 = 0.5 * np.eye(n)
+        k1 = flow(v0)
+        k2 = flow(v0 + dt / 2.0 * k1)
+        k3 = flow(v0 + dt / 2.0 * k2)
+        k4 = flow(v0 + dt * k3)
+        v1 = v0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        r0, r1 = np.abs(flow(v0)).max(), np.abs(flow(v1)).max()
+        assert r1 < 0.8 * r0
+        v = integrate_covariance(a, d, IntegrationConfig(dt=dt, t_max=1.0,
+                                                         tol=0.5 * (r0 + r1)))
+        assert np.max(np.abs(v - v1)) <= 1e-14 * np.max(np.abs(v1))
+
     def test_horizon_is_the_last_step_index(self):
         # a = -c I decouples every entry: one RK4 step contracts the distance
         # to the fixed point d/(2c) by R(-2c dt), so the residual after k steps
