@@ -132,9 +132,11 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--baseline", action="store_true",
                          help="force the atom-free comparison on")
     p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="threads that evaluate the grid's blocks "
-                              "(>= 1; capped at the block and CPU counts); the "
-                              "output is byte-identical at every value")
+                         help="threads in all that evaluate the grid's blocks, "
+                              "the calling thread one of them (>= 1; capped by "
+                              "the usable CPUs and by the blocks of the first "
+                              "1024 points); the output is byte-identical at "
+                              "every value")
     p_sweep.add_argument("--grid", nargs=3, type=float, default=None,
                          metavar=("START", "STOP", "COUNT"),
                          help="override the grid (axis units)")

@@ -55,10 +55,13 @@ its errors, tagged _ATOM_FREE_TAG, behind the point's own; the independent
 of one, every field a float, so its model stage solves each of its groups.
 
 Blocks are independent, and their work is batched numpy and LAPACK calls that
-release the interpreter lock, so run_sweep(spec, jobs) with jobs > 1 evaluates
-them on a pool of at most jobs threads, CPUs and blocks of the first
-_STAGE_POINTS points, while the calling thread runs the model stages of the
-next _STAGE_POINTS points. Results are assembled in block order: the
+release the interpreter lock, so run_sweep(spec, jobs) evaluates them on N
+threads in all, the calling thread one of them: N is jobs, capped by the
+CPUs that the process may use and by the blocks of the first _STAGE_POINTS
+points. Every sweep, and evaluate_point, runs the same block loop
+(_in_order); at N = 1 it starts no thread. Each thread takes the next
+block in block order, and whichever takes a range's first block computes
+that range's model stages. Results are assembled in block order: the
 columns, the failures map and the CSV bytes are the same at every jobs value.
 
 A SweepResult holds columns, one entry per grid point, and the CSV is
@@ -72,10 +75,10 @@ import numbers
 import os
 import stat
 import threading
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, fields, replace
 from functools import cache, cached_property, partial
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -215,11 +218,13 @@ def evaluate_point(params: model.SystemParameters, pairs: tuple[str, ...],
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     """Evaluate the pipeline over the grid, a block of points at a time.
 
-    Every record equals what evaluate_point gives at that grid point. With
-    jobs > 1 the blocks run on a pool of threads (numpy and LAPACK release
-    the interpreter lock); the result is assembled in block order, so it
-    does not depend on jobs. An exception in a block propagates, and blocks
-    not yet started are cancelled.
+    Every record equals what evaluate_point gives at that grid point. The
+    blocks run on jobs threads in all, the calling thread one of them,
+    capped by the usable CPUs and the blocks of the first _STAGE_POINTS
+    points (numpy and LAPACK release the interpreter lock); the result is
+    assembled in block order, so it does not depend on jobs. An exception in
+    a block propagates once every thread has ended, and no thread starts a
+    block after it.
     """
     if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral):
         raise ParameterError(f"jobs must be an integer, got {jobs!r}")
@@ -277,11 +282,15 @@ def _evaluate(points: model.ParameterBlock, n: int, pairs: tuple[str, ...],
     stage the drift half of each of a block's solves comes from _DRIFT_MEMO
     where a block before it posed the same drift stack. A single point
     neither reads nor prunes the memo: it has no second block to share a
-    drift with. A pool has at most as many threads as the first range has
-    blocks. With a pool, the calling thread runs the model stages of the
-    next _STAGE_POINTS points while the pool solves the blocks of the last
-    ones; it waits for the blocks of the range before that first, so at
-    most three ranges are held at a time.
+    drift with. The blocks run in one loop (_in_order) on jobs threads in
+    all, the calling thread one of them, capped by the usable CPUs
+    (_usable_cpus) and by the blocks of the first range of _STAGE_POINTS
+    points; at one thread no other starts. Each thread takes the next block
+    in block order, and whichever takes a range's first block computes
+    that range's model stages while the other threads solve blocks. It
+    waits for the blocks of the range two before first, so at most three
+    ranges are held at a time. The lowest-index failure, of a block or of
+    a range's model stages, is raised.
 
     Then one merge: the atom-free values become baseline_e_n, in the order
     of base_pairs; a point's own error comes before its atom-free point's,
@@ -296,51 +305,39 @@ def _evaluate(points: model.ParameterBlock, n: int, pairs: tuple[str, ...],
     if n > _STAGE_POINTS:
         _DRIFT_MEMO.clear()
 
-    def blocks(lo: int) -> list[tuple]:
-        """Each set's blocks of the range of _STAGE_POINTS points from lo."""
-        hi = min(lo + _STAGE_POINTS, n)
-        stages = [_ModelStage.of(set_points, lo, hi, modes) for set_points, _, modes in sets]
-        work = [(s, lo + block.start, stage, block)
-                for s, stage in enumerate(stages) for block in stage.blocks()]
-        if not memo:
-            return [(*args, repeat(dynamics._decompose)) for args in work]
-        keys = [stage.drift_keys(block) for _, _, stage, block in work]
-        _DRIFT_MEMO.keep(key for block_keys in keys for key in block_keys)
-        return [(*args, [partial(_DRIFT_MEMO.lookup, key) for key in block_keys])
-                for args, block_keys in zip(work, keys)]
+    finished, left = threading.Condition(), []  # left: each range's blocks not yet evaluated
 
-    first = [blocks(0)]  # popped when its turn comes, so that it is not held after
-    workers = 1
-    if jobs > 1:  # os.cpu_count reads the system's CPU list: only a pool needs it
-        workers = min(jobs, len(first[0]), os.cpu_count() or 1)
-    ranges = (blocks(lo) if lo else first.pop() for lo in range(0, n, _STAGE_POINTS))
-
-    def evaluate(s: int, lo: int, stage: _ModelStage, block: slice, decompose):
+    def evaluate(r: int, s: int, lo: int, stage: _ModelStage, block: slice, decompose):
         # a frame in this module: the Lyapunov solve's warnings name it
-        return s, lo, _evaluate_block(stage, block, decompose, sets[s][1])
-
-    if workers > 1:
-        # imported here: it costs milliseconds and pulls in logging, which
-        # `import oemsim` and a serial sweep never need
-        from concurrent import futures
-        pool = futures.ThreadPoolExecutor(workers)
-        submitted, window = [], []
         try:
-            for range_blocks in ranges:
-                window.append([pool.submit(evaluate, *args) for args in range_blocks])
-                submitted += window[-1]
-                if len(window) == 2:
-                    done, _ = futures.wait(window.pop(0),
-                                           return_when=futures.FIRST_EXCEPTION)
-                    if any(future.exception() for future in done):
-                        break
-            futures.wait(submitted, return_when=futures.FIRST_EXCEPTION)
+            return s, lo, _evaluate_block(stage, block, decompose, sets[s][1])
         finally:
-            pool.shutdown(cancel_futures=True)
-        # blocks start in order, so none before a failed one was cancelled
-        outcomes = [future.result() for future in submitted]
-    else:
-        outcomes = (evaluate(*args) for range_blocks in ranges for args in range_blocks)
+            with finished:
+                left[r] -= 1
+                finished.notify_all()
+
+    def tasks():
+        for r, lo in enumerate(range(0, n, _STAGE_POINTS)):
+            with finished:  # the range two before evaluated: at most three held
+                finished.wait_for(lambda: r < 2 or not left[r - 2])
+            hi = min(lo + _STAGE_POINTS, n)
+            stages = [_ModelStage.of(set_points, lo, hi, modes) for set_points, _, modes in sets]
+            work = [(r, s, lo + block.start, stage, block)
+                    for s, stage in enumerate(stages) for block in stage.blocks()]
+            decompose = [repeat(dynamics._decompose) for _ in work]
+            if memo:
+                keys = [stage.drift_keys(block) for *_, stage, block in work]
+                _DRIFT_MEMO.keep(key for block_keys in keys for key in block_keys)
+                decompose = [[partial(_DRIFT_MEMO.lookup, key) for key in block_keys]
+                             for block_keys in keys]
+            left.append(len(work))
+            for args, block_decompose in zip(work, decompose):
+                yield partial(evaluate, *args, block_decompose)
+
+    stream = tasks()
+    stream = chain([next(stream)], stream)  # the first range: its blocks bound the threads
+    threads = min(jobs, left[0], _usable_cpus()) if jobs > 1 else 1
+    outcomes = _in_order(stream, threads)
     parts = [[] for _ in sets]
     found = [{} for _ in sets]
     for s, lo, (*cols, errors) in outcomes:
@@ -361,6 +358,55 @@ def _evaluate(points: model.ParameterBlock, n: int, pairs: tuple[str, ...],
         for column in (max_real_part, e_n, baseline_e_n):
             column[failed] = np.nan
     return stable, max_real_part, e_n, baseline_e_n, failures
+
+
+def _in_order(tasks: Iterator[Callable[[], object]], threads: int) -> list:
+    """The results of a lazy stream of tasks, in its order, called on
+    threads threads in all, the calling thread one of them. Each thread
+    takes the next task under a lock, and none takes one once a task, or
+    taking one, has failed. After every thread has ended, the failure of
+    the first task that failed is raised: tasks are taken in order, so none
+    before it was skipped."""
+    lock, results, failed = threading.Lock(), {}, {}  # by the task's index
+    stream = enumerate(tasks)
+
+    def step() -> bool:
+        # a frame of its own, so that no local holds a finished task
+        with lock:
+            try:
+                task = None if failed else next(stream, None)
+            except BaseException as exc:  # taking it: after every task taken
+                task, failed[math.inf] = None, exc
+        if task is None:
+            return False
+        k, call = task
+        try:
+            results[k] = call()
+        except BaseException as exc:
+            failed[k] = exc
+        return True
+
+    def run() -> None:
+        while step():
+            pass
+
+    helpers = [threading.Thread(target=run) for _ in range(threads - 1)]
+    for thread in helpers:
+        thread.start()
+    run()
+    for thread in helpers:
+        thread.join()
+    if failed:
+        raise failed[min(failed)]
+    return [results[k] for k in sorted(results)]
+
+
+def _usable_cpus() -> int:
+    """The CPUs that this process may run on: its affinity where the
+    platform reports one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _atom_free(params: model.SystemParameters) -> model.SystemParameters:
@@ -629,8 +675,8 @@ class _DriftMemo:
     empties the memo and decomposes every block itself, and a single point
     (evaluate_point) decomposes its own and leaves the memo as it was. So
     the memo holds at most one stage of each point set per sweep that runs
-    at a time. A mode group solved once per model stage takes no key. The
-    pool's threads share it, under a lock.
+    at a time. A mode group solved once per model stage takes no key. A
+    sweep's threads share it, under a lock.
     """
 
     def __init__(self) -> None:

@@ -921,7 +921,7 @@ class TestSolveRoutes:
     def test_pooled_sweep_equals_serial(self, decompositions, monkeypatch):
         # fig6a at --jobs 2: two threads probe the blocks' 6x6 and 10x10
         # stacks, and the columns are the serial bits
-        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
         serial = run_sweep(preset("fig6a"))
         assert decompositions["eigvals 6x6"] > 0 and decompositions["eigvals 10x10"] > 0
         sweep._DRIFT_MEMO.clear()

@@ -8,12 +8,12 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 import weakref
 import zlib
 from collections import Counter
-from concurrent import futures
 from pathlib import Path
 
 import numpy as np
@@ -610,8 +610,8 @@ class TestRunSweep:
             run_sweep(preset("fig3"), jobs=0)
 
     def test_rejects_jobs_that_are_not_integers(self, monkeypatch):
-        # 1.5 would start a pool of ThreadPoolExecutor(1.5), two threads
-        monkeypatch.setattr(futures, "ThreadPoolExecutor", None)
+        # 1.5 would be a thread count: rejected before any thread is made
+        monkeypatch.setattr(threading, "Thread", None)
         spec = narrowed(preset("fig3"), -0.5, 1.5, 3 * BLOCK_POINTS)
         for jobs in (1.5, 2.0, "2", None, True, False):
             with pytest.raises(ParameterError, match="jobs must be an integer"):
@@ -1196,9 +1196,9 @@ class TestThreadedSweep:
 
     @pytest.fixture(autouse=True)
     def four_cpus(self, monkeypatch):
-        # the pool is capped at the CPU count: fix it, so that jobs = 2 and 3
-        # start threads on any machine
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        # the threads are capped at the usable CPUs: fix them, so that
+        # jobs = 2 and 3 start threads on any machine
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: 4)
 
     @staticmethod
     def injected_errors(monkeypatch):
@@ -1295,85 +1295,116 @@ class TestThreadedSweep:
                             == getattr(reference, column).tobytes()), (points, jobs, column)
                 assert list(result.failures.items()) == list(reference.failures.items())
 
-    def test_pool_size_is_bounded_by_blocks_and_cpus(self, monkeypatch):
-        sizes = []
-
-        class SerialPool:
-            """Stands in for ThreadPoolExecutor: records its size and runs
-            each submitted block at once, in the calling thread."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def submit(self, fn, *args):
-                future = futures.Future()
-                try:
-                    future.set_result(fn(*args))
-                except Exception as exc:
-                    future.set_exception(exc)
-                return future
-
-            def shutdown(self, wait=True, *, cancel_futures=False):
-                pass
-
-        monkeypatch.setattr(futures, "ThreadPoolExecutor", SerialPool)
+    def test_threads_are_bounded_by_jobs_blocks_and_cpus(self, monkeypatch):
+        made = recorded_threads(monkeypatch)
         # 3 blocks of points (10x10) and 1 of their atom-free points (6x6)
         spec = narrowed(preset("fig6a"), -2.0, 2.0, 2 * BLOCK_POINTS + 1)
         serial = run_sweep(spec, jobs=1)
-        assert sizes == []
-        for cpus, size in ((8, 4), (3, 3), (2, 2)):
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-            pooled = run_sweep(spec, jobs=10_000)
-            assert sizes.pop() == size
-            assert np.array_equal(pooled.e_n, serial.e_n, equal_nan=True)
-        for cpus in (1, None):
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-            run_sweep(spec, jobs=10_000)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert made == []
+        for cpus, jobs, threads in ((8, 10_000, 4), (3, 10_000, 3), (2, 10_000, 2),
+                                    (8, 3, 3), (8, 2, 2), (1, 10_000, 1)):
+            monkeypatch.setattr(sweep, "_usable_cpus", lambda: cpus)
+            assert_same_bits(run_sweep(spec, jobs=jobs), serial)
+            assert len(made) + 1 == threads, (cpus, jobs)  # the calling thread is one
+            made.clear()
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: 4)
         one = narrowed(spec, -2.0, 2.0, BLOCK_POINTS)
         run_sweep(one, jobs=4)  # one block of points and one of atom-free points
-        assert sizes.pop() == 2
+        assert len(made) == 1
+        made.clear()
         run_sweep(dataclasses.replace(one, baseline=False), jobs=4)  # one block
-        assert sizes == []
+        evaluate_point(spec.base, spec.pairs, baseline=True)
+        assert made == []
         # past one model stage, the blocks of the first stage count: its
         # 1024 points make 8 blocks, the next stage's one point a ninth
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: 64)
         longer = narrowed(one, -2.0, 2.0, sweep._STAGE_POINTS + 1, baseline=False)
         run_sweep(longer, jobs=10_000)
-        assert sizes.pop() == 8
+        assert len(made) + 1 == 8
 
-    def test_failing_block_propagates_and_cancels_the_rest(self, monkeypatch):
-        released = threading.Event()
-
-        class Pool(futures.ThreadPoolExecutor):
-            def shutdown(self, wait=True, *, cancel_futures=False):
-                # cancel the blocks not yet started, then let the running
-                # ones finish
-                super().shutdown(wait=False, cancel_futures=cancel_futures)
-                released.set()
-                super().shutdown(wait=wait)
-
-        # one stage: six blocks of 128 points, and three of 256 of their
-        # atom-free points, which count as blocks 0, 2 and 4 here
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failure_stops_new_blocks_and_the_lowest_is_raised(self, monkeypatch, jobs):
+        # one stage: six blocks of 128 points, then three of 256 of their
+        # atom-free points. Blocks 0 and 1 fail; on two threads block 1
+        # fails first, and block 0 only once it has: no thread starts a
+        # block after them, and block 0's failure is the one raised
         spec = narrowed(preset("fig3"), -0.5, 1.5, 768)
+        made = recorded_threads(monkeypatch)
+        released = threading.Event()
         started = []
         real = sweep._evaluate_block
 
         def evaluate(stage, block, *rest):
-            k = block.start // 128
+            k = block.start // 128 if stage.groups[0].modes == dynamics._ALL_MODES else None
             started.append(k)
             if k == 1:
+                released.set()
                 raise SimulationError("block 1 failed")
-            # block 0 waits until the failure has cancelled the pending
-            # blocks; any other block holds its thread until then too
-            assert released.wait(timeout=10)
+            if k == 0 and jobs > 1:
+                assert released.wait(timeout=10)
+            if k in (0, 1):
+                raise SimulationError("block 0 failed")
             return real(stage, block, *rest)
 
-        monkeypatch.setattr(futures, "ThreadPoolExecutor", Pool)
         monkeypatch.setattr(sweep, "_evaluate_block", evaluate)
-        with pytest.raises(SimulationError, match="block 1 failed"):
-            run_sweep(spec, jobs=2)
-        assert {0, 1} <= set(started) <= {0, 1, 2}
+        with pytest.raises(SimulationError, match="block 0 failed"):
+            run_sweep(spec, jobs=jobs)
+        assert len(made) == jobs - 1
+        assert sorted(started) == ([0] if jobs == 1 else [0, 1])
+
+    def test_no_thread_outlives_the_sweep(self, monkeypatch):
+        made = recorded_threads(monkeypatch)
+        before = threading.active_count()
+        spec = narrowed(preset("fig6a"), -2.0, 2.0, 2 * BLOCK_POINTS + 1)
+        run_sweep(spec, jobs=3)
+        assert len(made) == 2
+        assert threading.active_count() == before
+        assert not any(thread.is_alive() for thread in made)
+        made.clear()
+        real, calls = sweep._evaluate_block, []
+
+        def evaluate(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise SimulationError("second block failed")
+            return real(*args)
+
+        monkeypatch.setattr(sweep, "_evaluate_block", evaluate)
+        with pytest.raises(SimulationError, match="second block failed"):
+            run_sweep(spec, jobs=3)
+        assert len(made) == 2
+        assert threading.active_count() == before
+        assert not any(thread.is_alive() for thread in made)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_model_stage_of_a_later_range_propagates(self, monkeypatch, jobs):
+        # ranges of 16 points, each two blocks of 8 points and one of their
+        # atom-free points; the fourth range's model stage fails. Every
+        # block of the three ranges before it runs, and none after it
+        monkeypatch.setattr(sweep, "BLOCK_POINTS", 8)
+        monkeypatch.setattr(sweep, "_STAGE_POINTS", 16)
+        made = recorded_threads(monkeypatch)
+        before = threading.active_count()
+        stage_of, evaluate_block = sweep._ModelStage.of, sweep._evaluate_block
+        evaluated = []
+
+        def of(points, lo, hi, modes):
+            if lo == 48:
+                raise SimulationError("fourth range failed")
+            return stage_of(points, lo, hi, modes)
+
+        def block(*args):
+            evaluated.append(1)
+            return evaluate_block(*args)
+
+        monkeypatch.setattr(sweep._ModelStage, "of", of)
+        monkeypatch.setattr(sweep, "_evaluate_block", block)
+        spec = narrowed(preset("fig6a"), -2.0, 2.0, 161)  # 11 ranges
+        with pytest.raises(SimulationError, match="fourth range failed"):
+            run_sweep(spec, jobs=jobs)
+        assert len(made) == jobs - 1
+        assert len(evaluated) == 3 * 3
+        assert threading.active_count() == before
 
     def test_stages_equal_serial_and_stay_few(self, monkeypatch):
         # stages of 16 points, in two blocks of 8 points and one block of
@@ -1411,6 +1442,38 @@ class TestThreadedSweep:
                                       equal_nan=True), column
             assert result.failures == serial.failures
 
+    def test_a_slow_block_holds_back_the_range_two_after_it(self, monkeypatch):
+        # three threads and ranges of three blocks: while the first block
+        # takes 0.2 s, the other two threads go on to the next range, but do
+        # not compute the third range's stages until that block has ended
+        monkeypatch.setattr(sweep, "BLOCK_POINTS", 8)
+        monkeypatch.setattr(sweep, "_STAGE_POINTS", 16)
+        live = weakref.WeakSet()
+        counts, events = [], []
+        stage_of, evaluate_block = sweep._ModelStage.of, sweep._evaluate_block
+
+        def of(points, lo, hi, modes):
+            stage = stage_of(points, lo, hi, modes)
+            live.add(stage)
+            counts.append(len(live))
+            events.append(lo)
+            return stage
+
+        def block(*args):
+            counts.append(len(live))
+            if "slow" not in events:
+                events.append("slow")
+                time.sleep(0.2)
+                events.append("slow done")
+            return evaluate_block(*args)
+
+        monkeypatch.setattr(sweep._ModelStage, "of", of)
+        monkeypatch.setattr(sweep, "_evaluate_block", block)
+        spec = narrowed(preset("fig6a"), -2.0, 2.0, 161)  # 11 ranges
+        assert_same_bits(run_sweep(spec, jobs=3), run_sweep(spec))
+        assert events.index(16) < events.index("slow done") < events.index(32)
+        assert max(counts) <= 3 * 2
+
     def test_failing_block_of_a_later_stage_propagates(self, monkeypatch):
         monkeypatch.setattr(sweep, "BLOCK_POINTS", 8)
         monkeypatch.setattr(sweep, "_STAGE_POINTS", 16)
@@ -1429,16 +1492,27 @@ class TestThreadedSweep:
             run_sweep(spec, jobs=2)
         assert len(started) < 21
 
-    def test_serial_sweep_never_imports_the_pool(self, tmp_path):
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_no_sweep_imports_concurrent_futures_or_logging(self, tmp_path, jobs):
+        # two usable CPUs, so that --jobs 2 starts a thread on any machine
         script = (
-            "import sys\n"
-            "from oemsim import cli\n"
-            f"code = cli.main(['sweep', '--preset', 'fig3', '--out', {str(tmp_path / 'x.csv')!r}])\n"
-            "print(code, 'concurrent.futures' in sys.modules)\n")
+            "import sys, threading\n"
+            "from oemsim import cli, sweep\n"
+            "sweep._usable_cpus = lambda: 2\n"
+            "class Counted(threading.Thread):\n"
+            "    started = 0\n"
+            "    def start(self):\n"
+            "        Counted.started += 1\n"
+            "        super().start()\n"
+            "threading.Thread = Counted\n"
+            f"code = cli.main(['sweep', '--preset', 'fig3', '--out', {str(tmp_path / 'x.csv')!r},"
+            f" '--jobs', {jobs!r}])\n"
+            "print(code, Counted.started, 'concurrent.futures' in sys.modules,"
+            " 'logging' in sys.modules)\n")
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0", "False"]
+        assert proc.stdout.split() == ["0", str(int(jobs) - 1), "False", "False"]
 
     def test_warnings_match_serial(self, monkeypatch):
         monkeypatch.setattr(dynamics, "CONDITION_WARN", 1e6)
@@ -1450,6 +1524,43 @@ class TestThreadedSweep:
         messages = [Counter(str(w.message) for w in caught[jobs]) for jobs in (1, 2)]
         assert messages[0] == messages[1] and len(messages[0]) > 1
         assert {Path(w.filename).name for w in caught[1] + caught[2]} == {"sweep.py"}
+
+
+def recorded_threads(monkeypatch):
+    """The threads that are made while monkeypatch holds, as they are made."""
+    made = []
+
+    class Recorded(threading.Thread):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    return made
+
+
+class TestUsableCpus:
+    """The threads of a sweep are capped at the CPUs that the process may
+    run on, not at the machine's."""
+
+    def test_an_affinity_of_one_cpu_starts_no_thread(self, monkeypatch):
+        # as under taskset -c 0 on a machine of two CPUs
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        made = recorded_threads(monkeypatch)
+        spec = narrowed(preset("fig6a"), -2.0, 2.0, 2 * BLOCK_POINTS + 1)
+        assert sweep._usable_cpus() == 1
+        assert_same_bits(run_sweep(spec, jobs=2), run_sweep(spec))
+        assert made == []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        run_sweep(spec, jobs=2)
+        assert len(made) == 1
+
+    def test_without_an_affinity_the_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        for cpus, usable in ((6, 6), (None, 1)):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert sweep._usable_cpus() == usable
 
 
 def along_temperature(spec, count, start=0.0, stop=0.5):
@@ -1589,7 +1700,7 @@ class TestDriftMemo:
         # atom-free points that pose another: whatever the interleaving, the
         # results equal the serial run's and the memo holds one key per
         # point set
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: 8)
         monkeypatch.setattr(sweep, "BLOCK_POINTS", 8)
         spec = along_temperature(preset("fig6a"), 200)
         serial = run_sweep(spec)
