@@ -79,14 +79,12 @@ def environment(tree: Path) -> dict[str, str]:
 
 
 def cells(path: Path) -> dict:
-    """A file's cells by position: a CSV's by (row, column), a JSON file's
-    leaves by their keys, any other file's lines by number."""
+    """An output file's cells by position: a CSV's by (row, column), a JSON
+    file's leaves by their keys."""
     text = path.read_text()
     if path.suffix == ".csv":
         return {(i, j): cell for i, row in enumerate(csv.reader(io.StringIO(text)))
                 for j, cell in enumerate(row)}
-    if path.suffix != ".json":
-        return dict(enumerate(text.splitlines()))
     leaves = {}
 
     def walk(value, key: tuple) -> None:
